@@ -6,10 +6,11 @@ counts; `center` verifies the centralizer and optionally emits coefficient
 tables; `schur` builds the coupled basis and checks block structure;
 `table` builds, caches, validates, and compares structure-constant tables.
 
-Exit codes: 0 success, 1 usage or precondition error, 2 verification
-failure or prediction mismatch, 3 resource-cap refusal.  Reports are JSON
-(`--json PATH`, `-` for stdout) with exact rationals as 'p/q' strings; cache
-location comes from --cache-dir or $PERMLIE_CACHE_DIR, flag winning.
+Exit codes: 0 success, 1 usage or precondition error (or a reader that
+closed stdout early), 2 verification failure or prediction mismatch, 3
+resource-cap refusal.  Reports are JSON (`--json PATH`, `-` for stdout) with
+exact rationals as 'p/q' strings; cache location comes from --cache-dir or
+$PERMLIE_CACHE_DIR, flag winning.
 """
 
 from __future__ import annotations
@@ -80,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="preset (G1, G1prime, G2, Gk:<k>) or 'kx,ky,kz; ...' list")
     c.add_argument("--method", default="overlap", choices=["overlap", "orbit", "dense"],
                    help="bracket engine; 'dense' also runs the word-level oracle and compares")
-    c.add_argument("--pairing", default="all", choices=["generators", "all"],
-                   help="worklist shape ('generators' is cheaper, same span)")
     _add_common(c)
     c.set_defaults(func=cmd_close)
 
@@ -152,19 +151,20 @@ def cmd_close(args, cache_dir) -> int:
     gens = parse_generator_spec(args.gens, args.n)
     if args.method == "dense":
         table = build_table(args.n, METHOD_OVERLAP, cache_dir=cache_dir)
-        run = lie_closure(gens, table, pairing=args.pairing)
-        report = build_report(gens, run, method=METHOD_OVERLAP, pairing=args.pairing)
-        drun = dense_closure([densify(g) for g in gens.members], pairing=args.pairing)
+        run = lie_closure(gens, table)
+        report = build_report(gens, run, method=METHOD_OVERLAP)
+        drun = dense_closure([densify(g) for g in gens.members])
         payload = {"command": "close", **report.to_jsonable()}
         payload["dense_dim"] = drun.dim
         payload["engines_agree"] = drun.dim == run.dim
     else:
         method = normalize_method(args.method)
         table = build_table(args.n, method, cache_dir=cache_dir)
-        run = lie_closure(gens, table, pairing=args.pairing)
-        report = build_report(gens, run, method=method, pairing=args.pairing)
+        before = table.entry_count
+        run = lie_closure(gens, table)
+        report = build_report(gens, run, method=method)
         payload = {"command": "close", **report.to_jsonable()}
-        if cache_dir:
+        if cache_dir and table.entry_count != before:
             table.save(cache_path(cache_dir, args.n, method))
     dims = ambient_dims(args.n)
     residuals_clean = all(r == "0" for r in payload["constraint_residuals"])
@@ -341,6 +341,17 @@ def cmd_table(args, cache_dir) -> int:
     return 0 if payload["ok"] else 2
 
 
+def _stdout_to_devnull() -> None:
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not backed by a file descriptor
+        sys.stdout = open(os.devnull, "w")
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -361,6 +372,11 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"permlie: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`).  Send what is still
+        # buffered to os.devnull, so the flush at exit cannot fail again.
+        _stdout_to_devnull()
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,24 +1,25 @@
 """Lie closures of equivariant generator sets, with exact dimension proofs.
 
-lie_closure runs a worklist of brackets through a reduced echelon basis until
-nothing new appears.  Everything is exact: the resulting dimension is a
-theorem about the generated algebra, not a numerical estimate.  The module
-also carries the closed-form dimension predictions for the preset generator
-families, the central-membership residuals, and the universality verdicts
-read off from the closure basis.
+lie_closure runs the one worklist, linalg.generator_closure, with the
+structure table's bracket: each newly independent row is bracketed with the
+generators only, and results go through a reduced echelon basis until
+nothing new appears.  There is no other pairing strategy.  Everything is
+exact: the resulting dimension is a theorem about the generated algebra, not
+a numerical estimate.  The module also carries the closed-form dimension
+predictions for the preset generator families, the central-membership
+residuals, and the universality verdicts read off from the closure basis.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
 from .center import make_C
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, generator_closure
 from .structure import StructureTable, normalize_method
 from .symops import (
     AmbientDims,
@@ -32,10 +33,6 @@ from .symops import (
     trace_inner,
     triple_sort_key,
 )
-
-PAIRING_GENERATORS = "generators"
-PAIRING_ALL = "all"
-
 
 class LieBasis:
     """Reduced echelon basis of SymOpVectors at fixed n."""
@@ -91,58 +88,26 @@ def lie_closure(
     gens: GeneratorSet,
     table: StructureTable | None = None,
     *,
-    pairing: str = PAIRING_ALL,
     method: str | None = None,
 ) -> ClosureRun:
     """Smallest Lie algebra containing the generators, as an exact basis.
 
-    The worklist pairs each newly independent row with every stored row
-    (pairing='all', the default) or only with the generators
-    (pairing='generators', much cheaper; iterated left-normed brackets span
-    the same closure).  FIFO order and the canonical triple order make runs
-    deterministic.
+    Runs linalg.generator_closure with the table's bracket: each new row is
+    bracketed with the generators only.  FIFO order and the canonical triple
+    order make runs deterministic.
     """
-    if pairing not in (PAIRING_GENERATORS, PAIRING_ALL):
-        raise ConstraintError(f"unknown pairing {pairing!r}")
     if table is None:
         table = StructureTable(gens.n, normalize_method(method) if method else "overlap")
     elif table.n != gens.n:
         raise DimensionMismatch("table and generators disagree on qubit count")
+    n = gens.n
+
+    def bracket(u: Mapping, g: Mapping) -> Mapping:
+        return table.bracket_vectors(SymOpVector(n, u), SymOpVector(n, g)).coeffs
+
     t0 = time.perf_counter()
-    basis = LieBasis(gens.n)
-    seeds: list[SymOpVector] = []
-    stored: list[SymOpVector] = []
-    work: deque[tuple[SymOpVector, SymOpVector]] = deque()
-
-    def admit(v: SymOpVector) -> None:
-        row = basis.insert(v)
-        if row is None:
-            return
-        if pairing == PAIRING_GENERATORS:
-            work.extend((row, s) for s in seeds)
-        else:
-            work.extend((row, s) for s in stored)
-            stored.append(row)
-
-    for g in gens.members:
-        row = basis.insert(g)
-        if row is not None:
-            seeds.append(row)
-            stored.append(row)
-    if pairing == PAIRING_GENERATORS:
-        for row in seeds:
-            work.extend((row, s) for s in seeds)
-    else:
-        for i, row in enumerate(stored):
-            work.extend((row, s) for s in stored[:i])
-
-    iterations = 0
-    while work:
-        u, v = work.popleft()
-        iterations += 1
-        w = table.bracket_vectors(u, v)
-        if not w.is_zero:
-            admit(w)
+    basis = LieBasis(n)
+    iterations = generator_closure((g.coeffs for g in gens.members), bracket, basis._ech)
     return ClosureRun(basis, iterations, time.perf_counter() - t0)
 
 
@@ -262,7 +227,6 @@ class ClosureReport:
     k: int | None
     generators: tuple[str, ...]
     method: str
-    pairing: str
     dim: int
     predicted: int | None
     matched: bool | None
@@ -287,7 +251,6 @@ class ClosureReport:
             "k": self.k,
             "generators": list(self.generators),
             "method": self.method,
-            "pairing": self.pairing,
             "dim": self.dim,
             "predicted": self.predicted,
             "matched": self.matched,
@@ -333,7 +296,6 @@ def build_report(
     run: ClosureRun,
     *,
     method: str,
-    pairing: str,
     exempt: Iterable[int] | None = None,
 ) -> ClosureReport:
     n = gens.n
@@ -353,7 +315,6 @@ def build_report(
         k=gens.k,
         generators=tuple(g.text() for g in gens.members),
         method=normalize_method(method),
-        pairing=pairing,
         dim=run.dim,
         predicted=predicted,
         matched=matched,

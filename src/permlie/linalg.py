@@ -4,11 +4,14 @@ SparseEchelon keeps a reduced row-echelon basis of rational row vectors
 indexed by arbitrary hashable keys with a caller-supplied total order.  Rows
 are stored as primitive integer dicts (content gcd 1, positive pivot entry)
 and elimination is fraction-free, so the hot loops stay in machine-int
-arithmetic until the final rescale.
+arithmetic until the final rescale.  generator_closure is the one Lie-closure
+worklist; the sparse and the word-level engines differ only in the bracket
+they hand it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Hashable, Iterable, Mapping
@@ -162,6 +165,46 @@ class SparseEchelon:
                     sol[p] = -_ratio(c, row[p])
             sols.append(sol)
         return sols
+
+
+def generator_closure(
+    seeds: Iterable[Mapping],
+    bracket: Callable[[IntRow, IntRow], Mapping],
+    ech: SparseEchelon,
+    max_steps: int | None = None,
+) -> int:
+    """Grow ech to the Lie algebra generated by seeds; returns the bracket count.
+
+    The seeds are inserted first, and those that raise the rank become the
+    seed rows g.  Every admitted row, the seed rows included, is bracketed
+    with each seed row as bracket(row, g), in FIFO order, and each result is
+    inserted in turn.  bracket takes and returns coordinate mappings.
+
+    Pairing with the seeds alone is enough.  Let V be the final span.  By
+    construction [V, g] lies in V for every seed row g, so the set
+    N = {x : [x, V] lies in V} contains the seeds.  N is a Lie subalgebra:
+    for x, y in N and v in V, Jacobi gives
+    [[x, y], v] = [x, [y, v]] - [y, [x, v]], which lies in V.  Hence N holds
+    the generated algebra L.  Every row is an iterated bracket of seeds, so
+    V lies in L, hence in N, and [V, V] lies in V: V is a Lie algebra that
+    contains the seeds, so V = L.
+
+    At most rank * len(seed rows) brackets are evaluated, so the loop always
+    ends.  max_steps stops it earlier; the span is then a lower bound.
+    """
+    gens = [row for row in map(ech.insert, seeds) if row is not None]
+    work = deque(gens)
+    steps = 0
+    while work:
+        row = work.popleft()
+        for g in gens:
+            if max_steps is not None and steps >= max_steps:
+                return steps
+            steps += 1
+            new = ech.insert(bracket(row, g))
+            if new is not None:
+                work.append(new)
+    return steps
 
 
 def _identity(k):

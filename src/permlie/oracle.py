@@ -5,7 +5,10 @@ words, one word per base-4 integer (two bits per qubit, letters I,X,Y,Z =
 0..3, qubit 0 in the least significant position).  Nothing here knows about
 orbits or structure constants; brackets multiply words letter by letter and
 track the phase, so agreement with the symmetrized engine is an end-to-end
-check.  Word counts grow as 4^n, hence the hard n <= 6 cap.
+check.  Closures run the same single worklist as the symmetrized engine
+(linalg.generator_closure, generator pairing only) with the word bracket in
+place of the structure table.  Word counts grow as 4^n, hence the hard n <= 6
+cap.
 
 The skew-Hermitian convention matches the rest of the package: coeffs[w] is
 the coordinate of i*w.
@@ -13,13 +16,12 @@ the coordinate of i*w.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Mapping
 
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, generator_closure
 from .symops import (
     SITE_PRODUCT,
     ConstraintError,
@@ -204,9 +206,9 @@ class DenseClosureRun:
 
 
 def dense_closure(
-    seeds: Iterable[DenseOp], *, pairing: str = "all", max_steps: int | None = None
+    seeds: Iterable[DenseOp], *, max_steps: int | None = None
 ) -> DenseClosureRun:
-    """Lie closure over raw words; same worklist shape as the sparse engine.
+    """Lie closure over raw words: linalg.generator_closure with dense_bracket.
 
     max_steps bounds the number of bracket evaluations for smoke runs; the
     returned dimension is then a lower bound that must still be monotone.
@@ -217,45 +219,12 @@ def dense_closure(
     n = seeds[0].n
     if any(s.n != n for s in seeds):
         raise DimensionMismatch("seed qubit counts differ")
-    if pairing not in ("generators", "all"):
-        raise ConstraintError(f"unknown pairing {pairing!r}")
+
+    def bracket(u: Mapping, g: Mapping) -> Mapping:
+        return dense_bracket(DenseOp(n, u), DenseOp(n, g)).coeffs
+
     ech = SparseEchelon()
-    kept: list[DenseOp] = []
-    stored: list[DenseOp] = []
-    work: deque[tuple[DenseOp, DenseOp]] = deque()
-
-    def admit(op: DenseOp) -> None:
-        row = ech.insert(op.coeffs)
-        if row is None:
-            return
-        stored_row = DenseOp(n, row)
-        if pairing == "generators":
-            work.extend((stored_row, s) for s in kept)
-        else:
-            work.extend((stored_row, s) for s in stored)
-            stored.append(stored_row)
-
-    for s in seeds:
-        row = ech.insert(s.coeffs)
-        if row is not None:
-            kept.append(DenseOp(n, row))
-            stored.append(kept[-1])
-    if pairing == "generators":
-        for row in kept:
-            work.extend((row, s) for s in kept)
-    else:
-        for i, row in enumerate(stored):
-            work.extend((row, s) for s in stored[:i])
-
-    iterations = 0
-    while work:
-        if max_steps is not None and iterations >= max_steps:
-            break
-        u, v = work.popleft()
-        iterations += 1
-        w = dense_bracket(u, v)
-        if not w.is_zero:
-            admit(w)
+    iterations = generator_closure((s.coeffs for s in seeds), bracket, ech, max_steps)
     return DenseClosureRun(n, ech.rank, tuple(ech.pivots()), iterations)
 
 

@@ -360,7 +360,7 @@ def _suite_oracle(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     if hi >= 6:
         run6 = ctx.closure("G2", 6)
         gens6 = preset_generators("G2", 6)
-        smoke = dense_closure([densify(g) for g in gens6.members], pairing="generators")
+        smoke = dense_closure([densify(g) for g in gens6.members])
         ok = smoke.dim == run6.dim
         out.append(
             CaseResult(

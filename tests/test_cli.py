@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import sys
 
 import jsonschema
 import numpy as np
@@ -98,6 +99,10 @@ class TestClose:
     def test_missing_argument_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "close", "--gens", "G2")
         assert rc == 1 and "permlie:" in err
+
+    def test_pairing_flag_is_gone(self, capsys):
+        rc, _, err = run(capsys, "close", "--n", "4", "--gens", "G2", "--pairing", "all")
+        assert rc == 1 and "unrecognized arguments: --pairing" in err
 
     def test_word_oracle_cap(self, capsys):
         rc, _, err = run(capsys, "close", "--n", "7", "--gens", "G1", "--method", "dense")
@@ -262,6 +267,37 @@ class TestCacheLocation:
         assert rc == 0
         rc, payload, _ = run_json(capsys, "close", "--n", "3", "--gens", "G2", "--cache-dir", d)
         assert rc == 0 and payload["dim"] == 19
+
+    def test_close_leaves_primed_cache_untouched(self, capsys, tmp_path):
+        d = str(tmp_path)
+        path = cache_path(d, 3, "overlap")
+
+        def close_and_stat():
+            rc, _, _ = run(capsys, "close", "--n", "3", "--gens", "G2", "--cache-dir", d, "--quiet")
+            assert rc == 0
+            st = os.stat(path)
+            with open(path, "rb") as fh:
+                return fh.read(), st.st_mtime_ns, st.st_ino
+
+        primed = close_and_stat()
+        assert close_and_stat() == primed
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_quietly(self, capsys, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        rc = main(["verify", "oracle", "--n-range", "2..3", "--json", "-"])
+        assert rc == 1
+        assert sys.stdout.name == os.devnull  # the flush at exit goes nowhere
+        sys.stdout.close()
+        assert capsys.readouterr().err == ""
 
 
 class TestWrongDataDetection:

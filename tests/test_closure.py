@@ -2,10 +2,13 @@
 
 import json
 import random
+from collections import deque
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permlie import (
     ConstraintError,
@@ -26,8 +29,40 @@ from permlie import (
     verdicts,
 )
 from permlie.center import make_C
-from permlie.closure import PAIRING_GENERATORS, family_exempt_mus
+from permlie.closure import family_exempt_mus
+from permlie.linalg import SparseEchelon
 from permlie.oracle import dense_closure, densify
+from permlie.symops import triple_sort_key
+
+
+@st.composite
+def custom_generator_sets(draw):
+    """1-3 vectors with small integer coefficients on random triples, 2 <= n <= 5."""
+    n = draw(st.integers(2, 5))
+    coeffs = st.integers(-3, 3).filter(bool)
+    vector = st.dictionaries(st.sampled_from(all_triples(n)), coeffs, min_size=1, max_size=2)
+    members = draw(st.lists(vector, min_size=1, max_size=3))
+    return GeneratorSet(n, tuple(SymOpVector(n, m) for m in members), "custom")
+
+
+def all_pairs_closure(gens, table):
+    """Reference worklist: each new row is bracketed with every stored row."""
+    ech = SparseEchelon(key_sort=triple_sort_key)
+    stored = []
+    work = deque()
+
+    def admit(v):
+        row = ech.insert(v.coeffs)
+        if row is not None:
+            vec = SymOpVector(gens.n, row)
+            work.extend((vec, s) for s in stored)
+            stored.append(vec)
+
+    for g in gens.members:
+        admit(g)
+    while work:
+        admit(table.bracket_vectors(*work.popleft()))
+    return tuple(SymOpVector(gens.n, r) for _, r in ech.rows())
 
 
 class TestClosureDimensions:
@@ -115,18 +150,12 @@ class TestClosureInvariance:
             for row in smaller.basis.rows():
                 assert bigger.basis.contains(row)
 
-    def test_pairing_strategies_agree(self, ctx):
-        table = ctx.table(5)
-        for label, k in (("G2", None), ("Gk", 3)):
-            gens = preset_generators(label, 5, k=k)
-            full = lie_closure(gens, table)
-            cheap = lie_closure(gens, table, pairing=PAIRING_GENERATORS)
-            assert cheap.dim == full.dim
-            assert cheap.basis.rows() == full.basis.rows()
-
-    def test_unknown_pairing_rejected(self, ctx):
-        with pytest.raises(ConstraintError):
-            lie_closure(preset_generators("G2", 3), ctx.table(3), pairing="random")
+    @settings(max_examples=20, deadline=None)
+    @given(custom_generator_sets())
+    def test_generator_pairing_matches_all_pairs_and_dense(self, ctx, gens):
+        run = lie_closure(gens, ctx.table(gens.n))
+        assert run.basis.rows() == all_pairs_closure(gens, ctx.table(gens.n))
+        assert dense_closure(densify(g) for g in gens.members).dim == run.dim
 
     def test_table_mismatch_rejected(self, ctx):
         with pytest.raises(DimensionMismatch):
@@ -263,7 +292,7 @@ class TestReports:
     def test_preset_report_fields(self, ctx):
         gens = preset_generators("G2", 4)
         run = ctx.closure("G2", 4)
-        report = build_report(gens, run, method="overlap", pairing="all")
+        report = build_report(gens, run, method="overlap")
         assert report.dim == report.predicted == 33
         assert report.matched is True and report.ok
         assert report.exempt == (1,)
@@ -276,7 +305,7 @@ class TestReports:
     def test_custom_report_has_no_prediction(self, ctx):
         gens = GeneratorSet(3, (SymOpVector.unit((1, 0, 0), 3),), "custom")
         run = lie_closure(gens, ctx.table(3))
-        report = build_report(gens, run, method="overlap", pairing="all")
+        report = build_report(gens, run, method="overlap")
         assert report.predicted is None and report.matched is None
         assert report.ok
 
@@ -287,7 +316,7 @@ class TestReports:
 
         gens = preset_generators("Gk", 5, k=3)
         run = ctx.closure("Gk", 5, 3)
-        payload = build_report(gens, run, method="overlap", pairing="all").to_jsonable()
+        payload = build_report(gens, run, method="overlap").to_jsonable()
         payload["command"] = "close"
         schema = json.loads(open(schema_path("closure_report")).read())
         jsonschema.validate(payload, schema)
@@ -295,8 +324,8 @@ class TestReports:
     def test_reports_deterministic_apart_from_timing(self, ctx):
         gens = preset_generators("G2", 3)
         table = ctx.table(3)
-        a = build_report(gens, lie_closure(gens, table), method="overlap", pairing="all").to_jsonable()
-        b = build_report(gens, lie_closure(gens, table), method="overlap", pairing="all").to_jsonable()
+        a = build_report(gens, lie_closure(gens, table), method="overlap").to_jsonable()
+        b = build_report(gens, lie_closure(gens, table), method="overlap").to_jsonable()
         a.pop("wall_time")
         b.pop("wall_time")
         assert a == b

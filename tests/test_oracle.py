@@ -170,10 +170,6 @@ class TestDenseClosure:
         dense = dense_closure(densify(g) for g in gens.members)
         assert dense.dim == ctx.closure(label, n, k).dim
 
-    def test_pairing_strategies_agree(self):
-        seeds = [densify(g) for g in preset_generators("G2", 3).members]
-        assert dense_closure(seeds, pairing="generators").dim == 19
-
     def test_step_budget_gives_monotone_lower_bound(self):
         seeds = [densify(g) for g in preset_generators("G2", 3).members]
         capped = dense_closure(seeds, max_steps=10)
@@ -187,8 +183,6 @@ class TestDenseClosure:
             dense_closure([DenseOp(2, {})])
         with pytest.raises(DimensionMismatch):
             dense_closure([DenseOp(2, {1: 1}), DenseOp(3, {1: 1})])
-        with pytest.raises(ConstraintError):
-            dense_closure([DenseOp(2, {1: 1})], pairing="noisy")
 
 
 class TestClassSums:
