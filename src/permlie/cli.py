@@ -167,7 +167,7 @@ def cmd_close(args, cache_dir) -> int:
         if cache_dir and table.entry_count != before:
             table.save(cache_path(cache_dir, args.n, method))
     dims = ambient_dims(args.n)
-    residuals_clean = all(r == "0" for r in payload["constraint_residuals"])
+    residuals_clean = payload["residuals_nonzero"] == 0
     verdict = payload["verdicts"]
     line = (
         f"closure({gens.label}) @ n={args.n}: dim {payload['dim']}"

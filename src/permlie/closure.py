@@ -16,9 +16,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .center import make_C
 from .linalg import SparseEchelon, generator_closure
 from .structure import StructureTable, normalize_method
 from .symops import (
@@ -30,9 +29,12 @@ from .symops import (
     SymOpVector,
     ambient_dims,
     frac_text,
-    trace_inner,
     triple_sort_key,
 )
+
+# Nonzero membership residuals a closure report lists by value.
+MAX_OFFENDERS = 8
+
 
 class LieBasis:
     """Reduced echelon basis of SymOpVectors at fixed n."""
@@ -100,14 +102,11 @@ def lie_closure(
         table = StructureTable(gens.n, normalize_method(method) if method else "overlap")
     elif table.n != gens.n:
         raise DimensionMismatch("table and generators disagree on qubit count")
-    n = gens.n
-
-    def bracket(u: Mapping, g: Mapping) -> Mapping:
-        return table.bracket_vectors(SymOpVector(n, u), SymOpVector(n, g)).coeffs
-
     t0 = time.perf_counter()
-    basis = LieBasis(n)
-    iterations = generator_closure((g.coeffs for g in gens.members), bracket, basis._ech)
+    basis = LieBasis(gens.n)
+    iterations = generator_closure(
+        (g.coeffs for g in gens.members), table.bracket_coeffs, basis._ech
+    )
     return ClosureRun(basis, iterations, time.perf_counter() - t0)
 
 
@@ -161,22 +160,50 @@ def membership_residual(v: SymOpVector, mu: int) -> Fraction:
     return total
 
 
+def central_residuals(rows: Iterable[SymOpVector], n: int) -> list[list[Fraction]]:
+    """membership_residual(row, mu) for every row and 0 <= mu <= n/2.
+
+    One pass over each row's support, looking each triple up in a table
+    (2a, 2b, 2c) -> (mu, a!b!c!).  Since C_mu weighs (2a, 2b, 2c) by
+    (2a)!(2b)!(2c)!/(a!b!c!) and orbit_size cancels the numerator,
+    tr(row C_mu) = 2^n n!/(n - 2mu)! * residual[mu]: a residual vanishes
+    exactly when the row is trace-orthogonal to C_mu.
+    """
+    weights = {}
+    for mu in range(n // 2 + 1):
+        for a in range(mu + 1):
+            for b in range(mu - a + 1):
+                c = mu - a - b
+                weights[(2 * a, 2 * b, 2 * c)] = (
+                    mu,
+                    factorial(a) * factorial(b) * factorial(c),
+                )
+    out = []
+    for row in rows:
+        res = [Fraction(0)] * (n // 2 + 1)
+        for t, coeff in row.items():
+            hit = weights.get(t)
+            if hit is not None:
+                mu, w = hit
+                res[mu] += Fraction(coeff, w)
+        out.append(res)
+    return out
+
+
 def membership_constraints(
     rows: Sequence[SymOpVector], n: int, exempt: Iterable[int] = ()
 ) -> list[tuple[int, int, Fraction]]:
     """All non-exempt central-membership residuals of a family of rows.
 
     Returns (row_index, mu, residual) triples for every row and every
-    0 <= mu <= n/2 outside `exempt`; all residuals zero certifies membership
-    in the corresponding centerless subalgebra.
+    0 <= mu <= n/2 outside `exempt`, row-major; all residuals zero certifies
+    membership in the corresponding centerless subalgebra.
     """
     exempt = frozenset(exempt)
     mus = [mu for mu in range(n // 2 + 1) if mu not in exempt]
-    out = []
-    for i, row in enumerate(rows):
-        for mu in mus:
-            out.append((i, mu, membership_residual(row, mu)))
-    return out
+    return [
+        (i, mu, res[mu]) for i, res in enumerate(central_residuals(rows, n)) for mu in mus
+    ]
 
 
 @dataclass(frozen=True)
@@ -194,24 +221,28 @@ def verdicts(basis: LieBasis) -> Verdicts:
     entirely central; universality additionally means it is at most the
     identity direction.
     """
-    n = basis.n
+    return _verdicts(basis.n, basis.dim, central_residuals(basis.rows(), basis.n))
+
+
+def _verdicts(n: int, dim: int, residuals: Sequence[Sequence[Fraction]]) -> Verdicts:
+    """verdicts from the central residuals of the basis rows.
+
+    residual[mu] is tr(row C_mu) up to a nonzero factor per mu; scaling the
+    columns of the system row . x = 0 leaves the support of every nullspace
+    vector as it is, and those supports are all the verdicts read.
+    """
     dims = ambient_dims(n)
-    cvecs = [make_C(mu, n).vec for mu in range(dims.dim_center)]
     ech = SparseEchelon()
-    for row in basis.rows():
-        coords = {}
-        for mu, cv in enumerate(cvecs):
-            val = trace_inner(row, cv)
-            if val:
-                coords[mu] = val
+    for res in residuals:
+        coords = {mu: r for mu, r in enumerate(res) if r}
         if coords:
             ech.insert(coords)
     null = ech.nullspace(range(dims.dim_center))
-    complement = dims.dim_u - basis.dim
+    complement = dims.dim_u - dim
     semi = len(null) == complement
-    if basis.dim == dims.dim_u:
+    if dim == dims.dim_u:
         universal = True
-    elif basis.dim == dims.dim_su:
+    elif dim == dims.dim_su:
         universal = len(null) == 1 and set(null[0]) == {0}
     else:
         universal = False
@@ -235,7 +266,8 @@ class ClosureReport:
     exempt: tuple[int, ...]
     residual_mus: tuple[int, ...]
     residual_rows: int
-    constraint_residuals: tuple[str, ...]
+    residuals_nonzero: int
+    residual_offenders: tuple[tuple[int, int, Fraction], ...]
     pivots: tuple[str, ...]
     iterations: int
     wall_time: float
@@ -268,7 +300,11 @@ class ClosureReport:
             "exempt": list(self.exempt),
             "residual_mus": list(self.residual_mus),
             "residual_rows": self.residual_rows,
-            "constraint_residuals": list(self.constraint_residuals),
+            "residuals_nonzero": self.residuals_nonzero,
+            "residual_offenders": [
+                {"row": i, "mu": mu, "value": frac_text(r)}
+                for i, mu, r in self.residual_offenders
+            ],
             "pivots": list(self.pivots),
             "iterations": self.iterations,
             "wall_time": self.wall_time,
@@ -279,16 +315,16 @@ def family_exempt_mus(gens: GeneratorSet) -> frozenset[int]:
     """Central levels a generator family is allowed to touch.
 
     For the k-body ladder these are mu = 1..floor(k/2); for anything else the
-    exact trace pairing of the generators decides.
+    exact trace pairing of the generators with each C_mu decides.
     """
     if gens.k is not None:
         return frozenset(range(1, gens.k // 2 + 1))
-    out = set()
-    for mu in range(gens.n // 2 + 1):
-        cv = make_C(mu, gens.n).vec
-        if any(trace_inner(g, cv) != 0 for g in gens.members):
-            out.add(mu)
-    return frozenset(out)
+    return frozenset(
+        mu
+        for res in central_residuals(gens.members, gens.n)
+        for mu, r in enumerate(res)
+        if r
+    )
 
 
 def build_report(
@@ -298,6 +334,9 @@ def build_report(
     method: str,
     exempt: Iterable[int] | None = None,
 ) -> ClosureReport:
+    """Report of a closure run.  Every non-exempt membership residual of
+    every basis row is checked; the report keeps how many are nonzero and
+    the first MAX_OFFENDERS of those, row-major."""
     n = gens.n
     label = gens.label
     try:
@@ -307,8 +346,9 @@ def build_report(
     matched = None if predicted is None else run.dim == predicted
     ex = frozenset(exempt) if exempt is not None else family_exempt_mus(gens)
     rows = run.basis.rows()
-    residuals = membership_constraints(rows, n, ex)
+    residuals = central_residuals(rows, n)
     mus = tuple(mu for mu in range(n // 2 + 1) if mu not in ex)
+    nonzero = [(i, mu, res[mu]) for i, res in enumerate(residuals) for mu in mus if res[mu]]
     return ClosureReport(
         n=n,
         label=label,
@@ -319,11 +359,12 @@ def build_report(
         predicted=predicted,
         matched=matched,
         ambient=ambient_dims(n),
-        verdicts=verdicts(run.basis),
+        verdicts=_verdicts(n, run.dim, residuals),
         exempt=tuple(sorted(ex)),
         residual_mus=mus,
         residual_rows=len(rows),
-        constraint_residuals=tuple(frac_text(r) for (_, _, r) in residuals),
+        residuals_nonzero=len(nonzero),
+        residual_offenders=tuple(nonzero[:MAX_OFFENDERS]),
         pivots=tuple(t.text() for t in run.basis.pivots()),
         iterations=run.iterations,
         wall_time=run.wall_time,

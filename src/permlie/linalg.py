@@ -7,6 +7,15 @@ and elimination is fraction-free, so the hot loops stay in machine-int
 arithmetic until the final rescale.  generator_closure is the one Lie-closure
 worklist; the sparse and the word-level engines differ only in the bracket
 they hand it.
+
+Rows stay fully reduced: a pivot column is nonzero only in its own row.  To
+keep them so without scanning every row on each insert, the echelon also
+keeps a column index, mapping each non-pivot column to the set of pivots of
+the stored rows that are nonzero there (no column maps to an empty set).
+Back-substitution of a new row with pivot p then touches exactly the rows
+the index lists under p, and updates the index for the columns each of
+those rows gains or loses.  Elimination, residuals, membership and the
+nullspace read only the rows.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ class SparseEchelon:
     def __init__(self, key_sort: Callable[[Key], object] | None = None):
         self._key = key_sort if key_sort is not None else _identity
         self._rows: dict[Key, IntRow] = {}
+        self._cols: dict[Key, set[Key]] = {}
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -114,23 +124,31 @@ class SparseEchelon:
         pivot = min(work, key=self._key)
         new = _make_primitive(work, pivot)
         npiv = new[pivot]
-        for q, row in self._rows.items():
-            c = row.get(pivot)
-            if not c:
-                continue
+        cols = self._cols
+        for q in cols.pop(pivot, ()):
+            row = self._rows[q]
+            c = row[pivot]
             g = gcd(c, npiv)
             mul_o = npiv // g
             mul_n = c // g
-            merged = {}
-            for k, v in row.items():
-                merged[k] = mul_o * v
+            merged = {k: mul_o * v for k, v in row.items()}
             for k, v in new.items():
                 nv = merged.get(k, 0) - mul_n * v
                 if nv:
+                    if k not in merged:
+                        cols.setdefault(k, set()).add(q)
                     merged[k] = nv
                 else:
-                    merged.pop(k, None)
+                    del merged[k]
+                    if k != pivot:
+                        hit = cols[k]
+                        hit.discard(q)
+                        if not hit:
+                            del cols[k]
             self._rows[q] = _make_primitive(merged, q)
+        for k in new:
+            if k != pivot:
+                cols.setdefault(k, set()).add(pivot)
         self._rows[pivot] = new
         return new
 

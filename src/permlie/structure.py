@@ -10,6 +10,10 @@ agreement is a strong check on the combinatorics.
 
 With coordinates standing for i * sum c_t P_t, every structure constant is an
 even integer: [i P_a, i P_b] = sum_u g_u (i P_u).
+
+StructureTable.bracket_coeffs brackets raw coordinate dicts and builds no
+SymOpVector; it is the bracket the closure worklist runs.  Its keys need no
+check of their own: each is checked once, when its table entry is computed.
 """
 
 from __future__ import annotations
@@ -240,10 +244,9 @@ class StructureTable:
             return SymOpVector(self.n, {u: -g for u, g in entry.items()})
         return SymOpVector(self.n, dict(entry))
 
-    def bracket_vectors(self, u: SymOpVector, v: SymOpVector) -> SymOpVector:
-        """Bilinear extension of the basis bracket to coordinate vectors."""
-        if u.n != self.n or v.n != self.n:
-            raise DimensionMismatch("vector qubit count differs from table")
+    def bracket_coeffs(self, u: Mapping, v: Mapping) -> dict[PauliTriple, object]:
+        """Bilinear extension of the basis bracket to coordinate dicts keyed
+        by PauliTriple; zero coefficients are dropped."""
         out: dict[PauliTriple, object] = {}
         for a, ca in u.items():
             for b, cb in v.items():
@@ -253,7 +256,13 @@ class StructureTable:
                 c = ca * cb if sign > 0 else -ca * cb
                 for t, g in entry.items():
                     out[t] = out.get(t, 0) + c * g
-        return SymOpVector(self.n, out)
+        return {t: c for t, c in out.items() if c}
+
+    def bracket_vectors(self, u: SymOpVector, v: SymOpVector) -> SymOpVector:
+        """Bilinear extension of the basis bracket to coordinate vectors."""
+        if u.n != self.n or v.n != self.n:
+            raise DimensionMismatch("vector qubit count differs from table")
+        return SymOpVector(self.n, self.bracket_coeffs(u.coeffs, v.coeffs))
 
     def fill(self, triples: Iterable[PauliTriple] | None = None) -> None:
         """Compute every pair among `triples` (default: all).  Idempotent."""
@@ -309,11 +318,20 @@ class StructureTable:
     @classmethod
     def from_payload(cls, body: Mapping) -> "StructureTable":
         table = cls(int(body["n"]), body["method"])
+        # Brackets trust the keys of stored entries, so each distinct triple
+        # is parsed and checked here, once.
+        triples: dict[str, PauliTriple] = {}
+
+        def triple(text: str) -> PauliTriple:
+            t = triples.get(text)
+            if t is None:
+                t = triples[text] = PauliTriple.from_text(text).check(table.n)
+            return t
+
         for pair, coeffs in body["entries"].items():
             a_text, b_text = pair.split("|")
-            key = (PauliTriple.from_text(a_text), PauliTriple.from_text(b_text))
-            table._entries[key] = {
-                PauliTriple.from_text(u): int(g) for u, g in coeffs
+            table._entries[(triple(a_text), triple(b_text))] = {
+                triple(u): int(g) for u, g in coeffs
             }
         return table
 

@@ -29,10 +29,10 @@ from permlie import (
     verdicts,
 )
 from permlie.center import make_C
-from permlie.closure import family_exempt_mus
+from permlie.closure import Verdicts, central_residuals, family_exempt_mus
 from permlie.linalg import SparseEchelon
 from permlie.oracle import dense_closure, densify
-from permlie.symops import triple_sort_key
+from permlie.symops import parse_frac, parse_generator_spec, triple_sort_key
 
 
 @st.composite
@@ -230,6 +230,69 @@ class TestExemptLevels:
         assert family_exempt_mus(odd) == frozenset()
 
 
+def trace_pairing_verdicts(basis):
+    """Reference verdicts read off the trace pairings tr(row C_mu) directly."""
+    n = basis.n
+    dims = ambient_dims(n)
+    cvecs = [make_C(mu, n).vec for mu in range(dims.dim_center)]
+    ech = SparseEchelon()
+    for row in basis.rows():
+        coords = {mu: trace_inner(row, cv) for mu, cv in enumerate(cvecs)}
+        coords = {mu: v for mu, v in coords.items() if v}
+        if coords:
+            ech.insert(coords)
+    null = ech.nullspace(range(dims.dim_center))
+    semi = len(null) == dims.dim_u - basis.dim
+    if basis.dim == dims.dim_u:
+        universal = True
+    elif basis.dim == dims.dim_su:
+        universal = len(null) == 1 and set(null[0]) == {0}
+    else:
+        universal = False
+    return Verdicts(universal, semi, semi)
+
+
+CUSTOM_SPECS = ("1,0,0;1,1,0", "2,0,0;0,1,1;1,0,0")
+
+
+def identity_closures(ctx, n):
+    """Closures of G1, G1prime, G2, every Gk:k and two custom sets at n."""
+    runs = [ctx.closure("G1", n), ctx.closure("G1prime", n), ctx.closure("G2", n)]
+    runs += [ctx.closure("Gk", n, k) for k in range(2, n + 1)]
+    customs = [parse_generator_spec(spec, n) for spec in CUSTOM_SPECS]
+    runs += [lie_closure(gens, ctx.table(n)) for gens in customs]
+    return runs, customs
+
+
+class TestResidualTraceIdentity:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_trace_equals_scaled_residual(self, ctx, n):
+        runs, _ = identity_closures(ctx, n)
+        for run in runs:
+            rows = run.basis.rows()
+            for row, residuals in zip(rows, central_residuals(rows, n)):
+                for mu in range(n // 2 + 1):
+                    residual = membership_residual(row, mu)
+                    assert residuals[mu] == residual, (n, mu, row.text())
+                    scale = 2**n * factorial(n) // factorial(n - 2 * mu)
+                    assert trace_inner(row, make_C(mu, n).vec) == scale * residual, (
+                        n, mu, row.text()
+                    )
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_verdicts_match_trace_pairing_reference(self, ctx, n):
+        runs, customs = identity_closures(ctx, n)
+        for run in runs:
+            assert verdicts(run.basis) == trace_pairing_verdicts(run.basis)
+        for gens in customs:
+            touched = {
+                mu
+                for mu in range(n // 2 + 1)
+                if any(trace_inner(g, make_C(mu, n).vec) for g in gens.members)
+            }
+            assert family_exempt_mus(gens) == touched
+
+
 def basis_from(vectors):
     n = vectors[0].n
     basis = LieBasis(n)
@@ -276,16 +339,20 @@ class TestVerdicts:
         vectors = [
             SymOpVector.unit(t, n) for t in all_triples(n) if t != (1, 0, 0)
         ]
-        v = verdicts(basis_from(vectors))
+        basis = basis_from(vectors)
+        v = verdicts(basis)
         assert not v.universal and not v.semi_universal
+        assert v == trace_pairing_verdicts(basis)
 
     def test_identity_complement_grants_universality(self):
         n = 4
         vectors = [
             SymOpVector.unit(t, n) for t in all_triples(n) if t != (0, 0, 0)
         ]
-        v = verdicts(basis_from(vectors))
+        basis = basis_from(vectors)
+        v = verdicts(basis)
         assert v.universal and v.semi_universal
+        assert v == trace_pairing_verdicts(basis)
 
 
 class TestReports:
@@ -297,10 +364,43 @@ class TestReports:
         assert report.matched is True and report.ok
         assert report.exempt == (1,)
         assert report.residual_mus == (0, 2)
-        assert len(report.constraint_residuals) == 2 * report.residual_rows
-        assert set(report.constraint_residuals) == {"0"}
+        assert report.residual_rows == 33
+        assert report.residuals_nonzero == 0 and report.residual_offenders == ()
         assert report.verdicts.semi_universal and not report.verdicts.universal
         assert len(report.pivots) == 33
+
+    # all units at n = 4: 10 even triples touch some C_mu, past the cap of 8
+    @pytest.mark.parametrize("spec, count", [("G2", 3), ("all", 10)])
+    def test_residual_summary_on_failing_case(self, ctx, spec, count):
+        import jsonschema
+
+        from permlie.cli import schema_path
+
+        n = 4
+        if spec == "all":
+            units = tuple(SymOpVector.unit(t, n) for t in all_triples(n))
+            gens = GeneratorSet(n, units, "custom")
+        else:
+            gens = preset_generators(spec, n)
+        run = lie_closure(gens, ctx.table(n))
+        report = build_report(gens, run, method="overlap", exempt=())
+        rows = run.basis.rows()
+        assert report.residual_mus == (0, 1, 2) and report.residual_rows == len(rows)
+        nonzero = [
+            (i, mu, membership_residual(row, mu))
+            for i, row in enumerate(rows)
+            for mu in report.residual_mus
+            if membership_residual(row, mu)
+        ]
+        assert report.residuals_nonzero == len(nonzero) == count
+        assert report.residual_offenders == tuple(nonzero[:8])
+        payload = report.to_jsonable()
+        for entry in payload["residual_offenders"]:
+            value = membership_residual(rows[entry["row"]], entry["mu"])
+            assert parse_frac(entry["value"]) == value != 0
+        payload["command"] = "close"
+        schema = json.loads(open(schema_path("closure_report")).read())
+        jsonschema.validate(payload, schema)
 
     def test_custom_report_has_no_prediction(self, ctx):
         gens = GeneratorSet(3, (SymOpVector.unit((1, 0, 0), 3),), "custom")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permlie.linalg import SparseEchelon, rank_of
+from permlie.linalg import SparseEchelon, _make_primitive, rank_of
 
 
 def gauss_rank(rows: list[list[int]]) -> int:
@@ -180,3 +180,57 @@ class TestAgainstDenseOracle:
         combo = {k: v for k, v in combo.items() if v}
         assert ech.contains(combo)
         assert ech.insert(combo) is None
+
+
+class FullScanEchelon(SparseEchelon):
+    """Reference back-substitution: every stored row is scanned for the new
+    pivot, with no column index."""
+
+    def insert(self, vec):
+        work, _ = self._eliminate(vec)
+        if not work:
+            return None
+        pivot = min(work, key=self._key)
+        new = _make_primitive(work, pivot)
+        npiv = new[pivot]
+        for q, row in self._rows.items():
+            c = row.get(pivot)
+            if not c:
+                continue
+            g = gcd(c, npiv)
+            merged = {k: npiv // g * v for k, v in row.items()}
+            for k, v in new.items():
+                nv = merged.get(k, 0) - c // g * v
+                if nv:
+                    merged[k] = nv
+                else:
+                    merged.pop(k, None)
+            self._rows[q] = _make_primitive(merged, q)
+        self._rows[pivot] = new
+        return new
+
+
+COLUMNS = 10
+sparse_rows = st.lists(
+    st.dictionaries(st.integers(0, COLUMNS - 1), st.integers(-6, 6).filter(bool), max_size=5),
+    min_size=1,
+    max_size=14,
+)
+
+
+class TestColumnIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_rows, st.permutations(range(COLUMNS)))
+    def test_index_matches_full_scan_after_every_insert(self, vecs, order):
+        rank = {k: i for i, k in enumerate(order)}
+        ech = SparseEchelon(key_sort=rank.__getitem__)
+        ref = FullScanEchelon(key_sort=rank.__getitem__)
+        for vec in vecs:
+            assert ech.insert(vec) == ref.insert(vec)
+            assert ech._rows == ref._rows
+            support: dict = {}
+            for p, row in ech._rows.items():
+                for k in row:
+                    if k != p:
+                        support.setdefault(k, set()).add(p)
+            assert ech._cols == support

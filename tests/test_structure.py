@@ -25,6 +25,7 @@ from permlie.oracle import dense_bracket, densify, symmetrize
 from permlie.structure import (
     METHOD_ORBIT,
     METHOD_OVERLAP,
+    _payload_digest,
     cache_path,
     normalize_method,
 )
@@ -281,6 +282,20 @@ class TestCache:
         body["entries"][key] = []
         path.write_text(json.dumps(body))
         with pytest.warns(UserWarning, match="digest"):
+            assert load_table(str(path)) is None
+
+    def test_out_of_range_entry_triple_warns_and_discards(self, tmp_path):
+        # closures bracket stored entries without re-checking their triples,
+        # so a well-signed file whose entries exceed n must still be refused
+        table = StructureTable(2, METHOD_OVERLAP)
+        table.fill()
+        body = table.payload()
+        key = next(k for k, v in body["entries"].items() if v)
+        body["entries"][key] = [["3,0,0", 2]]
+        body["digest"] = _payload_digest(body)
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(body))
+        with pytest.warns(UserWarning, match="needs more than 2 qubits"):
             assert load_table(str(path)) is None
 
     def test_build_table_status_lifecycle(self, tmp_path):
