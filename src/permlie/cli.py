@@ -243,8 +243,7 @@ def cmd_center(args, cache_dir) -> int:
         }
     lines = _case_lines([case], args.quiet)
     lines.append(
-        f"center @ n={args.n}: dim {rep.expected_dim}, solve "
-        + ("capped" if rep.capped else f"dim {rep.solved_dim}")
+        f"center @ n={args.n}: dim {rep.expected_dim}, solve dim {rep.solved_dim}"
         + (", ok" if rep.ok else ", FAIL")
     )
     _emit(payload, args, lines)

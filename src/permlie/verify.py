@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .center import (
+    CENTER_CAP,
     central_projection_test,
     make_C,
     make_L,
@@ -47,7 +48,7 @@ from .symops import (
 )
 
 WORD_CAP = 6
-SOLVE_CAP = 10
+MEMBERSHIP_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def _suite_thm3(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
 
 def _suite_thm4(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     out = []
-    for n in range(max(lo, 2), min(hi, SOLVE_CAP) + 1):
+    for n in range(max(lo, 2), min(hi, MEMBERSHIP_CAP) + 1):
         run = ctx.closure("G2", n)
         rows = run.basis.rows()
         residuals = membership_constraints(rows, n, exempt={1})
@@ -245,8 +246,8 @@ def _suite_cor1(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
 
 def _suite_prop1(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     out = []
-    for n in range(max(lo, 1), hi + 1):
-        rep = verify_center(n, ctx.table(n), solve_cap=SOLVE_CAP)
+    for n in range(max(lo, 1), min(hi, CENTER_CAP) + 1):
+        rep = verify_center(n, ctx.table(n))
         out.append(CaseResult("centralizer-span", {"n": n}, rep.ok, rep.to_jsonable()))
     return out
 

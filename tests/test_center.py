@@ -7,6 +7,8 @@ import pytest
 
 from permlie import (
     ConstraintError,
+    PauliTriple,
+    ResourceLimitError,
     SparseEchelon,
     SymOpVector,
     all_triples,
@@ -15,9 +17,17 @@ from permlie import (
     make_L_direct,
     preset_generators,
     trace_inner,
+    run_selector,
     verify_center,
 )
-from permlie.center import central_projection_test
+from permlie import center as center_mod
+from permlie.center import (
+    CENTER_CAP,
+    FIELDS,
+    CenterElement,
+    _ad_kernel_system,
+    central_projection_test,
+)
 from permlie.oracle import class_sum, dense_bracket, densify
 from permlie.symops import GeneratorSet, triple_sort_key
 
@@ -140,27 +150,93 @@ class TestProjectionPattern:
                 assert any(trace_inner(row, cv) != 0 for row in rows)
 
 
+def full_scan_system(table):
+    """Reference solve: the equations [A, P_t] = 0 over every basis pair,
+    dim^2 table brackets.  Its nullspace is the centralizer by definition."""
+    triples = all_triples(table.n)
+    constraints = {}
+    for s in triples:
+        for t in triples:
+            if s == t:
+                continue
+            for u, g in table.bracket(s, t).items():
+                constraints.setdefault((t, u), {})[s] = g
+    system = SparseEchelon(key_sort=triple_sort_key)
+    system.extend(constraints.values())
+    return system
+
+
+def span_rows(vecs):
+    """Reduced echelon rows with pivot 1: equal lists mean equal spans."""
+    ech = SparseEchelon(key_sort=triple_sort_key)
+    ech.extend(vecs)
+    return ech.rows()
+
+
+def perturbed_make_C(mu, n):
+    """make_C with the weight of one triple of the top C_mu raised by 1."""
+    c = make_C(mu, n)
+    if mu < n // 2:
+        return c
+    coeffs = dict(c.vec.coeffs)
+    coeffs[PauliTriple(2 * mu, 0, 0)] += 1
+    return CenterElement(mu, SymOpVector(n, coeffs))
+
+
 class TestCentralizerVerification:
     def test_five_qubits(self, ctx):
         report = verify_center(5, ctx.table(5))
         assert report.expected_dim == 3
         assert report.commute_ok and report.independent_ok
         assert report.solved_dim == 3 and report.matches_span
-        assert report.ok and not report.capped
+        assert report.ok
 
     def test_single_qubit_center_is_identity_line(self, ctx):
         report = verify_center(1, ctx.table(1))
         assert report.expected_dim == 1 and report.ok
 
-    def test_solve_cap_marks_report(self, ctx):
-        report = verify_center(5, ctx.table(5), solve_cap=4)
-        assert report.capped and report.solved_dim is None
-        assert report.ok  # stages that did run were clean
-
     def test_jsonable_fields(self, ctx):
         data = verify_center(2, ctx.table(2)).to_jsonable()
         assert data["n"] == 2 and data["ok"] is True
-        assert set(data) >= {"expected_dim", "commute_ok", "solved_dim", "capped"}
+        assert set(data) == {
+            "n", "expected_dim", "commute_ok", "independent_ok", "solved_dim",
+            "matches_span", "ok",
+        }
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_field_kernel_equals_full_scan_and_c_span(self, ctx, n):
+        table = ctx.table(n)
+        triples = all_triples(n)
+        fields = span_rows(_ad_kernel_system(table, FIELDS).nullspace(triples))
+        full = span_rows(full_scan_system(table).nullspace(triples))
+        c_span = span_rows(make_C(mu, n).vec.coeffs for mu in range(n // 2 + 1))
+        assert len(fields) == n // 2 + 1
+        assert fields == full == c_span
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_x_field_alone_overcounts(self, ctx, monkeypatch, n):
+        table = ctx.table(n)
+        x_only = (PauliTriple(1, 0, 0),)
+        free = len(all_triples(n)) - _ad_kernel_system(table, x_only).rank
+        assert free > n // 2 + 1
+        monkeypatch.setattr(center_mod, "FIELDS", x_only)
+        report = verify_center(n, table)
+        assert report.commute_ok and report.independent_ok
+        assert report.solved_dim == free
+        assert not report.matches_span and not report.ok
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_changed_weight_fails_commute_scan(self, ctx, monkeypatch, n):
+        monkeypatch.setattr(center_mod, "make_C", perturbed_make_C)
+        report = verify_center(n, ctx.table(n))
+        assert not report.commute_ok
+        assert report.solved_dim == n // 2 + 1
+        assert not report.matches_span and not report.ok
+
+    def test_resource_cap(self):
+        with pytest.raises(ResourceLimitError):
+            verify_center(CENTER_CAP + 1)
+        assert run_selector("prop1", CENTER_CAP + 1, CENTER_CAP + 3).cases == ()
 
 
 class TestDenseCenterOracle:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from permlie import make_C
+from permlie.center import CENTER_CAP
 from permlie.cli import ENV_CACHE, main, schema_path
 from permlie.structure import _payload_digest, cache_path
 from permlie.symops import ConstraintError
@@ -176,7 +177,13 @@ class TestCenter:
     def test_human_line(self, capsys):
         rc, out, _ = run(capsys, "center", "--n", "4")
         assert rc == 0
-        assert "center @ n=4: dim 3" in out and "ok" in out
+        assert "center @ n=4: dim 3, solve dim 3, ok" in out
+
+    @pytest.mark.parametrize("n", [CENTER_CAP + 1, 200])
+    def test_resource_cap_exit_code(self, capsys, n):
+        rc, out, err = run(capsys, "center", "--n", str(n), "--json", "-")
+        assert rc == 3 and out == ""
+        assert f"capped at n <= {CENTER_CAP}" in err
 
 
 class TestSchur:
