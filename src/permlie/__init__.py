@@ -64,9 +64,7 @@ from .structure import (
     METHOD_OVERLAP,
     StructureTable,
     bracket,
-    build_table,
     compare_tables,
-    load_table,
 )
 from .symops import (
     AmbientDims,

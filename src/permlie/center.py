@@ -138,11 +138,10 @@ class CenterReport:
     commute_ok: bool
     independent_ok: bool
     solved_dim: int
-    matches_span: bool
 
     @property
     def ok(self) -> bool:
-        return self.commute_ok and self.independent_ok and self.matches_span
+        return self.solved_dim == self.expected_dim and self.commute_ok and self.independent_ok
 
     def to_jsonable(self) -> dict:
         return {
@@ -151,7 +150,6 @@ class CenterReport:
             "commute_ok": self.commute_ok,
             "independent_ok": self.independent_ok,
             "solved_dim": self.solved_dim,
-            "matches_span": self.matches_span,
             "ok": self.ok,
         }
 
@@ -225,5 +223,4 @@ def verify_center(n: int, table: StructureTable | None = None) -> CenterReport:
         commute_ok=commute_ok,
         independent_ok=independent_ok,
         solved_dim=solved_dim,
-        matches_span=solved_dim == num_c and commute_ok and independent_ok,
     )

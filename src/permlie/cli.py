@@ -4,13 +4,14 @@ Five verbs: `close` runs one exact Lie closure and reports dimensions,
 verdicts, and residuals; `verify` runs a named suite over a range of qubit
 counts; `center` verifies the centralizer and optionally emits coefficient
 tables; `schur` builds the coupled basis and checks block structure;
-`table` builds, caches, validates, and compares structure-constant tables.
+`table` builds structure-constant tables and, with --compare, checks the
+two bracket engines against each other entry by entry.
 
 Exit codes: 0 success, 1 usage or precondition error (or a reader that
 closed stdout early), 2 verification failure or prediction mismatch, 3
 resource-cap refusal.  Reports are JSON (`--json PATH`, `-` for stdout) with
-exact rationals as 'p/q' strings; cache location comes from --cache-dir or
-$PERMLIE_CACHE_DIR, flag winning.
+exact rationals as 'p/q' strings.  Structure tables live in memory for one
+run only; none is read from or written to disk.
 """
 
 from __future__ import annotations
@@ -25,15 +26,7 @@ from importlib import resources
 from .center import make_C, make_L, verify_center
 from .closure import build_report, lie_closure
 from .oracle import dense_closure, densify
-from .structure import (
-    METHOD_ORBIT,
-    METHOD_OVERLAP,
-    build_table,
-    cache_path,
-    compare_tables,
-    load_table,
-    normalize_method,
-)
+from .structure import METHOD_ORBIT, METHOD_OVERLAP, StructureTable, compare_tables, normalize_method
 from .symops import (
     ConstraintError,
     DimensionMismatch,
@@ -43,8 +36,6 @@ from .symops import (
     parse_generator_spec,
 )
 from .verify import SELECTORS, run_selector
-
-ENV_CACHE = "PERMLIE_CACHE_DIR"
 
 
 class UsageError(Exception):
@@ -65,7 +56,6 @@ def schema_path(name: str) -> str:
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--cache-dir", help="structure-table cache directory (overrides $PERMLIE_CACHE_DIR)")
     sp.add_argument("--json", dest="json_path", metavar="PATH",
                     help="write the JSON report to PATH ('-' for stdout)")
     sp.add_argument("--quiet", action="store_true", help="suppress per-case lines")
@@ -110,18 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.set_defaults(func=cmd_schur)
 
-    t = sub.add_parser("table", help="build, cache, validate, or compare structure tables")
+    t = sub.add_parser("table", help="build structure tables, or compare the two engines")
     t.add_argument("--n", type=int, required=True)
-    t.add_argument("--method", default="overlap", choices=["overlap", "orbit", "both"])
-    t.add_argument("--compare", action="store_true", help="entrywise comparison of both methods")
-    t.add_argument("--validate", action="store_true", help="check cached file digests only")
+    t.add_argument("--method", default="overlap", choices=["overlap", "orbit"])
+    t.add_argument("--compare", action="store_true",
+                   help="build with both methods and compare them entrywise (overrides --method)")
     _add_common(t)
     t.set_defaults(func=cmd_table)
     return p
-
-
-def _cache_dir(args) -> str | None:
-    return args.cache_dir or os.environ.get(ENV_CACHE) or None
 
 
 def _emit(payload: dict, args, human_lines: list[str]) -> None:
@@ -147,11 +133,10 @@ def _case_lines(cases, quiet: bool) -> list[str]:
     return lines
 
 
-def cmd_close(args, cache_dir) -> int:
+def cmd_close(args) -> int:
     gens = parse_generator_spec(args.gens, args.n)
     if args.method == "dense":
-        table = build_table(args.n, METHOD_OVERLAP, cache_dir=cache_dir)
-        run = lie_closure(gens, table)
+        run = lie_closure(gens, StructureTable(args.n, METHOD_OVERLAP))
         report = build_report(gens, run, method=METHOD_OVERLAP)
         drun = dense_closure([densify(g) for g in gens.members])
         payload = {"command": "close", **report.to_jsonable()}
@@ -159,13 +144,9 @@ def cmd_close(args, cache_dir) -> int:
         payload["engines_agree"] = drun.dim == run.dim
     else:
         method = normalize_method(args.method)
-        table = build_table(args.n, method, cache_dir=cache_dir)
-        before = table.entry_count
-        run = lie_closure(gens, table)
+        run = lie_closure(gens, StructureTable(args.n, method))
         report = build_report(gens, run, method=method)
         payload = {"command": "close", **report.to_jsonable()}
-        if cache_dir and table.entry_count != before:
-            table.save(cache_path(cache_dir, args.n, method))
     dims = ambient_dims(args.n)
     residuals_clean = payload["residuals_nonzero"] == 0
     verdict = payload["verdicts"]
@@ -216,9 +197,9 @@ def _write_csv(path: str, cases: list[dict]) -> None:
             writer.writerow(row)
 
 
-def cmd_verify(args, cache_dir) -> int:
+def cmd_verify(args) -> int:
     lo, hi = _parse_range(args)
-    suite = run_selector(args.selector, lo, hi, cache_dir=cache_dir, method=args.method)
+    suite = run_selector(args.selector, lo, hi, method=args.method)
     payload = {"command": "verify", **suite.to_jsonable()}
     if args.csv_path:
         _write_csv(args.csv_path, payload["cases"])
@@ -229,9 +210,8 @@ def cmd_verify(args, cache_dir) -> int:
     return 0 if suite.ok else 2
 
 
-def cmd_center(args, cache_dir) -> int:
-    table = build_table(args.n, METHOD_OVERLAP, cache_dir=cache_dir)
-    rep = verify_center(args.n, table)
+def cmd_center(args) -> int:
+    rep = verify_center(args.n)
     case = {"name": "centralizer-span", "params": {"n": args.n}, "ok": rep.ok,
             "details": rep.to_jsonable()}
     payload = {"command": "center", "selector": "prop1", "ok": rep.ok, "cases": [case]}
@@ -250,7 +230,7 @@ def cmd_center(args, cache_dir) -> int:
     return 0 if rep.ok else 2
 
 
-def cmd_schur(args, cache_dir) -> int:
+def cmd_schur(args) -> int:
     from . import schur
 
     st = schur.build_schur_transform(args.n)
@@ -264,7 +244,7 @@ def cmd_schur(args, cache_dir) -> int:
     ]
     if args.check_blocks:
         gens = parse_generator_spec(args.gens, args.n)
-        run = lie_closure(gens, build_table(args.n, METHOD_OVERLAP, cache_dir=cache_dir))
+        run = lie_closure(gens, StructureTable(args.n, METHOD_OVERLAP))
         for row in run.basis.rows():
             schur.block_project(row, st)  # raises (exit 2) on pattern violation
         details: dict = {"rows_projected": run.dim, "block_pattern": "clean"}
@@ -297,40 +277,23 @@ def cmd_schur(args, cache_dir) -> int:
     return 0 if payload["ok"] else 2
 
 
-def cmd_table(args, cache_dir) -> int:
-    methods = [METHOD_OVERLAP, METHOD_ORBIT] if args.method == "both" else [normalize_method(args.method)]
-    if args.compare and len(methods) == 1:
-        methods = [METHOD_OVERLAP, METHOD_ORBIT]
+def cmd_table(args) -> int:
+    methods = [METHOD_OVERLAP, METHOD_ORBIT] if args.compare else [normalize_method(args.method)]
+    tables = {}
     cases = []
-    if args.validate:
-        if not cache_dir:
-            raise UsageError("--validate needs a cache directory")
-        for m in methods:
-            path = cache_path(cache_dir, args.n, m)
-            status = "missing"
-            if os.path.exists(path):
-                status = "ok" if load_table(path) is not None else "corrupt"
-            cases.append(
-                {"name": "cache-digest", "params": {"n": args.n, "method": m},
-                 "ok": status == "ok", "details": {"path": path, "status": status}}
-            )
-    else:
-        tables = {}
-        for m in methods:
-            table = build_table(args.n, m, cache_dir=cache_dir, fill=True)
-            tables[m] = table
-            cases.append(
-                {"name": "table-build", "params": {"n": args.n, "method": m}, "ok": True,
-                 "details": {"entries": table.entry_count, **table.provenance}}
-            )
-        if args.compare or args.method == "both":
-            if len(tables) == 2:
-                bad = compare_tables(tables[METHOD_OVERLAP], tables[METHOD_ORBIT])
-                cases.append(
-                    {"name": "method-agreement", "params": {"n": args.n},
-                     "ok": not bad, "details": {"mismatches": bad[:20],
-                                                "mismatch_count": len(bad)}}
-                )
+    for m in methods:
+        table = tables[m] = StructureTable(args.n, m)
+        table.fill()
+        cases.append(
+            {"name": "table-build", "params": {"n": args.n, "method": m}, "ok": True,
+             "details": {"entries": table.entry_count}}
+        )
+    if args.compare:
+        bad = compare_tables(tables[METHOD_OVERLAP], tables[METHOD_ORBIT])
+        cases.append(
+            {"name": "method-agreement", "params": {"n": args.n},
+             "ok": not bad, "details": {"mismatches": bad[:20], "mismatch_count": len(bad)}}
+        )
     payload = {"command": "table", "selector": "table", "ok": all(c["ok"] for c in cases),
                "cases": cases}
     lines = _case_lines(cases, args.quiet)
@@ -358,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"permlie: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args, _cache_dir(args))
+        return args.func(args)
     except UsageError as exc:
         print(f"permlie: {exc}", file=sys.stderr)
         return 1

@@ -18,16 +18,11 @@ check of their own: each is checked once, when its table entry is computed.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import tempfile
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .symops import (
     SITE_PRODUCT,
@@ -50,9 +45,6 @@ _ALIASES = {
     METHOD_OVERLAP: METHOD_OVERLAP,
     METHOD_ORBIT: METHOD_ORBIT,
 }
-
-CACHE_FORMAT = "symmetrized-pauli-structure-table"
-CACHE_VERSION = 1
 
 
 def normalize_method(method: str) -> str:
@@ -203,16 +195,17 @@ def bracket(a, b, n: int, method: str = METHOD_OVERLAP) -> SymOpVector:
 
 @dataclass
 class StructureTable:
-    """Lazy cache of pairwise structure constants at fixed n.
+    """In-memory, lazily filled pairwise structure constants at fixed n.
 
     Entries are computed on first request and stored under the sorted pair;
-    the antisymmetric partner is produced by sign flip on lookup.  A finished
-    table is read-only in practice: lookups after fill() mutate nothing.
+    the antisymmetric partner is produced by sign flip on lookup.  Every
+    entry comes from _pair_entry, which checks both triples against n.  A
+    finished table is read-only in practice: lookups after fill() mutate
+    nothing.
     """
 
     n: int
     method: str = METHOD_OVERLAP
-    provenance: dict = field(default_factory=dict)
     _entries: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -264,12 +257,9 @@ class StructureTable:
             raise DimensionMismatch("vector qubit count differs from table")
         return SymOpVector(self.n, self.bracket_coeffs(u.coeffs, v.coeffs))
 
-    def fill(self, triples: Iterable[PauliTriple] | None = None) -> None:
-        """Compute every pair among `triples` (default: all).  Idempotent."""
-        ts = sorted(
-            (as_triple(t).check(self.n) for t in (triples or all_triples(self.n))),
-            key=triple_sort_key,
-        )
+    def fill(self) -> None:
+        """Compute every pair of basis elements.  Idempotent."""
+        ts = all_triples(self.n)  # already in triple_sort_key order
         for i, a in enumerate(ts):
             for b in ts[i + 1 :]:
                 self._pair_entry(a, b)
@@ -278,142 +268,15 @@ class StructureTable:
     def entry_count(self) -> int:
         return len(self._entries)
 
-    def entries(self):
-        return self._entries.items()
 
-    def payload(self) -> dict:
-        ent = {}
-        for (a, b), coeffs in sorted(
-            self._entries.items(),
-            key=lambda kv: (triple_sort_key(kv[0][0]), triple_sort_key(kv[0][1])),
-        ):
-            ent[f"{a.text()}|{b.text()}"] = [
-                [u.text(), g] for u, g in sorted(coeffs.items(), key=lambda kv: triple_sort_key(kv[0]))
-            ]
-        body = {
-            "format": CACHE_FORMAT,
-            "version": CACHE_VERSION,
-            "n": self.n,
-            "method": self.method,
-            "entries": ent,
-        }
-        body["digest"] = _payload_digest(body)
-        return body
-
-    def save(self, path: str) -> None:
-        """Atomic JSON dump of all computed entries."""
-        data = json.dumps(self.payload(), indent=1, sort_keys=True)
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    @classmethod
-    def from_payload(cls, body: Mapping) -> "StructureTable":
-        table = cls(int(body["n"]), body["method"])
-        # Brackets trust the keys of stored entries, so each distinct triple
-        # is parsed and checked here, once.
-        triples: dict[str, PauliTriple] = {}
-
-        def triple(text: str) -> PauliTriple:
-            t = triples.get(text)
-            if t is None:
-                t = triples[text] = PauliTriple.from_text(text).check(table.n)
-            return t
-
-        for pair, coeffs in body["entries"].items():
-            a_text, b_text = pair.split("|")
-            table._entries[(triple(a_text), triple(b_text))] = {
-                triple(u): int(g) for u, g in coeffs
-            }
-        return table
-
-
-def _payload_digest(body: Mapping) -> str:
-    content = {k: body[k] for k in ("format", "version", "n", "method", "entries")}
-    blob = json.dumps(content, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def cache_path(cache_dir: str, n: int, method: str) -> str:
-    short = "overlap" if normalize_method(method) == METHOD_OVERLAP else "orbit"
-    return os.path.join(cache_dir, f"structure_{n}_{short}_v{CACHE_VERSION}.json")
-
-
-def load_table(path: str) -> StructureTable | None:
-    """Load a cached table; returns None (with a warning) on any corruption."""
-    try:
-        with open(path) as fh:
-            body = json.load(fh)
-        if body.get("format") != CACHE_FORMAT or body.get("version") != CACHE_VERSION:
-            raise ValueError("unrecognized cache format")
-        if body.get("digest") != _payload_digest(body):
-            raise ValueError("digest mismatch")
-        return StructureTable.from_payload(body)
-    except FileNotFoundError:
-        return None
-    except (ValueError, KeyError, TypeError, OSError) as exc:
-        warnings.warn(f"discarding corrupt structure cache {path}: {exc}", stacklevel=2)
-        return None
-
-
-def build_table(
-    n: int,
-    method: str = METHOD_OVERLAP,
-    cache_dir: str | None = None,
-    fill: bool = False,
-) -> StructureTable:
-    """Obtain a structure table, via the disk cache when one is given.
-
-    A corrupt cache file is discarded and rebuilt.  With fill=True the table
-    is completed and (when caching) written back.
-    """
-    method = normalize_method(method)
-    table = None
-    status = "fresh"
-    path = None
-    if cache_dir:
-        path = cache_path(cache_dir, n, method)
-        table = load_table(path)
-        if table is not None:
-            if table.n == n and table.method == method:
-                status = "cache-hit"
-            else:
-                warnings.warn(f"cache {path} labeled for other parameters; rebuilding")
-                table = None
-        if table is None and os.path.exists(path):
-            status = "rebuilt-after-corruption"
-    if table is None:
-        table = StructureTable(n, method)
-    before = table.entry_count
-    if fill:
-        table.fill()
-    if path and table.entry_count != before:
-        table.save(path)
-        status += "+saved" if status != "fresh" else ""
-        if status == "fresh":
-            status = "saved"
-    table.provenance = {"cache": status, "path": path}
-    return table
-
-
-def compare_tables(t1: StructureTable, t2: StructureTable, triples=None) -> list[dict]:
+def compare_tables(t1: StructureTable, t2: StructureTable) -> list[dict]:
     """Entrywise comparison of two tables over the same n.
 
     Returns one record per disagreeing pair; empty means identical.
     """
     if t1.n != t2.n:
         raise DimensionMismatch("tables built for different qubit counts")
-    ts = sorted(
-        (as_triple(t) for t in (triples or all_triples(t1.n))), key=triple_sort_key
-    )
+    ts = all_triples(t1.n)
     bad = []
     for i, a in enumerate(ts):
         for b in ts[i + 1 :]:

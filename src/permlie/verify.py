@@ -34,7 +34,7 @@ from .closure import (
 from .erratum import build_abc, verify_printed_commutators
 from .linalg import SparseEchelon
 from .oracle import class_sum, dense_closure, densify
-from .structure import StructureTable, build_table, compare_tables, normalize_method
+from .structure import StructureTable, normalize_method
 from .symops import (
     ConstraintError,
     GeneratorSet,
@@ -85,8 +85,7 @@ class SuiteReport:
 class RunContext:
     """Shared tables and closures for one suite invocation."""
 
-    def __init__(self, cache_dir: str | None = None, method: str = "overlap"):
-        self.cache_dir = cache_dir
+    def __init__(self, method: str = "overlap"):
         self.method = normalize_method(method)
         self._tables: dict[tuple[int, str], StructureTable] = {}
         self._closures: dict = {}
@@ -95,7 +94,7 @@ class RunContext:
         m = normalize_method(method) if method else self.method
         key = (n, m)
         if key not in self._tables:
-            self._tables[key] = build_table(n, m, cache_dir=self.cache_dir)
+            self._tables[key] = StructureTable(n, m)
         return self._tables[key]
 
     def closure(self, label: str, n: int, k: int | None = None):
@@ -394,7 +393,6 @@ def run_selector(
     n_lo: int | None = None,
     n_hi: int | None = None,
     *,
-    cache_dir: str | None = None,
     method: str = "overlap",
 ) -> SuiteReport:
     """Run one named suite over [n_lo, n_hi] (defaults per selector)."""
@@ -407,6 +405,6 @@ def run_selector(
     hi = d_hi if n_hi is None else n_hi
     if lo > hi or lo < 1:
         raise ConstraintError(f"bad range {lo}..{hi}")
-    ctx = RunContext(cache_dir=cache_dir, method=method)
+    ctx = RunContext(method=method)
     cases = fn(ctx, lo, hi)
     return SuiteReport(selector, lo, hi, tuple(cases))

@@ -188,7 +188,7 @@ class TestCentralizerVerification:
         report = verify_center(5, ctx.table(5))
         assert report.expected_dim == 3
         assert report.commute_ok and report.independent_ok
-        assert report.solved_dim == 3 and report.matches_span
+        assert report.solved_dim == 3 == report.expected_dim
         assert report.ok
 
     def test_single_qubit_center_is_identity_line(self, ctx):
@@ -199,8 +199,7 @@ class TestCentralizerVerification:
         data = verify_center(2, ctx.table(2)).to_jsonable()
         assert data["n"] == 2 and data["ok"] is True
         assert set(data) == {
-            "n", "expected_dim", "commute_ok", "independent_ok", "solved_dim",
-            "matches_span", "ok",
+            "n", "expected_dim", "commute_ok", "independent_ok", "solved_dim", "ok",
         }
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -222,16 +221,16 @@ class TestCentralizerVerification:
         monkeypatch.setattr(center_mod, "FIELDS", x_only)
         report = verify_center(n, table)
         assert report.commute_ok and report.independent_ok
-        assert report.solved_dim == free
-        assert not report.matches_span and not report.ok
+        assert report.solved_dim == free != report.expected_dim
+        assert not report.ok
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_changed_weight_fails_commute_scan(self, ctx, monkeypatch, n):
         monkeypatch.setattr(center_mod, "make_C", perturbed_make_C)
         report = verify_center(n, ctx.table(n))
         assert not report.commute_ok
-        assert report.solved_dim == n // 2 + 1
-        assert not report.matches_span and not report.ok
+        assert report.solved_dim == n // 2 + 1 == report.expected_dim
+        assert not report.ok
 
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):

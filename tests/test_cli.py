@@ -3,16 +3,18 @@
 import csv
 import json
 import os
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from permlie import make_C
+from permlie import make_C, structure
 from permlie.center import CENTER_CAP
-from permlie.cli import ENV_CACHE, main, schema_path
-from permlie.structure import _payload_digest, cache_path
+from permlie.cli import build_parser, main, schema_path
 from permlie.symops import ConstraintError
 
 
@@ -218,78 +220,51 @@ class TestSchur:
 
 class TestTable:
     def test_build_both_and_compare(self, capsys):
-        rc, payload, _ = run_json(capsys, "table", "--n", "3", "--method", "both", "--compare")
+        rc, payload, _ = run_json(capsys, "table", "--n", "3", "--compare")
         assert rc == 0
         names = [c["name"] for c in payload["cases"]]
         assert names == ["table-build", "table-build", "method-agreement"]
         assert payload["cases"][2]["details"]["mismatch_count"] == 0
         jsonschema.validate(payload, load_schema("verify_report"))
 
-    def test_validate_needs_cache_dir(self, capsys):
+    def test_method_both_rejected(self, capsys):
+        rc, _, err = run(capsys, "table", "--n", "3", "--method", "both")
+        assert rc == 1 and "invalid choice" in err
+
+
+class TestNoDiskCache:
+    """Structure tables live in memory only: no flag, file or variable."""
+
+    def test_cache_flag_rejected(self, capsys, tmp_path):
+        rc, _, err = run(capsys, "close", "--n", "3", "--gens", "G2", "--cache-dir", str(tmp_path))
+        assert rc == 1 and "unrecognized arguments: --cache-dir" in err
+        assert not os.listdir(tmp_path)
+
+    def test_validate_rejected(self, capsys):
         rc, _, err = run(capsys, "table", "--n", "2", "--validate")
-        assert rc == 1 and "cache directory" in err
+        assert rc == 1 and "unrecognized arguments: --validate" in err
 
-    def test_validate_lifecycle(self, capsys, tmp_path):
-        d = str(tmp_path)
-        rc, payload, _ = run_json(capsys, "table", "--n", "2", "--validate", "--cache-dir", d)
-        assert rc == 2
-        assert payload["cases"][0]["details"]["status"] == "missing"
+    def test_env_variable_ignored(self, capsys, tmp_path, monkeypatch):
+        # every PERMLIE_* variable, the old cache location among them, names
+        # an empty directory; no run may write there
+        class PermlieEnv(dict):
+            def get(self, key, default=None):
+                return str(tmp_path) if key.startswith("PERMLIE_") else super().get(key, default)
 
-        rc, _, _ = run(capsys, "table", "--n", "2", "--cache-dir", d, "--quiet")
+            def __getitem__(self, key):
+                return self.get(key) if key.startswith("PERMLIE_") else super().__getitem__(key)
+
+        monkeypatch.setattr(os, "environ", PermlieEnv(os.environ))
+        rc, _, _ = run(capsys, "table", "--n", "3", "--quiet")
         assert rc == 0
-        rc, payload, _ = run_json(capsys, "table", "--n", "2", "--validate", "--cache-dir", d)
-        assert rc == 0
-        assert payload["cases"][0]["details"]["status"] == "ok"
-
-        path = cache_path(d, 2, "overlap")
-        with open(path, "a") as fh:
-            fh.write("garbage")
-        with pytest.warns(UserWarning):
-            rc = main(["table", "--n", "2", "--validate", "--cache-dir", d, "--quiet"])
-        capsys.readouterr()
-        assert rc == 2
-
-
-class TestCacheLocation:
-    def test_env_variable_used(self, capsys, tmp_path, monkeypatch):
-        env_dir = tmp_path / "from-env"
-        env_dir.mkdir()
-        monkeypatch.setenv(ENV_CACHE, str(env_dir))
-        rc, _, _ = run(capsys, "table", "--n", "2", "--quiet")
-        assert rc == 0
-        assert os.path.exists(cache_path(str(env_dir), 2, "overlap"))
-
-    def test_flag_beats_env(self, capsys, tmp_path, monkeypatch):
-        env_dir = tmp_path / "from-env"
-        flag_dir = tmp_path / "from-flag"
-        env_dir.mkdir()
-        flag_dir.mkdir()
-        monkeypatch.setenv(ENV_CACHE, str(env_dir))
-        rc, _, _ = run(capsys, "table", "--n", "2", "--cache-dir", str(flag_dir), "--quiet")
-        assert rc == 0
-        assert os.path.exists(cache_path(str(flag_dir), 2, "overlap"))
-        assert not os.listdir(env_dir)
-
-    def test_close_reuses_cached_table(self, capsys, tmp_path):
-        d = str(tmp_path)
-        rc, _, _ = run(capsys, "table", "--n", "3", "--cache-dir", d, "--quiet")
-        assert rc == 0
-        rc, payload, _ = run_json(capsys, "close", "--n", "3", "--gens", "G2", "--cache-dir", d)
+        rc, payload, _ = run_json(capsys, "close", "--n", "3", "--gens", "G2")
         assert rc == 0 and payload["dim"] == 19
+        assert not os.listdir(tmp_path)
 
-    def test_close_leaves_primed_cache_untouched(self, capsys, tmp_path):
-        d = str(tmp_path)
-        path = cache_path(d, 3, "overlap")
-
-        def close_and_stat():
-            rc, _, _ = run(capsys, "close", "--n", "3", "--gens", "G2", "--cache-dir", d, "--quiet")
-            assert rc == 0
-            st = os.stat(path)
-            with open(path, "rb") as fh:
-                return fh.read(), st.st_mtime_ns, st.st_ino
-
-        primed = close_and_stat()
-        assert close_and_stat() == primed
+    def test_table_build_details_are_entries_only(self, capsys):
+        rc, payload, _ = run_json(capsys, "table", "--n", "2")
+        assert rc == 0
+        assert payload["cases"][0]["details"] == {"entries": 10 * 9 // 2}
 
 
 class TestBrokenPipe:
@@ -310,29 +285,44 @@ class TestBrokenPipe:
 
 
 class TestWrongDataDetection:
-    def test_tampered_but_digest_valid_cache_fails_closure(self, capsys, tmp_path):
-        """A cache rewritten with a fresh digest passes loading but not the math."""
-        d = str(tmp_path)
-        assert main(["table", "--n", "3", "--cache-dir", d, "--quiet"]) == 0
-        capsys.readouterr()
-        path = cache_path(d, 3, "overlap")
-        with open(path) as fh:
-            body = json.load(fh)
-        body["entries"] = {key: [] for key in body["entries"]}  # silence every bracket
-        body["digest"] = _payload_digest(body)
-        with open(path, "w") as fh:
-            json.dump(body, fh)
-
-        rc, payload, _ = run_json(capsys, "close", "--n", "3", "--gens", "G2", "--cache-dir", d)
+    def test_silenced_brackets_fail_closure(self, capsys, monkeypatch):
+        """A bracket engine that returns zero everywhere is caught by the math."""
+        monkeypatch.setattr(structure, "_bracket_overlap", lambda a, b, n: {})
+        rc, payload, _ = run_json(capsys, "close", "--n", "3", "--gens", "G2")
         assert rc == 2
         assert payload["dim"] == 3  # nothing commutes into existence any more
         assert payload["matched"] is False
 
 
+def readme_commands() -> list[list[str]]:
+    """Every `permlie ...` line of README.md's sh blocks, shell-split."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    out = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.S | re.M):
+        for line in block.splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["permlie"]:
+                out.append(argv[1:])
+    return out
+
+
+class TestReadmeExamples:
+    def test_every_verb_is_shown(self):
+        assert {argv[0] for argv in readme_commands()} == {
+            "close", "verify", "center", "schur", "table",
+        }
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_example_parses(self, argv):
+        build_parser().parse_args(argv)  # raises UsageError on a stale flag
+
+
 class TestSchemaResources:
     def test_bundled_names(self):
-        for name in ("closure_report", "verify_report", "structure_cache"):
+        for name in ("closure_report", "verify_report"):
             assert os.path.exists(schema_path(name))
+        bundled = os.listdir(os.path.dirname(schema_path("closure_report")))
+        assert sorted(bundled) == ["closure_report.schema.json", "verify_report.schema.json"]
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ConstraintError):

@@ -1,6 +1,5 @@
-"""Structure constants: both bracket routes, algebraic laws, the disk cache."""
+"""Structure constants: both bracket routes, algebraic laws, the in-memory table."""
 
-import json
 import random
 
 import pytest
@@ -15,20 +14,12 @@ from permlie import (
     SymOpVector,
     all_triples,
     bracket,
-    build_table,
     compare_tables,
-    load_table,
     trace_inner,
 )
 from permlie.center import make_C
 from permlie.oracle import dense_bracket, densify, symmetrize
-from permlie.structure import (
-    METHOD_ORBIT,
-    METHOD_OVERLAP,
-    _payload_digest,
-    cache_path,
-    normalize_method,
-)
+from permlie.structure import METHOD_ORBIT, METHOD_OVERLAP, normalize_method
 
 
 def unit(t, n):
@@ -247,89 +238,13 @@ class TestTableBasics:
         table = ctx.table(2)
         assert table.bracket("1,0,0", (0, 1, 0)) == unit((0, 0, 1), 2).scaled(-2)
 
-
-class TestCache:
-    def test_save_load_round_trip(self, tmp_path):
-        table = StructureTable(3, METHOD_OVERLAP)
-        table.fill()
-        path = tmp_path / "t.json"
-        table.save(str(path))
-        loaded = load_table(str(path))
-        assert loaded is not None
-        assert loaded.n == 3 and loaded.method == METHOD_OVERLAP
-        assert compare_tables(table, loaded) == []
-
-    def test_missing_file_loads_as_none_silently(self, tmp_path):
-        import warnings as w
-
-        with w.catch_warnings():
-            w.simplefilter("error")
-            assert load_table(str(tmp_path / "absent.json")) is None
-
-    def test_corrupt_json_warns_and_discards(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{ not json")
-        with pytest.warns(UserWarning, match="corrupt"):
-            assert load_table(str(path)) is None
-
-    def test_tampered_digest_warns_and_discards(self, tmp_path):
-        table = StructureTable(2, METHOD_OVERLAP)
-        table.fill()
-        path = tmp_path / "t.json"
-        table.save(str(path))
-        body = json.loads(path.read_text())
-        key = next(k for k, v in body["entries"].items() if v)
-        body["entries"][key] = []
-        path.write_text(json.dumps(body))
-        with pytest.warns(UserWarning, match="digest"):
-            assert load_table(str(path)) is None
-
-    def test_out_of_range_entry_triple_warns_and_discards(self, tmp_path):
-        # closures bracket stored entries without re-checking their triples,
-        # so a well-signed file whose entries exceed n must still be refused
-        table = StructureTable(2, METHOD_OVERLAP)
-        table.fill()
-        body = table.payload()
-        key = next(k for k, v in body["entries"].items() if v)
-        body["entries"][key] = [["3,0,0", 2]]
-        body["digest"] = _payload_digest(body)
-        path = tmp_path / "t.json"
-        path.write_text(json.dumps(body))
-        with pytest.warns(UserWarning, match="needs more than 2 qubits"):
-            assert load_table(str(path)) is None
-
-    def test_build_table_status_lifecycle(self, tmp_path):
-        cache = str(tmp_path)
-        fresh = build_table(2, "overlap", cache_dir=cache, fill=True)
-        assert fresh.provenance["cache"] == "saved"
-        hit = build_table(2, "overlap", cache_dir=cache, fill=True)
-        assert hit.provenance["cache"] == "cache-hit"
-        assert compare_tables(fresh, hit) == []
-
-        path = cache_path(cache, 2, "overlap")
-        with open(path, "w") as fh:
-            fh.write("garbage")
-        with pytest.warns(UserWarning, match="corrupt"):
-            rebuilt = build_table(2, "overlap", cache_dir=cache, fill=True)
-        assert rebuilt.provenance["cache"] == "rebuilt-after-corruption+saved"
-        assert load_table(path) is not None
-
-    def test_cache_filename_contains_n_and_method(self):
-        assert cache_path("/c", 8, "orbit").endswith("structure_8_orbit_v1.json")
-
-    def test_methods_cache_separately(self, tmp_path):
-        cache = str(tmp_path)
-        build_table(2, "overlap", cache_dir=cache, fill=True)
-        build_table(2, "orbit", cache_dir=cache, fill=True)
-        assert (tmp_path / "structure_2_overlap_v1.json").exists()
-        assert (tmp_path / "structure_2_orbit_v1.json").exists()
-
-    def test_payload_matches_schema(self, tmp_path):
-        import jsonschema
-
-        from permlie.cli import schema_path
-
-        table = StructureTable(2, METHOD_ORBIT)
-        table.fill()
-        schema = json.loads(open(schema_path("structure_cache")).read())
-        jsonschema.validate(table.payload(), schema)
+    @pytest.mark.parametrize("method", [METHOD_OVERLAP, METHOD_ORBIT])
+    def test_out_of_range_triple_never_enters_the_table(self, method):
+        # bracket_coeffs trusts the keys of stored entries, so the one place
+        # entries are made must refuse triples beyond n
+        table = StructureTable(2, method)
+        with pytest.raises(ConstraintError, match="needs more than 2 qubits"):
+            table.bracket_coeffs({PauliTriple(3, 0, 0): 1}, {PauliTriple(0, 1, 0): 1})
+        with pytest.raises(ConstraintError, match="needs more than 2 qubits"):
+            table.bracket((1, 0, 0), (0, 2, 1))
+        assert table.entry_count == 0
