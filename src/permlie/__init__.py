@@ -50,15 +50,6 @@ from .oracle import (
     orbit_words,
     symmetrize,
 )
-from .schur import (
-    IsotypicBlock,
-    SchurTransform,
-    SubspaceControlReport,
-    block_project,
-    build_schur_transform,
-    certify_subspace_control,
-    isotypic_table,
-)
 from .structure import (
     METHOD_ORBIT,
     METHOD_OVERLAP,
@@ -91,3 +82,25 @@ from .symops import (
 from .verify import SELECTORS, SuiteReport, run_selector
 
 __version__ = "0.1.0"
+
+# The sector layer is the only user of numpy; it is imported on first use so
+# that every other verb starts without loading numpy.
+_SCHUR_NAMES = frozenset(
+    {
+        "IsotypicBlock",
+        "SchurTransform",
+        "SubspaceControlReport",
+        "block_project",
+        "build_schur_transform",
+        "certify_subspace_control",
+        "isotypic_table",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _SCHUR_NAMES:
+        from . import schur
+
+        return getattr(schur, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Mapping
 
 from .linalg import SparseEchelon
 from .structure import StructureTable

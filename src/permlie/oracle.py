@@ -23,7 +23,6 @@ from typing import Iterable, Mapping
 
 from .linalg import SparseEchelon, generator_closure
 from .symops import (
-    SITE_PRODUCT,
     ConstraintError,
     DimensionMismatch,
     PauliTriple,
@@ -105,20 +104,20 @@ class DenseOp:
 
 
 def _word_product(w1: int, w2: int, n: int) -> tuple[int, int]:
-    """(phase_power, word) with w1*w2 = i**phase_power * word."""
-    phase = 0
-    out = 0
-    for j in range(n):
-        shift = 2 * j
-        a = (w1 >> shift) & 3
-        b = (w2 >> shift) & 3
-        if a and b:
-            p, c = SITE_PRODUCT[a][b]
-            phase += p
-            out |= c << shift
-        else:
-            out |= (a | b) << shift
-    return phase & 3, out
+    """(phase_power, word) with w1*w2 = i**phase_power * word.
+
+    Letters multiply as XOR of their 2-bit codes.  Each site with a cyclic
+    pair (XY, YZ, ZX) adds one to the phase power and each anticyclic pair
+    (YX, ZY, XZ) subtracts one; the pairs are counted with per-letter masks.
+    """
+    low = ((1 << (2 * n)) - 1) // 3  # the low bit of every site
+    lo1, hi1 = w1 & low, (w1 >> 1) & low
+    lo2, hi2 = w2 & low, (w2 >> 1) & low
+    x1, y1, z1 = lo1 & ~hi1, hi1 & ~lo1, lo1 & hi1
+    x2, y2, z2 = lo2 & ~hi2, hi2 & ~lo2, lo2 & hi2
+    cyclic = (x1 & y2 | y1 & z2 | z1 & x2).bit_count()
+    anticyclic = (y1 & x2 | z1 & y2 | x1 & z2).bit_count()
+    return (cyclic - anticyclic) & 3, w1 ^ w2
 
 
 def densify(v: SymOpVector) -> DenseOp:

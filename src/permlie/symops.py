@@ -18,15 +18,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 Coeff = Union[int, Fraction]
 
 LETTERS = "IXYZ"
 
 # Single-site Pauli products: SITE_PRODUCT[a][b] = (p, c) with a*b = i**p * c,
-# letters encoded I=0, X=1, Y=2, Z=3.  Shared by every bracket implementation
-# in the package; it is the one table the independent routes have in common.
+# letters encoded I=0, X=1, Y=2, Z=3.  Shared by the two structure-constant
+# engines; the word oracle reads the same products off bit masks instead.
 SITE_PRODUCT = (
     ((0, 0), (0, 1), (0, 2), (0, 3)),
     ((0, 1), (0, 0), (1, 3), (3, 2)),

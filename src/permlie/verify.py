@@ -23,8 +23,6 @@ from .center import (
     verify_center,
 )
 from .closure import (
-    LieBasis,
-    build_report,
     is_universal_pair,
     lie_closure,
     membership_constraints,
@@ -41,7 +39,6 @@ from .symops import (
     SymOpVector,
     VerificationError,
     ambient_dims,
-    all_triples,
     preset_generators,
     trace_inner,
     triple_sort_key,
@@ -318,7 +315,7 @@ def _suite_schur(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     except VerificationError:
         rule_ok = False
     out.append(CaseResult("sector-sum-rules", {"n_max": 20}, rule_ok, {}))
-    for n in range(max(lo, 1), min(hi, schur.BLOCK_ANALYSIS_CAP) + 1):
+    for n in range(max(lo, 1), min(hi, schur.SCHUR_BUILD_CAP) + 1):
         st = schur.build_schur_transform(n)
         details: dict = {"blocks": [[b.mu, b.d, b.m] for b in st.blocks]}
         ok = True

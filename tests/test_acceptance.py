@@ -198,13 +198,14 @@ def test_criterion_10_block_structure_and_sector_control(ctx):
         assert sum(b.d * b.m for b in blocks) == 2**n, f"n={n}"
         assert sum(b.m**2 for b in blocks) == comb(n + 3, 3), f"n={n}"
     projected = 0
-    for n in range(2, 7):
+    for n in range(2, 9):
         st = build_schur_transform(n)
         for row in ctx.closure("G2", n).basis.rows():
             block_project(row, st, tol=1e-9)  # raises above 1e-9 off pattern
             projected += 1
-    for n in range(2, 6):
-        rep = certify_subspace_control(ctx.closure("G2", n).basis)
-        assert rep.controllable and rep.consistent, f"n={n}"
-        assert all(s.spans_su for s in rep.sectors), f"n={n}"
-    print(f"criterion 10: {projected} rows block structured under 1e-9; sectors certified, n=2..5")
+        if n <= 7:
+            rep = certify_subspace_control(ctx.closure("G2", n).basis, st)
+            assert rep.controllable and rep.consistent, f"n={n}"
+            assert all(s.spans_su for s in rep.sectors), f"n={n}"
+    print(f"criterion 10: {projected} rows block structured under 1e-9 (n=2..8); "
+          "sectors certified, n=2..7")

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import permlie
 from permlie import make_C, structure
 from permlie.center import CENTER_CAP
 from permlie.cli import build_parser, main, schema_path
@@ -203,6 +205,13 @@ class TestSchur:
         assert details["block_pattern"] == "clean"
         assert details["subspace_control"]["consistent"] is True
 
+    def test_block_check_certifies_up_to_the_build_cap(self, capsys):
+        rc, payload, _ = run_json(capsys, "schur", "--n", "7", "--check-blocks")
+        assert rc == 0 and payload["ok"]
+        control = payload["cases"][1]["details"]["subspace_control"]
+        assert control["controllable"] and control["consistent"]
+        jsonschema.validate(payload, load_schema("verify_report"))
+
     def test_emit_transform(self, capsys, tmp_path):
         path = tmp_path / "transform.json"
         rc, _, _ = run(capsys, "schur", "--n", "3", "--emit-transform", str(path))
@@ -327,3 +336,30 @@ class TestSchemaResources:
     def test_unknown_schema_rejected(self):
         with pytest.raises(ConstraintError):
             schema_path("nonexistent")
+
+
+STARTUP_PROBE = """
+import sys
+import permlie.cli
+import permlie
+assert "numpy" not in sys.modules, "numpy loaded at start-up"
+assert permlie.isotypic_table(4)[0].m == 5
+assert callable(permlie.build_schur_transform)
+assert "numpy" in sys.modules
+try:
+    permlie.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown attribute resolved")
+"""
+
+
+class TestStartup:
+    def test_numpy_loads_only_with_the_sector_layer(self):
+        src = str(Path(permlie.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr

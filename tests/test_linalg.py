@@ -3,7 +3,6 @@
 from fractions import Fraction
 from math import gcd
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -26,11 +26,13 @@ from permlie import (
 )
 from permlie.oracle import (
     WORD_QUBIT_CAP,
+    _word_product,
     letters_to_word,
     transposition_pairings,
     word_letters,
     word_text,
 )
+from permlie.symops import SITE_PRODUCT
 
 
 def unit(t, n):
@@ -51,6 +53,46 @@ class TestWords:
     def test_qubit_cap_enforced(self):
         with pytest.raises(ResourceLimitError):
             DenseOp(WORD_QUBIT_CAP + 1, {0: 1})
+
+
+def site_by_site_product(w1: int, w2: int, n: int) -> tuple[int, int]:
+    """Reference word product: multiply letter by letter via SITE_PRODUCT."""
+    phase = 0
+    out = 0
+    for j in range(n):
+        shift = 2 * j
+        a = (w1 >> shift) & 3
+        b = (w2 >> shift) & 3
+        if a and b:
+            p, c = SITE_PRODUCT[a][b]
+            phase += p
+            out |= c << shift
+        else:
+            out |= (a | b) << shift
+    return phase & 3, out
+
+
+class TestWordProduct:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_pair_matches_site_by_site(self, n):
+        words = range(4**n)
+        for w1 in words:
+            for w2 in words:
+                assert _word_product(w1, w2, n) == site_by_site_product(w1, w2, n)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_random_pairs_match_site_by_site(self, n):
+        rng = random.Random(n)
+        for _ in range(5000):
+            w1, w2 = rng.randrange(4**n), rng.randrange(4**n)
+            assert _word_product(w1, w2, n) == site_by_site_product(w1, w2, n)
+
+    def test_single_site_phases(self):
+        x, y, z = 1, 2, 3
+        assert _word_product(x, y, 1) == (1, z)  # XY = iZ
+        assert _word_product(y, x, 1) == (3, z)  # YX = -iZ
+        assert _word_product(z, x, 1) == (1, y)  # ZX = iY
+        assert _word_product(x, z, 1) == (3, y)  # XZ = -iY
 
 
 class TestDenseOpAlgebra:

@@ -20,11 +20,11 @@ from permlie import (
     certify_subspace_control,
     isotypic_table,
     make_C,
-    preset_generators,
+    orbit_words,
     trace_inner,
 )
+from permlie.oracle import word_text
 from permlie.schur import (
-    BLOCK_TOL,
     SCHUR_BUILD_CAP,
     UNITARITY_TOL,
     SchurTransform,
@@ -198,6 +198,72 @@ class TestBlockProjection:
         with pytest.raises(DimensionMismatch):
             block_project(SymOpVector.unit((1, 0, 0), 3), st)
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_loop_reference_on_closure_rows(self, ctx, n):
+        st = build_schur_transform(n)
+        for row in ctx.closure("G2", n).basis.rows():
+            got = block_project(row, st)
+            want = loop_block_project(row, st)
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def loop_block_project(v, st, tol=1e-9):
+    """Reference block projection: check the pattern copy by copy."""
+    S = st.matrix.T @ dense_matrix(v) @ st.matrix
+    blocks = []
+    for b in st.blocks:
+        sl = st.sector_slice(b.mu)
+        inside = S[sl, sl].reshape(b.d, b.m, b.d, b.m)
+        mean = np.trace(inside, axis1=0, axis2=2) / b.d
+        worst = 0.0
+        for p in range(b.d):
+            for q in range(b.d):
+                ref = mean if p == q else 0.0
+                worst = max(worst, np.abs(inside[p, :, q, :] - ref).max())
+        before = np.abs(S[sl, : sl.start]).max() if sl.start else 0.0
+        after = np.abs(S[sl, sl.stop :]).max() if sl.stop < S.shape[1] else 0.0
+        assert max(worst, before, after) <= tol, f"sector {b.mu}"
+        blocks.append(mean)
+    return blocks
+
+
+class TestBlockPatternDetector:
+    """One planted defect per arm of the pattern check, at n = 3.
+
+    Sector mu = 1 spans columns 4..7: path 0 holds 4, 5 and path 1 holds 6, 7.
+    The transform is the identity, so the planted matrix is what is checked.
+    """
+
+    @staticmethod
+    def project(monkeypatch, planted):
+        st = build_schur_transform(3)
+        flat = SchurTransform(3, np.eye(8), st.blocks, st.offsets, st.paths)
+        monkeypatch.setattr("permlie.schur.dense_matrix", lambda v: planted)
+        return block_project(SymOpVector.unit((0, 0, 0), 3), flat)
+
+    def test_clean_pattern_passes(self, monkeypatch):
+        blocks = self.project(monkeypatch, np.eye(8, dtype=complex))
+        assert [a.shape for a in blocks] == [(4, 4), (2, 2)]
+
+    def test_diagonal_copy_differing_from_mean(self, monkeypatch):
+        planted = np.eye(8, dtype=complex)
+        planted[4, 4] += 1e-6
+        with pytest.raises(VerificationError, match="mu=1"):
+            self.project(monkeypatch, planted)
+
+    def test_nonzero_off_diagonal_copy(self, monkeypatch):
+        planted = np.eye(8, dtype=complex)
+        planted[4, 7] = planted[7, 4] = 1e-6
+        with pytest.raises(VerificationError, match="mu=1"):
+            self.project(monkeypatch, planted)
+
+    def test_cross_sector_leak(self, monkeypatch):
+        planted = np.eye(8, dtype=complex)
+        planted[0, 4] = planted[4, 0] = 1e-6
+        with pytest.raises(VerificationError, match="mu=0"):
+            self.project(monkeypatch, planted)
+
 
 def orthogonalized_traceless_basis(n: int) -> LieBasis:
     """Span of all triples with every central direction projected out."""
@@ -249,8 +315,8 @@ class TestSubspaceControl:
         assert report.trace_rank == 0
 
     def test_analysis_cap(self):
-        basis = LieBasis(7)
-        basis.insert(SymOpVector.unit((1, 0, 0), 7))
+        basis = LieBasis(SCHUR_BUILD_CAP + 1)
+        basis.insert(SymOpVector.unit((1, 0, 0), SCHUR_BUILD_CAP + 1))
         with pytest.raises(ResourceLimitError):
             certify_subspace_control(basis)
 
@@ -270,3 +336,9 @@ class TestDenseMatrixConvention:
         words = set(itertools.permutations("XZI"))
         expected = sum(kron_word("".join(w)) for w in words)
         assert np.abs(got - expected).max() < 1e-15
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_class_equals_its_kron_orbit_sum(self, n):
+        for t in all_triples(n):
+            expected = sum(kron_word(word_text(w, n)) for w in orbit_words(t, n))
+            assert np.array_equal(dense_matrix(SymOpVector.unit(t, n)), expected), t
