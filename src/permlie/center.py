@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from .closure import lie_closure
 from .linalg import SparseEchelon
 from .structure import StructureTable
 from .symops import (
@@ -24,14 +25,17 @@ from .symops import (
     SymOpVector,
     all_triples,
     check_qubits,
+    preset_generators,
     trace_inner,
     triple_sort_key,
 )
 
-# The largest n verify_center accepts.  The commute scan, which brackets
-# each C_mu with every basis element, dominates: as a process on a 2-vCPU
-# host, `center --n 14` took 16 s, n = 15 took 28 s and n = 16 took 51 s.
-CENTER_CAP = 14
+# The largest n verify_center accepts: the largest n for which
+# `center --n n --json -` finished as a process in under 60 s on each of
+# three runs on a 2-vCPU host (n = 61: 52-57 s, 147 MB peak RSS; n = 62 took
+# up to 62 s).  The G2 closure of the commute certificate is most of the
+# cost (4.8 s of 5.8 s at n = 40), the X/Y solve the rest.
+CENTER_CAP = 61
 
 # The uniform one-body fields X and Y (the members of G1prime).
 FIELDS = (PauliTriple(1, 0, 0), PauliTriple(0, 1, 0))
@@ -130,13 +134,20 @@ def central_projection_test(gens: GeneratorSet) -> dict[int, bool]:
 
 @dataclass(frozen=True)
 class CenterReport:
-    """Outcome of the full centralizer verification at one n."""
+    """Outcome of the full centralizer verification at one n.
+
+    closure_dim is the rank of the spanning closure (G2, or the one-body
+    units at n = 1) and span_rank the rank after the C_mu join it; the
+    certificate needs span_rank == C(n+3,3).
+    """
 
     n: int
     expected_dim: int
     commute_ok: bool
     independent_ok: bool
     solved_dim: int
+    closure_dim: int
+    span_rank: int
 
     @property
     def ok(self) -> bool:
@@ -149,6 +160,8 @@ class CenterReport:
             "commute_ok": self.commute_ok,
             "independent_ok": self.independent_ok,
             "solved_dim": self.solved_dim,
+            "closure_dim": self.closure_dim,
+            "span_rank": self.span_rank,
             "ok": self.ok,
         }
 
@@ -173,20 +186,54 @@ def _ad_kernel_system(
     return system
 
 
+def spanning_generators(n: int) -> GeneratorSet:
+    """Generators whose closure plus span{C_mu} is the whole algebra.
+
+    G2 from two qubits on (the semi-universality theorem); at n = 1, where
+    G2 does not exist, the one-body units, which close on su(2).  Both
+    contain the fields X and Y.
+    """
+    if n >= 2:
+        return preset_generators("G2", n)
+    units = tuple(SymOpVector.unit(t, n) for t in FIELDS + (PauliTriple(0, 0, 1),))
+    return GeneratorSet(n, units, "one-body")
+
+
 def verify_center(n: int, table: StructureTable | None = None) -> CenterReport:
     """Mechanical check that span{C_mu} is exactly the centralizer.
 
-    Three exact stages.  The commute scan brackets every C_mu with every
-    basis element P_t, so span{C_mu} lies in the centralizer.  The C_mu are
-    linearly independent.  The solve computes the common kernel of ad_X and
-    ad_Y over the whole basis, where X = P_(1,0,0) and Y = P_(0,1,0) are the
-    uniform one-body fields: 2*dim table brackets.
+    Three exact stages, with G = spanning_generators(n) (G2, or the one-body
+    units at n = 1):
 
-    The kernel of ad over any subset of the algebra contains the centralizer
-    of the whole algebra, so solved_dim can only overcount it.  With the
-    first two stages, solved_dim == floor(n/2)+1 therefore proves that
-    span{C_mu} is the centralizer.  The solve never uses the C_mu, so it is
-    an independent recomputation rather than a restatement.
+    * Commute certificate (commute_ok).  (1) Every C_mu brackets to zero
+      with each generator in G.  (2) The C_mu, inserted into the echelon of
+      a fresh lie_closure(G), raise its rank to C(n+3,3), the dimension of
+      the whole algebra.  The centralizer of one element is a Lie
+      subalgebra, so (1) makes each C_mu commute with all of closure(G), and
+      by (2) every P_t is a closure element plus a combination of the C_nu.
+      So [C_mu, P_t] is a combination of the [C_mu, C_nu], which vanish
+      by the next point.
+    * Why [C_mu, C_nu] = 0 with no bracket computed.  By Jacobi and (1),
+      [X, [C_mu, C_nu]] = [[X, C_mu], C_nu] + [C_mu, [X, C_nu]] = 0, and the
+      same for Y, so [C_mu, C_nu] lies in ker ad_X ∩ ker ad_Y.  The solve
+      below shows that kernel has dimension floor(n/2)+1; it contains the
+      floor(n/2)+1 independent C_lambda by (1), so it is span{C_lambda},
+      whose elements live on triples with every letter count even.
+      Transposition fixes X and Z and negates Y, so P_t^T = (-1)^ky(t) P_t;
+      applied to [P_a, P_b] it gives every structure constant of the
+      bracket the grading ky(u) = ky(a) + ky(b) + 1 (mod 2).  The C_nu have
+      even ky throughout, so [C_mu, C_nu] lives on odd ky only, and the two
+      supports are disjoint: [C_mu, C_nu] = 0.  This step holds exactly
+      when solved_dim == expected_dim and independent_ok, which ok requires.
+    * Independence (independent_ok): the C_mu are linearly independent.
+    * Solve (solved_dim): the common kernel of ad_X and ad_Y over the whole
+      basis, where X = P_(1,0,0) and Y = P_(0,1,0) are the uniform one-body
+      fields: 2*dim table brackets.  The kernel of ad over any subset of the
+      algebra contains the centralizer of the whole algebra, so solved_dim
+      can only overcount it; with the commute certificate and independence,
+      solved_dim == floor(n/2)+1 proves that span{C_mu} is the centralizer.
+      The solve never uses the C_mu, so it is an independent recomputation
+      rather than a restatement.
 
     Why X and Y are enough: by Schur-Weyl duality the collective fields
     generate, as an associative algebra, every operator that commutes with
@@ -201,19 +248,22 @@ def verify_center(n: int, table: StructureTable | None = None) -> CenterReport:
         raise ConstraintError("table built for a different qubit count")
     num_c = n // 2 + 1
     triples = all_triples(n)
-    cs = [make_C(mu, n) for mu in range(num_c)]
+    cs = [make_C(mu, n).vec.coeffs for mu in range(num_c)]
 
-    commute_ok = True
+    gens = spanning_generators(n)
+    commute_ok = not any(
+        table.bracket_coeffs(c, g.coeffs) for c in cs for g in gens.members
+    )
+    # a closure of its own: the C_mu are inserted into its echelon
+    basis = lie_closure(gens, table).basis
+    closure_dim = basis.dim
     for c in cs:
-        for t in triples:
-            if not table.bracket_vectors(c.vec, SymOpVector.unit(t, n)).is_zero:
-                commute_ok = False
-                break
-        if not commute_ok:
-            break
+        basis.insert(SymOpVector(n, c))
+    span_rank = basis.dim
+    commute_ok = commute_ok and span_rank == len(triples)
 
     ech = SparseEchelon(key_sort=triple_sort_key)
-    independent_ok = ech.extend(c.vec.coeffs for c in cs) == num_c
+    independent_ok = ech.extend(cs) == num_c
 
     solved_dim = len(triples) - _ad_kernel_system(table, FIELDS).rank
     return CenterReport(
@@ -222,4 +272,6 @@ def verify_center(n: int, table: StructureTable | None = None) -> CenterReport:
         commute_ok=commute_ok,
         independent_ok=independent_ok,
         solved_dim=solved_dim,
+        closure_dim=closure_dim,
+        span_rank=span_rank,
     )

@@ -223,7 +223,8 @@ def cmd_center(args) -> int:
         }
     lines = _case_lines([case], args.quiet)
     lines.append(
-        f"center @ n={args.n}: dim {rep.expected_dim}, solve dim {rep.solved_dim}"
+        f"center @ n={args.n}: dim {rep.expected_dim}, solve dim {rep.solved_dim}, "
+        f"closure dim {rep.closure_dim}, span rank {rep.span_rank}"
         + (", ok" if rep.ok else ", FAIL")
     )
     _emit(payload, args, lines)

@@ -214,19 +214,23 @@ class StructureTable:
         self.method = normalize_method(self.method)
 
     def _pair_entry(self, a: PauliTriple, b: PauliTriple):
-        ka = triple_sort_key(a)
-        kb = triple_sort_key(b)
-        if ka == kb:
+        # A stored pair is sorted, so at most one of the two lookups hits;
+        # the sort keys are needed only to file a new entry.
+        entry = self._entries.get((a, b))
+        if entry is not None:
+            return entry, 1
+        entry = self._entries.get((b, a))
+        if entry is not None:
+            return entry, -1
+        if a == b:
             return None, 1
         sign = 1
-        if ka > kb:
+        if triple_sort_key(a) > triple_sort_key(b):
             a, b = b, a
             sign = -1
-        entry = self._entries.get((a, b))
-        if entry is None:
-            fn = _bracket_overlap if self.method == METHOD_OVERLAP else _bracket_orbit
-            entry = fn(a.check(self.n), b.check(self.n), self.n)
-            self._entries[(a, b)] = entry
+        fn = _bracket_overlap if self.method == METHOD_OVERLAP else _bracket_orbit
+        entry = fn(a.check(self.n), b.check(self.n), self.n)
+        self._entries[(a, b)] = entry
         return entry, sign
 
     def bracket(self, a, b) -> SymOpVector:

@@ -1,6 +1,7 @@
 """Center elements, conjugacy-class sums, and the centralizer verification."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -27,6 +28,7 @@ from permlie.center import (
     CenterElement,
     _ad_kernel_system,
     central_projection_test,
+    spanning_generators,
 )
 from permlie.oracle import class_sum, dense_bracket, densify
 from permlie.symops import GeneratorSet, triple_sort_key
@@ -173,6 +175,17 @@ def span_rows(vecs):
     return ech.rows()
 
 
+def commute_scan(table, cs):
+    """Reference commute check: every C_mu against every basis element,
+    (floor(n/2)+1)*dim table brackets.  True when all of them vanish."""
+    n = table.n
+    return all(
+        table.bracket_vectors(c, SymOpVector.unit(t, n)).is_zero
+        for c in cs
+        for t in all_triples(n)
+    )
+
+
 def perturbed_make_C(mu, n):
     """make_C with the weight of one triple of the top C_mu raised by 1."""
     c = make_C(mu, n)
@@ -194,13 +207,58 @@ class TestCentralizerVerification:
     def test_single_qubit_center_is_identity_line(self, ctx):
         report = verify_center(1, ctx.table(1))
         assert report.expected_dim == 1 and report.ok
+        assert spanning_generators(1).members == tuple(
+            SymOpVector.unit(t, 1) for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        )
+        assert (report.closure_dim, report.span_rank) == (3, 4)
 
     def test_jsonable_fields(self, ctx):
         data = verify_center(2, ctx.table(2)).to_jsonable()
         assert data["n"] == 2 and data["ok"] is True
         assert set(data) == {
-            "n", "expected_dim", "commute_ok", "independent_ok", "solved_dim", "ok",
+            "n", "expected_dim", "commute_ok", "independent_ok", "solved_dim",
+            "closure_dim", "span_rank", "ok",
         }
+        assert (data["closure_dim"], data["span_rank"]) == (9, 10)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_certificate_agrees_with_commute_scan(self, ctx, n):
+        table = ctx.table(n)
+        report = verify_center(n, table)
+        cs = [make_C(mu, n).vec for mu in range(n // 2 + 1)]
+        assert commute_scan(table, cs) is report.commute_ok is True
+        assert report.span_rank == comb(n + 3, 3)
+        if n >= 2:
+            assert report.closure_dim == comb(n + 3, 3) - n // 2
+
+    @pytest.mark.parametrize("method", ["overlap", "orbit"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bracket_flips_y_parity(self, ctx, n, method):
+        """ky(u) = ky(a) + ky(b) + 1 (mod 2) on every structure constant:
+        the grading that rules out a nonzero [C_mu, C_nu]."""
+        table = ctx.table(n, method)
+        for a, b in combinations(all_triples(n), 2):
+            for u in table.bracket(a, b).coeffs:
+                assert (u.ky - a.ky - b.ky) % 2 == 1, (a, b, u)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_center_elements_commute_with_each_other(self, ctx, n):
+        table = ctx.table(n)
+        cs = [make_C(mu, n).vec for mu in range(n // 2 + 1)]
+        for c1, c2 in combinations(cs, 2):
+            assert table.bracket_vectors(c1, c2).is_zero
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_short_spanning_set_fails(self, ctx, monkeypatch, n):
+        monkeypatch.setattr(
+            center_mod, "spanning_generators", lambda m: preset_generators("G1prime", m)
+        )
+        report = verify_center(n, ctx.table(n))
+        assert report.closure_dim == 3
+        assert report.span_rank < comb(n + 3, 3)
+        assert not report.commute_ok
+        assert report.independent_ok and report.solved_dim == report.expected_dim
+        assert not report.ok
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_field_kernel_equals_full_scan_and_c_span(self, ctx, n):
@@ -224,10 +282,13 @@ class TestCentralizerVerification:
         assert report.solved_dim == free != report.expected_dim
         assert not report.ok
 
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_changed_weight_fails_commute_scan(self, ctx, monkeypatch, n):
+        table = ctx.table(n)
+        bad = [perturbed_make_C(mu, n).vec for mu in range(n // 2 + 1)]
+        assert not commute_scan(table, bad)
         monkeypatch.setattr(center_mod, "make_C", perturbed_make_C)
-        report = verify_center(n, ctx.table(n))
+        report = verify_center(n, table)
         assert not report.commute_ok
         assert report.solved_dim == n // 2 + 1 == report.expected_dim
         assert not report.ok

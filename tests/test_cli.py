@@ -181,7 +181,7 @@ class TestCenter:
     def test_human_line(self, capsys):
         rc, out, _ = run(capsys, "center", "--n", "4")
         assert rc == 0
-        assert "center @ n=4: dim 3, solve dim 3, ok" in out
+        assert "center @ n=4: dim 3, solve dim 3, closure dim 33, span rank 35, ok" in out
 
     @pytest.mark.parametrize("n", [CENTER_CAP + 1, 200])
     def test_resource_cap_exit_code(self, capsys, n):
