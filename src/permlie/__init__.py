@@ -50,13 +50,7 @@ from .oracle import (
     orbit_words,
     symmetrize,
 )
-from .structure import (
-    METHOD_ORBIT,
-    METHOD_OVERLAP,
-    StructureTable,
-    bracket,
-    compare_tables,
-)
+from .structure import StructureTable, compare_tables, orbit_bracket
 from .symops import (
     AmbientDims,
     ConstraintError,

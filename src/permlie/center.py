@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .closure import lie_closure
+from .closure import central_residuals, lie_closure
 from .linalg import SparseEchelon
 from .structure import StructureTable
 from .symops import (
@@ -26,7 +26,6 @@ from .symops import (
     all_triples,
     check_qubits,
     preset_generators,
-    trace_inner,
     triple_sort_key,
 )
 
@@ -123,13 +122,11 @@ def central_projection_test(gens: GeneratorSet) -> dict[int, bool]:
 
     Returns {mu: True if every generator pairs to zero with C_mu}.  Bracket
     flows conserve these pairings, so a False entry marks a central
-    direction the closure is allowed to reach.
+    direction the closure is allowed to reach.  A generator pairs to zero
+    with C_mu exactly when its central residual at mu vanishes.
     """
-    out = {}
-    for mu in range(gens.n // 2 + 1):
-        cv = make_C(mu, gens.n).vec
-        out[mu] = all(trace_inner(g, cv) == 0 for g in gens.members)
-    return out
+    residuals = central_residuals(gens.members, gens.n)
+    return {mu: not any(res[mu] for res in residuals) for mu in range(gens.n // 2 + 1)}
 
 
 @dataclass(frozen=True)

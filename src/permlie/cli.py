@@ -4,8 +4,9 @@ Five verbs: `close` runs one exact Lie closure and reports dimensions,
 verdicts, and residuals; `verify` runs a named suite over a range of qubit
 counts; `center` verifies the centralizer and optionally emits coefficient
 tables; `schur` builds the coupled basis and checks block structure;
-`table` builds structure-constant tables and, with --compare, checks the
-two bracket engines against each other entry by entry.
+`table` builds the full structure-constant table and, with --compare,
+checks every entry against the orbit-expansion reference engine.  Every
+verb brackets with the one overlap-count engine of StructureTable.
 
 Exit codes: 0 success, 1 usage or precondition error (or a reader that
 closed stdout early), 2 verification failure or prediction mismatch, 3
@@ -26,7 +27,7 @@ from importlib import resources
 from .center import make_C, make_L, verify_center
 from .closure import build_report, lie_closure
 from .oracle import dense_closure, densify
-from .structure import METHOD_ORBIT, METHOD_OVERLAP, StructureTable, compare_tables, normalize_method
+from .structure import StructureTable, compare_tables
 from .symops import (
     ConstraintError,
     DimensionMismatch,
@@ -69,8 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, required=True, help="qubit count")
     c.add_argument("--gens", required=True,
                    help="preset (G1, G1prime, G2, Gk:<k>) or 'kx,ky,kz; ...' list")
-    c.add_argument("--method", default="overlap", choices=["overlap", "orbit", "dense"],
-                   help="bracket engine; 'dense' also runs the word-level oracle and compares")
+    c.add_argument("--method", default="overlap", choices=["overlap", "dense"],
+                   help="'dense' also runs the word-level oracle and compares dimensions")
     _add_common(c)
     c.set_defaults(func=cmd_close)
 
@@ -78,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("selector", choices=sorted(SELECTORS), help="statement family to verify")
     v.add_argument("--n", type=int, help="single qubit count")
     v.add_argument("--n-range", metavar="LO..HI", help="inclusive range, e.g. 2..8")
-    v.add_argument("--method", default="overlap", choices=["overlap", "orbit"])
     v.add_argument("--csv", dest="csv_path", metavar="PATH", help="flat per-case table")
     _add_common(v)
     v.set_defaults(func=cmd_verify)
@@ -100,11 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.set_defaults(func=cmd_schur)
 
-    t = sub.add_parser("table", help="build structure tables, or compare the two engines")
+    t = sub.add_parser("table", help="build the full structure table, optionally cross-checked")
     t.add_argument("--n", type=int, required=True)
-    t.add_argument("--method", default="overlap", choices=["overlap", "orbit"])
     t.add_argument("--compare", action="store_true",
-                   help="build with both methods and compare them entrywise (overrides --method)")
+                   help="check every entry against the orbit-expansion reference engine")
     _add_common(t)
     t.set_defaults(func=cmd_table)
     return p
@@ -135,18 +134,12 @@ def _case_lines(cases, quiet: bool) -> list[str]:
 
 def cmd_close(args) -> int:
     gens = parse_generator_spec(args.gens, args.n)
+    run = lie_closure(gens)
+    payload = {"command": "close", **build_report(gens, run).to_jsonable()}
     if args.method == "dense":
-        run = lie_closure(gens, StructureTable(args.n, METHOD_OVERLAP))
-        report = build_report(gens, run, method=METHOD_OVERLAP)
         drun = dense_closure([densify(g) for g in gens.members])
-        payload = {"command": "close", **report.to_jsonable()}
         payload["dense_dim"] = drun.dim
         payload["engines_agree"] = drun.dim == run.dim
-    else:
-        method = normalize_method(args.method)
-        run = lie_closure(gens, StructureTable(args.n, method))
-        report = build_report(gens, run, method=method)
-        payload = {"command": "close", **report.to_jsonable()}
     dims = ambient_dims(args.n)
     residuals_clean = payload["residuals_nonzero"] == 0
     verdict = payload["verdicts"]
@@ -199,7 +192,7 @@ def _write_csv(path: str, cases: list[dict]) -> None:
 
 def cmd_verify(args) -> int:
     lo, hi = _parse_range(args)
-    suite = run_selector(args.selector, lo, hi, method=args.method)
+    suite = run_selector(args.selector, lo, hi)
     payload = {"command": "verify", **suite.to_jsonable()}
     if args.csv_path:
         _write_csv(args.csv_path, payload["cases"])
@@ -245,7 +238,7 @@ def cmd_schur(args) -> int:
     ]
     if args.check_blocks:
         gens = parse_generator_spec(args.gens, args.n)
-        run = lie_closure(gens, StructureTable(args.n, METHOD_OVERLAP))
+        run = lie_closure(gens)
         # projects every row; raises (exit 2) on a block-pattern violation
         rep = schur.certify_subspace_control(run.basis, st)
         details = {"rows_projected": run.dim, "block_pattern": "clean",
@@ -275,18 +268,16 @@ def cmd_schur(args) -> int:
 
 
 def cmd_table(args) -> int:
-    methods = [METHOD_OVERLAP, METHOD_ORBIT] if args.compare else [normalize_method(args.method)]
-    tables = {}
-    cases = []
-    for m in methods:
-        table = tables[m] = StructureTable(args.n, m)
-        table.fill()
-        cases.append(
-            {"name": "table-build", "params": {"n": args.n, "method": m}, "ok": True,
-             "details": {"entries": table.entry_count}}
-        )
+    table = StructureTable(args.n)
     if args.compare:
-        bad = compare_tables(tables[METHOD_OVERLAP], tables[METHOD_ORBIT])
+        bad = compare_tables(table)  # fills the table on the way
+    else:
+        table.fill()
+    cases = [
+        {"name": "table-build", "params": {"n": args.n}, "ok": True,
+         "details": {"entries": table.entry_count}}
+    ]
+    if args.compare:
         cases.append(
             {"name": "method-agreement", "params": {"n": args.n},
              "ok": not bad, "details": {"mismatches": bad[:20], "mismatch_count": len(bad)}}

@@ -19,7 +19,7 @@ from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .linalg import SparseEchelon, generator_closure
-from .structure import StructureTable, normalize_method
+from .structure import StructureTable
 from .symops import (
     AmbientDims,
     ConstraintError,
@@ -86,12 +86,7 @@ class ClosureRun:
         return self.basis.dim
 
 
-def lie_closure(
-    gens: GeneratorSet,
-    table: StructureTable | None = None,
-    *,
-    method: str | None = None,
-) -> ClosureRun:
+def lie_closure(gens: GeneratorSet, table: StructureTable | None = None) -> ClosureRun:
     """Smallest Lie algebra containing the generators, as an exact basis.
 
     Runs linalg.generator_closure with the table's bracket: each new row is
@@ -99,7 +94,7 @@ def lie_closure(
     order make runs deterministic.
     """
     if table is None:
-        table = StructureTable(gens.n, normalize_method(method) if method else "overlap")
+        table = StructureTable(gens.n)
     elif table.n != gens.n:
         raise DimensionMismatch("table and generators disagree on qubit count")
     t0 = time.perf_counter()
@@ -210,7 +205,6 @@ def membership_constraints(
 class Verdicts:
     universal: bool
     semi_universal: bool
-    subspace_controllable: bool
 
 
 def verdicts(basis: LieBasis) -> Verdicts:
@@ -246,7 +240,7 @@ def _verdicts(n: int, dim: int, residuals: Sequence[Sequence[Fraction]]) -> Verd
         universal = len(null) == 1 and set(null[0]) == {0}
     else:
         universal = False
-    return Verdicts(universal, semi, semi)
+    return Verdicts(universal, semi)
 
 
 @dataclass(frozen=True)
@@ -257,7 +251,6 @@ class ClosureReport:
     label: str
     k: int | None
     generators: tuple[str, ...]
-    method: str
     dim: int
     predicted: int | None
     matched: bool | None
@@ -265,7 +258,6 @@ class ClosureReport:
     verdicts: Verdicts
     exempt: tuple[int, ...]
     residual_mus: tuple[int, ...]
-    residual_rows: int
     residuals_nonzero: int
     residual_offenders: tuple[tuple[int, int, Fraction], ...]
     pivots: tuple[str, ...]
@@ -282,7 +274,6 @@ class ClosureReport:
             "label": self.label,
             "k": self.k,
             "generators": list(self.generators),
-            "method": self.method,
             "dim": self.dim,
             "predicted": self.predicted,
             "matched": self.matched,
@@ -295,11 +286,9 @@ class ClosureReport:
             "verdicts": {
                 "universal": self.verdicts.universal,
                 "semi_universal": self.verdicts.semi_universal,
-                "subspace_controllable": self.verdicts.subspace_controllable,
             },
             "exempt": list(self.exempt),
             "residual_mus": list(self.residual_mus),
-            "residual_rows": self.residual_rows,
             "residuals_nonzero": self.residuals_nonzero,
             "residual_offenders": [
                 {"row": i, "mu": mu, "value": frac_text(r)}
@@ -331,7 +320,6 @@ def build_report(
     gens: GeneratorSet,
     run: ClosureRun,
     *,
-    method: str,
     exempt: Iterable[int] | None = None,
 ) -> ClosureReport:
     """Report of a closure run.  Every non-exempt membership residual of
@@ -345,8 +333,7 @@ def build_report(
         predicted = None
     matched = None if predicted is None else run.dim == predicted
     ex = frozenset(exempt) if exempt is not None else family_exempt_mus(gens)
-    rows = run.basis.rows()
-    residuals = central_residuals(rows, n)
+    residuals = central_residuals(run.basis.rows(), n)
     mus = tuple(mu for mu in range(n // 2 + 1) if mu not in ex)
     nonzero = [(i, mu, res[mu]) for i, res in enumerate(residuals) for mu in mus if res[mu]]
     return ClosureReport(
@@ -354,7 +341,6 @@ def build_report(
         label=label,
         k=gens.k,
         generators=tuple(g.text() for g in gens.members),
-        method=normalize_method(method),
         dim=run.dim,
         predicted=predicted,
         matched=matched,
@@ -362,7 +348,6 @@ def build_report(
         verdicts=_verdicts(n, run.dim, residuals),
         exempt=tuple(sorted(ex)),
         residual_mus=mus,
-        residual_rows=len(rows),
         residuals_nonzero=len(nonzero),
         residual_offenders=tuple(nonzero[:MAX_OFFENDERS]),
         pivots=tuple(t.text() for t in run.basis.pivots()),

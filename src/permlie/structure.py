@@ -1,12 +1,13 @@
 """Integer structure constants of the symmetrized-Pauli bracket.
 
 The bracket of two basis elements is computed two independent ways.  The
-default route counts letter-overlap patterns between a fixed representative
-word of the first orbit and the full orbit of the second, which costs a
-polynomial number of integer terms.  The validation route expands the second
-orbit outright, word by word, at exponential cost.  Both share only the
-single-site Pauli product table and the final orbit-averaging step, so
-agreement is a strong check on the combinatorics.
+engine, behind every StructureTable, counts letter-overlap patterns between a
+fixed representative word of the first orbit and the full orbit of the
+second, which costs a polynomial number of integer terms.  The reference,
+orbit_bracket, expands the second orbit outright, word by word, at
+exponential cost; compare_tables checks a whole table against it.  Both share
+only the single-site Pauli product table and the final orbit-averaging step,
+so agreement is a strong check on the combinatorics.
 
 With coordinates standing for i * sum c_t P_t, every structure constant is an
 even integer: [i P_a, i P_b] = sum_u g_u (i P_u).
@@ -33,25 +34,20 @@ from .symops import (
     VerificationError,
     all_triples,
     as_triple,
+    check_qubits,
     orbit_size,
     triple_sort_key,
 )
 
-METHOD_OVERLAP = "overlap-combinatorics"
-METHOD_ORBIT = "orbit-expansion"
-_ALIASES = {
-    "overlap": METHOD_OVERLAP,
-    "orbit": METHOD_ORBIT,
-    METHOD_OVERLAP: METHOD_OVERLAP,
-    METHOD_ORBIT: METHOD_ORBIT,
-}
+# The largest n for which StructureTable.fill, and with it `table --n n`,
+# finished as a process in under 60 s on each of three runs on a 2-vCPU host
+# (n = 13: 31-33 s, 442 MB peak RSS; n = 14 took 56 and 62 s, 773 MB).
+FILL_CAP = 13
 
-
-def normalize_method(method: str) -> str:
-    try:
-        return _ALIASES[method]
-    except KeyError:
-        raise ConstraintError(f"unknown bracket method {method!r}") from None
+# The same for compare_tables, and with it `table --n n --compare`
+# (n = 8: 14.1-14.7 s, 31 MB; n = 9 took 74 s).  The orbit expansion of
+# every pair is nearly all of it.
+ORBIT_CAP = 8
 
 
 @lru_cache(maxsize=None)
@@ -182,36 +178,36 @@ def _orbit_average(a: PauliTriple, masses: Mapping, n: int) -> dict[PauliTriple,
     return out
 
 
-def bracket(a, b, n: int, method: str = METHOD_OVERLAP) -> SymOpVector:
-    """Structure constants of [i P_a, i P_b] on n qubits, as a vector."""
+def orbit_bracket(a, b, n: int) -> SymOpVector:
+    """Structure constants of [i P_a, i P_b] on n qubits by orbit expansion.
+
+    The reference engine that compare_tables checks StructureTable against;
+    its cost grows with the number of words in the orbit of b.
+    """
     a = as_triple(a).check(n)
     b = as_triple(b).check(n)
-    method = normalize_method(method)
     if a == b:
         return SymOpVector.zero(n)
-    fn = _bracket_overlap if method == METHOD_OVERLAP else _bracket_orbit
-    return SymOpVector(n, fn(a, b, n))
+    return SymOpVector(n, _bracket_orbit(a, b, n))
 
 
 @dataclass
 class StructureTable:
     """In-memory, lazily filled pairwise structure constants at fixed n.
 
-    Entries are computed on first request and stored under the sorted pair;
-    the antisymmetric partner is produced by sign flip on lookup.  Every
-    entry comes from _pair_entry, which checks both triples against n.  A
-    finished table is read-only in practice: lookups after fill() mutate
-    nothing.
+    Entries are overlap counts (_bracket_overlap), computed on first request
+    and stored under the sorted pair; the antisymmetric partner is produced
+    by sign flip on lookup.  Every entry comes from _pair_entry, which checks
+    both triples against n.  A finished table is read-only in practice:
+    lookups after fill() mutate nothing.
     """
 
     n: int
-    method: str = METHOD_OVERLAP
     _entries: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ConstraintError("qubit count must be positive")
-        self.method = normalize_method(self.method)
 
     def _pair_entry(self, a: PauliTriple, b: PauliTriple):
         # A stored pair is sorted, so at most one of the two lookups hits;
@@ -228,8 +224,7 @@ class StructureTable:
         if triple_sort_key(a) > triple_sort_key(b):
             a, b = b, a
             sign = -1
-        fn = _bracket_overlap if self.method == METHOD_OVERLAP else _bracket_orbit
-        entry = fn(a.check(self.n), b.check(self.n), self.n)
+        entry = _bracket_overlap(a.check(self.n), b.check(self.n), self.n)
         self._entries[(a, b)] = entry
         return entry, sign
 
@@ -263,6 +258,7 @@ class StructureTable:
 
     def fill(self) -> None:
         """Compute every pair of basis elements.  Idempotent."""
+        check_qubits(self.n, FILL_CAP, "a full structure table")
         ts = all_triples(self.n)  # already in triple_sort_key order
         for i, a in enumerate(ts):
             for b in ts[i + 1 :]:
@@ -273,25 +269,26 @@ class StructureTable:
         return len(self._entries)
 
 
-def compare_tables(t1: StructureTable, t2: StructureTable) -> list[dict]:
-    """Entrywise comparison of two tables over the same n.
+def compare_tables(table: StructureTable) -> list[dict]:
+    """Every pair of basis elements in `table` against orbit_bracket.
 
-    Returns one record per disagreeing pair; empty means identical.
+    Fills the table on the way.  Returns one record per disagreeing pair;
+    empty means the two engines agree everywhere.
     """
-    if t1.n != t2.n:
-        raise DimensionMismatch("tables built for different qubit counts")
-    ts = all_triples(t1.n)
+    n = table.n
+    check_qubits(n, ORBIT_CAP, "the orbit-expansion comparison")
+    ts = all_triples(n)
     bad = []
     for i, a in enumerate(ts):
         for b in ts[i + 1 :]:
-            v1 = t1.bracket(a, b)
-            v2 = t2.bracket(a, b)
+            v1 = table.bracket(a, b)
+            v2 = orbit_bracket(a, b, n)
             if v1 != v2:
                 bad.append(
                     {
                         "pair": [a.text(), b.text()],
-                        t1.method: v1.to_jsonable(),
-                        t2.method: v2.to_jsonable(),
+                        "overlap": v1.to_jsonable(),
+                        "orbit": v2.to_jsonable(),
                     }
                 )
     return bad

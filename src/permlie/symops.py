@@ -22,8 +22,6 @@ from typing import Iterator, Mapping, NamedTuple, Union
 
 Coeff = Union[int, Fraction]
 
-LETTERS = "IXYZ"
-
 # Single-site Pauli products: SITE_PRODUCT[a][b] = (p, c) with a*b = i**p * c,
 # letters encoded I=0, X=1, Y=2, Z=3.  Shared by the two structure-constant
 # engines; the word oracle reads the same products off bit masks instead.
@@ -306,9 +304,6 @@ class GeneratorSet:
 
     def text(self) -> str:
         return "; ".join(g.text() for g in self.members)
-
-
-PRESET_LABELS = ("G1", "G1prime", "G2", "Gk")
 
 
 def preset_generators(label: str, n: int, k: int | None = None) -> GeneratorSet:

@@ -23,6 +23,7 @@ from .center import (
     verify_center,
 )
 from .closure import (
+    central_residuals,
     is_universal_pair,
     lie_closure,
     membership_constraints,
@@ -32,7 +33,7 @@ from .closure import (
 from .erratum import build_abc, verify_printed_commutators
 from .linalg import SparseEchelon
 from .oracle import class_sum, dense_closure, densify
-from .structure import StructureTable, normalize_method
+from .structure import StructureTable
 from .symops import (
     ConstraintError,
     GeneratorSet,
@@ -40,7 +41,6 @@ from .symops import (
     VerificationError,
     ambient_dims,
     preset_generators,
-    trace_inner,
     triple_sort_key,
 )
 
@@ -82,17 +82,14 @@ class SuiteReport:
 class RunContext:
     """Shared tables and closures for one suite invocation."""
 
-    def __init__(self, method: str = "overlap"):
-        self.method = normalize_method(method)
-        self._tables: dict[tuple[int, str], StructureTable] = {}
+    def __init__(self):
+        self._tables: dict[int, StructureTable] = {}
         self._closures: dict = {}
 
-    def table(self, n: int, method: str | None = None) -> StructureTable:
-        m = normalize_method(method) if method else self.method
-        key = (n, m)
-        if key not in self._tables:
-            self._tables[key] = StructureTable(n, m)
-        return self._tables[key]
+    def table(self, n: int) -> StructureTable:
+        if n not in self._tables:
+            self._tables[n] = StructureTable(n)
+        return self._tables[n]
 
     def closure(self, label: str, n: int, k: int | None = None):
         key = (label, n, k)
@@ -107,17 +104,11 @@ def _orthogonality_pattern(gens: GeneratorSet, rows: Iterable[SymOpVector]) -> t
 
     Bracket flows cannot create a trace pairing with a central element the
     generators start orthogonal to, so every closure row must stay exactly
-    orthogonal to those C_mu.
+    orthogonal to those C_mu: its central residual at each such mu is zero.
     """
     pattern = central_projection_test(gens)
-    conserved = True
-    rows = list(rows)
-    for mu, orthogonal in pattern.items():
-        if not orthogonal:
-            continue
-        cv = make_C(mu, gens.n).vec
-        if any(trace_inner(row, cv) != 0 for row in rows):
-            conserved = False
+    kept = [mu for mu, orthogonal in pattern.items() if orthogonal]
+    conserved = not any(res[mu] for res in central_residuals(rows, gens.n) for mu in kept)
     return pattern, conserved
 
 
@@ -389,13 +380,7 @@ SELECTORS: dict[str, tuple[int, int, Callable]] = {
 }
 
 
-def run_selector(
-    selector: str,
-    n_lo: int | None = None,
-    n_hi: int | None = None,
-    *,
-    method: str = "overlap",
-) -> SuiteReport:
+def run_selector(selector: str, n_lo: int | None = None, n_hi: int | None = None) -> SuiteReport:
     """Run one named suite over [n_lo, n_hi] (defaults per selector)."""
     if selector not in SELECTORS:
         raise ConstraintError(
@@ -406,6 +391,6 @@ def run_selector(
     hi = d_hi if n_hi is None else n_hi
     if lo > hi or lo < 1:
         raise ConstraintError(f"bad range {lo}..{hi}")
-    ctx = RunContext(method=method)
+    ctx = RunContext()
     cases = fn(ctx, lo, hi)
     return SuiteReport(selector, lo, hi, tuple(cases))

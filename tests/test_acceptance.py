@@ -148,7 +148,7 @@ def test_criterion_07_dense_sparse_agreement(ctx):
 def test_criterion_08_structure_constant_cross_validation(ctx):
     """Both sparse bracket routes agree everywhere, match the word oracle, and satisfy Jacobi."""
     for n in range(1, 9):
-        assert compare_tables(ctx.table(n, "overlap"), ctx.table(n, "orbit")) == [], f"n={n}"
+        assert compare_tables(ctx.table(n)) == [], f"n={n}"
     pairs = 0
     for n in range(1, 6):
         table = ctx.table(n)

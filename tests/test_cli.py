@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -17,6 +18,7 @@ import permlie
 from permlie import make_C, structure
 from permlie.center import CENTER_CAP
 from permlie.cli import build_parser, main, schema_path
+from permlie.structure import FILL_CAP, ORBIT_CAP
 from permlie.symops import ConstraintError
 
 
@@ -42,12 +44,8 @@ class TestClose:
         assert rc == 0
         assert payload["command"] == "close"
         assert payload["dim"] == 33 and payload["predicted"] == 33
-        assert payload["verdicts"] == {
-            "universal": False,
-            "semi_universal": True,
-            "subspace_controllable": True,
-        }
-        assert len(payload["residual_mus"]) * payload["residual_rows"] == 2 * 33
+        assert payload["verdicts"] == {"universal": False, "semi_universal": True}
+        assert payload["dim"] * len(payload["residual_mus"]) == 2 * 33
         assert payload["residuals_nonzero"] == 0 and payload["residual_offenders"] == []
         assert "constraint_residuals" not in payload
         jsonschema.validate(payload, load_schema("closure_report"))
@@ -232,13 +230,45 @@ class TestTable:
         rc, payload, _ = run_json(capsys, "table", "--n", "3", "--compare")
         assert rc == 0
         names = [c["name"] for c in payload["cases"]]
-        assert names == ["table-build", "table-build", "method-agreement"]
-        assert payload["cases"][2]["details"]["mismatch_count"] == 0
+        assert names == ["table-build", "method-agreement"]
+        assert payload["cases"][0]["details"] == {"entries": 20 * 19 // 2}
+        assert payload["cases"][1]["details"]["mismatch_count"] == 0
         jsonschema.validate(payload, load_schema("verify_report"))
 
     def test_method_both_rejected(self, capsys):
         rc, _, err = run(capsys, "table", "--n", "3", "--method", "both")
-        assert rc == 1 and "invalid choice" in err
+        assert rc == 1 and "unrecognized arguments: --method" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--n", str(FILL_CAP + 1)), ("--n", str(ORBIT_CAP + 1), "--compare"), ("--n", "200")],
+        ids=" ".join,
+    )
+    def test_whole_table_caps_exit_code(self, capsys, argv):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "table", *argv, "--json", "-")
+        assert rc == 3 and out == "" and "capped at n <= " in err
+        assert time.perf_counter() - start < 1.0
+
+
+class TestOrbitMethodGone:
+    """The orbit engine is a cross-check of `table --compare` only: no verb
+    takes it as a bracket method (at n = 24 those routes ran for minutes)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("close", "--n", "24", "--gens", "G2", "--method", "orbit"),
+            ("verify", "prop1", "--method", "orbit", "--n-range", "24..24"),
+            ("table", "--n", "3", "--method", "orbit"),
+        ],
+        ids=" ".join,
+    )
+    def test_rejected_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, *argv, "--json", "-")
+        assert rc == 1 and out == "" and err.startswith("permlie:")
+        assert time.perf_counter() - start < 1.0
 
 
 class TestNoDiskCache:

@@ -249,7 +249,7 @@ def trace_pairing_verdicts(basis):
         universal = len(null) == 1 and set(null[0]) == {0}
     else:
         universal = False
-    return Verdicts(universal, semi, semi)
+    return Verdicts(universal, semi)
 
 
 CUSTOM_SPECS = ("1,0,0;1,1,0", "2,0,0;0,1,1;1,0,0")
@@ -304,16 +304,15 @@ def basis_from(vectors):
 class TestVerdicts:
     def test_two_body_three_qubits_universal(self, ctx):
         v = verdicts(ctx.closure("G2", 3).basis)
-        assert v.universal and v.semi_universal and v.subspace_controllable
+        assert v == Verdicts(universal=True, semi_universal=True)
 
     def test_two_body_four_qubits_semi_only(self, ctx):
         v = verdicts(ctx.closure("G2", 4).basis)
-        assert not v.universal
-        assert v.semi_universal and v.subspace_controllable
+        assert v == Verdicts(universal=False, semi_universal=True)
 
     def test_one_body_three_qubits_nothing(self, ctx):
         v = verdicts(ctx.closure("G1", 3).basis)
-        assert not (v.universal or v.semi_universal or v.subspace_controllable)
+        assert v == Verdicts(universal=False, semi_universal=False)
 
     def test_full_algebra_via_adjoined_centers(self, ctx):
         n = 4
@@ -359,12 +358,11 @@ class TestReports:
     def test_preset_report_fields(self, ctx):
         gens = preset_generators("G2", 4)
         run = ctx.closure("G2", 4)
-        report = build_report(gens, run, method="overlap")
+        report = build_report(gens, run)
         assert report.dim == report.predicted == 33
         assert report.matched is True and report.ok
         assert report.exempt == (1,)
         assert report.residual_mus == (0, 2)
-        assert report.residual_rows == 33
         assert report.residuals_nonzero == 0 and report.residual_offenders == ()
         assert report.verdicts.semi_universal and not report.verdicts.universal
         assert len(report.pivots) == 33
@@ -383,9 +381,9 @@ class TestReports:
         else:
             gens = preset_generators(spec, n)
         run = lie_closure(gens, ctx.table(n))
-        report = build_report(gens, run, method="overlap", exempt=())
+        report = build_report(gens, run, exempt=())
         rows = run.basis.rows()
-        assert report.residual_mus == (0, 1, 2) and report.residual_rows == len(rows)
+        assert report.residual_mus == (0, 1, 2) and report.dim == len(rows)
         nonzero = [
             (i, mu, membership_residual(row, mu))
             for i, row in enumerate(rows)
@@ -405,7 +403,7 @@ class TestReports:
     def test_custom_report_has_no_prediction(self, ctx):
         gens = GeneratorSet(3, (SymOpVector.unit((1, 0, 0), 3),), "custom")
         run = lie_closure(gens, ctx.table(3))
-        report = build_report(gens, run, method="overlap")
+        report = build_report(gens, run)
         assert report.predicted is None and report.matched is None
         assert report.ok
 
@@ -416,7 +414,7 @@ class TestReports:
 
         gens = preset_generators("Gk", 5, k=3)
         run = ctx.closure("Gk", 5, 3)
-        payload = build_report(gens, run, method="overlap").to_jsonable()
+        payload = build_report(gens, run).to_jsonable()
         payload["command"] = "close"
         schema = json.loads(open(schema_path("closure_report")).read())
         jsonschema.validate(payload, schema)
@@ -424,8 +422,8 @@ class TestReports:
     def test_reports_deterministic_apart_from_timing(self, ctx):
         gens = preset_generators("G2", 3)
         table = ctx.table(3)
-        a = build_report(gens, lie_closure(gens, table), method="overlap").to_jsonable()
-        b = build_report(gens, lie_closure(gens, table), method="overlap").to_jsonable()
+        a = build_report(gens, lie_closure(gens, table)).to_jsonable()
+        b = build_report(gens, lie_closure(gens, table)).to_jsonable()
         a.pop("wall_time")
         b.pop("wall_time")
         assert a == b

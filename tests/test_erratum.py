@@ -5,8 +5,8 @@ import pytest
 from permlie import (
     ConstraintError,
     PauliTriple,
+    StructureTable,
     SymOpVector,
-    bracket,
     build_abc,
     printed_commutators,
     relevant_support,
@@ -79,9 +79,10 @@ class TestConventionMap:
 
     @pytest.mark.parametrize("kbar,n", [(3, 3), (3, 4), (4, 4), (4, 5), (5, 5)])
     def test_structure_engine_reproduces_every_table(self, kbar, n):
+        table = StructureTable(n)
         for pc in printed_commutators(kbar, n):
             a, b = pc.lhs
-            got = to_printed_convention(bracket(a, b, n), a, b)
+            got = to_printed_convention(table.bracket(a, b), a, b)
             assert got == pc.expected
 
 

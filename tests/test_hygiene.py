@@ -1,17 +1,28 @@
-"""Source hygiene: no module under src/permlie imports a name it never uses.
+"""Source hygiene: no module under src/permlie imports a name it never
+uses, and none defines a name that nothing uses.
 
-`__init__.py` is exempt, since re-exporting is its job.  Standard library
-only: every imported binding must appear as a name (or the root of an
-attribute chain) somewhere else in the module.
+Unused imports: `__init__.py` is exempt, since re-exporting is its job.
+Every imported binding must appear as a name (or the root of an attribute
+chain) somewhere else in the module.
+
+Dead names: every module-level function, class and assigned name of
+src/permlie/*.py, dunders aside, must occur as a code token (not in a string
+or comment) somewhere besides its definition, in src/permlie or tests/.
+A re-export from `__init__.py` counts as a use.  Standard library only.
 """
 
 import ast
+import io
+import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "permlie"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "permlie"
+SOURCES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +49,58 @@ def test_detector_flags_an_unused_import():
         "line 1: os",
         "line 2: Any",
     ]
+
+
+def defined_names(source: str) -> list[str]:
+    """Module-level functions, classes and assigned names, dunders aside."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, ast.Assign):
+            out += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out.append(node.target.id)
+    return [name for name in out if not (name.startswith("__") and name.endswith("__"))]
+
+
+def code_names(source: str) -> Counter:
+    """How often each identifier occurs as a code token."""
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return Counter(tok.string for tok in tokens if tok.type == tokenize.NAME)
+
+
+def dead_names(module_source: str, corpus: Counter) -> list[str]:
+    """Names a module defines whose only tokens in `corpus` (which includes
+    the module itself) are their definitions."""
+    defined = Counter(defined_names(module_source))
+    return sorted(name for name, count in defined.items() if corpus[name] <= count)
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    total = Counter()
+    for path in SOURCES + sorted((ROOT / "tests").glob("*.py")):
+        total += code_names(path.read_text())
+    return total
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dead_names(path, corpus):
+    assert dead_names(path.read_text(), corpus) == []
+
+
+def test_detector_flags_a_dead_name():
+    source = (
+        "import os\n"
+        "LIVE = 1\n"
+        "DEAD: int = 2  # LIVE DEAD\n"
+        "__all__ = ['DEAD']\n"
+        "def used():\n"
+        "    return LIVE\n"
+        "def unused():\n"
+        "    return used()\n"
+        "class Gone:\n"
+        "    pass\n"
+    )
+    assert dead_names(source, code_names(source)) == ["DEAD", "Gone", "unused"]

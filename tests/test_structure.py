@@ -1,4 +1,5 @@
-"""Structure constants: both bracket routes, algebraic laws, the in-memory table."""
+"""Structure constants: the table engine and its orbit-expansion reference,
+algebraic laws, the in-memory table."""
 
 import random
 
@@ -10,16 +11,24 @@ from permlie import (
     ConstraintError,
     DimensionMismatch,
     PauliTriple,
+    ResourceLimitError,
     StructureTable,
     SymOpVector,
     all_triples,
-    bracket,
     compare_tables,
+    orbit_bracket,
     trace_inner,
 )
 from permlie.center import make_C
 from permlie.oracle import dense_bracket, densify, symmetrize
-from permlie.structure import METHOD_ORBIT, METHOD_OVERLAP, normalize_method
+from permlie.structure import FILL_CAP, ORBIT_CAP
+
+# The two bracket engines, as (table, a, b) -> vector: the overlap count
+# behind every StructureTable, and the orbit expansion it is checked against.
+ENGINES = {
+    "overlap-combinatorics": lambda table, a, b: table.bracket(a, b),
+    "orbit-expansion": lambda table, a, b: orbit_bracket(a, b, table.n),
+}
 
 
 def unit(t, n):
@@ -28,36 +37,40 @@ def unit(t, n):
 
 class TestBracketExamples:
     @pytest.mark.parametrize("n", range(1, 9))
-    @pytest.mark.parametrize("method", [METHOD_OVERLAP, METHOD_ORBIT])
-    def test_x_field_with_y_field_gives_z_field(self, n, method):
-        got = bracket((1, 0, 0), (0, 1, 0), n, method)
+    @pytest.mark.parametrize("engine", ENGINES.values(), ids=ENGINES)
+    def test_x_field_with_y_field_gives_z_field(self, n, engine):
+        got = engine(StructureTable(n), (1, 0, 0), (0, 1, 0))
         assert got == unit((0, 0, 1), n).scaled(-2)
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_self_bracket_vanishes(self, n):
+        table = StructureTable(n)
         for t in all_triples(n):
-            assert bracket(t, t, n).is_zero
+            assert table.bracket(t, t).is_zero
+            assert orbit_bracket(t, t, n).is_zero
 
     def test_one_qubit_su2_cycle(self):
+        table = StructureTable(1)
         x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-        assert bracket(x, y, 1) == unit(z, 1).scaled(-2)
-        assert bracket(y, z, 1) == unit(x, 1).scaled(-2)
-        assert bracket(z, x, 1) == unit(y, 1).scaled(-2)
+        assert table.bracket(x, y) == unit(z, 1).scaled(-2)
+        assert table.bracket(y, z) == unit(x, 1).scaled(-2)
+        assert table.bracket(z, x) == unit(y, 1).scaled(-2)
 
-    def test_x_field_ladder_coefficients(self):
+    def test_x_field_ladder_coefficients(self, ctx):
         # [P_(kx,ky,kz), P_(1,0,0)] swaps one Y<->Z with weights ky+1, kz+1
         n, t = 5, PauliTriple(1, 2, 1)
         expected = (
             unit((1, 3, 0), n).scaled(-2 * (t.ky + 1))
             + unit((1, 1, 2), n).scaled(2 * (t.kz + 1))
         )
-        got = bracket(t, (1, 0, 0), n)
+        got = ctx.table(n).bracket(t, (1, 0, 0))
         assert got == expected
         dense = symmetrize(dense_bracket(densify(unit(t, n)), densify(unit((1, 0, 0), n))))
         assert dense == expected
 
     @pytest.mark.parametrize("n", [4, 6])
-    def test_x_field_ladder_general(self, n):
+    def test_x_field_ladder_general(self, ctx, n):
+        table = ctx.table(n)
         for t in all_triples(n):
             terms = []
             if t.kz >= 1:
@@ -65,15 +78,15 @@ class TestBracketExamples:
             if t.ky >= 1:
                 terms.append(unit((t.kx, t.ky - 1, t.kz + 1), n).scaled(2 * (t.kz + 1)))
             expected = sum(terms, SymOpVector.zero(n))
-            assert bracket(t, (1, 0, 0), n) == expected
+            assert table.bracket(t, (1, 0, 0)) == expected
 
     def test_invalid_triples_rejected(self):
         with pytest.raises(ConstraintError):
-            bracket((3, 0, 0), (1, 0, 0), 2)
-
-    def test_unknown_method_rejected(self):
+            StructureTable(2).bracket((3, 0, 0), (1, 0, 0))
         with pytest.raises(ConstraintError):
-            bracket((1, 0, 0), (0, 1, 0), 2, "dense")
+            orbit_bracket((3, 0, 0), (1, 0, 0), 2)
+        with pytest.raises(ConstraintError):
+            orbit_bracket((1, 0, 0), (3, 0, 0), 2)
 
 
 class TestAlgebraicLaws:
@@ -187,18 +200,21 @@ class TestBracketVectors:
 class TestMethodAgreement:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_overlap_equals_orbit_all_pairs(self, n):
-        t_over = StructureTable(n, METHOD_OVERLAP)
-        t_orb = StructureTable(n, METHOD_ORBIT)
-        assert compare_tables(t_over, t_orb) == []
+        assert compare_tables(StructureTable(n)) == []
 
     def test_six_qubit_full_table_dual_method(self):
-        t_over = StructureTable(6, METHOD_OVERLAP)
-        t_orb = StructureTable(6, METHOD_ORBIT)
-        t_over.fill()
-        t_orb.fill()
-        assert t_over.entry_count == t_orb.entry_count
-        mismatches = compare_tables(t_over, t_orb)
-        assert mismatches == []
+        compared = StructureTable(6)
+        assert compare_tables(compared) == []
+        filled = StructureTable(6)
+        filled.fill()
+        assert compared.entry_count == filled.entry_count == 84 * 83 // 2
+
+    def test_mismatch_records_name_both_engines(self, monkeypatch):
+        monkeypatch.setattr("permlie.structure._bracket_overlap", lambda a, b, n: {})
+        bad = compare_tables(StructureTable(1))
+        assert [r["pair"] for r in bad] == [["0,0,1", "0,1,0"], ["0,0,1", "1,0,0"],
+                                            ["0,1,0", "1,0,0"]]
+        assert bad[0] == {"pair": ["0,0,1", "0,1,0"], "overlap": {}, "orbit": {"1,0,0": "2"}}
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_both_match_dense_oracle(self, ctx, n):
@@ -208,27 +224,17 @@ class TestMethodAgreement:
             for b in ts[i + 1 :]:
                 dense = symmetrize(dense_bracket(densify(unit(a, n)), densify(unit(b, n))))
                 assert table.bracket(a, b) == dense
-                assert bracket(a, b, n, METHOD_ORBIT) == dense
-
-    def test_normalize_method(self):
-        assert normalize_method("overlap") == METHOD_OVERLAP
-        assert normalize_method(METHOD_ORBIT) == METHOD_ORBIT
-        with pytest.raises(ConstraintError):
-            normalize_method("fast")
-
-    def test_compare_rejects_different_n(self):
-        with pytest.raises(DimensionMismatch):
-            compare_tables(StructureTable(2, METHOD_OVERLAP), StructureTable(3, METHOD_OVERLAP))
+                assert orbit_bracket(a, b, n) == dense
 
 
 class TestTableBasics:
     def test_two_qubit_fill_has_all_nonredundant_pairs(self):
-        table = StructureTable(2, METHOD_OVERLAP)
+        table = StructureTable(2)
         table.fill()
         assert table.entry_count == 10 * 9 // 2
 
     def test_fill_is_idempotent(self):
-        table = StructureTable(2, METHOD_OVERLAP)
+        table = StructureTable(2)
         table.fill()
         count = table.entry_count
         table.fill()
@@ -238,13 +244,22 @@ class TestTableBasics:
         table = ctx.table(2)
         assert table.bracket("1,0,0", (0, 1, 0)) == unit((0, 0, 1), 2).scaled(-2)
 
-    @pytest.mark.parametrize("method", [METHOD_OVERLAP, METHOD_ORBIT])
-    def test_out_of_range_triple_never_enters_the_table(self, method):
+    @pytest.mark.parametrize("engine", ENGINES.values(), ids=ENGINES)
+    def test_out_of_range_triple_never_enters_the_table(self, engine):
         # bracket_coeffs trusts the keys of stored entries, so the one place
         # entries are made must refuse triples beyond n
-        table = StructureTable(2, method)
+        table = StructureTable(2)
         with pytest.raises(ConstraintError, match="needs more than 2 qubits"):
             table.bracket_coeffs({PauliTriple(3, 0, 0): 1}, {PauliTriple(0, 1, 0): 1})
         with pytest.raises(ConstraintError, match="needs more than 2 qubits"):
-            table.bracket((1, 0, 0), (0, 2, 1))
+            engine(table, (1, 0, 0), (0, 2, 1))
         assert table.entry_count == 0
+
+    def test_whole_table_work_is_capped(self):
+        # both refuse before computing a single entry
+        past_fill, past_orbit = StructureTable(FILL_CAP + 1), StructureTable(ORBIT_CAP + 1)
+        with pytest.raises(ResourceLimitError, match=f"capped at n <= {FILL_CAP}"):
+            past_fill.fill()
+        with pytest.raises(ResourceLimitError, match=f"capped at n <= {ORBIT_CAP}"):
+            compare_tables(past_orbit)
+        assert past_fill.entry_count == past_orbit.entry_count == 0
