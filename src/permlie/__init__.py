@@ -9,9 +9,7 @@ oracle and a numerical spin-coupling decomposition.
 """
 
 from .center import (
-    CenterElement,
     CenterReport,
-    ClassSumElement,
     central_projection_test,
     make_C,
     make_L,
@@ -26,7 +24,6 @@ from .closure import (
     build_report,
     is_universal_pair,
     lie_closure,
-    membership_constraints,
     membership_residual,
     predicted_dim,
     verdicts,

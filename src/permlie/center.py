@@ -40,24 +40,12 @@ CENTER_CAP = 61
 FIELDS = (PauliTriple(1, 0, 0), PauliTriple(0, 1, 0))
 
 
-@dataclass(frozen=True)
-class CenterElement:
-    mu: int
-    vec: SymOpVector
-
-
-@dataclass(frozen=True)
-class ClassSumElement:
-    mu: int
-    vec: SymOpVector
-
-
 def _check_mu(mu: int, n: int) -> None:
     if mu < 0 or 2 * mu > n:
         raise ConstraintError(f"need 0 <= 2*mu <= n, got mu={mu}, n={n}")
 
 
-def make_C(mu: int, n: int) -> CenterElement:
+def make_C(mu: int, n: int) -> SymOpVector:
     """mu-th central basis element.
 
     C_mu sums the even triples at level 2*mu with weights
@@ -75,10 +63,10 @@ def make_C(mu: int, n: int) -> CenterElement:
                 // (factorial(a) * factorial(b) * factorial(c))
             )
             coeffs[PauliTriple(2 * a, 2 * b, 2 * c)] = w
-    return CenterElement(mu, SymOpVector(n, coeffs))
+    return SymOpVector(n, coeffs)
 
 
-def make_L(mu: int, n: int) -> ClassSumElement:
+def make_L(mu: int, n: int) -> SymOpVector:
     """Sum of all permutation operators moving exactly mu disjoint pairs.
 
     Computed through the exact recombination
@@ -89,8 +77,8 @@ def make_L(mu: int, n: int) -> ClassSumElement:
     vec = SymOpVector.zero(n)
     for m in range(mu + 1):
         coeff = scale * Fraction(factorial(n - 2 * m), factorial(mu - m))
-        vec = vec + make_C(m, n).vec.scaled(coeff)
-    return ClassSumElement(mu, vec)
+        vec = vec + make_C(m, n).scaled(coeff)
+    return vec
 
 
 def make_L_direct(mu: int, n: int) -> SymOpVector:
@@ -245,7 +233,7 @@ def verify_center(n: int, table: StructureTable | None = None) -> CenterReport:
         raise ConstraintError("table built for a different qubit count")
     num_c = n // 2 + 1
     triples = all_triples(n)
-    cs = [make_C(mu, n).vec.coeffs for mu in range(num_c)]
+    cs = [make_C(mu, n).coeffs for mu in range(num_c)]
 
     gens = spanning_generators(n)
     commute_ok = not any(

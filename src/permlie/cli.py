@@ -8,11 +8,16 @@ tables; `schur` builds the coupled basis and checks block structure;
 checks every entry against the orbit-expansion reference engine.  Every
 verb brackets with the one overlap-count engine of StructureTable.
 
+`close` reports one closure.  Every other verb builds verify.CaseResults
+and hands them to _report, the one function that turns cases into the JSON
+payload, the human lines and the exit code.
+
 Exit codes: 0 success, 1 usage or precondition error (or a reader that
 closed stdout early), 2 verification failure or prediction mismatch, 3
-resource-cap refusal.  Reports are JSON (`--json PATH`, `-` for stdout) with
-exact rationals as 'p/q' strings.  Structure tables live in memory for one
-run only; none is read from or written to disk.
+resource-cap refusal, made before any work and with nothing on stdout.
+Reports are JSON (`--json PATH`, `-` for stdout) with exact rationals as
+'p/q' strings.  Structure tables live in memory for one run only; none is
+read from or written to disk.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import os
 import sys
 from importlib import resources
 
-from .center import make_C, make_L, verify_center
+from .center import make_C, make_L
 from .closure import build_report, lie_closure
 from .oracle import dense_closure, densify
 from .structure import StructureTable, compare_tables
@@ -36,7 +41,7 @@ from .symops import (
     ambient_dims,
     parse_generator_spec,
 )
-from .verify import SELECTORS, run_selector
+from .verify import SELECTORS, CaseResult, SuiteReport, centralizer_case, run_selector
 
 
 class UsageError(Exception):
@@ -121,23 +126,31 @@ def _emit(payload: dict, args, human_lines: list[str]) -> None:
             print(line)
 
 
-def _case_lines(cases, quiet: bool) -> list[str]:
-    lines = []
-    for case in cases:
-        if quiet and case["ok"]:
-            continue
-        mark = "ok " if case["ok"] else "FAIL"
-        params = " ".join(f"{k}={v}" for k, v in sorted(case["params"].items()))
-        lines.append(f"[{mark}] {case['name']} {params}")
-    return lines
+def _report(args, command: str, suite: SuiteReport, summary: str, **extra) -> int:
+    """Emit a suite-shaped report; returns the exit code.
+
+    The payload is the suite's JSON plus `command` and any extra fields.
+    The human lines are one per case (failures only with --quiet), then
+    summary.  Exit 0 when every case is ok, else 2.
+    """
+    lines = [
+        f"[{'ok ' if c.ok else 'FAIL'}] {c.name} "
+        + " ".join(f"{k}={v}" for k, v in sorted(c.params.items()))
+        for c in suite.cases
+        if not (args.quiet and c.ok)
+    ]
+    _emit({"command": command, **suite.to_jsonable(), **extra}, args, lines + [summary])
+    return 0 if suite.ok else 2
 
 
 def cmd_close(args) -> int:
     gens = parse_generator_spec(args.gens, args.n)
+    # densify first: the word engine's cap refuses before the closure runs
+    dense_seeds = [densify(g) for g in gens.members] if args.method == "dense" else None
     run = lie_closure(gens)
     payload = {"command": "close", **build_report(gens, run).to_jsonable()}
-    if args.method == "dense":
-        drun = dense_closure([densify(g) for g in gens.members])
+    if dense_seeds is not None:
+        drun = dense_closure(dense_seeds)
         payload["dense_dim"] = drun.dim
         payload["engines_agree"] = drun.dim == run.dim
     dims = ambient_dims(args.n)
@@ -176,95 +189,75 @@ def _parse_range(args) -> tuple[int | None, int | None]:
 _CSV_DETAILS = ("dim", "predicted", "sparse", "dense", "universal", "semi_universal", "threshold")
 
 
-def _write_csv(path: str, cases: list[dict]) -> None:
-    param_keys = sorted({k for c in cases for k in c["params"]})
-    detail_keys = [k for k in _CSV_DETAILS if any(k in c["details"] for c in cases)]
+def _write_csv(path: str, cases: tuple[CaseResult, ...]) -> None:
+    param_keys = sorted({k for c in cases for k in c.params})
+    detail_keys = [k for k in _CSV_DETAILS if any(k in c.details for c in cases)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["name", *param_keys, *detail_keys, "ok"])
         for c in cases:
-            row = [c["name"]]
-            row += [c["params"].get(k, "") for k in param_keys]
-            row += [c["details"].get(k, "") for k in detail_keys]
-            row.append(c["ok"])
+            row = [c.name]
+            row += [c.params.get(k, "") for k in param_keys]
+            row += [c.details.get(k, "") for k in detail_keys]
+            row.append(c.ok)
             writer.writerow(row)
 
 
 def cmd_verify(args) -> int:
     lo, hi = _parse_range(args)
     suite = run_selector(args.selector, lo, hi)
-    payload = {"command": "verify", **suite.to_jsonable()}
     if args.csv_path:
-        _write_csv(args.csv_path, payload["cases"])
-    lines = _case_lines(payload["cases"], args.quiet)
-    good = sum(1 for c in payload["cases"] if c["ok"])
-    lines.append(f"verify {suite.selector}: {good}/{len(payload['cases'])} cases ok")
-    _emit(payload, args, lines)
-    return 0 if suite.ok else 2
+        _write_csv(args.csv_path, suite.cases)
+    good = sum(1 for c in suite.cases if c.ok)
+    return _report(args, "verify", suite,
+                   f"verify {suite.selector}: {good}/{len(suite.cases)} cases ok")
 
 
 def cmd_center(args) -> int:
-    rep = verify_center(args.n)
-    case = {"name": "centralizer-span", "params": {"n": args.n}, "ok": rep.ok,
-            "details": rep.to_jsonable()}
-    payload = {"command": "center", "selector": "prop1", "ok": rep.ok, "cases": [case]}
+    case = centralizer_case(args.n)
+    extra = {}
     if args.emit != "none":
         maker = make_C if args.emit == "C" else make_L
         mus = [args.mu] if args.mu is not None else list(range(args.n // 2 + 1))
-        payload["emitted"] = {
-            args.emit: {str(mu): maker(mu, args.n).vec.to_jsonable() for mu in mus}
-        }
-    lines = _case_lines([case], args.quiet)
-    lines.append(
-        f"center @ n={args.n}: dim {rep.expected_dim}, solve dim {rep.solved_dim}, "
-        f"closure dim {rep.closure_dim}, span rank {rep.span_rank}"
-        + (", ok" if rep.ok else ", FAIL")
+        extra["emitted"] = {args.emit: {str(mu): maker(mu, args.n).to_jsonable() for mu in mus}}
+    d = case.details
+    summary = (
+        f"center @ n={args.n}: dim {d['expected_dim']}, solve dim {d['solved_dim']}, "
+        f"closure dim {d['closure_dim']}, span rank {d['span_rank']}"
+        + (", ok" if case.ok else ", FAIL")
     )
-    _emit(payload, args, lines)
-    return 0 if rep.ok else 2
+    return _report(args, "center", SuiteReport("prop1", (case,)), summary, **extra)
 
 
 def cmd_schur(args) -> int:
     from . import schur
 
     st = schur.build_schur_transform(args.n)
-    cases = [
-        {
-            "name": "sector-table",
-            "params": {"n": args.n},
-            "ok": True,
-            "details": {"blocks": [[b.mu, b.d, b.m] for b in st.blocks]},
-        }
-    ]
+    blocks = [[b.mu, b.d, b.m] for b in st.blocks]
+    cases = [CaseResult("sector-table", {"n": args.n}, True, {"blocks": blocks})]
     if args.check_blocks:
         gens = parse_generator_spec(args.gens, args.n)
         run = lie_closure(gens)
-        # projects every row; raises (exit 2) on a block-pattern violation
-        rep = schur.certify_subspace_control(run.basis, st)
-        details = {"rows_projected": run.dim, "block_pattern": "clean",
-                   "subspace_control": rep.to_jsonable()}
+        found, rep = schur.sector_check(run.basis, st)
         cases.append(
-            {"name": "block-structure", "params": {"n": args.n, "gens": gens.label},
-             "ok": rep.consistent, "details": details}
+            CaseResult("block-structure", {"n": args.n, "gens": gens.label},
+                       rep is not None and rep.consistent,
+                       {"rows_projected": run.dim, **found})
         )
-    payload = {"command": "schur", "selector": "schur", "ok": all(c["ok"] for c in cases),
-               "cases": cases}
     if args.emit_transform:
         with open(args.emit_transform, "w") as fh:
             json.dump(
                 {
                     "n": st.n,
-                    "blocks": [[b.mu, b.d, b.m] for b in st.blocks],
+                    "blocks": blocks,
                     "offsets": list(st.offsets),
                     "paths": [[list(p) for p in sector] for sector in st.paths],
                     "matrix": st.matrix.tolist(),
                 },
                 fh,
             )
-    lines = _case_lines(cases, args.quiet)
-    lines.append(f"schur @ n={args.n}: sectors {[[b.mu, b.d, b.m] for b in st.blocks]}")
-    _emit(payload, args, lines)
-    return 0 if payload["ok"] else 2
+    return _report(args, "schur", SuiteReport("schur", tuple(cases)),
+                   f"schur @ n={args.n}: sectors {blocks}")
 
 
 def cmd_table(args) -> int:
@@ -273,22 +266,15 @@ def cmd_table(args) -> int:
         bad = compare_tables(table)  # fills the table on the way
     else:
         table.fill()
-    cases = [
-        {"name": "table-build", "params": {"n": args.n}, "ok": True,
-         "details": {"entries": table.entry_count}}
-    ]
+    cases = [CaseResult("table-build", {"n": args.n}, True, {"entries": table.entry_count})]
     if args.compare:
         cases.append(
-            {"name": "method-agreement", "params": {"n": args.n},
-             "ok": not bad, "details": {"mismatches": bad[:20], "mismatch_count": len(bad)}}
+            CaseResult("method-agreement", {"n": args.n}, not bad,
+                       {"mismatches": bad[:20], "mismatch_count": len(bad)})
         )
-    payload = {"command": "table", "selector": "table", "ok": all(c["ok"] for c in cases),
-               "cases": cases}
-    lines = _case_lines(cases, args.quiet)
-    lines.append(f"table @ n={args.n}: {len(cases)} checks, "
-                 + ("all ok" if payload["ok"] else "FAILURES"))
-    _emit(payload, args, lines)
-    return 0 if payload["ok"] else 2
+    suite = SuiteReport("table", tuple(cases))
+    return _report(args, "table", suite, f"table @ n={args.n}: {len(cases)} checks, "
+                   + ("all ok" if suite.ok else "FAILURES"))
 
 
 def _stdout_to_devnull() -> None:

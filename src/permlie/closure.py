@@ -185,22 +185,6 @@ def central_residuals(rows: Iterable[SymOpVector], n: int) -> list[list[Fraction
     return out
 
 
-def membership_constraints(
-    rows: Sequence[SymOpVector], n: int, exempt: Iterable[int] = ()
-) -> list[tuple[int, int, Fraction]]:
-    """All non-exempt central-membership residuals of a family of rows.
-
-    Returns (row_index, mu, residual) triples for every row and every
-    0 <= mu <= n/2 outside `exempt`, row-major; all residuals zero certifies
-    membership in the corresponding centerless subalgebra.
-    """
-    exempt = frozenset(exempt)
-    mus = [mu for mu in range(n // 2 + 1) if mu not in exempt]
-    return [
-        (i, mu, res[mu]) for i, res in enumerate(central_residuals(rows, n)) for mu in mus
-    ]
-
-
 @dataclass(frozen=True)
 class Verdicts:
     universal: bool

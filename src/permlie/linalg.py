@@ -189,7 +189,6 @@ def generator_closure(
     seeds: Iterable[Mapping],
     bracket: Callable[[IntRow, IntRow], Mapping],
     ech: SparseEchelon,
-    max_steps: int | None = None,
 ) -> int:
     """Grow ech to the Lie algebra generated by seeds; returns the bracket count.
 
@@ -208,7 +207,7 @@ def generator_closure(
     contains the seeds, so V = L.
 
     At most rank * len(seed rows) brackets are evaluated, so the loop always
-    ends.  max_steps stops it earlier; the span is then a lower bound.
+    ends.
     """
     gens = [row for row in map(ech.insert, seeds) if row is not None]
     work = deque(gens)
@@ -216,8 +215,6 @@ def generator_closure(
     while work:
         row = work.popleft()
         for g in gens:
-            if max_steps is not None and steps >= max_steps:
-                return steps
             steps += 1
             new = ech.insert(bracket(row, g))
             if new is not None:

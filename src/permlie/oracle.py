@@ -198,19 +198,14 @@ def dense_bracket(p: DenseOp, q: DenseOp) -> DenseOp:
 
 @dataclass(frozen=True)
 class DenseClosureRun:
-    n: int
     dim: int
-    pivot_words: tuple[int, ...]
     iterations: int
 
 
-def dense_closure(
-    seeds: Iterable[DenseOp], *, max_steps: int | None = None
-) -> DenseClosureRun:
+def dense_closure(seeds: Iterable[DenseOp]) -> DenseClosureRun:
     """Lie closure over raw words: linalg.generator_closure with dense_bracket.
 
-    max_steps bounds the number of bracket evaluations for smoke runs; the
-    returned dimension is then a lower bound that must still be monotone.
+    At most rank * |seeds| brackets are evaluated, so the run always ends.
     """
     seeds = [s for s in seeds if not s.is_zero]
     if not seeds:
@@ -223,8 +218,8 @@ def dense_closure(
         return dense_bracket(DenseOp(n, u), DenseOp(n, g)).coeffs
 
     ech = SparseEchelon()
-    iterations = generator_closure((s.coeffs for s in seeds), bracket, ech, max_steps)
-    return DenseClosureRun(n, ech.rank, tuple(ech.pivots()), iterations)
+    iterations = generator_closure((s.coeffs for s in seeds), bracket, ech)
+    return DenseClosureRun(ech.rank, iterations)
 
 
 def transposition_pairings(n: int, mu: int) -> list[tuple[tuple[int, int], ...]]:

@@ -337,3 +337,19 @@ def certify_subspace_control(
         sectors=tuple(sectors),
         trace_rank=trace_rank,
     )
+
+
+def sector_check(
+    basis: LieBasis, st: SchurTransform
+) -> tuple[dict, SubspaceControlReport | None]:
+    """certify_subspace_control as report details: (details, report).
+
+    Each row is projected once.  A block-pattern violation is a finding, not
+    an error here: details then name it under block_pattern and report is
+    None.
+    """
+    try:
+        rep = certify_subspace_control(basis, st)
+    except VerificationError as exc:
+        return {"block_pattern": str(exc)}, None
+    return {"block_pattern": "clean", "subspace_control": rep.to_jsonable()}, rep

@@ -296,12 +296,6 @@ class GeneratorSet:
             raise ConstraintError("generator set must contain a nonzero member")
         object.__setattr__(self, "members", tuple(kept))
 
-    def triples(self) -> tuple[PauliTriple, ...]:
-        out = []
-        for g in self.members:
-            out.extend(g.support())
-        return tuple(out)
-
     def text(self) -> str:
         return "; ".join(g.text() for g in self.members)
 

@@ -7,6 +7,17 @@ centralizer solve, class-sum recombination, the corrected commutator tables,
 the spin-sector decomposition, and the word-level oracle agreement.  The CLI
 exposes these as `permlie verify <selector>`; the test suite calls them
 directly.
+
+Every case is a CaseResult and every report a SuiteReport; the `center`
+and `schur` verbs build theirs with the same case builders as the prop1
+and schur suites (centralizer_case, schur.sector_check).
+
+A suite whose every case needs a capped engine refuses a range that ends
+above the cap, before any work, as the verbs do: prop1 above CENTER_CAP,
+schur above SCHUR_BUILD_CAP, oracle above WORD_QUBIT_CAP.  noteF and lemma2
+check their word-oracle statements up to WORD_QUBIT_CAP only, since each
+also checks a statement that holds at every n.  The other suites have no
+cap.
 """
 
 from __future__ import annotations
@@ -23,16 +34,16 @@ from .center import (
     verify_center,
 )
 from .closure import (
+    build_report,
     central_residuals,
     is_universal_pair,
     lie_closure,
-    membership_constraints,
     predicted_dim,
     verdicts,
 )
 from .erratum import build_abc, verify_printed_commutators
 from .linalg import SparseEchelon
-from .oracle import class_sum, dense_closure, densify
+from .oracle import WORD_QUBIT_CAP, class_sum, dense_closure, densify
 from .structure import StructureTable
 from .symops import (
     ConstraintError,
@@ -40,12 +51,10 @@ from .symops import (
     SymOpVector,
     VerificationError,
     ambient_dims,
+    check_qubits,
     preset_generators,
     triple_sort_key,
 )
-
-WORD_CAP = 6
-MEMBERSHIP_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -61,22 +70,26 @@ class CaseResult:
 
 @dataclass(frozen=True)
 class SuiteReport:
+    """Cases of one suite run.  n_range is the range a verify suite was
+    asked for; a verb's one n is already in its cases' params."""
+
     selector: str
-    n_lo: int
-    n_hi: int
     cases: tuple[CaseResult, ...]
+    n_range: tuple[int, int] | None = None
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.cases)
 
     def to_jsonable(self) -> dict:
-        return {
+        out = {
             "selector": self.selector,
-            "n_range": [self.n_lo, self.n_hi],
             "ok": self.ok,
             "cases": [c.to_jsonable() for c in self.cases],
         }
+        if self.n_range is not None:
+            out["n_range"] = list(self.n_range)
+        return out
 
 
 class RunContext:
@@ -149,18 +162,17 @@ def _suite_thm3(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
 
 def _suite_thm4(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     out = []
-    for n in range(max(lo, 2), min(hi, MEMBERSHIP_CAP) + 1):
+    for n in range(max(lo, 2), hi + 1):
         run = ctx.closure("G2", n)
-        rows = run.basis.rows()
-        residuals = membership_constraints(rows, n, exempt={1})
-        clean = all(r == 0 for (_, _, r) in residuals)
-        c1_inside = run.basis.contains(make_C(1, n).vec)
+        rep = build_report(preset_generators("G2", n), run, exempt={1})
+        clean = rep.residuals_nonzero == 0
+        c1_inside = run.basis.contains(make_C(1, n))
         out.append(
             CaseResult(
                 "g2-membership-residuals",
                 {"n": n},
                 clean and c1_inside,
-                {"residuals_checked": len(residuals), "all_zero": clean,
+                {"residuals_checked": rep.dim * len(rep.residual_mus), "all_zero": clean,
                  "c1_reachable": c1_inside},
             )
         )
@@ -231,33 +243,34 @@ def _suite_cor1(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     return out
 
 
+def centralizer_case(n: int, table: StructureTable | None = None) -> CaseResult:
+    """Proposition 1 at one n: span{C_mu} is exactly the centralizer."""
+    rep = verify_center(n, table)
+    return CaseResult("centralizer-span", {"n": n}, rep.ok, rep.to_jsonable())
+
+
 def _suite_prop1(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
-    out = []
-    for n in range(max(lo, 1), min(hi, CENTER_CAP) + 1):
-        rep = verify_center(n, ctx.table(n))
-        out.append(CaseResult("centralizer-span", {"n": n}, rep.ok, rep.to_jsonable()))
-    return out
+    check_qubits(hi, CENTER_CAP, "centralizer verification")
+    return [centralizer_case(n, ctx.table(n)) for n in range(max(lo, 1), hi + 1)]
 
 
 def _suite_lemma2(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     out = []
     for n in range(max(lo, 1), hi + 1):
         mus = range(n // 2 + 1)
-        forms_equal = all(make_L(mu, n).vec == make_L_direct(mu, n) for mu in mus)
+        forms_equal = all(make_L(mu, n) == make_L_direct(mu, n) for mu in mus)
         c_ech = SparseEchelon(key_sort=triple_sort_key)
-        c_rank = c_ech.extend(make_C(mu, n).vec.coeffs for mu in mus)
+        c_rank = c_ech.extend(make_C(mu, n).coeffs for mu in mus)
         growth = sum(
-            1 for mu in mus if c_ech.insert(make_L(mu, n).vec.coeffs) is not None
+            1 for mu in mus if c_ech.insert(make_L(mu, n).coeffs) is not None
         )
         l_ech = SparseEchelon(key_sort=triple_sort_key)
-        l_rank = l_ech.extend(make_L(mu, n).vec.coeffs for mu in mus)
+        l_rank = l_ech.extend(make_L(mu, n).coeffs for mu in mus)
         spans_equal = c_rank == len(mus) and growth == 0 and l_rank == len(mus)
         details = {"forms_equal": forms_equal, "spans_equal": spans_equal}
         ok = forms_equal and spans_equal
-        if n <= WORD_CAP:
-            perm_equal = all(
-                class_sum(mu, n) == densify(make_L(mu, n).vec) for mu in mus
-            )
+        if n <= WORD_QUBIT_CAP:
+            perm_equal = all(class_sum(mu, n) == densify(make_L(mu, n)) for mu in mus)
             details["matches_permutation_sum"] = perm_equal
             ok = ok and perm_equal
         out.append(CaseResult("class-sum-recombination", {"n": n}, ok, details))
@@ -266,7 +279,7 @@ def _suite_lemma2(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
 
 def _suite_notef(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     out = []
-    for n in range(max(lo, 3), min(hi, WORD_CAP) + 1):
+    for n in range(max(lo, 3), min(hi, WORD_QUBIT_CAP) + 1):
         for kbar in range(3, min(n, 4) + 1):
             rep = verify_printed_commutators(kbar, n)
             mismatches = [r for r in rep.records if not r["match"]]
@@ -298,6 +311,7 @@ def _suite_notef(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
 def _suite_schur(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     from . import schur
 
+    check_qubits(hi, schur.SCHUR_BUILD_CAP, "coupled-basis construction")
     out = []
     rule_ok = True
     try:
@@ -306,27 +320,14 @@ def _suite_schur(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     except VerificationError:
         rule_ok = False
     out.append(CaseResult("sector-sum-rules", {"n_max": 20}, rule_ok, {}))
-    for n in range(max(lo, 1), min(hi, schur.SCHUR_BUILD_CAP) + 1):
+    for n in range(max(lo, 1), hi + 1):
         st = schur.build_schur_transform(n)
         details: dict = {"blocks": [[b.mu, b.d, b.m] for b in st.blocks]}
         ok = True
         if n >= 2:
-            run = ctx.closure("G2", n)
-            rep = None
-            try:
-                # each row is projected once; a block-pattern violation raises
-                if n <= 5:
-                    rep = schur.certify_subspace_control(run.basis, st)
-                else:
-                    for row in run.basis.rows():
-                        schur.block_project(row, st)
-                details["block_pattern"] = "clean"
-            except VerificationError as exc:
-                details["block_pattern"] = str(exc)
-                ok = False
-            if rep is not None:
-                details["subspace_control"] = rep.to_jsonable()
-                ok = ok and rep.controllable and rep.consistent
+            found, rep = schur.sector_check(ctx.closure("G2", n).basis, st)
+            details.update(found)
+            ok = rep is not None and rep.controllable and rep.consistent
         out.append(CaseResult("sector-decomposition", {"n": n}, ok, details))
     return out
 
@@ -335,6 +336,7 @@ _PRESETS_FOR_ORACLE = ("G1", "G1prime", "G2")
 
 
 def _suite_oracle(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
+    check_qubits(hi, WORD_QUBIT_CAP, "word-level engine")
     out = []
     for n in range(max(lo, 2), min(hi, 5) + 1):
         agree = True
@@ -349,7 +351,7 @@ def _suite_oracle(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
             details[label] = {"sparse": srun.dim, "dense": drun.dim}
             agree = agree and srun.dim == drun.dim
         out.append(CaseResult("dense-vs-sparse-closure", {"n": n}, agree, details))
-    if hi >= 6:
+    if lo <= 6 <= hi:
         run6 = ctx.closure("G2", 6)
         gens6 = preset_generators("G2", 6)
         smoke = dense_closure([densify(g) for g in gens6.members])
@@ -391,6 +393,5 @@ def run_selector(selector: str, n_lo: int | None = None, n_hi: int | None = None
     hi = d_hi if n_hi is None else n_hi
     if lo > hi or lo < 1:
         raise ConstraintError(f"bad range {lo}..{hi}")
-    ctx = RunContext()
-    cases = fn(ctx, lo, hi)
-    return SuiteReport(selector, lo, hi, tuple(cases))
+    cases = fn(RunContext(), lo, hi)
+    return SuiteReport(selector, tuple(cases), (lo, hi))

@@ -79,7 +79,7 @@ def test_criterion_04_central_projection_pattern(ctx):
     """Generators project onto C_mu exactly for mu in 1..floor(k/2); closures conserve orthogonality."""
     rows_checked = 0
     for n in range(2, 9):
-        center = {mu: make_C(mu, n).vec for mu in range(n // 2 + 1)}
+        center = {mu: make_C(mu, n) for mu in range(n // 2 + 1)}
         families = [("G2", None)] + [("Gk", k) for k in range(2, n + 1)]
         for label, k in families:
             gens = preset_generators(label, n, k=k)
@@ -94,7 +94,7 @@ def test_criterion_04_central_projection_pattern(ctx):
     print(f"criterion 4: projection patterns exact; {rows_checked} closure rows stay orthogonal")
 
 
-def test_criterion_05_membership_constraints(ctx):
+def test_criterion_05_membership_residuals(ctx):
     """closure(G2) rows satisfy every mu != 1 membership constraint; C_1 is reachable."""
     for n in range(2, 11):
         run = ctx.closure("G2", n)
@@ -102,7 +102,7 @@ def test_criterion_05_membership_constraints(ctx):
         for row in run.basis.rows():
             for mu in mus:
                 assert membership_residual(row, mu) == 0, (n, mu)
-        c1 = make_C(1, n).vec
+        c1 = make_C(1, n)
         assert run.basis.reduce(c1).is_zero, f"n={n}: C_1 not reachable"
         assert membership_residual(c1, 1) != 0
         assert all(membership_residual(c1, mu) == 0 for mu in mus)
@@ -114,18 +114,18 @@ def test_criterion_06_class_sums_and_spans(ctx):
     matched = 0
     for n in range(1, 7):
         for mu in range(n // 2 + 1):
-            assert densify(make_L(mu, n).vec) == class_sum(mu, n), (n, mu)
+            assert densify(make_L(mu, n)) == class_sum(mu, n), (n, mu)
             matched += 1
     for n in range(1, 9):
         for mu in range(n // 2 + 1):
             lspan, cspan = LieBasis(n), LieBasis(n)
             for j in range(mu + 1):
-                lspan.insert(make_L(j, n).vec)
-                cspan.insert(make_C(j, n).vec)
+                lspan.insert(make_L(j, n))
+                cspan.insert(make_C(j, n))
             assert lspan.dim == cspan.dim == mu + 1, (n, mu)
             for j in range(mu + 1):
-                assert cspan.reduce(make_L(j, n).vec).is_zero, (n, mu, j)
-                assert lspan.reduce(make_C(j, n).vec).is_zero, (n, mu, j)
+                assert cspan.reduce(make_L(j, n)).is_zero, (n, mu, j)
+                assert lspan.reduce(make_C(j, n)).is_zero, (n, mu, j)
     print(f"criterion 6: {matched} class sums reproduced exactly; L/C spans equal, n=1..8")
 
 

@@ -18,8 +18,10 @@ import permlie
 from permlie import make_C, structure
 from permlie.center import CENTER_CAP
 from permlie.cli import build_parser, main, schema_path
+from permlie.oracle import WORD_QUBIT_CAP
+from permlie.schur import SCHUR_BUILD_CAP
 from permlie.structure import FILL_CAP, ORBIT_CAP
-from permlie.symops import ConstraintError
+from permlie.symops import ConstraintError, VerificationError
 
 
 def run(capsys, *argv):
@@ -113,6 +115,13 @@ class TestClose:
         rc, _, err = run(capsys, "close", "--n", "7", "--gens", "G1", "--method", "dense")
         assert rc == 3 and "permlie:" in err
 
+    def test_word_oracle_cap_refuses_before_the_closure(self, capsys):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "close", "--n", "30", "--gens", "G2", "--method", "dense",
+                           "--json", "-")
+        assert rc == 3 and out == "" and f"capped at n <= {WORD_QUBIT_CAP}" in err
+        assert time.perf_counter() - start < 1.0
+
 
 class TestVerify:
     def test_threshold_suite_small_range(self, capsys):
@@ -162,13 +171,52 @@ class TestVerify:
         assert rc == 1 and "permlie:" in err
 
 
+class TestSuiteRanges:
+    """A suite whose every case needs a capped engine refuses a range that
+    ends past the cap, before any work, as the verbs do; no suite passes
+    with its range silently clipped."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("prop1", "--n", str(CENTER_CAP + 1)),
+            ("schur", "--n", str(SCHUR_BUILD_CAP + 1)),
+            ("oracle", "--n", str(WORD_QUBIT_CAP + 1)),
+            ("oracle", "--n-range", f"2..{WORD_QUBIT_CAP + 1}"),
+        ],
+        ids=" ".join,
+    )
+    def test_capped_suites_refuse(self, capsys, argv):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "verify", *argv, "--json", "-")
+        assert rc == 3 and out == "" and "capped at n <= " in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_membership_suite_has_no_cap(self, capsys):
+        rc, payload, _ = run_json(capsys, "verify", "thm4", "--n", "11")
+        assert rc == 0 and payload["ok"] is True
+        assert [(c["params"], c["ok"]) for c in payload["cases"]] == [({"n": 11}, True)]
+        assert payload["cases"][0]["details"]["residuals_checked"] > 0
+
+    def test_oracle_smoke_case_only_inside_the_range(self, capsys):
+        _, payload, _ = run_json(capsys, "verify", "oracle", "--n-range", "4..5")
+        assert [c["params"]["n"] for c in payload["cases"]] == [4, 5]
+
+    def test_schur_suite_certifies_control_at_every_n(self, capsys):
+        rc, payload, _ = run_json(capsys, "verify", "schur", "--n", "6")
+        assert rc == 0
+        (case,) = [c for c in payload["cases"] if c["name"] == "sector-decomposition"]
+        control = case["details"]["subspace_control"]
+        assert control["controllable"] is True and control["consistent"] is True
+
+
 class TestCenter:
     def test_verification_and_emission(self, capsys):
         rc, payload, _ = run_json(capsys, "center", "--n", "6", "--emit", "C")
         assert rc == 0 and payload["ok"] is True
         assert payload["command"] == "center"
         assert sorted(payload["emitted"]["C"]) == ["0", "1", "2", "3"]
-        assert payload["emitted"]["C"]["2"] == make_C(2, 6).vec.to_jsonable()
+        assert payload["emitted"]["C"]["2"] == make_C(2, 6).to_jsonable()
         jsonschema.validate(payload, load_schema("verify_report"))
 
     def test_emit_single_mu(self, capsys):
@@ -223,6 +271,29 @@ class TestSchur:
     def test_build_cap_exit_code(self, capsys):
         rc, _, err = run(capsys, "schur", "--n", "9")
         assert rc == 3 and "permlie:" in err
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (("schur", "--n", "4", "--check-blocks"), "block-structure"),
+            (("verify", "schur", "--n", "4"), "sector-decomposition"),
+        ],
+        ids=["verb", "suite"],
+    )
+    def test_block_violation_is_a_failed_case(self, capsys, monkeypatch, argv, name):
+        from permlie import schur
+
+        def violated(v, st, tol=schur.BLOCK_TOL):
+            raise VerificationError("block pattern violated in sector mu=1: deviation 1.00e+00")
+
+        monkeypatch.setattr(schur, "block_project", violated)
+        rc, payload, _ = run_json(capsys, *argv)
+        assert rc == 2 and payload["ok"] is False
+        (case,) = [c for c in payload["cases"] if c["name"] == name]
+        assert case["ok"] is False
+        assert case["details"]["block_pattern"].startswith("block pattern violated in sector mu=1")
+        assert "subspace_control" not in case["details"]
+        jsonschema.validate(payload, load_schema("verify_report"))
 
 
 class TestTable:

@@ -8,7 +8,13 @@ chain) somewhere else in the module.
 Dead names: every module-level function, class and assigned name of
 src/permlie/*.py, dunders aside, must occur as a code token (not in a string
 or comment) somewhere besides its definition, in src/permlie or tests/.
-A re-export from `__init__.py` counts as a use.  Standard library only.
+A re-export from `__init__.py` counts as a use.
+
+Dead members: every method, property and annotated field of a class in
+src/permlie, dunders aside, must be read as an attribute (`x.name`) or
+passed as a keyword (`f(name=...)`) somewhere in src/permlie or tests/.
+Members that a library calls by name are allow-listed.  Standard library
+only.
 """
 
 import ast
@@ -104,3 +110,80 @@ def test_detector_flags_a_dead_name():
         "    pass\n"
     )
     assert dead_names(source, code_names(source)) == ["DEAD", "Gone", "unused"]
+
+
+# Members called by a library rather than by permlie code.
+CALLED_BY_LIBRARY = {"_Parser.error"}  # argparse's error hook
+
+
+def class_members(source: str) -> list[str]:
+    """'Class.member' for each method, property and annotated field of every
+    class, dunders aside."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = item.name
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                name = item.target.id
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                out.append(f"{node.name}.{name}")
+    return out
+
+
+def member_uses(source: str) -> set[str]:
+    """Names read as attributes, or passed as keyword arguments, in source."""
+    uses = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            uses.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            uses.add(node.arg)
+    return uses
+
+
+def dead_members(module_source: str, uses: set[str]) -> list[str]:
+    return sorted(
+        m for m in class_members(module_source)
+        if m.split(".")[1] not in uses and m not in CALLED_BY_LIBRARY
+    )
+
+
+@pytest.fixture(scope="module")
+def uses():
+    total = set()
+    for path in SOURCES + sorted((ROOT / "tests").glob("*.py")):
+        total |= member_uses(path.read_text())
+    return total
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dead_members(path, uses):
+    assert dead_members(path.read_text(), uses) == []
+
+
+def test_detector_flags_a_dead_member():
+    source = (
+        "class Run:\n"
+        "    dim: int\n"
+        "    steps: int\n"
+        "    size = 3\n"
+        "    def __len__(self):\n"
+        "        return self.dim\n"
+        "    @property\n"
+        "    def live(self):\n"
+        "        return self.dim\n"
+        "    def gone(self):\n"
+        "        self.steps = 0\n"
+        "        return 'steps'\n"
+        "def f(run):\n"
+        "    return Run(steps=run.live)\n"
+        "class _Parser:\n"
+        "    def error(self, message):\n"
+        "        pass\n"
+    )
+    assert dead_members(source, member_uses(source)) == ["Run.gone"]

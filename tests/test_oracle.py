@@ -126,7 +126,7 @@ class TestDensify:
         assert got.coeffs == {w: 1 for w in expected_words}
 
     def test_first_center_element_on_two_qubits(self):
-        got = densify(make_C(1, 2).vec)
+        got = densify(make_C(1, 2))
         pairs = {letters_to_word((a, a)): 2 for a in (1, 2, 3)}
         assert got.coeffs == pairs
 
@@ -179,7 +179,7 @@ class TestDenseBracket:
     def test_center_element_is_a_dense_annihilator(self):
         n = 4
         rng = random.Random(5)
-        c2 = densify(make_C(2, n).vec)
+        c2 = densify(make_C(2, n))
         ts = all_triples(n)
         v = SymOpVector(n, {t: rng.randint(-4, 4) for t in rng.sample(ts, 7)})
         assert dense_bracket(c2, densify(v)).is_zero
@@ -211,12 +211,6 @@ class TestDenseClosure:
         gens = preset_generators(label, n, k=k)
         dense = dense_closure(densify(g) for g in gens.members)
         assert dense.dim == ctx.closure(label, n, k).dim
-
-    def test_step_budget_gives_monotone_lower_bound(self):
-        seeds = [densify(g) for g in preset_generators("G2", 3).members]
-        capped = dense_closure(seeds, max_steps=10)
-        assert 3 <= capped.dim <= 19
-        assert capped.iterations <= 10
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ConstraintError):
@@ -256,4 +250,4 @@ class TestClassSums:
     def test_matches_closed_form_through_six_qubits(self):
         for n in range(1, 7):
             for mu in range(n // 2 + 1):
-                assert class_sum(mu, n) == densify(make_L(mu, n).vec)
+                assert class_sum(mu, n) == densify(make_L(mu, n))

@@ -159,7 +159,7 @@ class TestBlockProjection:
     def test_center_elements_are_sector_scalars(self, n):
         st = build_schur_transform(n)
         for mu in range(n // 2 + 1):
-            blocks = block_project(make_C(mu, n).vec, st)
+            blocks = block_project(make_C(mu, n), st)
             for b, a in zip(st.blocks, blocks):
                 scalar = np.trace(a).real / b.m
                 assert np.abs(a - scalar * np.eye(b.m)).max() < 1e-9
@@ -167,7 +167,7 @@ class TestBlockProjection:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_first_center_scalars_match_content_formula(self, n):
         st = build_schur_transform(n)
-        blocks = block_project(make_C(1, n).vec, st)
+        blocks = block_project(make_C(1, n), st)
         for b, a in zip(st.blocks, blocks):
             assert np.trace(a).real / b.m == pytest.approx(
                 content_scalar_c1(b.mu, n), abs=1e-9
@@ -175,7 +175,7 @@ class TestBlockProjection:
 
     def test_second_center_scalars_four_qubits(self):
         st = build_schur_transform(4)
-        blocks = block_project(make_C(2, 4).vec, st)
+        blocks = block_project(make_C(2, 4), st)
         scalars = [np.trace(a).real / b.m for b, a in zip(st.blocks, blocks)]
         assert scalars == pytest.approx([12.0, -20.0, 60.0], abs=1e-9)
 
@@ -267,7 +267,7 @@ class TestBlockPatternDetector:
 
 def orthogonalized_traceless_basis(n: int) -> LieBasis:
     """Span of all triples with every central direction projected out."""
-    center = [make_C(mu, n).vec for mu in range(n // 2 + 1)]
+    center = [make_C(mu, n) for mu in range(n // 2 + 1)]
     norms = [trace_inner(c, c) for c in center]
     basis = LieBasis(n)
     for t in all_triples(n):

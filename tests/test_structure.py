@@ -172,7 +172,7 @@ class TestBracketVectors:
     def test_center_element_annihilates_everything(self, ctx):
         n = 4
         table = ctx.table(n)
-        c1 = make_C(1, n).vec
+        c1 = make_C(1, n)
         rng = random.Random(11)
         ts = all_triples(n)
         v = SymOpVector(n, {t: rng.randint(-9, 9) for t in rng.sample(ts, 6)})

@@ -217,7 +217,7 @@ class TestTraceInner:
         assert trace_inner(u, v) == 0
 
     def test_center_element_projection(self):
-        c1 = make_C(1, 2).vec
+        c1 = make_C(1, 2)
         zz = SymOpVector.unit((0, 0, 2), 2)
         assert trace_inner(c1, zz) == 8
         assert dense_frobenius(c1, zz) == pytest.approx(8)
