@@ -5,7 +5,10 @@ Pauli strings P_(kx,ky,kz); this package computes their commutators with
 exact integer structure constants, takes Lie closures of generator sets,
 verifies the centralizer and class-sum identities, certifies universality
 verdicts, and cross-checks everything against an independent word-level
-oracle and a numerical spin-coupling decomposition.
+oracle.  Spin sectors are exact too: the block of every P_t on each sector
+is an integer matrix read off one generating polynomial (permlie.schur), so
+the sector-control certificate is a rank over the rationals.  The package
+uses the standard library only.
 """
 
 from .center import (
@@ -47,6 +50,14 @@ from .oracle import (
     orbit_words,
     symmetrize,
 )
+from .schur import (
+    IsotypicBlock,
+    SubspaceControlReport,
+    certify_subspace_control,
+    isotypic_table,
+    sector_blocks,
+    sector_check,
+)
 from .structure import StructureTable, compare_tables, orbit_bracket
 from .symops import (
     AmbientDims,
@@ -73,25 +84,3 @@ from .symops import (
 from .verify import SELECTORS, SuiteReport, run_selector
 
 __version__ = "0.1.0"
-
-# The sector layer is the only user of numpy; it is imported on first use so
-# that every other verb starts without loading numpy.
-_SCHUR_NAMES = frozenset(
-    {
-        "IsotypicBlock",
-        "SchurTransform",
-        "SubspaceControlReport",
-        "block_project",
-        "build_schur_transform",
-        "certify_subspace_control",
-        "isotypic_table",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _SCHUR_NAMES:
-        from . import schur
-
-        return getattr(schur, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

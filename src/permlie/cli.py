@@ -3,18 +3,20 @@
 Five verbs: `close` runs one exact Lie closure and reports dimensions,
 verdicts, and residuals; `verify` runs a named suite over a range of qubit
 counts; `center` verifies the centralizer and optionally emits coefficient
-tables; `schur` builds the coupled basis and checks block structure;
-`table` builds the full structure-constant table and, with --compare,
-checks every entry against the orbit-expansion reference engine.  Every
-verb brackets with the one overlap-count engine of StructureTable.
+tables; `schur` lists the spin sectors and, with --check-blocks, checks the
+exact sector blocks and certifies sector control of a closure; `table`
+builds the full structure-constant table and, with --compare, checks every
+entry against the orbit-expansion reference engine.  Every verb brackets
+with the one overlap-count engine of StructureTable.
 
 `close` reports one closure.  Every other verb builds verify.CaseResults
 and hands them to _report, the one function that turns cases into the JSON
 payload, the human lines and the exit code.
 
-Exit codes: 0 success, 1 usage or precondition error (or a reader that
-closed stdout early), 2 verification failure or prediction mismatch, 3
-resource-cap refusal, made before any work and with nothing on stdout.
+Exit codes: 0 success, 1 usage or precondition error (an unwritable
+report path, or a reader that closed stdout early, included), 2
+verification failure or prediction mismatch, 3 resource-cap refusal, made
+before any work and with nothing on stdout.
 Reports are JSON (`--json PATH`, `-` for stdout) with exact rationals as
 'p/q' strings.  Structure tables live in memory for one run only; none is
 read from or written to disk.
@@ -32,6 +34,7 @@ from importlib import resources
 from .center import make_C, make_L
 from .closure import build_report, lie_closure
 from .oracle import dense_closure, densify
+from .schur import SECTOR_CAP, isotypic_table, sector_check
 from .structure import StructureTable, compare_tables
 from .symops import (
     ConstraintError,
@@ -39,6 +42,7 @@ from .symops import (
     ResourceLimitError,
     VerificationError,
     ambient_dims,
+    check_qubits,
     parse_generator_spec,
 )
 from .verify import SELECTORS, CaseResult, SuiteReport, centralizer_case, run_selector
@@ -96,12 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ce)
     ce.set_defaults(func=cmd_center)
 
-    s = sub.add_parser("schur", help="build the coupled basis and check block structure")
+    s = sub.add_parser("schur", help="list the spin sectors and check the exact sector blocks")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--gens", default="G2", help="generators for --check-blocks (default G2)")
+    s.add_argument("--gens", help="generators for --check-blocks (default G2)")
     s.add_argument("--check-blocks", action="store_true",
-                   help="project the closure of --gens and certify sector spans")
-    s.add_argument("--emit-transform", metavar="PATH", help="write the orthogonal matrix as JSON")
+                   help="check the exact sector blocks and certify the sector spans "
+                        "of the closure of --gens")
     _add_common(s)
     s.set_defaults(func=cmd_schur)
 
@@ -214,6 +218,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_center(args) -> int:
+    if args.mu is not None and args.emit == "none":
+        raise UsageError("--mu needs --emit C or --emit L")
     case = centralizer_case(args.n)
     extra = {}
     if args.emit != "none":
@@ -230,32 +236,20 @@ def cmd_center(args) -> int:
 
 
 def cmd_schur(args) -> int:
-    from . import schur
-
-    st = schur.build_schur_transform(args.n)
-    blocks = [[b.mu, b.d, b.m] for b in st.blocks]
+    if args.gens is not None and not args.check_blocks:
+        raise UsageError("--gens needs --check-blocks")
+    check_qubits(args.n, SECTOR_CAP, "sector analysis")
+    blocks = [[b.mu, b.d, b.m] for b in isotypic_table(args.n)]
     cases = [CaseResult("sector-table", {"n": args.n}, True, {"blocks": blocks})]
     if args.check_blocks:
-        gens = parse_generator_spec(args.gens, args.n)
+        gens = parse_generator_spec(args.gens or "G2", args.n)
         run = lie_closure(gens)
-        found, rep = schur.sector_check(run.basis, st)
+        found, rep = sector_check(run.basis)
         cases.append(
             CaseResult("block-structure", {"n": args.n, "gens": gens.label},
                        rep is not None and rep.consistent,
                        {"rows_projected": run.dim, **found})
         )
-    if args.emit_transform:
-        with open(args.emit_transform, "w") as fh:
-            json.dump(
-                {
-                    "n": st.n,
-                    "blocks": blocks,
-                    "offsets": list(st.offsets),
-                    "paths": [[list(p) for p in sector] for sector in st.paths],
-                    "matrix": st.matrix.tolist(),
-                },
-                fh,
-            )
     return _report(args, "schur", SuiteReport("schur", tuple(cases)),
                    f"schur @ n={args.n}: sectors {blocks}")
 
@@ -312,6 +306,9 @@ def main(argv: list[str] | None = None) -> int:
         # The reader closed stdout early (`| head`).  Send what is still
         # buffered to os.devnull, so the flush at exit cannot fail again.
         _stdout_to_devnull()
+        return 1
+    except OSError as exc:  # after BrokenPipeError, which is one
+        print(f"permlie: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,51 +1,67 @@
-"""Numerical spin-coupling transform and isotypic block analysis.
+"""Exact sector blocks of permutation-equivariant operators.
 
-Equivariant operators are simultaneously block-diagonalized by the basis of
-total-spin eigenstates built from sequential angular-momentum coupling.  Each
-sector mu carries d paths of multiplicity m = n - 2*mu + 1; an equivariant
-operator acts as identity across paths and an arbitrary m x m matrix on the
-magnetic index.  This module builds the orthogonal change of basis (floats),
-projects operators onto their per-sector blocks, and certifies that a closure
-basis fills the traceless part of every sector.
+By Schur-Weyl duality the n-qubit space splits into sectors mu = 0..n//2:
+total spin n/2 - mu, multiplicity m = q + 1 with q = n - 2*mu, repeated d
+times.  An equivariant operator acts on every copy of sector mu as one
+m x m block A_mu.  One copy is spanned by the unnormalized states
 
-The dense matrix of P_t is a sum of signed permutation matrices, one per word
-of the orbit: a word with X-or-Y mask x, Y-or-Z mask z and ny Y letters maps
-|i> to i**ny * (-1)**popcount(i & z) |i ^ x>, so each word costs one update of
-2^n entries and the entries stay exact small Gaussian integers.  This is the
-only module that uses numpy; the package imports it on first use.
+    psi_w = (|01> - |10>)^(x)mu (x) D_w,    w = 0..q,
 
-Everything upstream of this module is exact; the float tolerances here are
-diagnostics on top of already-proven integer arithmetic.
+where D_w is the Dicke state (the plain sum of basis states) with w ones on
+the last q qubits.  With A = I + xX + yY + zZ = [[1+z, x-u], [x+u, 1-z]]
+and u = iy, A (x) A scales the singlet by det A, so
+
+    <psi_w'| A^(x)n |psi_w> = (2 det A)^mu C(q,w)
+        sum_j C(w,j) C(q-w,w'-j) a11^j a01^(w-j) a10^(w'-j) a00^(q-w-w'+j).
+
+The x^kx u^ky z^kz coefficient of this integer polynomial is G_mu(t)[w', w],
+and the Gram matrix of the psi_w is D^2 = diag(2^mu C(q,w)), so
+A_mu(P_t) = i^ky D^-1 G_mu(t) D^-1.  Every block is exact: no float or
+complex number is needed.
+
+Closed form.  Expanding (2 det A)^mu = 2^mu sum_i C(mu,i) (-1)^i
+(a01 a10)^i (a00 a11)^(mu-i), every term is a01^b a10^a a00^c a11^e with
+a = w'+r, b = w+r, e = mu-r, c = q-w-w'+e and r = i-j.  Its x^kx u^ky z^kz
+coefficient is K(a,b,ky) K(c,e,kz) when kx+ky = a+b, with the Krawtchouk
+numbers K(a,b,k) = [y^k] (1+y)^a (1-y)^b.  So the triple fixes r, and each
+entry of G_mu(t) is one product W_mu(w',w,r) K(a,b,ky) K(c,e,kz).
+
+Checks.  sector_check tests every triple's blocks for Hermiticity and two
+exact sum rules: the trace, sum_mu d_mu tr A_mu(P_t) = 2^n [t = 0], and the
+norm, sum_mu d_mu tr A_mu(P_t)^2 = 2^n orbit_size(t).  Any one wrong table
+entry fails one of the three.  certify_subspace_control ranks the blocks of a closure basis
+over the rationals: A -> D A D is an invertible real-linear map that sends
+I to D^2, so the span of the D A_mu(row) D joined with D^2 has dimension one
+more than the span of the traceless parts of the A_mu(row).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from math import comb, sqrt
-from typing import Sequence
-
-import numpy as np
+from fractions import Fraction
+from math import comb, lcm
+from typing import NamedTuple
 
 from .closure import LieBasis
-from .oracle import orbit_words, word_letters
+from .linalg import SparseEchelon, rank_of
 from .symops import (
     ConstraintError,
-    DimensionMismatch,
     PauliTriple,
-    SymOpVector,
     VerificationError,
+    all_triples,
     check_qubits,
+    orbit_size,
 )
 
-SCHUR_BUILD_CAP = 8
-UNITARITY_TOL = 1e-12
-BLOCK_TOL = 1e-9
-RANK_TOL = 1e-8
+SECTOR_CAP = 30
+
+Block = dict[int, int]  # entry w' * (q + 1) + w -> nonzero integer
+
+# The records below are NamedTuples, not frozen dataclasses: every verb
+# imports this module, and a NamedTuple class is several times cheaper to
+# create.
 
 
-@dataclass(frozen=True)
-class IsotypicBlock:
+class IsotypicBlock(NamedTuple):
     """One total-spin sector: multiplicity m acted on, d identical copies."""
 
     mu: int
@@ -69,190 +85,106 @@ def isotypic_table(n: int) -> tuple[IsotypicBlock, ...]:
     return tuple(blocks)
 
 
-@dataclass(frozen=True)
-class SchurTransform:
-    """Orthogonal matrix whose columns are coupled total-spin states.
-
-    Columns are grouped by sector (mu ascending), then by coupling path in
-    lexicographic order of the doubled-spin tuples, then by magnetic index
-    descending.  Within a sector the layout is path-major, so an equivariant
-    operator conjugates to identity_d (x) A_mu."""
-
-    n: int
-    matrix: np.ndarray
-    blocks: tuple[IsotypicBlock, ...]
-    offsets: tuple[int, ...]
-    paths: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def sector_slice(self, mu: int) -> slice:
-        b = self.blocks[mu]
-        o = self.offsets[mu]
-        return slice(o, o + b.d * b.m)
-
-
-def build_schur_transform(n: int) -> SchurTransform:
-    """Sequential pairwise coupling of n spin-1/2 factors.
-
-    Uses the standard real recoupling coefficients, |0> as the up state, and
-    appends each new qubit as the least significant index factor.  The result
-    is validated against the sector table and checked orthonormal to
-    UNITARITY_TOL before being returned.
-    """
-    check_qubits(n, SCHUR_BUILD_CAP, "coupled-basis construction")
-    if n < 1:
-        raise ConstraintError("qubit count must be positive")
-    # path -> list of state vectors, magnetic index descending
-    states: dict[tuple[int, ...], list[np.ndarray]] = {
-        (1,): [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    }
-    for m in range(1, n):
-        nxt: dict[tuple[int, ...], list[np.ndarray]] = {}
-        dim = 1 << (m + 1)
-        for path, vecs in states.items():
-            j2 = path[-1]
-            den = 2 * (j2 + 1)
-            for j2n in (j2 + 1, j2 - 1):
-                if j2n < 0:
-                    continue
-                newvecs = []
-                for idx in range(j2n + 1):
-                    m2n = j2n - 2 * idx
-                    vec = np.zeros(dim)
-                    if abs(m2n - 1) <= j2:
-                        num = j2 + m2n + 1 if j2n > j2 else j2 - m2n + 1
-                        c = sqrt(num / den) if j2n > j2 else -sqrt(num / den)
-                        vec[0::2] = c * vecs[(j2 - (m2n - 1)) // 2]
-                    if abs(m2n + 1) <= j2:
-                        num = j2 - m2n + 1 if j2n > j2 else j2 + m2n + 1
-                        vec[1::2] = sqrt(num / den) * vecs[(j2 - (m2n + 1)) // 2]
-                    newvecs.append(vec)
-                nxt[path + (j2n,)] = newvecs
-        states = nxt
-
-    blocks = isotypic_table(n)
-    size = 1 << n
-    matrix = np.zeros((size, size))
-    offsets = []
-    sector_paths = []
-    col = 0
-    for b in blocks:
-        offsets.append(col)
-        j2_final = n - 2 * b.mu
-        paths = sorted(p for p in states if p[-1] == j2_final)
-        if len(paths) != b.d:
-            raise VerificationError(
-                f"sector mu={b.mu} produced {len(paths)} paths, expected {b.d}"
-            )
-        sector_paths.append(tuple(paths))
-        for p in paths:
-            for vec in states[p]:
-                matrix[:, col] = vec
-                col += 1
-    gram_err = np.abs(matrix.T @ matrix - np.eye(size)).max()
-    if gram_err > UNITARITY_TOL:
-        raise VerificationError(f"coupled basis not orthonormal: deviation {gram_err:.2e}")
-    return SchurTransform(n, matrix, blocks, tuple(offsets), tuple(sector_paths))
-
-
-_PHASE = (1, 1j, -1, -1j)
-
-
-@lru_cache(maxsize=None)
-def _class_matrix(t: PauliTriple, n: int) -> np.ndarray:
-    """Dense matrix of the symmetrized string P_t (float precision).
-
-    Each word is a signed permutation matrix: with x the mask of its X or Y
-    letters, z the mask of its Y or Z letters and ny its Y count (qubit j on
-    index bit n-1-j), it maps |i> to i**ny * (-1)**popcount(i & z) |i ^ x>.
-    """
-    size = 1 << n
-    idx = np.arange(size)
-    parity = np.zeros(size, dtype=int)
-    for j in range(n):
-        parity ^= (idx >> j) & 1
-    sign = 1 - 2 * parity  # (-1)**popcount(k)
-    out = np.zeros((size, size), dtype=complex)
-    for w in orbit_words(t, n):
-        x = z = ny = 0
-        for j, letter in enumerate(word_letters(w, n)):
-            bit = 1 << (n - 1 - j)
-            if letter in (1, 2):
-                x |= bit
-            if letter in (2, 3):
-                z |= bit
-            ny += letter == 2
-        out[idx ^ x, idx] += _PHASE[ny & 3] * sign[idx & z]
+def _krawtchouk(a: int, b: int) -> list[tuple[int, int]]:
+    """Nonzero (k, [y^k] (1+y)^a (1-y)^b)."""
+    out = []
+    for k in range(a + b + 1):
+        v = sum(comb(a, i) * comb(b, k - i) * (-1) ** (k - i)
+                for i in range(max(0, k - b), min(a, k) + 1))
+        if v:
+            out.append((k, v))
     return out
 
 
-def dense_matrix(v: SymOpVector) -> np.ndarray:
-    """Matrix of the Hermitian part sum_t c_t P_t (the i factor dropped)."""
-    size = 1 << v.n
-    out = np.zeros((size, size), dtype=complex)
-    for t, c in v.items():
-        out += float(c) * _class_matrix(t, v.n)
-    return out
+def sector_blocks(n: int) -> tuple[dict[PauliTriple, Block], ...]:
+    """G_mu(t) for every sector mu (the tuple index) and every triple t.
 
-
-def permutation_matrix(perm: Sequence[int], n: int) -> np.ndarray:
-    """Qubit-relabeling operator sending slot j to slot perm[j].
-
-    Slot 0 is the most significant index bit, matching the coupling order.
+    Block mu of P_t is i**ky * D^-1 G D^-1, with G read off the dict as
+    G[w', w] = blocks[mu][t].get(w' * (q + 1) + w, 0); see the module
+    docstring for the closed form.
     """
-    if sorted(perm) != list(range(n)):
-        raise ConstraintError("perm must be a permutation of range(n)")
-    size = 1 << n
-    out = np.zeros((size, size))
-    for i in range(size):
-        bits = [(i >> (n - 1 - j)) & 1 for j in range(n)]
-        k = 0
-        for j, bit in enumerate(bits):
-            k |= bit << (n - 1 - perm[j])
-        out[k, i] = 1.0
-    return out
+    check_qubits(n, SECTOR_CAP, "sector analysis")
+    memo: dict[tuple[int, int], list[tuple[int, int]]] = {}
+
+    def kraw(a: int, b: int) -> list[tuple[int, int]]:
+        if (a, b) not in memo:
+            memo[a, b] = _krawtchouk(a, b)
+        return memo[a, b]
+
+    out = []
+    for b in isotypic_table(n):
+        mu, q = b.mu, b.m - 1
+        table: dict[PauliTriple, Block] = {t: {} for t in all_triples(n)}
+        for wp in range(b.m):
+            for w in range(b.m):
+                # W(r) = 2^mu C(q,w) sum_{i-j=r} C(mu,i) (-1)^i C(w,j) C(q-w,w'-j)
+                weight: dict[int, int] = {}
+                for j in range(min(w, wp) + 1):
+                    cj = comb(w, j) * comb(q - w, wp - j) * comb(q, w) << mu
+                    for i in range(mu + 1):
+                        weight[i - j] = weight.get(i - j, 0) + (-1) ** i * comb(mu, i) * cj
+                key = wp * b.m + w
+                for r, c in weight.items():
+                    a, bb, e = wp + r, w + r, mu - r
+                    f = q - w - wp + e
+                    if not c or min(a, bb, e, f) < 0:
+                        continue
+                    zs = kraw(f, e)
+                    for ky, vy in kraw(a, bb):
+                        cy = c * vy
+                        kx = a + bb - ky
+                        for kz, vz in zs:
+                            table[kx, ky, kz][key] = cy * vz
+        out.append(table)
+    return tuple(out)
 
 
-def block_project(
-    v: SymOpVector, st: SchurTransform, tol: float = BLOCK_TOL
-) -> list[np.ndarray]:
-    """Per-sector m x m blocks of an equivariant operator.
+def _scales(b: IsotypicBlock) -> tuple[int, list[int]]:
+    """(L, [L / C(q,w)]) with L the lcm of the C(q,w): integer D^-2 up to 2^mu L."""
+    binoms = [comb(b.m - 1, w) for w in range(b.m)]
+    big = lcm(*binoms)
+    return big, [big // c for c in binoms]
 
-    Conjugates by the coupled basis and checks the exact block pattern: zero
-    between sectors, identical copies across paths within a sector.  Any
-    off-pattern magnitude above tol raises, since equivariant inputs cannot
-    produce one without an upstream bug.
+
+def block_violation(n: int, blocks: tuple[dict[PauliTriple, Block], ...]) -> str | None:
+    """First triple whose blocks are not Hermitian or break a sum rule, as a
+    message, or None.
+
+    Over the full space, tr P_t = 2^n [t = 0] and tr P_t^2 = 2^n orbit_size(t),
+    and the trace of an operator is sum_mu d_mu tr A_mu.  With
+    A_mu = i^ky D^-1 G D^-1, A_mu is Hermitian when G[w, w'] = (-1)^ky G[w', w];
+    then tr A_mu = i^ky tr(D^-2 G) and tr A_mu^2 = sum G[w', w]^2 / (D^2[w'] D^2[w]).
+    Any one wrong entry fails one of the three.
     """
-    if v.n != st.n:
-        raise DimensionMismatch("vector and transform disagree on qubit count")
-    S = st.matrix.T @ dense_matrix(v) @ st.matrix
-    blocks = []
-    for b in st.blocks:
-        sl = st.sector_slice(b.mu)
-        inside = S[sl, sl].reshape(b.d, b.m, b.d, b.m)
-        mean = np.trace(inside, axis1=0, axis2=2) / b.d
-        # copy (p, q) must be mean when p == q and zero otherwise
-        pattern = np.eye(b.d)[:, None, :, None] * mean[None, :, None, :]
-        worst = np.abs(inside - pattern).max()
-        # cross-sector leakage
-        before = np.abs(S[sl, : sl.start]).max() if sl.start else 0.0
-        after = np.abs(S[sl, sl.stop :]).max() if sl.stop < S.shape[1] else 0.0
-        worst = max(worst, before, after)
-        if worst > tol:
-            raise VerificationError(
-                f"block pattern violated in sector mu={b.mu}: deviation {worst:.2e}"
-            )
-        blocks.append(mean)
-    return blocks
+    sectors = isotypic_table(n)
+    # per sector: L, then for each entry k = (w', w) its transpose and L^2 D^-2[w'] D^-2[w]
+    layout = []
+    for b in sectors:
+        big, inv = _scales(b)
+        pairs = [divmod(k, b.m) for k in range(b.m * b.m)]
+        layout.append((big, inv, [w * b.m + wp for wp, w in pairs],
+                       [inv[wp] * inv[w] for wp, w in pairs]))
+    for t in all_triples(n):
+        sign = (-1) ** t.ky
+        tr1 = tr2 = Fraction(0)
+        for b, (big, inv, transpose, weight), table in zip(sectors, layout, blocks):
+            g = table[t]
+            if any(g.get(transpose[k]) != sign * v for k, v in g.items()):
+                return f"block of P_({t.text()}) in sector mu={b.mu} is not Hermitian"
+            s1 = sum(g.get(w * (b.m + 1), 0) * inv[w] for w in range(b.m))
+            s2 = sum(v * v * weight[k] for k, v in g.items())
+            tr1 += Fraction(b.d * s1, big << b.mu)
+            tr2 += Fraction(b.d * s2, big * big << 2 * b.mu)
+        want1 = 2**n if t.level == 0 else 0
+        if tr1 != want1:
+            return f"trace sum rule fails at P_({t.text()}): {tr1} != {want1}"
+        want2 = 2**n * orbit_size(t, n)
+        if tr2 != want2:
+            return f"norm sum rule fails at P_({t.text()}): {tr2} != {want2}"
+    return None
 
 
-def _traceless_coords(a: np.ndarray) -> np.ndarray:
-    m = a.shape[0]
-    t = a - (np.trace(a) / m) * np.eye(m)
-    return np.concatenate([t.real.ravel(), t.imag.ravel()])
-
-
-@dataclass(frozen=True)
-class SectorSpan:
+class SectorSpan(NamedTuple):
     mu: int
     m: int
     span_dim: int
@@ -263,8 +195,7 @@ class SectorSpan:
         return self.span_dim == self.su_dim
 
 
-@dataclass(frozen=True)
-class SubspaceControlReport:
+class SubspaceControlReport(NamedTuple):
     """Per-sector image of a closure basis under the block projection."""
 
     n: int
@@ -302,54 +233,70 @@ class SubspaceControlReport:
 
 
 def certify_subspace_control(
-    basis: LieBasis, st: SchurTransform | None = None, tol: float = RANK_TOL
+    basis: LieBasis, blocks: tuple[dict[PauliTriple, Block], ...] | None = None
 ) -> SubspaceControlReport:
     """Measure how much of each sector's traceless algebra a basis reaches.
 
-    Projects every basis row into its sector blocks and computes real ranks.
-    The span dimensions plus the rank of the per-sector trace tuples must add
-    up to the exact closure dimension; that cross-check ties the float ranks
-    back to proven integer arithmetic.
+    Per sector, the integer blocks G_mu(row) (real and imaginary parts) are
+    ranked exactly together with D^2, the image of the identity; the span
+    dimension is that rank less one.  The blocks are Hermitian, so the rank
+    stops growing at m^2 and later rows are skipped.  The span dimensions
+    plus the rank of the per-sector traces must add up to the closure
+    dimension.  blocks defaults to sector_blocks(basis.n).
     """
-    check_qubits(basis.n, SCHUR_BUILD_CAP, "sector-span certification")
-    if st is None:
-        st = build_schur_transform(basis.n)
-    if st.n != basis.n:
-        raise DimensionMismatch("basis and transform disagree on qubit count")
-    rows = basis.rows()
-    per_sector: list[list[np.ndarray]] = [[] for _ in st.blocks]
-    traces = []
-    for row in rows:
-        blocks = block_project(row, st)
-        traces.append([np.trace(a).real for a in blocks])
-        for i, a in enumerate(blocks):
-            per_sector[i].append(_traceless_coords(a))
+    n = basis.n
+    if blocks is None:
+        blocks = sector_blocks(n)
+    rows = []
+    for row in basis.rows():
+        scale = lcm(*(c.denominator for _, c in row.items()))
+        rows.append([(t, int(c * scale)) for t, c in row.items()])
+    traces: list[dict[int, Fraction]] = [{} for _ in rows]
     sectors = []
-    for b, vecs in zip(st.blocks, per_sector):
-        mat = np.array(vecs)
-        span = int(np.linalg.matrix_rank(mat, tol)) if mat.size else 0
-        sectors.append(SectorSpan(b.mu, b.m, span, b.m * b.m - 1))
-    tr = np.array(traces)
-    trace_rank = int(np.linalg.matrix_rank(tr, tol)) if tr.size else 0
+    for b, table in zip(isotypic_table(n), blocks):
+        big, inv = _scales(b)
+        # real trace of the orthonormal block, times 2^mu L; zero for odd ky
+        tr = {
+            t: (-1) ** (t.ky // 2) * sum(g.get(w * (b.m + 1), 0) * inv[w] for w in range(b.m))
+            for t, g in table.items()
+            if t.ky % 2 == 0
+        }
+        ech = SparseEchelon()
+        ech.insert({2 * w * (b.m + 1): comb(b.m - 1, w) for w in range(b.m)})
+        for row, row_tr in zip(rows, traces):
+            s = sum(c * tr.get(t, 0) for t, c in row)
+            if s:
+                row_tr[b.mu] = Fraction(s, big << b.mu)
+            if ech.rank == b.m * b.m:
+                continue
+            acc: dict[int, int] = {}
+            for t, c in row:
+                part = t.ky & 1  # i^ky: real for even ky, imaginary for odd
+                c = -c if t.ky & 2 else c
+                for k, v in table[t].items():
+                    k = 2 * k + part
+                    acc[k] = acc.get(k, 0) + c * v
+            ech.insert(acc)  # zero entries are dropped there
+        sectors.append(SectorSpan(b.mu, b.m, ech.rank - 1, b.m * b.m - 1))
     return SubspaceControlReport(
-        n=basis.n,
+        n=n,
         closure_dim=len(rows),
         sectors=tuple(sectors),
-        trace_rank=trace_rank,
+        trace_rank=rank_of(traces),
     )
 
 
-def sector_check(
-    basis: LieBasis, st: SchurTransform
-) -> tuple[dict, SubspaceControlReport | None]:
-    """certify_subspace_control as report details: (details, report).
+def sector_check(basis: LieBasis) -> tuple[dict, SubspaceControlReport | None]:
+    """block_violation and certify_subspace_control as report details:
+    (details, report).
 
-    Each row is projected once.  A block-pattern violation is a finding, not
-    an error here: details then name it under block_pattern and report is
+    The block table is built once.  A violation is a finding, not an error
+    here: details then name the triple under block_pattern and report is
     None.
     """
-    try:
-        rep = certify_subspace_control(basis, st)
-    except VerificationError as exc:
-        return {"block_pattern": str(exc)}, None
+    blocks = sector_blocks(basis.n)
+    bad = block_violation(basis.n, blocks)
+    if bad is not None:
+        return {"block_pattern": bad}, None
+    rep = certify_subspace_control(basis, blocks)
     return {"block_pattern": "clean", "subspace_control": rep.to_jsonable()}, rep

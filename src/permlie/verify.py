@@ -10,14 +10,16 @@ directly.
 
 Every case is a CaseResult and every report a SuiteReport; the `center`
 and `schur` verbs build theirs with the same case builders as the prop1
-and schur suites (centralizer_case, schur.sector_check).
+and schur suites (centralizer_case, schur.sector_check).  The schur suite
+reads exact sector blocks, so no suite uses floating point.
 
 A suite whose every case needs a capped engine refuses a range that ends
 above the cap, before any work, as the verbs do: prop1 above CENTER_CAP,
-schur above SCHUR_BUILD_CAP, oracle above WORD_QUBIT_CAP.  noteF and lemma2
+schur above SECTOR_CAP, oracle above WORD_QUBIT_CAP.  noteF and lemma2
 check their word-oracle statements up to WORD_QUBIT_CAP only, since each
 also checks a statement that holds at every n.  The other suites have no
-cap.
+cap.  Every suite refuses a range that starts below its floor, the default
+lower end in SELECTORS, rather than run it with no case.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .closure import (
 from .erratum import build_abc, verify_printed_commutators
 from .linalg import SparseEchelon
 from .oracle import WORD_QUBIT_CAP, class_sum, dense_closure, densify
+from .schur import SECTOR_CAP, isotypic_table, sector_check
 from .structure import StructureTable
 from .symops import (
     ConstraintError,
@@ -127,7 +130,7 @@ def _orthogonality_pattern(gens: GeneratorSet, rows: Iterable[SymOpVector]) -> t
 
 def _suite_thm1(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     out = []
-    for n in range(max(lo, 2), hi + 1):
+    for n in range(lo, hi + 1):
         run = ctx.closure("G2", n)
         want = predicted_dim("G2", n)
         out.append(
@@ -144,7 +147,7 @@ def _suite_thm1(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
 
 def _suite_thm3(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     out = []
-    for n in range(max(lo, 2), hi + 1):
+    for n in range(lo, hi + 1):
         gens = preset_generators("G2", n)
         run = ctx.closure("G2", n)
         pattern, conserved = _orthogonality_pattern(gens, run.basis.rows())
@@ -162,7 +165,7 @@ def _suite_thm3(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
 
 def _suite_thm4(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     out = []
-    for n in range(max(lo, 2), hi + 1):
+    for n in range(lo, hi + 1):
         run = ctx.closure("G2", n)
         rep = build_report(preset_generators("G2", n), run, exempt={1})
         clean = rep.residuals_nonzero == 0
@@ -181,7 +184,7 @@ def _suite_thm4(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
 
 def _suite_thm5(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     out = []
-    for n in range(max(lo, 2), hi + 1):
+    for n in range(lo, hi + 1):
         for k in range(2, n + 1):
             run = ctx.closure("Gk", n, k)
             want = predicted_dim("Gk", n, k)
@@ -198,7 +201,7 @@ def _suite_thm5(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
 
 def _suite_thm6(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     out = []
-    for n in range(max(lo, 2), hi + 1):
+    for n in range(lo, hi + 1):
         for k in range(2, n + 1):
             gens = preset_generators("Gk", n, k=k)
             run = ctx.closure("Gk", n, k)
@@ -217,7 +220,7 @@ def _suite_thm6(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
 
 def _suite_cor1(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     out = []
-    for n in range(max(lo, 2), hi + 1):
+    for n in range(lo, hi + 1):
         dims = ambient_dims(n)
         for k in range(2, n + 1):
             run = ctx.closure("Gk", n, k)
@@ -251,12 +254,12 @@ def centralizer_case(n: int, table: StructureTable | None = None) -> CaseResult:
 
 def _suite_prop1(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     check_qubits(hi, CENTER_CAP, "centralizer verification")
-    return [centralizer_case(n, ctx.table(n)) for n in range(max(lo, 1), hi + 1)]
+    return [centralizer_case(n, ctx.table(n)) for n in range(lo, hi + 1)]
 
 
 def _suite_lemma2(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     out = []
-    for n in range(max(lo, 1), hi + 1):
+    for n in range(lo, hi + 1):
         mus = range(n // 2 + 1)
         forms_equal = all(make_L(mu, n) == make_L_direct(mu, n) for mu in mus)
         c_ech = SparseEchelon(key_sort=triple_sort_key)
@@ -279,7 +282,7 @@ def _suite_lemma2(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
 
 def _suite_notef(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     out = []
-    for n in range(max(lo, 3), min(hi, WORD_QUBIT_CAP) + 1):
+    for n in range(lo, min(hi, WORD_QUBIT_CAP) + 1):
         for kbar in range(3, min(n, 4) + 1):
             rep = verify_printed_commutators(kbar, n)
             mismatches = [r for r in rep.records if not r["match"]]
@@ -291,7 +294,7 @@ def _suite_notef(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
                     {"coefficients": len(rep.records), "mismatches": mismatches},
                 )
             )
-    for n in range(max(lo, 3), hi + 1):
+    for n in range(lo, hi + 1):
         for kbar in range(3, n + 1):
             cor = build_abc(kbar, n)
             unc = build_abc(kbar, n, corrected=False)
@@ -309,23 +312,20 @@ def _suite_notef(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
 
 
 def _suite_schur(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
-    from . import schur
-
-    check_qubits(hi, schur.SCHUR_BUILD_CAP, "coupled-basis construction")
+    check_qubits(hi, SECTOR_CAP, "sector analysis")
     out = []
     rule_ok = True
     try:
         for n in range(1, 21):
-            schur.isotypic_table(n)
+            isotypic_table(n)
     except VerificationError:
         rule_ok = False
     out.append(CaseResult("sector-sum-rules", {"n_max": 20}, rule_ok, {}))
-    for n in range(max(lo, 1), hi + 1):
-        st = schur.build_schur_transform(n)
-        details: dict = {"blocks": [[b.mu, b.d, b.m] for b in st.blocks]}
+    for n in range(lo, hi + 1):
+        details: dict = {"blocks": [[b.mu, b.d, b.m] for b in isotypic_table(n)]}
         ok = True
         if n >= 2:
-            found, rep = schur.sector_check(ctx.closure("G2", n).basis, st)
+            found, rep = sector_check(ctx.closure("G2", n).basis)
             details.update(found)
             ok = rep is not None and rep.controllable and rep.consistent
         out.append(CaseResult("sector-decomposition", {"n": n}, ok, details))
@@ -338,7 +338,7 @@ _PRESETS_FOR_ORACLE = ("G1", "G1prime", "G2")
 def _suite_oracle(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     check_qubits(hi, WORD_QUBIT_CAP, "word-level engine")
     out = []
-    for n in range(max(lo, 2), min(hi, 5) + 1):
+    for n in range(lo, min(hi, 5) + 1):
         agree = True
         details = {}
         for label in _PRESETS_FOR_ORACLE + tuple(f"Gk:{k}" for k in range(3, min(n, 5) + 1)):
@@ -383,7 +383,11 @@ SELECTORS: dict[str, tuple[int, int, Callable]] = {
 
 
 def run_selector(selector: str, n_lo: int | None = None, n_hi: int | None = None) -> SuiteReport:
-    """Run one named suite over [n_lo, n_hi] (defaults per selector)."""
+    """Run one named suite over [n_lo, n_hi] (defaults per selector).
+
+    A suite's default lower end is its floor, the smallest n its statement
+    covers; a range that starts below it is refused rather than clipped.
+    """
     if selector not in SELECTORS:
         raise ConstraintError(
             f"unknown selector {selector!r}; choose from {', '.join(sorted(SELECTORS))}"
@@ -391,7 +395,9 @@ def run_selector(selector: str, n_lo: int | None = None, n_hi: int | None = None
     d_lo, d_hi, fn = SELECTORS[selector]
     lo = d_lo if n_lo is None else n_lo
     hi = d_hi if n_hi is None else n_hi
-    if lo > hi or lo < 1:
+    if lo > hi:
         raise ConstraintError(f"bad range {lo}..{hi}")
+    if lo < d_lo:
+        raise ConstraintError(f"{selector} starts at n = {d_lo}, got n = {lo}")
     cases = fn(RunContext(), lo, hi)
     return SuiteReport(selector, tuple(cases), (lo, hi))

@@ -2,24 +2,25 @@
 
 Every criterion is checked at its stated strength: exact rational arithmetic
 wherever the claim is exact, 1e-9 off-pattern tolerance for the one
-floating-point check (coupled-basis block structure), and a wall-clock bound
-on the large closure runs.  Shared tables and closures are memoized on the
-session context so the criteria stay independent without redoing work.
+floating-point check (the block structure in the float coupled basis of
+tests/coupled_basis.py), and a wall-clock bound on the large runs.  Shared
+tables and closures are memoized on the session context so the criteria
+stay independent without redoing work.
 """
 
+import time
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
+import coupled_basis
+from coupled_basis import block_project, build_schur_transform
 from permlie import (
     LieBasis,
     SymOpVector,
     all_triples,
     ambient_dims,
-    block_project,
     build_abc,
-    build_schur_transform,
     central_projection_test,
-    certify_subspace_control,
     class_sum,
     compare_tables,
     dense_bracket,
@@ -30,6 +31,7 @@ from permlie import (
     make_L,
     membership_residual,
     preset_generators,
+    sector_check,
     symmetrize,
     trace_inner,
     verify_center,
@@ -192,7 +194,11 @@ def test_criterion_09_printed_coefficient_tables():
 
 
 def test_criterion_10_block_structure_and_sector_control(ctx):
-    """Closure rows are I_d (x) A_lambda blocks to 1e-9; sum rules exact; sectors controllable."""
+    """Closure rows are I_d (x) A_lambda blocks to 1e-9; sum rules exact; sectors controllable.
+
+    The float coupled basis checks the block pattern at n = 2..8 and control
+    at n = 2..7; the exact sector blocks certify control at n = 2..12.
+    """
     for n in range(1, 21):
         blocks = isotypic_table(n)
         assert sum(b.d * b.m for b in blocks) == 2**n, f"n={n}"
@@ -204,8 +210,18 @@ def test_criterion_10_block_structure_and_sector_control(ctx):
             block_project(row, st, tol=1e-9)  # raises above 1e-9 off pattern
             projected += 1
         if n <= 7:
-            rep = certify_subspace_control(ctx.closure("G2", n).basis, st)
+            rep = coupled_basis.certify_subspace_control(ctx.closure("G2", n).basis, st)
             assert rep.controllable and rep.consistent, f"n={n}"
             assert all(s.spans_su for s in rep.sectors), f"n={n}"
+    slowest = 0.0
+    for n in range(2, 13):
+        start = time.perf_counter()
+        found, rep = sector_check(ctx.closure("G2", n).basis)
+        elapsed = time.perf_counter() - start
+        assert found["block_pattern"] == "clean", f"n={n}: {found['block_pattern']}"
+        assert rep.controllable and rep.consistent, f"n={n}"
+        assert elapsed < 60.0, f"n={n} took {elapsed:.1f}s"
+        slowest = max(slowest, elapsed)
     print(f"criterion 10: {projected} rows block structured under 1e-9 (n=2..8); "
-          "sectors certified, n=2..7")
+          "float control n=2..7; exact sum rules and control n=2..12, "
+          f"slowest {slowest:.2f}s")

@@ -11,7 +11,6 @@ import time
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 import pytest
 
 import permlie
@@ -19,9 +18,9 @@ from permlie import make_C, structure
 from permlie.center import CENTER_CAP
 from permlie.cli import build_parser, main, schema_path
 from permlie.oracle import WORD_QUBIT_CAP
-from permlie.schur import SCHUR_BUILD_CAP
+from permlie.schur import SECTOR_CAP
 from permlie.structure import FILL_CAP, ORBIT_CAP
-from permlie.symops import ConstraintError, VerificationError
+from permlie.symops import ConstraintError
 
 
 def run(capsys, *argv):
@@ -180,7 +179,7 @@ class TestSuiteRanges:
         "argv",
         [
             ("prop1", "--n", str(CENTER_CAP + 1)),
-            ("schur", "--n", str(SCHUR_BUILD_CAP + 1)),
+            ("schur", "--n", str(SECTOR_CAP + 1)),
             ("oracle", "--n", str(WORD_QUBIT_CAP + 1)),
             ("oracle", "--n-range", f"2..{WORD_QUBIT_CAP + 1}"),
         ],
@@ -208,6 +207,56 @@ class TestSuiteRanges:
         (case,) = [c for c in payload["cases"] if c["name"] == "sector-decomposition"]
         control = case["details"]["subspace_control"]
         assert control["controllable"] is True and control["consistent"] is True
+
+
+class TestSuiteFloors:
+    """A range that starts below a suite's floor (its default lower end) is
+    refused, not clipped to zero cases."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("thm1", "--n", "1"),
+            ("cor1", "--n", "1"),
+            ("oracle", "--n", "1"),
+            ("noteF", "--n", "2"),
+            ("thm1", "--n-range", "1..3"),
+        ],
+        ids=" ".join,
+    )
+    def test_below_the_floor_is_a_usage_error(self, capsys, argv):
+        rc, out, err = run(capsys, "verify", *argv, "--json", "-")
+        assert rc == 1 and out == ""
+        assert f"{argv[0]} starts at n = " in err
+
+    def test_the_floor_itself_runs(self, capsys):
+        rc, payload, _ = run_json(capsys, "verify", "noteF", "--n", "3")
+        assert rc == 0 and payload["cases"]
+
+
+class TestIgnoredFlags:
+    def test_mu_without_emit(self, capsys):
+        rc, out, err = run(capsys, "center", "--n", "4", "--mu", "1")
+        assert rc == 1 and out == ""
+        assert "--mu needs --emit" in err
+
+
+class TestUnwritablePaths:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("close", "--n", "3", "--gens", "G2", "--json", "{missing}/x.json"),
+            ("verify", "lemma2", "--n", "3", "--csv", "{missing}/x.csv"),
+            ("schur", "--n", "3", "--json", "{missing}/x.json"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_one_line_and_exit_1(self, capsys, tmp_path, argv):
+        missing = tmp_path / "no-such-dir"
+        rc, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+        assert rc == 1 and out == ""
+        assert err.startswith("permlie: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestCenter:
@@ -259,18 +308,26 @@ class TestSchur:
         jsonschema.validate(payload, load_schema("verify_report"))
 
     def test_emit_transform(self, capsys, tmp_path):
+        """The float coupled basis is gone from the package, so is its flag."""
         path = tmp_path / "transform.json"
-        rc, _, _ = run(capsys, "schur", "--n", "3", "--emit-transform", str(path))
-        assert rc == 0
-        data = json.loads(path.read_text())
-        mat = np.array(data["matrix"])
-        assert mat.shape == (8, 8)
-        assert np.abs(mat.T @ mat - np.eye(8)).max() < 1e-12
-        assert data["blocks"] == [[0, 1, 4], [1, 2, 2]]
+        rc, out, err = run(capsys, "schur", "--n", "3", "--emit-transform", str(path))
+        assert rc == 1 and out == ""
+        assert "unrecognized arguments: --emit-transform" in err
+        assert not path.exists()
 
     def test_build_cap_exit_code(self, capsys):
-        rc, _, err = run(capsys, "schur", "--n", "9")
-        assert rc == 3 and "permlie:" in err
+        for extra in ((), ("--check-blocks",)):
+            start = time.perf_counter()
+            rc, out, err = run(capsys, "schur", "--n", str(SECTOR_CAP + 1), *extra, "--json", "-")
+            assert rc == 3 and out == ""
+            assert f"capped at n <= {SECTOR_CAP}" in err
+            assert time.perf_counter() - start < 1.0
+
+    def test_gens_without_check_blocks_is_a_usage_error(self, capsys):
+        for gens in ("bogus", "G2"):
+            rc, out, err = run(capsys, "schur", "--n", "4", "--gens", gens)
+            assert rc == 1 and out == ""
+            assert "--gens needs --check-blocks" in err
 
     @pytest.mark.parametrize(
         "argv,name",
@@ -281,17 +338,22 @@ class TestSchur:
         ids=["verb", "suite"],
     )
     def test_block_violation_is_a_failed_case(self, capsys, monkeypatch, argv, name):
+        """One wrong entry of the exact block table breaks a sum rule."""
         from permlie import schur
 
-        def violated(v, st, tol=schur.BLOCK_TOL):
-            raise VerificationError("block pattern violated in sector mu=1: deviation 1.00e+00")
+        table = schur.sector_blocks
 
-        monkeypatch.setattr(schur, "block_project", violated)
+        def perturbed(n):
+            blocks = table(n)
+            blocks[1][0, 0, 1][0] += 1  # sector mu = 1, P_(0,0,1), entry (0, 0)
+            return blocks
+
+        monkeypatch.setattr(schur, "sector_blocks", perturbed)
         rc, payload, _ = run_json(capsys, *argv)
         assert rc == 2 and payload["ok"] is False
         (case,) = [c for c in payload["cases"] if c["name"] == name]
         assert case["ok"] is False
-        assert case["details"]["block_pattern"].startswith("block pattern violated in sector mu=1")
+        assert case["details"]["block_pattern"].startswith("trace sum rule fails at P_(0,0,1)")
         assert "subspace_control" not in case["details"]
         jsonschema.validate(payload, load_schema("verify_report"))
 
@@ -445,8 +507,9 @@ import permlie.cli
 import permlie
 assert "numpy" not in sys.modules, "numpy loaded at start-up"
 assert permlie.isotypic_table(4)[0].m == 5
-assert callable(permlie.build_schur_transform)
-assert "numpy" in sys.modules
+basis = permlie.lie_closure(permlie.preset_generators("G2", 4)).basis
+assert permlie.certify_subspace_control(basis).controllable
+assert "numpy" not in sys.modules, "numpy loaded by the sector layer"
 try:
     permlie.no_such_name
 except AttributeError:
@@ -457,7 +520,7 @@ else:
 
 
 class TestStartup:
-    def test_numpy_loads_only_with_the_sector_layer(self):
+    def test_numpy_is_never_loaded(self):
         src = str(Path(permlie.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(

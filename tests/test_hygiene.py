@@ -13,12 +13,17 @@ A re-export from `__init__.py` counts as a use.
 Dead members: every method, property and annotated field of a class in
 src/permlie, dunders aside, must be read as an attribute (`x.name`) or
 passed as a keyword (`f(name=...)`) somewhere in src/permlie or tests/.
-Members that a library calls by name are allow-listed.  Standard library
-only.
+Members that a library calls by name are allow-listed.
+
+Standard library only: every import in src/permlie/*.py is relative or
+names a module of the standard library (sys.stdlib_module_names), so the
+package has no runtime dependency.  This file itself uses the standard
+library and pytest only.
 """
 
 import ast
 import io
+import sys
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -55,6 +60,38 @@ def test_detector_flags_an_unused_import():
         "line 1: os",
         "line 2: Any",
     ]
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Absolute imports whose top-level module is not in the standard library."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        out += [f"line {node.lineno}: {root}" for root in roots
+                if root not in sys.stdlib_module_names]
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_standard_library_only(path):
+    assert foreign_imports(path.read_text()) == []
+
+
+def test_detector_flags_a_foreign_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, numpy as np\n"
+        "from . import schur\n"
+        "from .linalg import SparseEchelon\n"
+        "from scipy.linalg import qr\n"
+        "import xml.dom\n"
+    )
+    assert foreign_imports(source) == ["line 2: numpy", "line 5: scipy"]
 
 
 def defined_names(source: str) -> list[str]:

@@ -1,4 +1,5 @@
-"""Coupled-basis block structure, sector data, and controllability spans."""
+"""Sector data, exact sector blocks and controllability spans, checked
+against the float coupled basis of tests/coupled_basis.py."""
 
 import itertools
 from fractions import Fraction
@@ -7,6 +8,16 @@ from math import comb
 import numpy as np
 import pytest
 
+import coupled_basis
+from coupled_basis import (
+    SCHUR_BUILD_CAP,
+    UNITARITY_TOL,
+    SchurTransform,
+    block_project,
+    build_schur_transform,
+    dense_matrix,
+    permutation_matrix,
+)
 from permlie import (
     ConstraintError,
     DimensionMismatch,
@@ -15,22 +26,19 @@ from permlie import (
     SymOpVector,
     VerificationError,
     all_triples,
-    block_project,
-    build_schur_transform,
     certify_subspace_control,
     isotypic_table,
+    lie_closure,
     make_C,
+    orbit_size,
     orbit_words,
+    preset_generators,
+    sector_blocks,
+    sector_check,
     trace_inner,
 )
 from permlie.oracle import word_text
-from permlie.schur import (
-    SCHUR_BUILD_CAP,
-    UNITARITY_TOL,
-    SchurTransform,
-    dense_matrix,
-    permutation_matrix,
-)
+from permlie.schur import SECTOR_CAP, block_violation
 
 from conftest import kron_word
 
@@ -239,7 +247,7 @@ class TestBlockPatternDetector:
     def project(monkeypatch, planted):
         st = build_schur_transform(3)
         flat = SchurTransform(3, np.eye(8), st.blocks, st.offsets, st.paths)
-        monkeypatch.setattr("permlie.schur.dense_matrix", lambda v: planted)
+        monkeypatch.setattr(coupled_basis, "dense_matrix", lambda v: planted)
         return block_project(SymOpVector.unit((0, 0, 0), 3), flat)
 
     def test_clean_pattern_passes(self, monkeypatch):
@@ -315,8 +323,8 @@ class TestSubspaceControl:
         assert report.trace_rank == 0
 
     def test_analysis_cap(self):
-        basis = LieBasis(SCHUR_BUILD_CAP + 1)
-        basis.insert(SymOpVector.unit((1, 0, 0), SCHUR_BUILD_CAP + 1))
+        basis = LieBasis(SECTOR_CAP + 1)
+        basis.insert(SymOpVector.unit((1, 0, 0), SECTOR_CAP + 1))
         with pytest.raises(ResourceLimitError):
             certify_subspace_control(basis)
 
@@ -342,3 +350,117 @@ class TestDenseMatrixConvention:
         for t in all_triples(n):
             expected = sum(kron_word(word_text(w, n)) for w in orbit_words(t, n))
             assert np.array_equal(dense_matrix(SymOpVector.unit(t, n)), expected), t
+
+
+PHASE = (1, 1j, -1, -1j)
+
+
+def exact_block(blocks, t, b):
+    """Orthonormal block i**ky D^-1 G D^-1 of P_t in sector b, as floats."""
+    g = np.zeros((b.m, b.m), dtype=complex)
+    for k, v in blocks[b.mu][t].items():
+        g[divmod(k, b.m)] = PHASE[t.ky % 4] * v
+    d = np.sqrt([2**b.mu * comb(b.m - 1, w) for w in range(b.m)])
+    return g / d[:, None] / d[None, :]
+
+
+def gram_weight(b):
+    """D^-2 of sector b as exact fractions."""
+    return [Fraction(1, 2**b.mu * comb(b.m - 1, w)) for w in range(b.m)]
+
+
+def presets(n):
+    yield from (preset_generators(label, n) for label in ("G1", "G1prime", "G2"))
+    yield from (preset_generators("Gk", n, k=k) for k in range(3, n + 1))
+
+
+class TestExactBlocks:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_match_the_coupled_basis(self, n):
+        """D^-1 G_mu(t) D^-1 is block_project's block, phase and sign included."""
+        st = build_schur_transform(n)
+        blocks = sector_blocks(n)
+        for t in all_triples(n):
+            for b, want in zip(st.blocks, block_project(SymOpVector.unit(t, n), st)):
+                assert np.abs(exact_block(blocks, t, b) - want).max() < 1e-12, (t, b.mu)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_blocks_are_orthogonal_like_the_words(self, n):
+        """sum_mu d_mu tr(A_mu(P_a) A_mu(P_b)) = 2^n orbit_size(a) [a = b], exactly."""
+        blocks = sector_blocks(n)
+        sectors = isotypic_table(n)
+        weights = [gram_weight(b) for b in sectors]
+        triples = all_triples(n)
+        for a, c in itertools.combinations_with_replacement(triples, 2):
+            total = Fraction(0)
+            for b, inv in zip(sectors, weights):
+                ga, gc = blocks[b.mu][a], blocks[b.mu][c]
+                for k, v in ga.items():
+                    wp, w = divmod(k, b.m)
+                    total += b.d * v * gc.get(w * b.m + wp, 0) * inv[w] * inv[wp]
+            # tr(A_a A_c) = i^(ky_a + ky_c) * total
+            want = 2**n * orbit_size(a, n) * (-1) ** a.ky if a == c else 0
+            assert total == want, (a, c)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_certificate_matches_the_float_oracle(self, n):
+        for gens in presets(n):
+            basis = lie_closure(gens).basis
+            assert certify_subspace_control(basis) == coupled_basis.certify_subspace_control(
+                basis
+            ), gens.label
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_sum_rules_hold(self, n):
+        assert block_violation(n, sector_blocks(n)) is None
+
+    def test_blocks_are_integers_with_the_ky_parity(self):
+        blocks = sector_blocks(6)
+        for b, table in zip(isotypic_table(6), blocks):
+            for t, g in table.items():
+                for k, v in g.items():
+                    wp, w = divmod(k, b.m)
+                    assert isinstance(v, int) and v
+                    # G is Hermitian up to the phase i^ky
+                    assert g.get(w * b.m + wp) == v * (-1) ** t.ky, (t, b.mu, wp, w)
+                    assert (wp + w) % 2 == (t.kx + t.ky) % 2
+
+    @pytest.mark.parametrize(
+        "mu,t,keys,named",
+        [
+            (1, (0, 0, 1), [0], "trace sum rule fails at P_(0,0,1)"),
+            (2, (0, 2, 0), [0], "trace sum rule fails at P_(0,2,0)"),
+            (0, (1, 0, 0), [1], "block of P_(1,0,0) in sector mu=0 is not Hermitian"),
+            (0, (0, 0, 0), [3], "block of P_(0,0,0) in sector mu=0 is not Hermitian"),
+            # both of a symmetric pair: Hermitian, same trace, larger norm
+            (0, (1, 0, 0), [1, 5], "norm sum rule fails at P_(1,0,0)"),
+        ],
+    )
+    def test_a_perturbed_entry_is_named(self, mu, t, keys, named):
+        blocks = sector_blocks(4)
+        g = blocks[mu][t]
+        for key in keys:
+            g[key] = g.get(key, 0) + 1
+        assert block_violation(4, blocks).startswith(named)
+
+    def test_sector_check_reports_a_violation(self, ctx, monkeypatch):
+        def perturbed(n):
+            blocks = sector_blocks(n)
+            blocks[1][0, 0, 1][0] += 1
+            return blocks
+
+        monkeypatch.setattr("permlie.schur.sector_blocks", perturbed)
+        found, rep = sector_check(ctx.closure("G2", 4).basis)
+        assert rep is None
+        assert found == {"block_pattern": found["block_pattern"]}
+        assert found["block_pattern"].startswith("trace sum rule fails at P_(0,0,1)")
+
+    def test_clean_check_carries_the_certificate(self, ctx):
+        found, rep = sector_check(ctx.closure("G2", 5).basis)
+        assert found["block_pattern"] == "clean"
+        assert found["subspace_control"] == rep.to_jsonable()
+        assert rep.controllable and rep.consistent
+
+    def test_table_cap(self):
+        with pytest.raises(ResourceLimitError):
+            sector_blocks(SECTOR_CAP + 1)
