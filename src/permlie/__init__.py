@@ -71,12 +71,14 @@ from .symops import (
     all_triples,
     ambient_dims,
     as_triple,
+    by_rank,
     check_qubits,
     frac_text,
     orbit_size,
     parse_frac,
     parse_generator_spec,
     preset_generators,
+    rank_triple,
     trace_inner,
     triple_rank,
     triple_sort_key,

@@ -13,20 +13,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .closure import central_residuals, lie_closure
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, rank_of
 from .structure import StructureTable
 from .symops import (
     ConstraintError,
     GeneratorSet,
     PauliTriple,
     SymOpVector,
-    all_triples,
+    by_rank,
     check_qubits,
     preset_generators,
-    triple_sort_key,
+    triple_rank,
 )
 
 # The largest n verify_center accepts: the largest n for which
@@ -155,18 +155,18 @@ def _ad_kernel_system(
     table: StructureTable, gens: tuple[PauliTriple, ...]
 ) -> SparseEchelon:
     """Exact echelon of the equations [A, P_g] = 0, g in gens, on the
-    coordinates x_s of A = sum_s x_s P_s.
+    coordinates x_s of A = sum_s x_s P_s, with s the triple rank.
 
     One table bracket per (P_s, g); the equation for (g, u) collects the
-    coefficient of P_u in every [P_s, P_g].  The nullspace over
-    all_triples(n) is the common kernel of the ad_g.
+    coefficient of P_u in every [P_s, P_g].  The nullspace over the ranks
+    range(C(n+3,3)) is the common kernel of the ad_g.
     """
-    constraints: dict[tuple[PauliTriple, PauliTriple], dict] = {}
-    for s in all_triples(table.n):
-        for g in gens:
-            for u, c in table.bracket(s, g).items():
+    constraints: dict[tuple[int, int], dict] = {}
+    for s in range(comb(table.n + 3, 3)):
+        for g in map(triple_rank, gens):
+            for u, c in table.bracket_coeffs({s: 1}, {g: 1}).items():
                 constraints.setdefault((g, u), {})[s] = c
-    system = SparseEchelon(key_sort=triple_sort_key)
+    system = SparseEchelon()
     system.extend(constraints.values())
     return system
 
@@ -232,25 +232,25 @@ def verify_center(n: int, table: StructureTable | None = None) -> CenterReport:
     elif table.n != n:
         raise ConstraintError("table built for a different qubit count")
     num_c = n // 2 + 1
-    triples = all_triples(n)
-    cs = [make_C(mu, n).coeffs for mu in range(num_c)]
+    size = comb(n + 3, 3)
+    cvecs = [make_C(mu, n) for mu in range(num_c)]
+    cs = [by_rank(c.coeffs) for c in cvecs]
 
     gens = spanning_generators(n)
     commute_ok = not any(
-        table.bracket_coeffs(c, g.coeffs) for c in cs for g in gens.members
+        table.bracket_coeffs(c, by_rank(g.coeffs)) for c in cs for g in gens.members
     )
     # a closure of its own: the C_mu are inserted into its echelon
     basis = lie_closure(gens, table).basis
     closure_dim = basis.dim
-    for c in cs:
-        basis.insert(SymOpVector(n, c))
+    for c in cvecs:
+        basis.insert(c)
     span_rank = basis.dim
-    commute_ok = commute_ok and span_rank == len(triples)
+    commute_ok = commute_ok and span_rank == size
 
-    ech = SparseEchelon(key_sort=triple_sort_key)
-    independent_ok = ech.extend(cs) == num_c
+    independent_ok = rank_of(cs) == num_c
 
-    solved_dim = len(triples) - _ad_kernel_system(table, FIELDS).rank
+    solved_dim = size - _ad_kernel_system(table, FIELDS).rank
     return CenterReport(
         n=n,
         expected_dim=num_c,

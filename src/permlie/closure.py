@@ -8,6 +8,10 @@ exact: the resulting dimension is a theorem about the generated algebra, not
 a numerical estimate.  The module also carries the closed-form dimension
 predictions for the preset generator families, the central-membership
 residuals, and the universality verdicts read off from the closure basis.
+
+The worklist and its echelon key every row by triple_rank, whose int order
+is the canonical triple order.  PauliTriple appears only at the boundary:
+LieBasis takes and returns SymOpVectors, and reports read triples.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from .symops import (
     PauliTriple,
     SymOpVector,
     ambient_dims,
+    by_rank,
     frac_text,
-    triple_sort_key,
+    rank_triple,
 )
 
 # Nonzero membership residuals a closure report lists by value.
@@ -37,11 +42,15 @@ MAX_OFFENDERS = 8
 
 
 class LieBasis:
-    """Reduced echelon basis of SymOpVectors at fixed n."""
+    """Reduced echelon basis of SymOpVectors at fixed n.
+
+    The echelon is keyed by triple_rank, so its pivots follow the canonical
+    triple order; vectors are re-keyed on the way in and out.
+    """
 
     def __init__(self, n: int):
         self.n = n
-        self._ech = SparseEchelon(key_sort=triple_sort_key)
+        self._ech = SparseEchelon()
 
     @property
     def dim(self) -> int:
@@ -51,28 +60,28 @@ class LieBasis:
         """Grow the span; returns the stored primitive row, or None."""
         if v.n != self.n:
             raise DimensionMismatch("vector qubit count differs from basis")
-        row = self._ech.insert(v.coeffs)
+        row = self._ech.insert(by_rank(v.coeffs))
         if row is None:
             return None
-        return SymOpVector(self.n, row)
+        return SymOpVector.from_ranks(self.n, row)
 
     def contains(self, v: SymOpVector) -> bool:
         if v.n != self.n:
             raise DimensionMismatch("vector qubit count differs from basis")
-        return self._ech.contains(v.coeffs)
+        return self._ech.contains(by_rank(v.coeffs))
 
     def reduce(self, v: SymOpVector) -> SymOpVector:
         """Unique residual of v modulo the span."""
         if v.n != self.n:
             raise DimensionMismatch("vector qubit count differs from basis")
-        return SymOpVector(self.n, self._ech.residual(v.coeffs))
+        return SymOpVector.from_ranks(self.n, self._ech.residual(by_rank(v.coeffs)))
 
     def pivots(self) -> tuple[PauliTriple, ...]:
-        return tuple(self._ech.pivots())
+        return tuple(map(rank_triple, self._ech.pivots()))
 
     def rows(self) -> tuple[SymOpVector, ...]:
         """Pivot-normalized rows in pivot order."""
-        return tuple(SymOpVector(self.n, r) for _, r in self._ech.rows())
+        return tuple(SymOpVector.from_ranks(self.n, r) for _, r in self._ech.rows())
 
 
 @dataclass(frozen=True)
@@ -89,9 +98,9 @@ class ClosureRun:
 def lie_closure(gens: GeneratorSet, table: StructureTable | None = None) -> ClosureRun:
     """Smallest Lie algebra containing the generators, as an exact basis.
 
-    Runs linalg.generator_closure with the table's bracket: each new row is
-    bracketed with the generators only.  FIFO order and the canonical triple
-    order make runs deterministic.
+    Runs linalg.generator_closure with the table's bracket on rank-keyed
+    rows: each new row is bracketed with the generators only.  FIFO order and
+    the canonical triple order make runs deterministic.
     """
     if table is None:
         table = StructureTable(gens.n)
@@ -100,7 +109,7 @@ def lie_closure(gens: GeneratorSet, table: StructureTable | None = None) -> Clos
     t0 = time.perf_counter()
     basis = LieBasis(gens.n)
     iterations = generator_closure(
-        (g.coeffs for g in gens.members), table.bracket_coeffs, basis._ech
+        (by_rank(g.coeffs) for g in gens.members), table.bracket_coeffs, basis._ech
     )
     return ClosureRun(basis, iterations, time.perf_counter() - t0)
 
@@ -158,29 +167,20 @@ def membership_residual(v: SymOpVector, mu: int) -> Fraction:
 def central_residuals(rows: Iterable[SymOpVector], n: int) -> list[list[Fraction]]:
     """membership_residual(row, mu) for every row and 0 <= mu <= n/2.
 
-    One pass over each row's support, looking each triple up in a table
-    (2a, 2b, 2c) -> (mu, a!b!c!).  Since C_mu weighs (2a, 2b, 2c) by
+    One pass over each row's support: a triple (2a, 2b, 2c) with every
+    letter count even adds coeff/(a!b!c!) at mu = a+b+c, and no other
+    triple adds anything.  Since C_mu weighs (2a, 2b, 2c) by
     (2a)!(2b)!(2c)!/(a!b!c!) and orbit_size cancels the numerator,
     tr(row C_mu) = 2^n n!/(n - 2mu)! * residual[mu]: a residual vanishes
     exactly when the row is trace-orthogonal to C_mu.
     """
-    weights = {}
-    for mu in range(n // 2 + 1):
-        for a in range(mu + 1):
-            for b in range(mu - a + 1):
-                c = mu - a - b
-                weights[(2 * a, 2 * b, 2 * c)] = (
-                    mu,
-                    factorial(a) * factorial(b) * factorial(c),
-                )
     out = []
     for row in rows:
         res = [Fraction(0)] * (n // 2 + 1)
-        for t, coeff in row.items():
-            hit = weights.get(t)
-            if hit is not None:
-                mu, w = hit
-                res[mu] += Fraction(coeff, w)
+        for (kx, ky, kz), coeff in row.items():
+            if not (kx | ky | kz) & 1:
+                w = factorial(kx // 2) * factorial(ky // 2) * factorial(kz // 2)
+                res[(kx + ky + kz) // 2] += Fraction(coeff, w)
         out.append(res)
     return out
 

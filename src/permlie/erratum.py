@@ -18,14 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import SparseEchelon
+from .linalg import rank_of
 from .oracle import dense_bracket, densify, symmetrize
 from .symops import (
     ConstraintError,
     PauliTriple,
     SymOpVector,
     as_triple,
-    triple_sort_key,
+    by_rank,
+    triple_rank,
 )
 
 
@@ -139,10 +140,9 @@ def build_abc(kbar: int, n: int, corrected: bool = True) -> ErratumCase:
             SymOpVector(n, {t: v for t, v in pc.expected.items() if t in support})
         )
     a, b, c = vecs
-    ech = SparseEchelon(key_sort=triple_sort_key)
-    ech.extend(v.coeffs for v in vecs)
+    rank = rank_of(by_rank(v.coeffs) for v in vecs)
     dependence = c == a.scaled(kbar - 2) - b
-    return ErratumCase(kbar, n, corrected, a, b, c, ech.rank, dependence)
+    return ErratumCase(kbar, n, corrected, a, b, c, rank, dependence)
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ def verify_printed_commutators(kbar: int, n: int) -> ErratumReport:
             dense_bracket(densify(SymOpVector.unit(a, n)), densify(SymOpVector.unit(b, n)))
         )
         got = to_printed_convention(engine, a, b)
-        triples = sorted(set(got) | set(pc.expected), key=triple_sort_key)
+        triples = sorted(set(got) | set(pc.expected), key=triple_rank)
         for t in triples:
             printed = pc.expected.get(t)
             recomputed = got.get(t)

@@ -1,12 +1,13 @@
 """Exact sparse linear algebra over ordered keys.
 
 SparseEchelon keeps a reduced row-echelon basis of rational row vectors
-indexed by arbitrary hashable keys with a caller-supplied total order.  Rows
-are stored as primitive integer dicts (content gcd 1, positive pivot entry)
-and elimination is fraction-free, so the hot loops stay in machine-int
-arithmetic until the final rescale.  generator_closure is the one Lie-closure
-worklist; the sparse and the word-level engines differ only in the bracket
-they hand it.
+indexed by hashable keys of one kind, in their natural order: triple ranks,
+Pauli words, sector block entries or central levels mu.  The smallest key of
+a row is its pivot.  Rows are stored as primitive integer dicts (content gcd
+1, positive pivot entry) and elimination is fraction-free, so the hot loops
+stay in machine-int arithmetic until the final rescale.  generator_closure
+is the one Lie-closure worklist; the sparse and the word-level engines
+differ only in the bracket they hand it.
 
 Rows stay fully reduced: a pivot column is nonzero only in its own row.  To
 keep them so without scanning every row on each insert, the echelon also
@@ -58,8 +59,7 @@ def _make_primitive(row: IntRow, pivot: Key) -> IntRow:
 class SparseEchelon:
     """Reduced echelon accumulator with exact rational semantics."""
 
-    def __init__(self, key_sort: Callable[[Key], object] | None = None):
-        self._key = key_sort if key_sort is not None else _identity
+    def __init__(self) -> None:
         self._rows: dict[Key, IntRow] = {}
         self._cols: dict[Key, set[Key]] = {}
 
@@ -71,7 +71,7 @@ class SparseEchelon:
         return len(self._rows)
 
     def pivots(self) -> list[Key]:
-        return sorted(self._rows, key=self._key)
+        return sorted(self._rows)
 
     def _eliminate(self, vec: Mapping) -> tuple[IntRow, int]:
         """Reduce vec against the basis; returns (work, scale) with
@@ -81,7 +81,7 @@ class SparseEchelon:
             return work, scale
         # Reduced rows hold no foreign pivots, so one pass in any fixed
         # order eliminates every pivot the input touches.
-        hits = sorted((k for k in work if k in self._rows), key=self._key)
+        hits = sorted(k for k in work if k in self._rows)
         for p in hits:
             c = work.get(p)
             if not c:
@@ -121,7 +121,7 @@ class SparseEchelon:
         work, _ = self._eliminate(vec)
         if not work:
             return None
-        pivot = min(work, key=self._key)
+        pivot = min(work)
         new = _make_primitive(work, pivot)
         npiv = new[pivot]
         cols = self._cols
@@ -222,16 +222,12 @@ def generator_closure(
     return steps
 
 
-def _identity(k):
-    return k
-
-
 def _ratio(num: int, den: int) -> Fraction:
     q, r = divmod(num, den)
     return Fraction(num, den) if r else Fraction(q)
 
 
-def rank_of(vecs: Iterable[Mapping], key_sort=None) -> int:
-    ech = SparseEchelon(key_sort)
+def rank_of(vecs: Iterable[Mapping]) -> int:
+    ech = SparseEchelon()
     ech.extend(vecs)
     return ech.rank

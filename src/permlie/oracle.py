@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Mapping
 
@@ -120,6 +121,13 @@ def _word_product(w1: int, w2: int, n: int) -> tuple[int, int]:
     return (cyclic - anticyclic) & 3, w1 ^ w2
 
 
+def word_triple(w: int, n: int) -> PauliTriple:
+    """Letter counts (kx, ky, kz) of a word, read off the same masks."""
+    low = ((1 << (2 * n)) - 1) // 3
+    lo, hi = w & low, (w >> 1) & low
+    return PauliTriple((lo & ~hi).bit_count(), (hi & ~lo).bit_count(), (lo & hi).bit_count())
+
+
 def densify(v: SymOpVector) -> DenseOp:
     """Expand symmetrized coordinates into per-word coordinates."""
     _check_word_n(v.n)
@@ -130,8 +138,13 @@ def densify(v: SymOpVector) -> DenseOp:
     return DenseOp(v.n, out)
 
 
-def orbit_words(t, n: int) -> list[int]:
-    """Every word with the letter counts of t, as base-4 integers."""
+@lru_cache(maxsize=None)
+def orbit_words(t, n: int) -> tuple[int, ...]:
+    """Every word with the letter counts of t, as base-4 integers.
+
+    Cached: the orbit-expansion reference asks for the orbit of b once for
+    every pair (a, b), and densify for every vector it expands.
+    """
     t = as_triple(t).check(n)
     sites = range(n)
     words = []
@@ -150,7 +163,7 @@ def orbit_words(t, n: int) -> list[int]:
                 for p in zpos:
                     w |= 3 << (2 * p)
                 words.append(w)
-    return words
+    return tuple(words)
 
 
 def symmetrize(p: DenseOp) -> SymOpVector:
@@ -161,8 +174,7 @@ def symmetrize(p: DenseOp) -> SymOpVector:
     """
     groups: dict[PauliTriple, dict[int, object]] = {}
     for w, v in p.coeffs.items():
-        letters = word_letters(w, p.n)
-        t = PauliTriple(letters.count(1), letters.count(2), letters.count(3))
+        t = word_triple(w, p.n)
         groups.setdefault(t, {})[w] = v
     coeffs = {}
     for t, seen in groups.items():

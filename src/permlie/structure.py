@@ -4,29 +4,33 @@ The bracket of two basis elements is computed two independent ways.  The
 engine, behind every StructureTable, counts letter-overlap patterns between a
 fixed representative word of the first orbit and the full orbit of the
 second, which costs a polynomial number of integer terms.  The reference,
-orbit_bracket, expands the second orbit outright, word by word, at
-exponential cost; compare_tables checks a whole table against it.  Both share
-only the single-site Pauli product table and the final orbit-averaging step,
-so agreement is a strong check on the combinatorics.
+orbit_bracket, multiplies that representative word by every word of the
+second orbit with the word oracle's bit-mask product, at exponential cost;
+compare_tables checks a whole table against it.  The two engines share only
+the final orbit-averaging step, so agreement is a strong check on the
+combinatorics; the word product itself is checked site by site in the
+oracle's tests.
 
 With coordinates standing for i * sum c_t P_t, every structure constant is an
 even integer: [i P_a, i P_b] = sum_u g_u (i P_u).
 
-StructureTable.bracket_coeffs brackets raw coordinate dicts and builds no
-SymOpVector; it is the bracket the closure worklist runs.  Its keys need no
-check of their own: each is checked once, when its table entry is computed.
+Inside the table a triple is its triple_rank, an int whose natural order is
+the canonical triple order; PauliTriple appears only at the boundary, in
+bracket and bracket_vectors.  StructureTable.bracket_coeffs brackets raw
+rank-keyed dicts and builds no SymOpVector; it is the bracket the closure
+worklist runs.  Its keys need no check of their own: a rank is checked once,
+when _pair_entry files its table entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import Mapping
 
+from .oracle import _word_product, letters_to_word, orbit_words, word_triple
 from .symops import (
-    SITE_PRODUCT,
     ConstraintError,
     DimensionMismatch,
     PauliTriple,
@@ -34,9 +38,11 @@ from .symops import (
     VerificationError,
     all_triples,
     as_triple,
+    by_rank,
     check_qubits,
     orbit_size,
-    triple_sort_key,
+    rank_triple,
+    triple_rank,
 )
 
 # The largest n for which StructureTable.fill, and with it `table --n n`,
@@ -112,50 +118,6 @@ def _bracket_overlap(a: PauliTriple, b: PauliTriple, n: int) -> dict[PauliTriple
     return _orbit_average(a, masses, n)
 
 
-def representative_word(t: PauliTriple, n: int) -> tuple[int, ...]:
-    """Canonical orbit representative: X block, Y block, Z block, identities."""
-    t = as_triple(t).check(n)
-    return tuple([1] * t.kx + [2] * t.ky + [3] * t.kz + [0] * (n - t.level))
-
-
-def _bracket_orbit(a: PauliTriple, b: PauliTriple, n: int) -> dict[PauliTriple, int]:
-    """Word-by-word expansion of [i P_a, i P_b] over the full orbit of b."""
-    ax, ay, az = a
-    bx, by, bz = b
-    rep = representative_word(a, n)
-    sites = range(n)
-    masses: dict[tuple[int, int, int], int] = {}
-    for xpos in combinations(sites, bx):
-        xset = set(xpos)
-        rem1 = [p for p in sites if p not in xset]
-        for ypos in combinations(rem1, by):
-            yset = set(ypos)
-            rem2 = [p for p in rem1 if p not in yset]
-            for zpos in combinations(rem2, bz):
-                counts = [0, ax, ay, az]
-                d = 0
-                phase = 0
-                for plist, v in ((xpos, 1), (ypos, 2), (zpos, 3)):
-                    for p in plist:
-                        s = rep[p]
-                        if s == 0:
-                            counts[v] += 1
-                        elif s == v:
-                            counts[s] -= 1
-                        else:
-                            ph, out = SITE_PRODUCT[s][v]
-                            phase += ph
-                            d += 1
-                            counts[s] -= 1
-                            counts[out] += 1
-                if not d & 1:
-                    continue
-                key = (counts[1], counts[2], counts[3])
-                contrib = -2 if phase % 4 == 1 else 2
-                masses[key] = masses.get(key, 0) + contrib
-    return _orbit_average(a, masses, n)
-
-
 def _orbit_average(a: PauliTriple, masses: Mapping, n: int) -> dict[PauliTriple, int]:
     """Turn per-representative masses into orbit-sum coefficients.
 
@@ -181,25 +143,36 @@ def _orbit_average(a: PauliTriple, masses: Mapping, n: int) -> dict[PauliTriple,
 def orbit_bracket(a, b, n: int) -> SymOpVector:
     """Structure constants of [i P_a, i P_b] on n qubits by orbit expansion.
 
-    The reference engine that compare_tables checks StructureTable against;
-    its cost grows with the number of words in the orbit of b.
+    The representative word of orbit a (X block, Y block, Z block,
+    identities) times every word of orbit b, with the word oracle's product;
+    the reference engine that compare_tables checks StructureTable against.
+    Its cost grows with the number of words in the orbit of b.
     """
     a = as_triple(a).check(n)
     b = as_triple(b).check(n)
     if a == b:
         return SymOpVector.zero(n)
-    return SymOpVector(n, _bracket_orbit(a, b, n))
+    rep = letters_to_word([1] * a.kx + [2] * a.ky + [3] * a.kz)
+    masses: dict[PauliTriple, int] = {}
+    for w in orbit_words(b, n):
+        phase, word = _word_product(rep, w, n)
+        if phase & 1:
+            u = word_triple(word, n)
+            masses[u] = masses.get(u, 0) + (-2 if phase == 1 else 2)
+    return SymOpVector(n, _orbit_average(a, masses, n))
 
 
 @dataclass
 class StructureTable:
     """In-memory, lazily filled pairwise structure constants at fixed n.
 
-    Entries are overlap counts (_bracket_overlap), computed on first request
-    and stored under the sorted pair; the antisymmetric partner is produced
-    by sign flip on lookup.  Every entry comes from _pair_entry, which checks
-    both triples against n.  A finished table is read-only in practice:
-    lookups after fill() mutate nothing.
+    Inside, a triple is its triple_rank.  Entries are overlap counts
+    (_bracket_overlap) keyed by rank, computed on first request and stored
+    under the pair (lo, hi) with lo < hi; the antisymmetric partner is
+    produced by sign flip on lookup.  Every entry comes from _pair_entry,
+    which checks hi against the C(n+3,3) triples of n before it files one.
+    A finished table is read-only in practice: lookups after fill() mutate
+    nothing.
     """
 
     n: int
@@ -208,38 +181,35 @@ class StructureTable:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ConstraintError("qubit count must be positive")
+        self._size = comb(self.n + 3, 3)
 
-    def _pair_entry(self, a: PauliTriple, b: PauliTriple):
-        # A stored pair is sorted, so at most one of the two lookups hits;
-        # the sort keys are needed only to file a new entry.
-        entry = self._entries.get((a, b))
-        if entry is not None:
-            return entry, 1
-        entry = self._entries.get((b, a))
-        if entry is not None:
-            return entry, -1
-        if a == b:
+    def _pair_entry(self, a: int, b: int):
+        if a < b:
+            key, sign = (a, b), 1
+        elif a > b:
+            key, sign = (b, a), -1
+        else:
             return None, 1
-        sign = 1
-        if triple_sort_key(a) > triple_sort_key(b):
-            a, b = b, a
-            sign = -1
-        entry = _bracket_overlap(a.check(self.n), b.check(self.n), self.n)
-        self._entries[(a, b)] = entry
+        entry = self._entries.get(key)
+        if entry is None:
+            lo, hi = key
+            if lo < 0 or hi >= self._size:
+                raise ConstraintError(
+                    f"ranks {key} leave the {self._size} triples of n = {self.n}"
+                )
+            entry = by_rank(_bracket_overlap(rank_triple(lo), rank_triple(hi), self.n))
+            self._entries[key] = entry
         return entry, sign
 
     def bracket(self, a, b) -> SymOpVector:
-        entry, sign = self._pair_entry(as_triple(a), as_triple(b))
-        if not entry:
-            return SymOpVector.zero(self.n)
-        if sign < 0:
-            return SymOpVector(self.n, {u: -g for u, g in entry.items()})
-        return SymOpVector(self.n, dict(entry))
+        ra, rb = (triple_rank(as_triple(t).check(self.n)) for t in (a, b))
+        entry, sign = self._pair_entry(ra, rb)
+        return SymOpVector.from_ranks(self.n, {u: sign * g for u, g in (entry or {}).items()})
 
-    def bracket_coeffs(self, u: Mapping, v: Mapping) -> dict[PauliTriple, object]:
+    def bracket_coeffs(self, u: Mapping[int, object], v: Mapping[int, object]) -> dict:
         """Bilinear extension of the basis bracket to coordinate dicts keyed
-        by PauliTriple; zero coefficients are dropped."""
-        out: dict[PauliTriple, object] = {}
+        by triple rank; zero coefficients are dropped."""
+        out: dict[int, object] = {}
         for a, ca in u.items():
             for b, cb in v.items():
                 entry, sign = self._pair_entry(a, b)
@@ -254,14 +224,14 @@ class StructureTable:
         """Bilinear extension of the basis bracket to coordinate vectors."""
         if u.n != self.n or v.n != self.n:
             raise DimensionMismatch("vector qubit count differs from table")
-        return SymOpVector(self.n, self.bracket_coeffs(u.coeffs, v.coeffs))
+        coeffs = self.bracket_coeffs(by_rank(u.coeffs), by_rank(v.coeffs))
+        return SymOpVector.from_ranks(self.n, coeffs)
 
     def fill(self) -> None:
         """Compute every pair of basis elements.  Idempotent."""
         check_qubits(self.n, FILL_CAP, "a full structure table")
-        ts = all_triples(self.n)  # already in triple_sort_key order
-        for i, a in enumerate(ts):
-            for b in ts[i + 1 :]:
+        for a in range(self._size):
+            for b in range(a + 1, self._size):
                 self._pair_entry(a, b)
 
     @property

@@ -5,7 +5,9 @@ Pauli word with exactly kx X letters, ky Y letters and kz Z letters.  The
 triples with kx+ky+kz <= n label a basis of the permutation-equivariant
 Hermitian operators; this module provides the triple bookkeeping, sparse
 coordinate vectors over that basis, the Frobenius pairing and the preset
-generator sets.
+generator sets.  Inside the engine (structure table, closure worklist,
+echelons) a triple is its triple_rank, an int in the canonical order;
+PauliTriple and SymOpVector are the boundary types.
 
 Coordinates follow the skew-Hermitian convention throughout the package: a
 vector with coefficients c_t stands for the operator i * sum_t c_t P_t, so
@@ -21,17 +23,6 @@ from math import comb
 from typing import Iterator, Mapping, NamedTuple, Union
 
 Coeff = Union[int, Fraction]
-
-# Single-site Pauli products: SITE_PRODUCT[a][b] = (p, c) with a*b = i**p * c,
-# letters encoded I=0, X=1, Y=2, Z=3.  Shared by the two structure-constant
-# engines; the word oracle reads the same products off bit masks instead.
-SITE_PRODUCT = (
-    ((0, 0), (0, 1), (0, 2), (0, 3)),
-    ((0, 1), (0, 0), (1, 3), (3, 2)),
-    ((0, 2), (3, 3), (0, 0), (1, 1)),
-    ((0, 3), (1, 2), (3, 1), (0, 0)),
-)
-
 
 class ConstraintError(ValueError):
     """An argument violates a documented precondition."""
@@ -108,9 +99,34 @@ def all_triples(n: int) -> tuple[PauliTriple, ...]:
     return tuple(out)
 
 
+def triple_rank(t: PauliTriple) -> int:
+    """Position of t in the canonical order (triple_sort_key), the same at
+    every n: the C(L+2,3) triples below level L come first, then those of
+    level L with fewer X, then those with fewer Y."""
+    kx, ky, kz = t
+    level = kx + ky + kz
+    return comb(level + 2, 3) + kx * (2 * level + 3 - kx) // 2 + ky
+
+
 @lru_cache(maxsize=None)
-def triple_rank(n: int) -> Mapping[PauliTriple, int]:
-    return {t: i for i, t in enumerate(all_triples(n))}
+def rank_triple(r: int) -> PauliTriple:
+    """Inverse of triple_rank, for r >= 0; only the ranks asked for are kept."""
+    level = int((6 * r) ** (1 / 3))
+    while comb(level + 2, 3) > r:
+        level -= 1
+    while comb(level + 3, 3) <= r:
+        level += 1
+    r -= comb(level + 2, 3)
+    kx = 0
+    while r > level - kx:
+        r -= level - kx + 1
+        kx += 1
+    return PauliTriple(kx, r, level - kx - r)
+
+
+def by_rank(coeffs: Mapping) -> dict:
+    """Coordinates keyed by triple_rank, as the engine keeps them."""
+    return {triple_rank(t): c for t, c in coeffs.items()}
 
 
 def orbit_size(t: PauliTriple, n: int) -> int:
@@ -175,6 +191,11 @@ class SymOpVector:
     @classmethod
     def unit(cls, t, n: int) -> "SymOpVector":
         return cls(n, {as_triple(t): 1})
+
+    @classmethod
+    def from_ranks(cls, n: int, coeffs: Mapping[int, Coeff]) -> "SymOpVector":
+        """Vector from engine coordinates keyed by triple_rank."""
+        return cls(n, {rank_triple(r): c for r, c in coeffs.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymOpVector):

@@ -44,7 +44,7 @@ from .closure import (
     verdicts,
 )
 from .erratum import build_abc, verify_printed_commutators
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, rank_of
 from .oracle import WORD_QUBIT_CAP, class_sum, dense_closure, densify
 from .schur import SECTOR_CAP, isotypic_table, sector_check
 from .structure import StructureTable
@@ -54,9 +54,9 @@ from .symops import (
     SymOpVector,
     VerificationError,
     ambient_dims,
+    by_rank,
     check_qubits,
     preset_generators,
-    triple_sort_key,
 )
 
 
@@ -262,13 +262,10 @@ def _suite_lemma2(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     for n in range(lo, hi + 1):
         mus = range(n // 2 + 1)
         forms_equal = all(make_L(mu, n) == make_L_direct(mu, n) for mu in mus)
-        c_ech = SparseEchelon(key_sort=triple_sort_key)
-        c_rank = c_ech.extend(make_C(mu, n).coeffs for mu in mus)
-        growth = sum(
-            1 for mu in mus if c_ech.insert(make_L(mu, n).coeffs) is not None
-        )
-        l_ech = SparseEchelon(key_sort=triple_sort_key)
-        l_rank = l_ech.extend(make_L(mu, n).coeffs for mu in mus)
+        c_ech = SparseEchelon()
+        c_rank = c_ech.extend(by_rank(make_C(mu, n).coeffs) for mu in mus)
+        growth = c_ech.extend(by_rank(make_L(mu, n).coeffs) for mu in mus)
+        l_rank = rank_of(by_rank(make_L(mu, n).coeffs) for mu in mus)
         spans_equal = c_rank == len(mus) and growth == 0 and l_rank == len(mus)
         details = {"forms_equal": forms_equal, "spans_equal": spans_equal}
         ok = forms_equal and spans_equal

@@ -121,6 +121,18 @@ class TestClose:
         assert rc == 3 and out == "" and f"capped at n <= {WORD_QUBIT_CAP}" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_trivial_closure_report_at_large_n(self):
+        # The G1 closure holds one row; neither it nor its report may walk
+        # the C(2003,3) triples of n = 2000.  Run as a process, with start-up.
+        env = dict(os.environ, PYTHONPATH=str(Path(permlie.__file__).resolve().parent.parent))
+        argv = ["close", "--n", "2000", "--gens", "G1", "--json", "-"]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "permlie.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["dim"] == 1
+
 
 class TestVerify:
     def test_threshold_suite_small_range(self, capsys):

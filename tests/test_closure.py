@@ -15,6 +15,7 @@ from permlie import (
     DimensionMismatch,
     GeneratorSet,
     LieBasis,
+    PauliTriple,
     SymOpVector,
     all_triples,
     ambient_dims,
@@ -45,15 +46,21 @@ def custom_generator_sets(draw):
 
 
 def all_pairs_closure(gens, table):
-    """Reference worklist: each new row is bracketed with every stored row."""
-    ech = SparseEchelon(key_sort=triple_sort_key)
+    """Reference worklist: each new row is bracketed with every stored row.
+
+    Its echelon is keyed by triple_sort_key tuples, so the reference does
+    not share the engine's triple ranks."""
+    ech = SparseEchelon()
     stored = []
     work = deque()
 
+    def vector(row):
+        return SymOpVector(gens.n, {PauliTriple(*key[1:]): c for key, c in row.items()})
+
     def admit(v):
-        row = ech.insert(v.coeffs)
+        row = ech.insert({triple_sort_key(t): c for t, c in v.items()})
         if row is not None:
-            vec = SymOpVector(gens.n, row)
+            vec = vector(row)
             work.extend((vec, s) for s in stored)
             stored.append(vec)
 
@@ -61,7 +68,7 @@ def all_pairs_closure(gens, table):
         admit(g)
     while work:
         admit(table.bracket_vectors(*work.popleft()))
-    return tuple(SymOpVector(gens.n, r) for _, r in ech.rows())
+    return tuple(vector(r) for _, r in ech.rows())
 
 
 class TestClosureDimensions:

@@ -19,10 +19,16 @@ Standard library only: every import in src/permlie/*.py is relative or
 names a module of the standard library (sys.stdlib_module_names), so the
 package has no runtime dependency.  This file itself uses the standard
 library and pytest only.
+
+Python floor: every src/permlie/*.py parses with the grammar of the oldest
+Python that pyproject.toml's requires-python admits, so syntax newer than
+the declared floor (such as `except*` under ">=3.10") is caught on a newer
+interpreter.
 """
 
 import ast
 import io
+import re
 import sys
 import tokenize
 from collections import Counter
@@ -92,6 +98,34 @@ def test_detector_flags_a_foreign_import():
         "import xml.dom\n"
     )
     assert foreign_imports(source) == ["line 2: numpy", "line 5: scipy"]
+
+
+def python_floor() -> tuple[int, int]:
+    """The (major, minor) floor declared by requires-python."""
+    text = (ROOT / "pyproject.toml").read_text()
+    major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', text).groups()
+    return int(major), int(minor)
+
+
+def newer_syntax(source: str, floor: tuple[int, int]) -> str | None:
+    """The first syntax error under the grammar of Python `floor`, if any."""
+    try:
+        ast.parse(source, feature_version=floor)
+    except SyntaxError as exc:
+        return f"line {exc.lineno}: {exc.msg}"
+    return None
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_parses_at_the_declared_python_floor(path):
+    assert newer_syntax(path.read_text(), python_floor()) is None
+
+
+def test_detector_flags_syntax_above_the_floor():
+    assert python_floor() == (3, 10)
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    assert "Exception groups" in newer_syntax(source, (3, 10))
+    assert newer_syntax(source, (3, 11)) is None
 
 
 def defined_names(source: str) -> list[str]:

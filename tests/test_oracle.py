@@ -30,9 +30,9 @@ from permlie.oracle import (
     letters_to_word,
     transposition_pairings,
     word_letters,
+    word_triple,
     word_text,
 )
-from permlie.symops import SITE_PRODUCT
 
 
 def unit(t, n):
@@ -50,9 +50,26 @@ class TestWords:
         assert sorted(text) == ["X", "Y", "Z"]
         assert word_text(0, n) == "III"
 
+    def test_word_triple_counts_letters(self):
+        for n in (1, 3):
+            for w in range(4**n):
+                letters = word_letters(w, n)
+                assert word_triple(w, n) == tuple(letters.count(c) for c in (1, 2, 3))
+
     def test_qubit_cap_enforced(self):
         with pytest.raises(ResourceLimitError):
             DenseOp(WORD_QUBIT_CAP + 1, {0: 1})
+
+
+# Single-site Pauli products: SITE_PRODUCT[a][b] = (p, c) with a*b = i**p * c,
+# letters encoded I=0, X=1, Y=2, Z=3.  The table of the site-by-site
+# reference below; the package reads the same products off bit masks.
+SITE_PRODUCT = (
+    ((0, 0), (0, 1), (0, 2), (0, 3)),
+    ((0, 1), (0, 0), (1, 3), (3, 2)),
+    ((0, 2), (3, 3), (0, 0), (1, 1)),
+    ((0, 3), (1, 2), (3, 1), (0, 0)),
+)
 
 
 def site_by_site_product(w1: int, w2: int, n: int) -> tuple[int, int]:

@@ -2,6 +2,7 @@
 algebraic laws, the in-memory table."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from permlie import (
 from permlie.center import make_C
 from permlie.oracle import dense_bracket, densify, symmetrize
 from permlie.structure import FILL_CAP, ORBIT_CAP
+from permlie.symops import rank_triple, triple_rank
 
 # The two bracket engines, as (table, a, b) -> vector: the overlap count
 # behind every StructureTable, and the orbit expansion it is checked against.
@@ -247,10 +249,15 @@ class TestTableBasics:
     @pytest.mark.parametrize("engine", ENGINES.values(), ids=ENGINES)
     def test_out_of_range_triple_never_enters_the_table(self, engine):
         # bracket_coeffs trusts the keys of stored entries, so the one place
-        # entries are made must refuse triples beyond n
+        # entries are made must refuse ranks outside the C(n+3,3) triples of
+        # n, in either slot of the pair
         table = StructureTable(2)
-        with pytest.raises(ConstraintError, match="needs more than 2 qubits"):
-            table.bracket_coeffs({PauliTriple(3, 0, 0): 1}, {PauliTriple(0, 1, 0): 1})
+        past, y_field = comb(2 + 3, 3), triple_rank(PauliTriple(0, 1, 0))
+        assert rank_triple(past) == (0, 0, 3)
+        for bad in (past, -1):
+            for u, v in (({bad: 1}, {y_field: 1}), ({y_field: 1}, {bad: 1})):
+                with pytest.raises(ConstraintError, match="leave the 10 triples of n = 2"):
+                    table.bracket_coeffs(u, v)
         with pytest.raises(ConstraintError, match="needs more than 2 qubits"):
             engine(table, (1, 0, 0), (0, 2, 1))
         assert table.entry_count == 0

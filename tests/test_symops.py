@@ -26,6 +26,7 @@ from permlie import (
     parse_frac,
     parse_generator_spec,
     preset_generators,
+    rank_triple,
     trace_inner,
     triple_rank,
     triple_sort_key,
@@ -86,9 +87,19 @@ class TestTriples:
         assert keys == sorted(keys)
 
     def test_rank_map_matches_order(self):
-        ts = all_triples(5)
-        rank = triple_rank(5)
-        assert [rank[t] for t in ts] == list(range(len(ts)))
+        # The closed form needs no n: the rank is the position in
+        # triple_sort_key order of every triple up to level 69, all_triples(n)
+        # is a prefix of that order for each n < 70, and rank_triple inverts
+        # the rank.  all_triples.__wrapped__ keeps 70 tables out of its cache.
+        levels = range(70)
+        top = sorted(
+            (t for t in itertools.product(levels, repeat=3) if sum(t) in levels),
+            key=triple_sort_key,
+        )
+        assert [triple_rank(t) for t in top] == list(range(len(top)))
+        assert [rank_triple(r) for r in range(len(top))] == top
+        for n in levels:
+            assert all_triples.__wrapped__(n) == tuple(top[: comb(n + 3, 3)])
 
     def test_text_round_trip(self):
         t = PauliTriple(3, 0, 2)
