@@ -55,7 +55,7 @@ from .schur import (
     SubspaceControlReport,
     certify_subspace_control,
     isotypic_table,
-    sector_blocks,
+    sector_block,
     sector_check,
 )
 from .structure import StructureTable, compare_tables, orbit_bracket

@@ -79,10 +79,10 @@ class SparseEchelon:
         work, scale = _clear_denominators(vec)
         if not work:
             return work, scale
-        # Reduced rows hold no foreign pivots, so one pass in any fixed
-        # order eliminates every pivot the input touches.
-        hits = sorted(k for k in work if k in self._rows)
-        for p in hits:
+        # Reduced rows hold no foreign pivots, so one pass in any order
+        # eliminates every pivot the input touches; the primitive rows and
+        # the residual do not depend on the order.
+        for p in [k for k in work if k in self._rows]:
             c = work.get(p)
             if not c:
                 continue

@@ -26,18 +26,22 @@ coefficient is K(a,b,ky) K(c,e,kz) when kx+ky = a+b, with the Krawtchouk
 numbers K(a,b,k) = [y^k] (1+y)^a (1-y)^b.  So the triple fixes r, and each
 entry of G_mu(t) is one product W_mu(w',w,r) K(a,b,ky) K(c,e,kz).
 
-Checks.  sector_check tests every triple's blocks for Hermiticity and two
-exact sum rules: the trace, sum_mu d_mu tr A_mu(P_t) = 2^n [t = 0], and the
-norm, sum_mu d_mu tr A_mu(P_t)^2 = 2^n orbit_size(t).  Any one wrong table
-entry fails one of the three.  certify_subspace_control ranks the blocks of a closure basis
-over the rationals: A -> D A D is an invertible real-linear map that sends
-I to D^2, so the span of the D A_mu(row) D joined with D^2 has dimension one
-more than the span of the traceless parts of the A_mu(row).
+One pass.  certify_subspace_control walks the sectors once, building,
+checking and ranking one sector's table (sector_block) at a time.  It tests
+every triple's blocks for Hermiticity and two exact sum rules: the trace,
+sum_mu d_mu tr A_mu(P_t) = 2^n [t = 0], and the norm,
+sum_mu d_mu tr A_mu(P_t)^2 = 2^n orbit_size(t).  Any one wrong table entry
+fails one of the three.  It ranks the blocks of a closure basis over the
+rationals: A -> D A D is an invertible real-linear map that sends I to D^2,
+so the span of the D A_mu(row) D joined with D^2 has dimension one more
+than the span of the traceless parts of the A_mu(row).  sector_check turns
+the result, or the violation, into report details.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, lcm
 from typing import NamedTuple
 
@@ -52,7 +56,14 @@ from .symops import (
     orbit_size,
 )
 
-SECTOR_CAP = 30
+# The largest n for which `schur --n n --check-blocks --json -` finished as a
+# process in under 60 s on each of three runs on a 2-vCPU host (n = 30:
+# 29.7-35.1 s, 115 MB peak RSS; n = 31: 41.6-44.6 s, 129 MB; `schur --n 30`
+# alone: 0.2 s, 17 MB).  n = 32 took 47-57 s and 145 MB, too close to 60 s
+# for a host whose speed drifts; n = 33 took 69 s.  Ranking the closure
+# rows' blocks is most of the time, the largest sector's table (mu = 0) most
+# of the memory.
+SECTOR_CAP = 31
 
 Block = dict[int, int]  # entry w' * (q + 1) + w -> nonzero integer
 
@@ -85,7 +96,8 @@ def isotypic_table(n: int) -> tuple[IsotypicBlock, ...]:
     return tuple(blocks)
 
 
-def _krawtchouk(a: int, b: int) -> list[tuple[int, int]]:
+@cache  # shared by every sector; a, b <= n keeps it small (496 entries at n = 30)
+def _krawtchouk(a: int, b: int) -> tuple[tuple[int, int], ...]:
     """Nonzero (k, [y^k] (1+y)^a (1-y)^b)."""
     out = []
     for k in range(a + b + 1):
@@ -93,50 +105,43 @@ def _krawtchouk(a: int, b: int) -> list[tuple[int, int]]:
                 for i in range(max(0, k - b), min(a, k) + 1))
         if v:
             out.append((k, v))
-    return out
+    return tuple(out)
 
 
-def sector_blocks(n: int) -> tuple[dict[PauliTriple, Block], ...]:
-    """G_mu(t) for every sector mu (the tuple index) and every triple t.
+def sector_block(n: int, mu: int) -> dict[PauliTriple, Block]:
+    """G_mu(t) of sector mu for every triple t.
 
     Block mu of P_t is i**ky * D^-1 G D^-1, with G read off the dict as
-    G[w', w] = blocks[mu][t].get(w' * (q + 1) + w, 0); see the module
-    docstring for the closed form.
+    G[w', w] = sector_block(n, mu)[t].get(w' * (q + 1) + w, 0), q = n - 2 mu;
+    see the module docstring for the closed form.
     """
     check_qubits(n, SECTOR_CAP, "sector analysis")
-    memo: dict[tuple[int, int], list[tuple[int, int]]] = {}
-
-    def kraw(a: int, b: int) -> list[tuple[int, int]]:
-        if (a, b) not in memo:
-            memo[a, b] = _krawtchouk(a, b)
-        return memo[a, b]
-
-    out = []
-    for b in isotypic_table(n):
-        mu, q = b.mu, b.m - 1
-        table: dict[PauliTriple, Block] = {t: {} for t in all_triples(n)}
-        for wp in range(b.m):
-            for w in range(b.m):
-                # W(r) = 2^mu C(q,w) sum_{i-j=r} C(mu,i) (-1)^i C(w,j) C(q-w,w'-j)
-                weight: dict[int, int] = {}
-                for j in range(min(w, wp) + 1):
-                    cj = comb(w, j) * comb(q - w, wp - j) * comb(q, w) << mu
-                    for i in range(mu + 1):
-                        weight[i - j] = weight.get(i - j, 0) + (-1) ** i * comb(mu, i) * cj
-                key = wp * b.m + w
-                for r, c in weight.items():
-                    a, bb, e = wp + r, w + r, mu - r
-                    f = q - w - wp + e
-                    if not c or min(a, bb, e, f) < 0:
-                        continue
-                    zs = kraw(f, e)
-                    for ky, vy in kraw(a, bb):
-                        cy = c * vy
-                        kx = a + bb - ky
-                        for kz, vz in zs:
-                            table[kx, ky, kz][key] = cy * vz
-        out.append(table)
-    return tuple(out)
+    if not 0 <= mu <= n // 2:
+        raise ConstraintError(f"sector mu={mu} does not exist at n = {n}")
+    q = n - 2 * mu
+    m = q + 1
+    table: dict[PauliTriple, Block] = {t: {} for t in all_triples(n)}
+    for wp in range(m):
+        for w in range(m):
+            # W(r) = 2^mu C(q,w) sum_{i-j=r} C(mu,i) (-1)^i C(w,j) C(q-w,w'-j)
+            weight: dict[int, int] = {}
+            for j in range(min(w, wp) + 1):
+                cj = comb(w, j) * comb(q - w, wp - j) * comb(q, w) << mu
+                for i in range(mu + 1):
+                    weight[i - j] = weight.get(i - j, 0) + (-1) ** i * comb(mu, i) * cj
+            key = wp * m + w
+            for r, c in weight.items():
+                a, bb, e = wp + r, w + r, mu - r
+                f = q - w - wp + e
+                if not c or min(a, bb, e, f) < 0:
+                    continue
+                zs = _krawtchouk(f, e)
+                for ky, vy in _krawtchouk(a, bb):
+                    cy = c * vy
+                    kx = a + bb - ky
+                    for kz, vz in zs:
+                        table[kx, ky, kz][key] = cy * vz
+    return table
 
 
 def _scales(b: IsotypicBlock) -> tuple[int, list[int]]:
@@ -144,44 +149,6 @@ def _scales(b: IsotypicBlock) -> tuple[int, list[int]]:
     binoms = [comb(b.m - 1, w) for w in range(b.m)]
     big = lcm(*binoms)
     return big, [big // c for c in binoms]
-
-
-def block_violation(n: int, blocks: tuple[dict[PauliTriple, Block], ...]) -> str | None:
-    """First triple whose blocks are not Hermitian or break a sum rule, as a
-    message, or None.
-
-    Over the full space, tr P_t = 2^n [t = 0] and tr P_t^2 = 2^n orbit_size(t),
-    and the trace of an operator is sum_mu d_mu tr A_mu.  With
-    A_mu = i^ky D^-1 G D^-1, A_mu is Hermitian when G[w, w'] = (-1)^ky G[w', w];
-    then tr A_mu = i^ky tr(D^-2 G) and tr A_mu^2 = sum G[w', w]^2 / (D^2[w'] D^2[w]).
-    Any one wrong entry fails one of the three.
-    """
-    sectors = isotypic_table(n)
-    # per sector: L, then for each entry k = (w', w) its transpose and L^2 D^-2[w'] D^-2[w]
-    layout = []
-    for b in sectors:
-        big, inv = _scales(b)
-        pairs = [divmod(k, b.m) for k in range(b.m * b.m)]
-        layout.append((big, inv, [w * b.m + wp for wp, w in pairs],
-                       [inv[wp] * inv[w] for wp, w in pairs]))
-    for t in all_triples(n):
-        sign = (-1) ** t.ky
-        tr1 = tr2 = Fraction(0)
-        for b, (big, inv, transpose, weight), table in zip(sectors, layout, blocks):
-            g = table[t]
-            if any(g.get(transpose[k]) != sign * v for k, v in g.items()):
-                return f"block of P_({t.text()}) in sector mu={b.mu} is not Hermitian"
-            s1 = sum(g.get(w * (b.m + 1), 0) * inv[w] for w in range(b.m))
-            s2 = sum(v * v * weight[k] for k, v in g.items())
-            tr1 += Fraction(b.d * s1, big << b.mu)
-            tr2 += Fraction(b.d * s2, big * big << 2 * b.mu)
-        want1 = 2**n if t.level == 0 else 0
-        if tr1 != want1:
-            return f"trace sum rule fails at P_({t.text()}): {tr1} != {want1}"
-        want2 = 2**n * orbit_size(t, n)
-        if tr2 != want2:
-            return f"norm sum rule fails at P_({t.text()}): {tr2} != {want2}"
-    return None
 
 
 class SectorSpan(NamedTuple):
@@ -232,42 +199,65 @@ class SubspaceControlReport(NamedTuple):
         }
 
 
-def certify_subspace_control(
-    basis: LieBasis, blocks: tuple[dict[PauliTriple, Block], ...] | None = None
-) -> SubspaceControlReport:
-    """Measure how much of each sector's traceless algebra a basis reaches.
+def certify_subspace_control(basis: LieBasis) -> SubspaceControlReport:
+    """Check the exact blocks and measure how much of each sector's traceless
+    algebra a basis reaches, one sector at a time.
 
-    Per sector, the integer blocks G_mu(row) (real and imaginary parts) are
-    ranked exactly together with D^2, the image of the identity; the span
-    dimension is that rank less one.  The blocks are Hermitian, so the rank
-    stops growing at m^2 and later rows are skipped.  The span dimensions
-    plus the rank of the per-sector traces must add up to the closure
-    dimension.  blocks defaults to sector_blocks(basis.n).
+    Each sector's table is built by sector_block, checked, ranked and
+    dropped before the next one is built, so memory holds one sector.
+
+    Check.  Over the full space tr P_t = 2^n [t = 0] and
+    tr P_t^2 = 2^n orbit_size(t), and the trace of an operator is
+    sum_mu d_mu tr A_mu.  With A_mu = i^ky D^-1 G D^-1, A_mu is Hermitian
+    when G[w, w'] = (-1)^ky G[w', w]; then tr A_mu = i^ky tr(D^-2 G) and
+    tr A_mu^2 = sum G[w', w]^2 / (D^2[w'] D^2[w]).  Any one wrong entry fails
+    one of the three.  The first triple in canonical order that fails raises
+    VerificationError, naming Hermiticity (at the lowest mu), then the trace
+    rule, then the norm rule.
+
+    Rank.  Per sector, the integer blocks G_mu(row) (real and imaginary
+    parts) are ranked exactly together with D^2, the image of the identity;
+    the span dimension is that rank less one.  The blocks are Hermitian, so
+    the rank stops growing at m^2 and later rows are skipped.  The span
+    dimensions plus the rank of the per-sector traces must add up to the
+    closure dimension.
     """
     n = basis.n
-    if blocks is None:
-        blocks = sector_blocks(n)
     rows = []
     for row in basis.rows():
         scale = lcm(*(c.denominator for _, c in row.items()))
         rows.append([(t, int(c * scale)) for t, c in row.items()])
+    triples = all_triples(n)
+    not_hermitian: dict[PauliTriple, int] = {}  # triple -> lowest failing mu
+    tr1 = dict.fromkeys(triples, Fraction(0))  # sum_mu d_mu tr(D^-2 G)
+    tr2 = dict.fromkeys(triples, Fraction(0))  # sum_mu d_mu tr A_mu^2
     traces: list[dict[int, Fraction]] = [{} for _ in rows]
     sectors = []
-    for b, table in zip(isotypic_table(n), blocks):
+    for b in isotypic_table(n):
+        m = b.m
         big, inv = _scales(b)
-        # real trace of the orthonormal block, times 2^mu L; zero for odd ky
-        tr = {
-            t: (-1) ** (t.ky // 2) * sum(g.get(w * (b.m + 1), 0) * inv[w] for w in range(b.m))
-            for t, g in table.items()
-            if t.ky % 2 == 0
-        }
+        transpose = [k % m * m + k // m for k in range(m * m)]
+        weight = [inv[k // m] * inv[k % m] for k in range(m * m)]
+        table = sector_block(n, b.mu)
+        tr: dict[PauliTriple, int] = {}  # real trace of A_mu times 2^mu L
+        for t, g in table.items():
+            sign = -1 if t.ky & 1 else 1
+            if any(g.get(transpose[k]) != sign * v for k, v in g.items()):
+                not_hermitian.setdefault(t, b.mu)
+            s1 = sum(g.get(w * (m + 1), 0) * inv[w] for w in range(m))
+            if s1:
+                tr1[t] += Fraction(b.d * s1, big << b.mu)
+                if not t.ky & 1:  # zero for odd ky
+                    tr[t] = -s1 if t.ky & 2 else s1
+            tr2[t] += Fraction(b.d * sum(v * v * weight[k] for k, v in g.items()),
+                               big * big << 2 * b.mu)
         ech = SparseEchelon()
-        ech.insert({2 * w * (b.m + 1): comb(b.m - 1, w) for w in range(b.m)})
+        ech.insert({2 * w * (m + 1): comb(m - 1, w) for w in range(m)})
         for row, row_tr in zip(rows, traces):
             s = sum(c * tr.get(t, 0) for t, c in row)
             if s:
                 row_tr[b.mu] = Fraction(s, big << b.mu)
-            if ech.rank == b.m * b.m:
+            if ech.rank == m * m:
                 continue
             acc: dict[int, int] = {}
             for t, c in row:
@@ -277,7 +267,18 @@ def certify_subspace_control(
                     k = 2 * k + part
                     acc[k] = acc.get(k, 0) + c * v
             ech.insert(acc)  # zero entries are dropped there
-        sectors.append(SectorSpan(b.mu, b.m, ech.rank - 1, b.m * b.m - 1))
+        del table  # only one sector's table may be alive at a time
+        sectors.append(SectorSpan(b.mu, m, ech.rank - 1, m * m - 1))
+    for t in triples:
+        if t in not_hermitian:
+            raise VerificationError(
+                f"block of P_({t.text()}) in sector mu={not_hermitian[t]} is not Hermitian")
+        want1 = 2**n if t.level == 0 else 0
+        if tr1[t] != want1:
+            raise VerificationError(f"trace sum rule fails at P_({t.text()}): {tr1[t]} != {want1}")
+        want2 = 2**n * orbit_size(t, n)
+        if tr2[t] != want2:
+            raise VerificationError(f"norm sum rule fails at P_({t.text()}): {tr2[t]} != {want2}")
     return SubspaceControlReport(
         n=n,
         closure_dim=len(rows),
@@ -287,16 +288,13 @@ def certify_subspace_control(
 
 
 def sector_check(basis: LieBasis) -> tuple[dict, SubspaceControlReport | None]:
-    """block_violation and certify_subspace_control as report details:
-    (details, report).
+    """certify_subspace_control as report details: (details, report).
 
-    The block table is built once.  A violation is a finding, not an error
-    here: details then name the triple under block_pattern and report is
-    None.
+    A violation is a finding, not an error here: details then name the
+    triple under block_pattern and report is None.
     """
-    blocks = sector_blocks(basis.n)
-    bad = block_violation(basis.n, blocks)
-    if bad is not None:
-        return {"block_pattern": bad}, None
-    rep = certify_subspace_control(basis, blocks)
+    try:
+        rep = certify_subspace_control(basis)
+    except VerificationError as exc:
+        return {"block_pattern": str(exc)}, None
     return {"block_pattern": "clean", "subspace_control": rep.to_jsonable()}, rep

@@ -56,6 +56,7 @@ from .symops import (
     ambient_dims,
     by_rank,
     check_qubits,
+    parse_generator_spec,
     preset_generators,
 )
 
@@ -339,10 +340,7 @@ def _suite_oracle(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
         agree = True
         details = {}
         for label in _PRESETS_FOR_ORACLE + tuple(f"Gk:{k}" for k in range(3, min(n, 5) + 1)):
-            if label.startswith("Gk:"):
-                gens = preset_generators("Gk", n, k=int(label[3:]))
-            else:
-                gens = preset_generators(label, n)
+            gens = parse_generator_spec(label, n)
             srun = lie_closure(gens, ctx.table(n))
             drun = dense_closure([densify(g) for g in gens.members])
             details[label] = {"sparse": srun.dim, "dense": drun.dim}

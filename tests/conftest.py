@@ -4,12 +4,33 @@ are built once per test session."""
 import numpy as np
 import pytest
 
+from permlie import schur
 from permlie.verify import RunContext
 
 
 @pytest.fixture(scope="session")
 def ctx():
     return RunContext()
+
+
+@pytest.fixture
+def plant(monkeypatch):
+    """plant(mu, t, *keys) adds 1 to those entries of the exact block
+    G_mu(t) in every table schur.sector_block builds for the rest of the
+    test."""
+    build = schur.sector_block
+
+    def apply(mu, t, *keys):
+        def perturbed(n, nu):
+            table = build(n, nu)
+            if nu == mu:
+                for key in keys:
+                    table[t][key] = table[t].get(key, 0) + 1
+            return table
+
+        monkeypatch.setattr(schur, "sector_block", perturbed)
+
+    return apply
 
 
 # Single-qubit Pauli matrices for the brute-force cross-checks that tests

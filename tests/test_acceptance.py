@@ -40,16 +40,16 @@ from permlie import (
 
 
 def test_criterion_01_two_body_closure_dimension(ctx):
-    """dim closure(G2) = C(n+3,3) - floor(n/2), exactly, n = 2..28."""
+    """dim closure(G2) = C(n+3,3) - floor(n/2), exactly, n = 2..32."""
     slowest = 0.0
     dims = []
-    for n in range(2, 29):
+    for n in range(2, 33):
         run = ctx.closure("G2", n)
         assert run.dim == comb(n + 3, 3) - n // 2, f"n={n}"
         assert run.wall_time < 60.0, f"n={n} took {run.wall_time:.1f}s"
         slowest = max(slowest, run.wall_time)
         dims.append(run.dim)
-    print(f"criterion 1: dims {dims} for n=2..28, slowest closure {slowest:.2f}s")
+    print(f"criterion 1: dims {dims} for n=2..32, slowest closure {slowest:.2f}s")
 
 
 def test_criterion_02_k_body_universality_threshold(ctx):

@@ -349,18 +349,9 @@ class TestSchur:
         ],
         ids=["verb", "suite"],
     )
-    def test_block_violation_is_a_failed_case(self, capsys, monkeypatch, argv, name):
+    def test_block_violation_is_a_failed_case(self, capsys, plant, argv, name):
         """One wrong entry of the exact block table breaks a sum rule."""
-        from permlie import schur
-
-        table = schur.sector_blocks
-
-        def perturbed(n):
-            blocks = table(n)
-            blocks[1][0, 0, 1][0] += 1  # sector mu = 1, P_(0,0,1), entry (0, 0)
-            return blocks
-
-        monkeypatch.setattr(schur, "sector_blocks", perturbed)
+        plant(1, (0, 0, 1), 0)  # sector mu = 1, P_(0,0,1), entry (0, 0)
         rc, payload, _ = run_json(capsys, *argv)
         assert rc == 2 and payload["ok"] is False
         (case,) = [c for c in payload["cases"] if c["name"] == name]

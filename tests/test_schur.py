@@ -1,7 +1,9 @@
 """Sector data, exact sector blocks and controllability spans, checked
 against the float coupled basis of tests/coupled_basis.py."""
 
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 from math import comb
 
@@ -33,12 +35,13 @@ from permlie import (
     orbit_size,
     orbit_words,
     preset_generators,
-    sector_blocks,
+    sector_block,
     sector_check,
     trace_inner,
 )
+from permlie import schur
 from permlie.oracle import word_text
-from permlie.schur import SECTOR_CAP, block_violation
+from permlie.schur import SECTOR_CAP
 
 from conftest import kron_word
 
@@ -355,10 +358,11 @@ class TestDenseMatrixConvention:
 PHASE = (1, 1j, -1, -1j)
 
 
-def exact_block(blocks, t, b):
-    """Orthonormal block i**ky D^-1 G D^-1 of P_t in sector b, as floats."""
+def exact_block(table, t, b):
+    """Orthonormal block i**ky D^-1 G D^-1 of P_t in sector b, as floats,
+    from that sector's table."""
     g = np.zeros((b.m, b.m), dtype=complex)
-    for k, v in blocks[b.mu][t].items():
+    for k, v in table[t].items():
         g[divmod(k, b.m)] = PHASE[t.ky % 4] * v
     d = np.sqrt([2**b.mu * comb(b.m - 1, w) for w in range(b.m)])
     return g / d[:, None] / d[None, :]
@@ -367,6 +371,12 @@ def exact_block(blocks, t, b):
 def gram_weight(b):
     """D^-2 of sector b as exact fractions."""
     return [Fraction(1, 2**b.mu * comb(b.m - 1, w)) for w in range(b.m)]
+
+
+def violation(n):
+    """The sector pass's first block violation on the empty basis, or None."""
+    found, _ = sector_check(LieBasis(n))
+    return None if found["block_pattern"] == "clean" else found["block_pattern"]
 
 
 def presets(n):
@@ -379,25 +389,25 @@ class TestExactBlocks:
     def test_match_the_coupled_basis(self, n):
         """D^-1 G_mu(t) D^-1 is block_project's block, phase and sign included."""
         st = build_schur_transform(n)
-        blocks = sector_blocks(n)
+        tables = [sector_block(n, b.mu) for b in st.blocks]
         for t in all_triples(n):
-            for b, want in zip(st.blocks, block_project(SymOpVector.unit(t, n), st)):
-                assert np.abs(exact_block(blocks, t, b) - want).max() < 1e-12, (t, b.mu)
+            for b, table, want in zip(st.blocks, tables, block_project(SymOpVector.unit(t, n), st)):
+                assert np.abs(exact_block(table, t, b) - want).max() < 1e-12, (t, b.mu)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_blocks_are_orthogonal_like_the_words(self, n):
         """sum_mu d_mu tr(A_mu(P_a) A_mu(P_b)) = 2^n orbit_size(a) [a = b], exactly."""
-        blocks = sector_blocks(n)
         sectors = isotypic_table(n)
+        tables = [sector_block(n, b.mu) for b in sectors]
         weights = [gram_weight(b) for b in sectors]
         triples = all_triples(n)
         for a, c in itertools.combinations_with_replacement(triples, 2):
             total = Fraction(0)
-            for b, inv in zip(sectors, weights):
-                ga, gc = blocks[b.mu][a], blocks[b.mu][c]
-                for k, v in ga.items():
+            for b, table, inv in zip(sectors, tables, weights):
+                block_a, block_c = table[a], table[c]
+                for k, v in block_a.items():
                     wp, w = divmod(k, b.m)
-                    total += b.d * v * gc.get(w * b.m + wp, 0) * inv[w] * inv[wp]
+                    total += b.d * v * block_c.get(w * b.m + wp, 0) * inv[w] * inv[wp]
             # tr(A_a A_c) = i^(ky_a + ky_c) * total
             want = 2**n * orbit_size(a, n) * (-1) ** a.ky if a == c else 0
             assert total == want, (a, c)
@@ -412,12 +422,11 @@ class TestExactBlocks:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_sum_rules_hold(self, n):
-        assert block_violation(n, sector_blocks(n)) is None
+        assert violation(n) is None
 
     def test_blocks_are_integers_with_the_ky_parity(self):
-        blocks = sector_blocks(6)
-        for b, table in zip(isotypic_table(6), blocks):
-            for t, g in table.items():
+        for b in isotypic_table(6):
+            for t, g in sector_block(6, b.mu).items():
                 for k, v in g.items():
                     wp, w = divmod(k, b.m)
                     assert isinstance(v, int) and v
@@ -436,20 +445,17 @@ class TestExactBlocks:
             (0, (1, 0, 0), [1, 5], "norm sum rule fails at P_(1,0,0)"),
         ],
     )
-    def test_a_perturbed_entry_is_named(self, mu, t, keys, named):
-        blocks = sector_blocks(4)
-        g = blocks[mu][t]
-        for key in keys:
-            g[key] = g.get(key, 0) + 1
-        assert block_violation(4, blocks).startswith(named)
+    def test_a_perturbed_entry_is_named(self, plant, mu, t, keys, named):
+        plant(mu, t, *keys)
+        assert violation(4).startswith(named)
 
-    def test_sector_check_reports_a_violation(self, ctx, monkeypatch):
-        def perturbed(n):
-            blocks = sector_blocks(n)
-            blocks[1][0, 0, 1][0] += 1
-            return blocks
+    def test_a_violation_raises_from_the_pass(self, ctx, plant):
+        plant(0, (1, 0, 0), 1)
+        with pytest.raises(VerificationError, match=r"P_\(1,0,0\) in sector mu=0 is not Hermitian"):
+            certify_subspace_control(ctx.closure("G2", 4).basis)
 
-        monkeypatch.setattr("permlie.schur.sector_blocks", perturbed)
+    def test_sector_check_reports_a_violation(self, ctx, plant):
+        plant(1, (0, 0, 1), 0)
         found, rep = sector_check(ctx.closure("G2", 4).basis)
         assert rep is None
         assert found == {"block_pattern": found["block_pattern"]}
@@ -463,4 +469,29 @@ class TestExactBlocks:
 
     def test_table_cap(self):
         with pytest.raises(ResourceLimitError):
-            sector_blocks(SECTOR_CAP + 1)
+            sector_block(SECTOR_CAP + 1, 0)
+
+    def test_no_such_sector(self):
+        for mu in (-1, 3):
+            with pytest.raises(ConstraintError, match="does not exist"):
+                sector_block(5, mu)
+
+    def test_one_sector_table_at_a_time(self, ctx, monkeypatch):
+        """Sector mu's table is dead while sector mu + 1 is being built."""
+
+        class Table(dict):
+            pass
+
+        build = schur.sector_block
+        built = []
+
+        def tracked(n, mu):
+            gc.collect()
+            assert [ref() for ref in built] == [None] * len(built), f"building mu={mu}"
+            table = Table(build(n, mu))
+            built.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(schur, "sector_block", tracked)
+        rep = certify_subspace_control(ctx.closure("G2", 6).basis)
+        assert len(built) == 4 and rep.controllable
