@@ -10,8 +10,11 @@ predictions for the preset generator families, the central-membership
 residuals, and the universality verdicts read off from the closure basis.
 
 The worklist and its echelon key every row by triple_rank, whose int order
-is the canonical triple order.  PauliTriple appears only at the boundary:
-LieBasis takes and returns SymOpVectors, and reports read triples.
+is the canonical triple order, and hold integer rows only.  PauliTriple and
+Fraction appear only at the boundary: LieBasis takes rational SymOpVectors,
+clears their denominators once (linalg.integer_row) and returns primitive
+integer rows; reports read triples, and divide a residual by its row's
+pivot coefficient only for the offenders they print.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .linalg import SparseEchelon, generator_closure
+from .linalg import SparseEchelon, generator_closure, integer_row
 from .structure import StructureTable
 from .symops import (
     AmbientDims,
@@ -45,7 +48,8 @@ class LieBasis:
     """Reduced echelon basis of SymOpVectors at fixed n.
 
     The echelon is keyed by triple_rank, so its pivots follow the canonical
-    triple order; vectors are re-keyed on the way in and out.
+    triple order; vectors are re-keyed on the way in and out, and their
+    denominators cleared on the way in.
     """
 
     def __init__(self, n: int):
@@ -60,7 +64,7 @@ class LieBasis:
         """Grow the span; returns the stored primitive row, or None."""
         if v.n != self.n:
             raise DimensionMismatch("vector qubit count differs from basis")
-        row = self._ech.insert(by_rank(v.coeffs))
+        row = self._ech.insert(integer_row(by_rank(v.coeffs)))
         if row is None:
             return None
         return SymOpVector.from_ranks(self.n, row)
@@ -68,19 +72,13 @@ class LieBasis:
     def contains(self, v: SymOpVector) -> bool:
         if v.n != self.n:
             raise DimensionMismatch("vector qubit count differs from basis")
-        return self._ech.contains(by_rank(v.coeffs))
-
-    def reduce(self, v: SymOpVector) -> SymOpVector:
-        """Unique residual of v modulo the span."""
-        if v.n != self.n:
-            raise DimensionMismatch("vector qubit count differs from basis")
-        return SymOpVector.from_ranks(self.n, self._ech.residual(by_rank(v.coeffs)))
+        return self._ech.contains(integer_row(by_rank(v.coeffs)))
 
     def pivots(self) -> tuple[PauliTriple, ...]:
         return tuple(map(rank_triple, self._ech.pivots()))
 
     def rows(self) -> tuple[SymOpVector, ...]:
-        """Pivot-normalized rows in pivot order."""
+        """Primitive integer rows (positive pivot coefficient) in pivot order."""
         return tuple(SymOpVector.from_ranks(self.n, r) for _, r in self._ech.rows())
 
 
@@ -109,7 +107,9 @@ def lie_closure(gens: GeneratorSet, table: StructureTable | None = None) -> Clos
     t0 = time.perf_counter()
     basis = LieBasis(gens.n)
     iterations = generator_closure(
-        (by_rank(g.coeffs) for g in gens.members), table.bracket_coeffs, basis._ech
+        (integer_row(by_rank(g.coeffs)) for g in gens.members),
+        table.bracket_coeffs,
+        basis._ech,
     )
     return ClosureRun(basis, iterations, time.perf_counter() - t0)
 
@@ -164,23 +164,24 @@ def membership_residual(v: SymOpVector, mu: int) -> Fraction:
     return total
 
 
-def central_residuals(rows: Iterable[SymOpVector], n: int) -> list[list[Fraction]]:
-    """membership_residual(row, mu) for every row and 0 <= mu <= n/2.
+def central_residuals(rows: Iterable[SymOpVector], n: int) -> list[list]:
+    """mu! * membership_residual(row, mu) for every row and 0 <= mu <= n/2.
 
     One pass over each row's support: a triple (2a, 2b, 2c) with every
-    letter count even adds coeff/(a!b!c!) at mu = a+b+c, and no other
-    triple adds anything.  Since C_mu weighs (2a, 2b, 2c) by
-    (2a)!(2b)!(2c)!/(a!b!c!) and orbit_size cancels the numerator,
-    tr(row C_mu) = 2^n n!/(n - 2mu)! * residual[mu]: a residual vanishes
-    exactly when the row is trace-orthogonal to C_mu.
+    letter count even adds coeff * mu!/(a!b!c!) at mu = a+b+c, and no other
+    triple adds anything; an integer row gets integer residuals.  Since C_mu
+    weighs (2a, 2b, 2c) by (2a)!(2b)!(2c)!/(a!b!c!) and orbit_size cancels
+    the numerator, tr(row C_mu) = 2^n n!/(mu! (n - 2mu)!) * residual[mu]: a
+    residual vanishes exactly when the row is trace-orthogonal to C_mu.
     """
     out = []
     for row in rows:
-        res = [Fraction(0)] * (n // 2 + 1)
+        res = [0] * (n // 2 + 1)
         for (kx, ky, kz), coeff in row.items():
             if not (kx | ky | kz) & 1:
-                w = factorial(kx // 2) * factorial(ky // 2) * factorial(kz // 2)
-                res[(kx + ky + kz) // 2] += Fraction(coeff, w)
+                a, b, c = kx // 2, ky // 2, kz // 2
+                w = factorial(a + b + c) // (factorial(a) * factorial(b) * factorial(c))
+                res[a + b + c] += coeff * w
         out.append(res)
     return out
 
@@ -202,7 +203,7 @@ def verdicts(basis: LieBasis) -> Verdicts:
     return _verdicts(basis.n, basis.dim, central_residuals(basis.rows(), basis.n))
 
 
-def _verdicts(n: int, dim: int, residuals: Sequence[Sequence[Fraction]]) -> Verdicts:
+def _verdicts(n: int, dim: int, residuals: Sequence[Sequence[int]]) -> Verdicts:
     """verdicts from the central residuals of the basis rows.
 
     residual[mu] is tr(row C_mu) up to a nonzero factor per mu; scaling the
@@ -308,7 +309,8 @@ def build_report(
 ) -> ClosureReport:
     """Report of a closure run.  Every non-exempt membership residual of
     every basis row is checked; the report keeps how many are nonzero and
-    the first MAX_OFFENDERS of those, row-major."""
+    the first MAX_OFFENDERS of those, row-major, each as the residual of its
+    row scaled to pivot coefficient 1."""
     n = gens.n
     label = gens.label
     try:
@@ -317,9 +319,15 @@ def build_report(
         predicted = None
     matched = None if predicted is None else run.dim == predicted
     ex = frozenset(exempt) if exempt is not None else family_exempt_mus(gens)
-    residuals = central_residuals(run.basis.rows(), n)
+    rows = run.basis.rows()
+    pivots = run.basis.pivots()
+    residuals = central_residuals(rows, n)
     mus = tuple(mu for mu in range(n // 2 + 1) if mu not in ex)
-    nonzero = [(i, mu, res[mu]) for i, res in enumerate(residuals) for mu in mus if res[mu]]
+    nonzero = [(i, mu) for i, res in enumerate(residuals) for mu in mus if res[mu]]
+    offenders = tuple(
+        (i, mu, Fraction(residuals[i][mu], factorial(mu) * rows[i][pivots[i]]))
+        for i, mu in nonzero[:MAX_OFFENDERS]
+    )
     return ClosureReport(
         n=n,
         label=label,
@@ -333,8 +341,8 @@ def build_report(
         exempt=tuple(sorted(ex)),
         residual_mus=mus,
         residuals_nonzero=len(nonzero),
-        residual_offenders=tuple(nonzero[:MAX_OFFENDERS]),
-        pivots=tuple(t.text() for t in run.basis.pivots()),
+        residual_offenders=offenders,
+        pivots=tuple(t.text() for t in pivots),
         iterations=run.iterations,
         wall_time=run.wall_time,
     )

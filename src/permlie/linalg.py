@@ -1,13 +1,14 @@
 """Exact sparse linear algebra over ordered keys.
 
-SparseEchelon keeps a reduced row-echelon basis of rational row vectors
+SparseEchelon keeps a reduced row-echelon basis of integer row vectors
 indexed by hashable keys of one kind, in their natural order: triple ranks,
 Pauli words, sector block entries or central levels mu.  The smallest key of
-a row is its pivot.  Rows are stored as primitive integer dicts (content gcd
-1, positive pivot entry) and elimination is fraction-free, so the hot loops
-stay in machine-int arithmetic until the final rescale.  generator_closure
-is the one Lie-closure worklist; the sparse and the word-level engines
-differ only in the bracket they hand it.
+a row is its pivot.  Every row it takes holds ints, and it stores primitive
+integer dicts (content gcd 1, positive pivot entry); elimination is
+fraction-free, so no Fraction is made inside it.  A rational vector enters
+through integer_row, once, where it comes in from outside the engine.
+generator_closure is the one Lie-closure worklist; the sparse and the
+word-level engines differ only in the bracket they hand it.
 
 Rows stay fully reduced: a pivot column is nonzero only in its own row.  To
 keep them so without scanning every row on each insert, the echelon also
@@ -15,34 +16,25 @@ keeps a column index, mapping each non-pivot column to the set of pivots of
 the stored rows that are nonzero there (no column maps to an empty set).
 Back-substitution of a new row with pivot p then touches exactly the rows
 the index lists under p, and updates the index for the columns each of
-those rows gains or loses.  Elimination, residuals, membership and the
-nullspace read only the rows.
+those rows gains or loses.  Elimination, membership and the nullspace read
+only the rows.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Mapping
 
 Key = Hashable
 IntRow = dict
 
 
-def _clear_denominators(vec: Mapping) -> tuple[IntRow, int]:
-    """Integer multiple of vec plus the positive scale that was applied."""
-    scale = 1
-    for v in vec.values():
-        if isinstance(v, Fraction):
-            d = v.denominator
-            scale = scale // gcd(scale, d) * d
-    out = {}
-    for k, v in vec.items():
-        iv = int(v * scale)
-        if iv:
-            out[k] = iv
-    return out, scale
+def integer_row(vec: Mapping) -> IntRow:
+    """Rational vector times the lcm of its denominators, zeros dropped."""
+    scale = lcm(*(v.denominator for v in vec.values()))
+    return {k: int(v * scale) for k, v in vec.items() if v}
 
 
 def _make_primitive(row: IntRow, pivot: Key) -> IntRow:
@@ -57,14 +49,11 @@ def _make_primitive(row: IntRow, pivot: Key) -> IntRow:
 
 
 class SparseEchelon:
-    """Reduced echelon accumulator with exact rational semantics."""
+    """Reduced echelon accumulator over the integers (see integer_row)."""
 
     def __init__(self) -> None:
         self._rows: dict[Key, IntRow] = {}
         self._cols: dict[Key, set[Key]] = {}
-
-    def __len__(self) -> int:
-        return len(self._rows)
 
     @property
     def rank(self) -> int:
@@ -73,12 +62,10 @@ class SparseEchelon:
     def pivots(self) -> list[Key]:
         return sorted(self._rows)
 
-    def _eliminate(self, vec: Mapping) -> tuple[IntRow, int]:
-        """Reduce vec against the basis; returns (work, scale) with
-        work/scale equal to the exact residual."""
-        work, scale = _clear_denominators(vec)
-        if not work:
-            return work, scale
+    def _eliminate(self, vec: Mapping) -> IntRow:
+        """Reduce the integer row vec against the basis; returns a positive
+        multiple of its residual modulo the span."""
+        work = {k: v for k, v in vec.items() if v}
         # Reduced rows hold no foreign pivots, so one pass in any order
         # eliminates every pivot the input touches; the primitive rows and
         # the residual do not depend on the order.
@@ -89,10 +76,8 @@ class SparseEchelon:
             row = self._rows[p]
             piv = row[p]
             g = gcd(c, piv)
-            mul_w = piv // g
+            mul_w = piv // g  # > 0: stored pivots are positive
             mul_r = c // g
-            if mul_w < 0:
-                mul_w, mul_r = -mul_w, -mul_r
             for k, rv in row.items():
                 nv = mul_w * work.get(k, 0) - mul_r * rv
                 if nv:
@@ -103,22 +88,15 @@ class SparseEchelon:
                 for k in work:
                     if k not in row:
                         work[k] *= mul_w
-                scale *= mul_w
-        return work, scale
-
-    def residual(self, vec: Mapping) -> dict:
-        """Exact residual of vec modulo the span, as Fractions."""
-        work, scale = self._eliminate(vec)
-        return {k: Fraction(v, scale) for k, v in work.items()}
+        return work
 
     def contains(self, vec: Mapping) -> bool:
-        work, _ = self._eliminate(vec)
-        return not work
+        return not self._eliminate(vec)
 
     def insert(self, vec: Mapping) -> IntRow | None:
         """Add vec to the span.  Returns the stored primitive row if the
         rank grew, else None."""
-        work, _ = self._eliminate(vec)
+        work = self._eliminate(vec)
         if not work:
             return None
         pivot = min(work)
@@ -159,14 +137,9 @@ class SparseEchelon:
                 added += 1
         return added
 
-    def row(self, pivot: Key) -> dict:
-        """Stored row rescaled to pivot coefficient 1, as Fractions."""
-        row = self._rows[pivot]
-        piv = row[pivot]
-        return {k: _ratio(v, piv) for k, v in row.items()}
-
-    def rows(self) -> list[tuple[Key, dict]]:
-        return [(p, self.row(p)) for p in self.pivots()]
+    def rows(self) -> list[tuple[Key, IntRow]]:
+        """The stored primitive rows in pivot order."""
+        return [(p, self._rows[p]) for p in self.pivots()]
 
     def nullspace(self, unknowns: Iterable[Key]) -> list[dict]:
         """Basis of {x : row . x = 0 for every stored row}, one solution per
@@ -180,7 +153,7 @@ class SparseEchelon:
             for p, row in self._rows.items():
                 c = row.get(f)
                 if c:
-                    sol[p] = -_ratio(c, row[p])
+                    sol[p] = Fraction(-c, row[p])
             sols.append(sol)
         return sols
 
@@ -220,11 +193,6 @@ def generator_closure(
             if new is not None:
                 work.append(new)
     return steps
-
-
-def _ratio(num: int, den: int) -> Fraction:
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else Fraction(q)
 
 
 def rank_of(vecs: Iterable[Mapping]) -> int:

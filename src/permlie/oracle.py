@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Mapping
 
-from .linalg import SparseEchelon, generator_closure
+from .linalg import SparseEchelon, generator_closure, integer_row
 from .symops import (
     ConstraintError,
     DimensionMismatch,
@@ -230,7 +230,7 @@ def dense_closure(seeds: Iterable[DenseOp]) -> DenseClosureRun:
         return dense_bracket(DenseOp(n, u), DenseOp(n, g)).coeffs
 
     ech = SparseEchelon()
-    iterations = generator_closure((s.coeffs for s in seeds), bracket, ech)
+    iterations = generator_closure((integer_row(s.coeffs) for s in seeds), bracket, ech)
     return DenseClosureRun(ech.rank, iterations)
 
 

@@ -31,10 +31,11 @@ checking and ranking one sector's table (sector_block) at a time.  It tests
 every triple's blocks for Hermiticity and two exact sum rules: the trace,
 sum_mu d_mu tr A_mu(P_t) = 2^n [t = 0], and the norm,
 sum_mu d_mu tr A_mu(P_t)^2 = 2^n orbit_size(t).  Any one wrong table entry
-fails one of the three.  It ranks the blocks of a closure basis over the
-rationals: A -> D A D is an invertible real-linear map that sends I to D^2,
-so the span of the D A_mu(row) D joined with D^2 has dimension one more
-than the span of the traceless parts of the A_mu(row).  sector_check turns
+fails one of the three.  It ranks the blocks of a closure basis's
+primitive integer rows with integer arithmetic only: A -> D A D is an
+invertible real-linear map that sends I to D^2, so the span of the
+D A_mu(row) D joined with D^2 has dimension one more than the span of the
+traceless parts of the A_mu(row).  sector_check turns
 the result, or the violation, into report details.
 """
 
@@ -220,18 +221,16 @@ def certify_subspace_control(basis: LieBasis) -> SubspaceControlReport:
     the span dimension is that rank less one.  The blocks are Hermitian, so
     the rank stops growing at m^2 and later rows are skipped.  The span
     dimensions plus the rank of the per-sector traces must add up to the
-    closure dimension.
+    closure dimension.  Those traces are ranked as the integers
+    2^mu L tr A_mu(row): scaling column mu by 2^mu L leaves the rank as it is.
     """
     n = basis.n
-    rows = []
-    for row in basis.rows():
-        scale = lcm(*(c.denominator for _, c in row.items()))
-        rows.append([(t, int(c * scale)) for t, c in row.items()])
+    rows = [list(row.items()) for row in basis.rows()]
     triples = all_triples(n)
     not_hermitian: dict[PauliTriple, int] = {}  # triple -> lowest failing mu
     tr1 = dict.fromkeys(triples, Fraction(0))  # sum_mu d_mu tr(D^-2 G)
     tr2 = dict.fromkeys(triples, Fraction(0))  # sum_mu d_mu tr A_mu^2
-    traces: list[dict[int, Fraction]] = [{} for _ in rows]
+    traces: list[dict[int, int]] = [{} for _ in rows]  # 2^mu L tr A_mu, per mu
     sectors = []
     for b in isotypic_table(n):
         m = b.m
@@ -256,7 +255,7 @@ def certify_subspace_control(basis: LieBasis) -> SubspaceControlReport:
         for row, row_tr in zip(rows, traces):
             s = sum(c * tr.get(t, 0) for t, c in row)
             if s:
-                row_tr[b.mu] = Fraction(s, big << b.mu)
+                row_tr[b.mu] = s
             if ech.rank == m * m:
                 continue
             acc: dict[int, int] = {}

@@ -236,7 +236,7 @@ class SymOpVector:
         return SymOpVector(self.n, {k: -v for k, v in self.coeffs.items()})
 
     def scaled(self, c: Coeff) -> "SymOpVector":
-        c = Fraction(c)
+        c = _canon_value(c)
         return SymOpVector(self.n, {k: v * c for k, v in self.coeffs.items()})
 
     def leading(self) -> PauliTriple:

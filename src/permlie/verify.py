@@ -44,7 +44,7 @@ from .closure import (
     verdicts,
 )
 from .erratum import build_abc, verify_printed_commutators
-from .linalg import SparseEchelon, rank_of
+from .linalg import SparseEchelon, integer_row, rank_of
 from .oracle import WORD_QUBIT_CAP, class_sum, dense_closure, densify
 from .schur import SECTOR_CAP, isotypic_table, sector_check
 from .structure import StructureTable
@@ -263,10 +263,11 @@ def _suite_lemma2(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     for n in range(lo, hi + 1):
         mus = range(n // 2 + 1)
         forms_equal = all(make_L(mu, n) == make_L_direct(mu, n) for mu in mus)
+        l_rows = [integer_row(by_rank(make_L(mu, n).coeffs)) for mu in mus]
         c_ech = SparseEchelon()
         c_rank = c_ech.extend(by_rank(make_C(mu, n).coeffs) for mu in mus)
-        growth = c_ech.extend(by_rank(make_L(mu, n).coeffs) for mu in mus)
-        l_rank = rank_of(by_rank(make_L(mu, n).coeffs) for mu in mus)
+        growth = c_ech.extend(l_rows)
+        l_rank = rank_of(l_rows)
         spans_equal = c_rank == len(mus) and growth == 0 and l_rank == len(mus)
         details = {"forms_equal": forms_equal, "spans_equal": spans_equal}
         ok = forms_equal and spans_equal

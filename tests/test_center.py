@@ -30,6 +30,7 @@ from permlie.center import (
     central_projection_test,
     spanning_generators,
 )
+from permlie.linalg import integer_row
 from permlie.oracle import class_sum, dense_bracket, densify
 from permlie.symops import GeneratorSet, rank_triple
 
@@ -116,10 +117,10 @@ class TestClassSums:
             c_ech = SparseEchelon()
             c_rank = c_ech.extend(make_C(m, n).coeffs for m in range(mu + 1))
             assert c_rank == mu + 1
-            grown = c_ech.extend(make_L(m, n).coeffs for m in range(mu + 1))
-            assert grown == 0
+            l_rows = [integer_row(make_L(m, n).coeffs) for m in range(mu + 1)]
+            assert c_ech.extend(l_rows) == 0
             l_ech = SparseEchelon()
-            assert l_ech.extend(make_L(m, n).coeffs for m in range(mu + 1)) == mu + 1
+            assert l_ech.extend(l_rows) == mu + 1
 
     def test_mu_out_of_range(self):
         with pytest.raises(ConstraintError):
@@ -169,9 +170,9 @@ def full_scan_system(table):
 
 
 def span_rows(vecs):
-    """Reduced echelon rows with pivot 1: equal lists mean equal spans."""
+    """Primitive reduced echelon rows: equal lists mean equal spans."""
     ech = SparseEchelon()
-    ech.extend(vecs)
+    ech.extend(map(integer_row, vecs))
     return ech.rows()
 
 

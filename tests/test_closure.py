@@ -4,7 +4,7 @@ import json
 import random
 from collections import deque
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -279,7 +279,8 @@ class TestResidualTraceIdentity:
             for row, residuals in zip(rows, central_residuals(rows, n)):
                 for mu in range(n // 2 + 1):
                     residual = membership_residual(row, mu)
-                    assert residuals[mu] == residual, (n, mu, row.text())
+                    assert type(residuals[mu]) is int
+                    assert residuals[mu] == factorial(mu) * residual, (n, mu, row.text())
                     scale = 2**n * factorial(n) // factorial(n - 2 * mu)
                     assert trace_inner(row, make_C(mu, n)) == scale * residual, (
                         n, mu, row.text()
@@ -297,6 +298,11 @@ class TestResidualTraceIdentity:
                 if any(trace_inner(g, make_C(mu, n)) for g in gens.members)
             }
             assert family_exempt_mus(gens) == touched
+
+
+def pivot_one_rows(basis):
+    """The basis rows rescaled to pivot coefficient 1."""
+    return [row.scaled(Fraction(1, row[p])) for row, p in zip(basis.rows(), basis.pivots())]
 
 
 def basis_from(vectors):
@@ -388,7 +394,7 @@ class TestReports:
             gens = preset_generators(spec, n)
         run = lie_closure(gens, ctx.table(n))
         report = build_report(gens, run, exempt=())
-        rows = run.basis.rows()
+        rows = pivot_one_rows(run.basis)
         assert report.residual_mus == (0, 1, 2) and report.dim == len(rows)
         nonzero = [
             (i, mu, membership_residual(row, mu))
@@ -405,6 +411,28 @@ class TestReports:
         payload["command"] = "close"
         schema = json.loads(open(schema_path("closure_report")).read())
         jsonschema.validate(payload, schema)
+
+    # Gk:4 at n = 7 has offenders of value 1/2, where the division by mu!
+    # shows; spec None stands for X and 2 XX + 3 ZZ at n = 4, whose closure
+    # has its offenders on rows with primitive pivot coefficient 5, where the
+    # division by the pivot shows.  The ladder's offending rows have pivot 1.
+    @pytest.mark.parametrize("n, spec", [(7, "Gk:4"), (4, None)])
+    def test_offenders_are_residuals_of_pivot_one_rows(self, ctx, n, spec):
+        if spec is None:
+            members = (SymOpVector.unit((1, 0, 0), n),
+                       SymOpVector(n, {(2, 0, 0): 2, (0, 0, 2): 3}))
+            gens = GeneratorSet(n, members, "custom")
+        else:
+            gens = parse_generator_spec(spec, n)
+        run = lie_closure(gens, ctx.table(n))
+        report = build_report(gens, run, exempt=())
+        assert report.residual_offenders
+        normalized = pivot_one_rows(run.basis)
+        for i, mu, value in report.residual_offenders:
+            assert value == membership_residual(normalized[i], mu) != 0
+        rows, pivots = run.basis.rows(), run.basis.pivots()
+        pivot_coeffs = {rows[i][pivots[i]] for i, _, _ in report.residual_offenders}
+        assert (pivot_coeffs != {1}) == (spec is None)
 
     def test_custom_report_has_no_prediction(self, ctx):
         gens = GeneratorSet(3, (SymOpVector.unit((1, 0, 0), 3),), "custom")
@@ -443,19 +471,21 @@ class TestLieBasis:
         assert basis.insert(x.scaled(5)) is None
         assert basis.dim == 1
 
-    def test_rows_are_pivot_normalized(self, ctx):
-        basis = ctx.closure("G2", 4).basis
+    def test_rows_are_primitive_ints_with_positive_pivot(self, ctx):
+        basis = ctx.closure("Gk", 7, 4).basis
         for pivot, row in zip(basis.pivots(), basis.rows()):
-            assert row[pivot] == 1
+            assert row[pivot] > 0
+            assert all(type(c) is int for _, c in row.items())
+            assert gcd(*(c for _, c in row.items())) == 1
         pivots = list(basis.pivots())
         assert pivots == sorted(pivots, key=lambda t: (t.level, t.kx, t.ky, t.kz))
 
-    def test_reduce_returns_exact_remainder(self, ctx):
+    def test_contains_takes_rational_vectors(self, ctx):
         basis = ctx.closure("G1prime", 4).basis
-        v = SymOpVector(4, {(1, 0, 0): 1, (0, 0, 4): Fraction(1, 2)})
-        rem = basis.reduce(v)
-        assert rem == SymOpVector(4, {(0, 0, 4): Fraction(1, 2)})
-        assert basis.reduce(rem) == rem
+        x = SymOpVector.unit((1, 0, 0), 4)
+        assert basis.contains(x.scaled(Fraction(2, 3)))
+        assert not basis.contains(x + SymOpVector(4, {(0, 0, 4): Fraction(1, 2)}))
+        assert basis.insert(x.scaled(Fraction(-1, 7))) is None
 
 
 def test_closure_dimension_random_generator_sanity(ctx):

@@ -1,4 +1,4 @@
-"""Sparse exact echelon forms: rank, residuals, nullspaces, row invariants."""
+"""Sparse exact echelon forms: integer rows, rank, nullspaces, row invariants."""
 
 from fractions import Fraction
 from math import gcd
@@ -6,7 +6,9 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permlie.linalg import SparseEchelon, _make_primitive, rank_of
+from permlie import GeneratorSet, lie_closure, predicted_dim, preset_generators
+from permlie.cli import main
+from permlie.linalg import SparseEchelon, _make_primitive, integer_row, rank_of
 
 
 def gauss_rank(rows: list[list[int]]) -> int:
@@ -45,7 +47,7 @@ class TestInsertAndRank:
         ech = SparseEchelon()
         ech.insert({0: 2, 1: 4})
         assert ech.insert({0: 1, 1: 2}) is None
-        assert ech.insert({0: Fraction(1, 3), 1: Fraction(2, 3)}) is None
+        assert ech.insert(integer_row({0: Fraction(1, 3), 1: Fraction(2, 3)})) is None
         assert ech.rank == 1
 
     def test_zero_row_rejected(self):
@@ -81,19 +83,30 @@ class TestRowInvariants:
             foreign = set(row) & (pivots - {pivot})
             assert not foreign
 
-    def test_row_view_normalizes_pivot_to_one(self):
+    def test_rows_view_is_the_stored_primitive_rows(self):
+        ech = SparseEchelon()
+        ech.extend([{2: 4, 3: -6}, {0: 3, 1: 2}])
+        assert ech.rows() == [(0, {0: 3, 1: 2}), (2, {2: 2, 3: -3})]
+
+
+class TestIntegerRow:
+    def test_clears_denominators_by_their_lcm(self):
+        row = integer_row({0: Fraction(1, 3), 1: Fraction(-1, 2), 2: 0, 3: 2})
+        assert row == {0: 2, 1: -3, 3: 12}
+        assert all(type(v) is int for v in row.values())
+
+    def test_int_rows_keep_their_values_without_zeros(self):
+        assert integer_row({0: 4, 1: 0, 2: -6}) == {0: 4, 2: -6}
+        assert integer_row({0: 0}) == {} == integer_row({})
+
+    def test_rational_multiple_of_a_row_is_contained(self):
         ech = SparseEchelon()
         ech.insert({0: 3, 1: 2})
-        assert ech.row(0) == {0: Fraction(1), 1: Fraction(2, 3)}
+        assert ech.contains(integer_row({0: Fraction(1), 1: Fraction(2, 3)}))
+        assert not ech.contains(integer_row({0: Fraction(1), 1: Fraction(1, 3)}))
 
 
 class TestResidualAndContains:
-    def test_residual_exact(self):
-        ech = SparseEchelon()
-        ech.extend([{0: 1, 1: 1}, {1: 2}])
-        res = ech.residual({0: 1, 1: 1, 2: Fraction(1, 3)})
-        assert res == {2: Fraction(1, 3)}
-
     def test_contains_linear_combinations(self):
         ech = SparseEchelon()
         ech.extend([{0: 2, 1: 4}, {1: 1, 2: 3}])
@@ -181,7 +194,7 @@ class FullScanEchelon(SparseEchelon):
     pivot, with no column index."""
 
     def insert(self, vec):
-        work, _ = self._eliminate(vec)
+        work = self._eliminate(vec)
         if not work:
             return None
         pivot = min(work)
@@ -228,3 +241,34 @@ class TestColumnIndex:
                     if k != p:
                         support.setdefault(k, set()).add(p)
             assert ech._cols == support
+
+
+# Verbs whose echelons see closure rows, L_mu rows, verdict residuals,
+# sector blocks and traces, dense-engine rows and the X/Y kernel system.
+INT_ONLY_VERBS = (
+    ("close", "--n", "8", "--gens", "G2"),
+    ("center", "--n", "9"),
+    ("schur", "--n", "6", "--check-blocks"),
+    ("verify", "lemma2"),
+    ("verify", "cor1", "--n-range", "2..5"),
+    ("verify", "oracle", "--n-range", "2..3"),
+)
+
+
+class TestIntegerEngine:
+    def test_no_fraction_reaches_the_echelon(self, monkeypatch, capsys):
+        seen = set()
+        eliminate = SparseEchelon._eliminate
+
+        def recording(self, vec):
+            seen.update(map(type, vec.values()))
+            return eliminate(self, vec)
+
+        monkeypatch.setattr(SparseEchelon, "_eliminate", recording)
+        for argv in INT_ONLY_VERBS:
+            assert main([*argv, "--json", "-"]) == 0, argv
+        capsys.readouterr()
+        g2 = preset_generators("G2", 5)
+        thirds = tuple(g.scaled(Fraction(1, 3)) for g in g2.members)
+        assert lie_closure(GeneratorSet(5, thirds, "custom")).dim == predicted_dim("G2", 5)
+        assert seen == {int}

@@ -162,6 +162,12 @@ class TestSymOpVector:
         with pytest.raises(ConstraintError):
             SymOpVector(2, {(1, 0, 0): 0.5})
 
+    def test_scaling_by_a_float_rejected(self):
+        u = SymOpVector.unit((1, 0, 0), 2)
+        with pytest.raises(ConstraintError):
+            u.scaled(0.1)
+        assert type(u.scaled(Fraction(6, 3))[(1, 0, 0)]) is int
+
     def test_out_of_range_key_rejected(self):
         with pytest.raises(ConstraintError):
             SymOpVector(1, {(1, 1, 0): 1})
