@@ -11,9 +11,9 @@ combination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 from .closure import central_residuals, lie_closure
 from .linalg import SparseEchelon, rank_of
@@ -117,8 +117,7 @@ def central_projection_test(gens: GeneratorSet) -> dict[int, bool]:
     return {mu: not any(res[mu] for res in residuals) for mu in range(gens.n // 2 + 1)}
 
 
-@dataclass(frozen=True)
-class CenterReport:
+class CenterReport(NamedTuple):
     """Outcome of the full centralizer verification at one n.
 
     closure_dim is the rank of the spanning closure (G2, or the one-body

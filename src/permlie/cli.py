@@ -29,7 +29,6 @@ import csv
 import json
 import os
 import sys
-from importlib import resources
 
 from .center import make_C, make_L
 from .closure import build_report, lie_closure
@@ -59,6 +58,8 @@ class _Parser(argparse.ArgumentParser):
 
 def schema_path(name: str) -> str:
     """Filesystem path of a bundled report schema (no .schema.json suffix)."""
+    from importlib import resources  # here, not at the top: no verb needs it
+
     res = resources.files("permlie").joinpath("schemas", f"{name}.schema.json")
     if not res.is_file():
         raise ConstraintError(f"no bundled schema named {name!r}")

@@ -20,10 +20,9 @@ pivot coefficient only for the offenders they print.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import SparseEchelon, generator_closure, integer_row
 from .structure import StructureTable
@@ -82,8 +81,7 @@ class LieBasis:
         return tuple(SymOpVector.from_ranks(self.n, r) for _, r in self._ech.rows())
 
 
-@dataclass(frozen=True)
-class ClosureRun:
+class ClosureRun(NamedTuple):
     basis: LieBasis
     iterations: int
     wall_time: float
@@ -186,8 +184,7 @@ def central_residuals(rows: Iterable[SymOpVector], n: int) -> list[list]:
     return out
 
 
-@dataclass(frozen=True)
-class Verdicts:
+class Verdicts(NamedTuple):
     universal: bool
     semi_universal: bool
 
@@ -228,8 +225,7 @@ def _verdicts(n: int, dim: int, residuals: Sequence[Sequence[int]]) -> Verdicts:
     return Verdicts(universal, semi)
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     """Serializable record of one closure computation."""
 
     n: int

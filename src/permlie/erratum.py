@@ -16,7 +16,7 @@ coefficient_printed(u) = (-1)**(ky(a)+ky(b)+ky(u)) * coefficient_engine(u).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import rank_of
 from .oracle import dense_bracket, densify, symmetrize
@@ -37,8 +37,7 @@ def _check_case(kbar: int, n: int) -> None:
         raise ConstraintError(f"tables at kbar={kbar} need at least kbar qubits, got n={n}")
 
 
-@dataclass(frozen=True)
-class PrintedCommutator:
+class PrintedCommutator(NamedTuple):
     """One published commutator: its operands and coefficient table.
 
     Coefficients are in the publication's convention; `expected` maps output
@@ -112,8 +111,7 @@ def relevant_support(kbar: int) -> tuple[PauliTriple, ...]:
     )
 
 
-@dataclass(frozen=True)
-class ErratumCase:
+class ErratumCase(NamedTuple):
     """Rank analysis of the printed tables restricted to the shared support."""
 
     kbar: int
@@ -145,8 +143,7 @@ def build_abc(kbar: int, n: int, corrected: bool = True) -> ErratumCase:
     return ErratumCase(kbar, n, corrected, a, b, c, rank, dependence)
 
 
-@dataclass(frozen=True)
-class ErratumReport:
+class ErratumReport(NamedTuple):
     """Outcome of recomputing every printed coefficient from the oracle."""
 
     kbar: int

@@ -41,6 +41,8 @@ def _make_primitive(row: IntRow, pivot: Key) -> IntRow:
     g = 0
     for v in row.values():
         g = gcd(g, v)
+        if g == 1:
+            break
     if row[pivot] < 0:
         g = -g
     if g in (1, 0):

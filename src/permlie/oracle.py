@@ -16,11 +16,10 @@ the coordinate of i*w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .linalg import SparseEchelon, generator_closure, integer_row
 from .symops import (
@@ -29,6 +28,7 @@ from .symops import (
     PauliTriple,
     ResourceLimitError,
     SymOpVector,
+    _Frozen,
     as_triple,
     orbit_size,
 )
@@ -60,25 +60,25 @@ def word_text(w: int, n: int) -> str:
     return "".join("IXYZ"[letter] for letter in word_letters(w, n))
 
 
-@dataclass(frozen=True)
-class DenseOp:
+class DenseOp(_Frozen):
     """Exact operator i * sum_w coeffs[w] * w over individual Pauli words."""
 
+    __slots__ = ("n", "coeffs")
     n: int
-    coeffs: Mapping[int, object] = field(default_factory=dict)
+    coeffs: Mapping[int, object]
 
-    def __post_init__(self) -> None:
-        _check_word_n(self.n)
+    def __init__(self, n: int, coeffs: Mapping | None = None) -> None:
+        _check_word_n(n)
         clean = {}
-        top = 1 << (2 * self.n)
-        for w, v in self.coeffs.items():
+        top = 1 << (2 * n)
+        for w, v in (coeffs or {}).items():
             if not 0 <= w < top:
-                raise ConstraintError(f"word {w} out of range for n = {self.n}")
+                raise ConstraintError(f"word {w} out of range for n = {n}")
             if not isinstance(v, (int, Fraction)):
                 raise ConstraintError("word coefficients must be exact rationals")
             if v:
                 clean[w] = v
-        object.__setattr__(self, "coeffs", clean)
+        self._set(n, clean)
 
     @property
     def is_zero(self) -> bool:
@@ -97,11 +97,6 @@ class DenseOp:
 
     def scaled(self, c) -> "DenseOp":
         return DenseOp(self.n, {w: v * c for w, v in self.coeffs.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DenseOp):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
 
 
 def _word_product(w1: int, w2: int, n: int) -> tuple[int, int]:
@@ -208,8 +203,7 @@ def dense_bracket(p: DenseOp, q: DenseOp) -> DenseOp:
     return DenseOp(n, out)
 
 
-@dataclass(frozen=True)
-class DenseClosureRun:
+class DenseClosureRun(NamedTuple):
     dim: int
     iterations: int
 

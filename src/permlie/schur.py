@@ -68,10 +68,6 @@ SECTOR_CAP = 31
 
 Block = dict[int, int]  # entry w' * (q + 1) + w -> nonzero integer
 
-# The records below are NamedTuples, not frozen dataclasses: every verb
-# imports this module, and a NamedTuple class is several times cheaper to
-# create.
-
 
 class IsotypicBlock(NamedTuple):
     """One total-spin sector: multiplicity m acted on, d identical copies."""

@@ -24,7 +24,6 @@ when _pair_entry files its table entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 from typing import Mapping
@@ -86,7 +85,7 @@ def _row_options(total: int, caps: tuple[int, int, int, int]):
     return tuple(out)
 
 
-def _bracket_overlap(a: PauliTriple, b: PauliTriple, n: int) -> dict[PauliTriple, int]:
+def _bracket_overlap(a: PauliTriple, b: PauliTriple, n: int) -> dict[int, int]:
     """Overlap-pattern count of [i P_a, i P_b].
 
     Fixes the representative word of orbit a (X block, Y block, Z block,
@@ -118,25 +117,30 @@ def _bracket_overlap(a: PauliTriple, b: PauliTriple, n: int) -> dict[PauliTriple
     return _orbit_average(a, masses, n)
 
 
-def _orbit_average(a: PauliTriple, masses: Mapping, n: int) -> dict[PauliTriple, int]:
-    """Turn per-representative masses into orbit-sum coefficients.
+def _orbit_average(a: PauliTriple, masses: Mapping, n: int) -> dict[int, int]:
+    """Turn per-representative masses into orbit-sum coefficients, keyed by
+    the triple_rank of the output triple u.
 
     The bracket of full orbit sums assigns each output orbit the mass seen by
-    one representative times orbit_size(a)/orbit_size(u); exactness of that
-    division is asserted.
+    one representative times orbit_size(a)/orbit_size(u).  Each u is
+    asserted to lie at level <= n and each division to be exact; orbit_size(u)
+    is read off the letter counts, since orbit_size's own check is for input.
     """
-    out: dict[PauliTriple, int] = {}
+    out: dict[int, int] = {}
     oa = orbit_size(a, n)
     for u, m in masses.items():
         if not m:
             continue
-        t = PauliTriple(*u)
-        q, r = divmod(oa * m, orbit_size(t, n))
+        ux, uy, uz = u
+        free = n - ux - uy
+        if min(ux, uy, uz, free - uz) < 0:
+            raise VerificationError(f"orbit averaging of [{a.text()}, {u}] left level <= {n}")
+        q, r = divmod(oa * m, comb(n, ux) * comb(n - ux, uy) * comb(free, uz))
         if r:
             raise VerificationError(
                 f"orbit averaging of [{a.text()}, {u}] gave a non-integer constant"
             )
-        out[t] = q
+        out[triple_rank(u)] = q
     return out
 
 
@@ -159,10 +163,9 @@ def orbit_bracket(a, b, n: int) -> SymOpVector:
         if phase & 1:
             u = word_triple(word, n)
             masses[u] = masses.get(u, 0) + (-2 if phase == 1 else 2)
-    return SymOpVector(n, _orbit_average(a, masses, n))
+    return SymOpVector.from_ranks(n, _orbit_average(a, masses, n))
 
 
-@dataclass
 class StructureTable:
     """In-memory, lazily filled pairwise structure constants at fixed n.
 
@@ -175,13 +178,12 @@ class StructureTable:
     nothing.
     """
 
-    n: int
-    _entries: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int) -> None:
+        if n < 1:
             raise ConstraintError("qubit count must be positive")
-        self._size = comb(self.n + 3, 3)
+        self.n = n
+        self._size = comb(n + 3, 3)
+        self._entries: dict = {}
 
     def _pair_entry(self, a: int, b: int):
         if a < b:
@@ -197,7 +199,7 @@ class StructureTable:
                 raise ConstraintError(
                     f"ranks {key} leave the {self._size} triples of n = {self.n}"
                 )
-            entry = by_rank(_bracket_overlap(rank_triple(lo), rank_triple(hi), self.n))
+            entry = _bracket_overlap(rank_triple(lo), rank_triple(hi), self.n)
             self._entries[key] = entry
         return entry, sign
 

@@ -9,6 +9,11 @@ generator sets.  Inside the engine (structure table, closure worklist,
 echelons) a triple is its triple_rank, an int in the canonical order;
 PauliTriple and SymOpVector are the boundary types.
 
+Package rule: runtime records are typing.NamedTuples, and value types that
+validate on construction are __slots__ classes on _Frozen, never
+dataclasses.  Every verb is a process that imports the whole package, and
+importing dataclasses and setting up its classes took over half of that.
+
 Coordinates follow the skew-Hermitian convention throughout the package: a
 vector with coefficients c_t stands for the operator i * sum_t c_t P_t, so
 Lie brackets of basis elements have even integer structure constants.
@@ -16,7 +21,6 @@ Lie brackets of basis elements have even integer structure constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -164,8 +168,42 @@ def _canon_value(v: Coeff) -> Coeff:
     raise ConstraintError(f"coefficients must be exact rationals, got {type(v).__name__}")
 
 
-@dataclass(frozen=True)
-class SymOpVector:
+class _Frozen:
+    """Immutable value type whose __slots__ are its fields, in __init__
+    order.  __init__ validates and sets them once, through _set; after that
+    the instance refuses assignment, and it compares, prints and pickles by
+    its fields.  Defining __eq__ leaves it unhashable, as its dict fields
+    are."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class SymOpVector(_Frozen):
     """Exact coordinate vector over the symmetrized Pauli basis.
 
     Represents i * sum_t coeffs[t] * P_t on n qubits.  Zero coefficients are
@@ -173,16 +211,17 @@ class SymOpVector:
     must be int or Fraction.
     """
 
+    __slots__ = ("n", "coeffs")
     n: int
-    coeffs: Mapping[PauliTriple, Coeff] = field(default_factory=dict)
+    coeffs: Mapping[PauliTriple, Coeff]
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, coeffs: Mapping | None = None) -> None:
         clean = {}
-        for k, v in self.coeffs.items():
+        for k, v in (coeffs or {}).items():
             v = _canon_value(v)
             if v:
-                clean[as_triple(k).check(self.n)] = v
-        object.__setattr__(self, "coeffs", clean)
+                clean[as_triple(k).check(n)] = v
+        self._set(n, clean)
 
     @classmethod
     def zero(cls, n: int) -> "SymOpVector":
@@ -196,11 +235,6 @@ class SymOpVector:
     def from_ranks(cls, n: int, coeffs: Mapping[int, Coeff]) -> "SymOpVector":
         """Vector from engine coordinates keyed by triple_rank."""
         return cls(n, {rank_triple(r): c for r, c in coeffs.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymOpVector):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -287,8 +321,7 @@ def trace_inner(u: SymOpVector, v: SymOpVector) -> Coeff:
     return _canon_value(total * (1 << u.n))
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(_Frozen):
     """Ordered generators for a Lie closure; zero and duplicate members are
     dropped on construction, and a set with nothing left is rejected.
 
@@ -296,16 +329,17 @@ class GeneratorSet:
     for the k-body family and None otherwise.
     """
 
+    __slots__ = ("n", "members", "label", "k")
     n: int
     members: tuple[SymOpVector, ...]
-    label: str = "custom"
-    k: int | None = None
+    label: str
+    k: int | None
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, members, label: str = "custom", k: int | None = None) -> None:
         kept = []
         seen = set()
-        for g in self.members:
-            if g.n != self.n:
+        for g in members:
+            if g.n != n:
                 raise DimensionMismatch("generator qubit count differs from set")
             if g.is_zero:
                 continue
@@ -315,7 +349,7 @@ class GeneratorSet:
                 kept.append(g)
         if not kept:
             raise ConstraintError("generator set must contain a nonzero member")
-        object.__setattr__(self, "members", tuple(kept))
+        self._set(n, tuple(kept), label, k)
 
     def text(self) -> str:
         return "; ".join(g.text() for g in self.members)

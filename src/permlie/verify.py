@@ -24,8 +24,7 @@ lower end in SELECTORS, rather than run it with no case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .center import (
     CENTER_CAP,
@@ -61,19 +60,26 @@ from .symops import (
 )
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class _CaseFields(NamedTuple):
     name: str
     params: dict
     ok: bool
-    details: dict = field(default_factory=dict)
+    details: dict
+
+
+class CaseResult(_CaseFields):
+    """One checked case; details defaults to a new empty dict per case."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, params: dict, ok: bool, details: dict | None = None):
+        return super().__new__(cls, name, params, ok, {} if details is None else details)
 
     def to_jsonable(self) -> dict:
         return {"name": self.name, "params": self.params, "ok": self.ok, "details": self.details}
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     """Cases of one suite run.  n_range is the range a verify suite was
     asked for; a verb's one n is already in its cases' params."""
 

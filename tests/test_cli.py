@@ -530,3 +530,17 @@ class TestStartup:
             [sys.executable, "-c", STARTUP_PROBE], env=env, capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_dataclasses_are_never_loaded(self):
+        """Start-up stays free of dataclasses and of inspect, which it
+        pulls in; both would be most of the cost of importing the CLI."""
+        probe = "import sys{}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+        bare = subprocess.run([sys.executable, "-c", probe.format("")],
+                              capture_output=True, text=True, check=True)
+        if bare.stdout.strip() != "[]":
+            pytest.skip(f"a bare interpreter here already loads {bare.stdout.strip()}")
+        src = str(Path(permlie.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", probe.format(", permlie.cli")],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"

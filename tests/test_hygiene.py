@@ -20,6 +20,11 @@ names a module of the standard library (sys.stdlib_module_names), so the
 package has no runtime dependency.  This file itself uses the standard
 library and pytest only.
 
+No dataclasses: no src/permlie/*.py imports the dataclasses module.  Its
+import and its class set-up took more time than the rest of
+`import permlie.cli`, which every verb pays; records are NamedTuples or
+__slots__ classes instead.
+
 Python floor: every src/permlie/*.py parses with the grammar of the oldest
 Python that pyproject.toml's requires-python admits, so syntax newer than
 the declared floor (such as `except*` under ">=3.10") is caught on a newer
@@ -68,8 +73,8 @@ def test_detector_flags_an_unused_import():
     ]
 
 
-def foreign_imports(source: str) -> list[str]:
-    """Absolute imports whose top-level module is not in the standard library."""
+def absolute_imports(source: str) -> list[tuple[int, str]]:
+    """(line, top-level module) of every absolute import, nested ones too."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -78,9 +83,14 @@ def foreign_imports(source: str) -> list[str]:
             roots = [node.module.split(".")[0]]
         else:
             continue
-        out += [f"line {node.lineno}: {root}" for root in roots
-                if root not in sys.stdlib_module_names]
+        out += [(node.lineno, root) for root in roots]
     return out
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Absolute imports whose top-level module is not in the standard library."""
+    return [f"line {line}: {root}" for line, root in absolute_imports(source)
+            if root not in sys.stdlib_module_names]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -98,6 +108,28 @@ def test_detector_flags_a_foreign_import():
         "import xml.dom\n"
     )
     assert foreign_imports(source) == ["line 2: numpy", "line 5: scipy"]
+
+
+def dataclasses_imports(source: str) -> list[int]:
+    """Lines that import the dataclasses module."""
+    return [line for line, root in absolute_imports(source) if root == "dataclasses"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    assert dataclasses_imports(path.read_text()) == []
+
+
+def test_detector_flags_a_dataclasses_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, dataclasses as dc\n"
+        "from . import dataclasses\n"
+        "from .dataclasses import field\n"
+        "def f():\n"
+        "    from dataclasses import field\n"
+    )
+    assert dataclasses_imports(source) == [2, 6]
 
 
 def python_floor() -> tuple[int, int]:

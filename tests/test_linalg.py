@@ -89,6 +89,21 @@ class TestRowInvariants:
         assert ech.rows() == [(0, {0: 3, 1: 2}), (2, {2: 2, 3: -3})]
 
 
+class TestMakePrimitive:
+    def test_content_one_only_through_a_late_entry(self):
+        # gcd(4, 6) = 2, and only the last entry brings the content to 1
+        assert _make_primitive({0: 4, 1: 6, 2: 9}, 0) == {0: 4, 1: 6, 2: 9}
+
+    def test_negative_pivot_flips_sign_when_the_scan_stops_early(self):
+        # the content reaches 1 at the second entry; the later ones still flip
+        assert _make_primitive({0: -2, 1: 3, 2: 4}, 0) == {0: 2, 1: -3, 2: -4}
+        assert _make_primitive({0: 3, 1: -4, 2: 8}, 1) == {0: -3, 1: 4, 2: -8}
+
+    def test_common_content_is_divided_out(self):
+        assert _make_primitive({0: -4, 1: 6, 2: 8}, 0) == {0: 2, 1: -3, 2: -4}
+        assert _make_primitive({3: 6}, 3) == {3: 1}
+
+
 class TestIntegerRow:
     def test_clears_denominators_by_their_lcm(self):
         row = integer_row({0: Fraction(1, 3), 1: Fraction(-1, 2), 2: 0, 3: 2})

@@ -1,0 +1,169 @@
+"""Contracts of the runtime records and value types.
+
+The records are NamedTuples and the value types (SymOpVector, GeneratorSet,
+DenseOp) are __slots__ classes.  Every one of them refuses assignment; the
+value types compare by value and refuse hash(), since their fields hold
+dicts; report payloads keep their exact shape.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from permlie import (
+    DenseOp,
+    GeneratorSet,
+    SymOpVector,
+    build_abc,
+    build_report,
+    dense_closure,
+    densify,
+    lie_closure,
+    preset_generators,
+    printed_commutators,
+    run_selector,
+    verify_center,
+    verify_printed_commutators,
+)
+from permlie.verify import CaseResult, SuiteReport
+
+
+def g2_closure(n):
+    gens = preset_generators("G2", n)
+    return gens, lie_closure(gens)
+
+
+def immutable_instances():
+    """(instance, one of its fields) for every immutable type."""
+    gens, run = g2_closure(3)
+    report = build_report(gens, run)
+    return [
+        (SymOpVector(3, {(1, 0, 0): 2}), "coeffs"),
+        (gens, "members"),
+        (densify(SymOpVector.unit((1, 0, 0), 2)), "coeffs"),
+        (run, "iterations"),
+        (report.verdicts, "universal"),
+        (report, "dim"),
+        (verify_center(2), "solved_dim"),
+        (printed_commutators(3, 3)[0], "expected"),
+        (build_abc(3, 3), "rank"),
+        (verify_printed_commutators(3, 3), "ok"),
+        (dense_closure([densify(g) for g in preset_generators("G2", 2).members]), "dim"),
+        (CaseResult("case", {"n": 2}, True), "details"),
+        (SuiteReport("thm1", ()), "cases"),
+    ]
+
+
+IMMUTABLE = immutable_instances()
+
+
+class TestImmutable:
+    @pytest.mark.parametrize("obj, field", IMMUTABLE, ids=[type(o).__name__ for o, _ in IMMUTABLE])
+    def test_assignment_refused(self, obj, field):
+        before = getattr(obj, field)
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+        assert getattr(obj, field) is before
+
+    def test_deletion_refused(self):
+        v = SymOpVector.unit((0, 0, 1), 2)
+        with pytest.raises(AttributeError):
+            del v.coeffs
+        assert v.coeffs == {(0, 0, 1): 1}
+
+
+def value_pairs():
+    """(a, b, c): a and b built apart with equal fields, c differing."""
+    g2 = preset_generators("G2", 3)
+    return [
+        (SymOpVector(3, {(1, 0, 0): 2, (0, 1, 0): 0}), SymOpVector(3, {(1, 0, 0): 2}),
+         SymOpVector(4, {(1, 0, 0): 2})),
+        (g2, GeneratorSet(3, g2.members, "G2", k=2), GeneratorSet(3, g2.members)),
+        (DenseOp(2, {1: 1}), DenseOp(2, {1: 1, 2: 0}), DenseOp(2, {1: 2})),
+    ]
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("a, b, c", value_pairs(), ids=lambda o: type(o).__name__)
+    def test_equal_by_value_and_unhashable(self, a, b, c):
+        assert a == b and not a != b
+        assert a != c
+        for obj in (a, b, c):
+            with pytest.raises(TypeError):
+                hash(obj)
+
+    @pytest.mark.parametrize("a, b, c", value_pairs(), ids=lambda o: type(o).__name__)
+    def test_copy_pickle_and_repr_by_fields(self, a, b, c):
+        assert copy.copy(a) == a
+        assert copy.deepcopy(a) == a
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert repr(a).startswith(f"{type(a).__name__}(n=")
+
+    def test_defaults(self):
+        assert SymOpVector(2).is_zero
+        assert DenseOp(2).is_zero
+        g = GeneratorSet(2, (SymOpVector.unit((1, 0, 0), 2),))
+        assert (g.label, g.k) == ("custom", None)
+
+
+class TestRecords:
+    def test_case_details_not_shared(self):
+        a = CaseResult("a", {}, True)
+        b = CaseResult("b", {}, True)
+        assert a.details == {} and b.details == {}
+        a.details["x"] = 1
+        assert b.details == {}
+        assert CaseResult("c", {}, True).details == {}
+
+    def test_case_details_given_are_kept(self):
+        details = {"dim": 3}
+        assert CaseResult("a", {"n": 2}, False, details).details is details
+        assert CaseResult("a", {"n": 2}, False, details=details).details is details
+
+    def test_closure_report_payload(self):
+        gens, run = g2_closure(3)
+        payload = build_report(gens, run, exempt=()).to_jsonable()
+        assert isinstance(payload.pop("wall_time"), float)
+        assert payload == {
+            "ambient": {"dim_center": 2, "dim_su": 19, "dim_su_cless": 18, "dim_u": 20},
+            "dim": 19,
+            "exempt": [],
+            "generators": ["1*(1,0,0)", "1*(0,1,0)", "1*(0,0,2)"],
+            "iterations": 57,
+            "k": 2,
+            "label": "G2",
+            "matched": True,
+            "n": 3,
+            "pivots": ["0,0,1", "0,1,0", "1,0,0", "0,0,2", "0,1,1", "0,2,0", "1,0,1",
+                       "1,1,0", "2,0,0", "0,0,3", "0,1,2", "0,2,1", "0,3,0", "1,0,2",
+                       "1,1,1", "1,2,0", "2,0,1", "2,1,0", "3,0,0"],
+            "predicted": 19,
+            "residual_mus": [0, 1],
+            "residual_offenders": [{"mu": 1, "row": 3, "value": "1"},
+                                   {"mu": 1, "row": 5, "value": "1"},
+                                   {"mu": 1, "row": 8, "value": "1"}],
+            "residuals_nonzero": 3,
+            "verdicts": {"semi_universal": True, "universal": True},
+        }
+
+    def test_suite_report_payload(self):
+        case = {"name": "kbody-closure-dimension", "ok": True}
+        assert run_selector("thm5", 2, 3).to_jsonable() == {
+            "cases": [
+                {**case, "details": {"dim": 9, "predicted": 9}, "params": {"k": 2, "n": 2}},
+                {**case, "details": {"dim": 19, "predicted": 19}, "params": {"k": 2, "n": 3}},
+                {**case, "details": {"dim": 19, "predicted": 19}, "params": {"k": 3, "n": 3}},
+            ],
+            "n_range": [2, 3],
+            "ok": True,
+            "selector": "thm5",
+        }
+        verb = SuiteReport("table", (CaseResult("x", {"n": 2}, False, {"a": 1}),))
+        assert verb.to_jsonable() == {
+            "selector": "table",
+            "ok": False,
+            "cases": [{"name": "x", "params": {"n": 2}, "ok": False, "details": {"a": 1}}],
+        }

@@ -15,6 +15,7 @@ from permlie import (
     ResourceLimitError,
     StructureTable,
     SymOpVector,
+    VerificationError,
     all_triples,
     compare_tables,
     orbit_bracket,
@@ -22,7 +23,7 @@ from permlie import (
 )
 from permlie.center import make_C
 from permlie.oracle import dense_bracket, densify, symmetrize
-from permlie.structure import FILL_CAP, ORBIT_CAP
+from permlie.structure import FILL_CAP, ORBIT_CAP, _bracket_overlap, _orbit_average
 from permlie.symops import rank_triple, triple_rank
 
 # The two bracket engines, as (table, a, b) -> vector: the overlap count
@@ -261,6 +262,18 @@ class TestTableBasics:
         with pytest.raises(ConstraintError, match="needs more than 2 qubits"):
             engine(table, (1, 0, 0), (0, 2, 1))
         assert table.entry_count == 0
+
+    def test_overlap_entries_are_rank_keyed(self):
+        x, y, z = PauliTriple(1, 0, 0), PauliTriple(0, 1, 0), (0, 0, 1)
+        assert _bracket_overlap(x, y, 3) == {triple_rank(z): -2}
+        assert _orbit_average(x, {z: -2, (0, 0, 4): 0}, 3) == {triple_rank(z): -2}
+
+    @pytest.mark.parametrize("u", [(2, 0, 1), (0, 0, 3), (3, 0, 0), (0, 3, 0), (-1, 1, 0)])
+    def test_orbit_average_refuses_a_triple_past_level_n(self, u):
+        # orbit sizes are read off the letter counts unchecked, so a triple
+        # past level n must be caught, not divide by a zero orbit size
+        with pytest.raises(VerificationError, match="left level <= 2"):
+            _orbit_average(PauliTriple(1, 0, 0), {u: 2}, 2)
 
     def test_whole_table_work_is_capped(self):
         # both refuse before computing a single entry
