@@ -27,7 +27,6 @@ from .closure import (
     build_report,
     is_universal_pair,
     lie_closure,
-    membership_residual,
     predicted_dim,
     verdicts,
 )
@@ -75,13 +74,10 @@ from .symops import (
     check_qubits,
     frac_text,
     orbit_size,
-    parse_frac,
     parse_generator_spec,
     preset_generators,
     rank_triple,
-    trace_inner,
     triple_rank,
-    triple_sort_key,
 )
 from .verify import SELECTORS, SuiteReport, run_selector
 

@@ -40,7 +40,6 @@ from .symops import (
     DimensionMismatch,
     ResourceLimitError,
     VerificationError,
-    ambient_dims,
     check_qubits,
     parse_generator_spec,
 )
@@ -54,16 +53,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); usage errors are exit 1
         raise UsageError(message)
-
-
-def schema_path(name: str) -> str:
-    """Filesystem path of a bundled report schema (no .schema.json suffix)."""
-    from importlib import resources  # here, not at the top: no verb needs it
-
-    res = resources.files("permlie").joinpath("schemas", f"{name}.schema.json")
-    if not res.is_file():
-        raise ConstraintError(f"no bundled schema named {name!r}")
-    return str(res)
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
@@ -153,25 +142,23 @@ def cmd_close(args) -> int:
     # densify first: the word engine's cap refuses before the closure runs
     dense_seeds = [densify(g) for g in gens.members] if args.method == "dense" else None
     run = lie_closure(gens)
-    payload = {"command": "close", **build_report(gens, run).to_jsonable()}
+    report = build_report(gens, run)
+    payload = {"command": "close", **report.to_jsonable()}
+    ok = report.ok
     if dense_seeds is not None:
         drun = dense_closure(dense_seeds)
+        agree = drun.dim == run.dim
         payload["dense_dim"] = drun.dim
-        payload["engines_agree"] = drun.dim == run.dim
-    dims = ambient_dims(args.n)
-    residuals_clean = payload["residuals_nonzero"] == 0
-    verdict = payload["verdicts"]
+        payload["engines_agree"] = agree
+        ok = ok and agree
     line = (
-        f"closure({gens.label}) @ n={args.n}: dim {payload['dim']}"
-        f" / ambient {dims.dim_u}"
-        + (f", predicted {payload['predicted']}" if payload["predicted"] is not None else "")
-        + f"; universal={verdict['universal']} semi={verdict['semi_universal']}"
-        + f"; membership residuals {'clean' if residuals_clean else 'NONZERO'}"
+        f"closure({gens.label}) @ n={args.n}: dim {report.dim}"
+        f" / ambient {report.ambient.dim_u}"
+        + (f", predicted {report.predicted}" if report.predicted is not None else "")
+        + f"; universal={report.verdicts.universal} semi={report.verdicts.semi_universal}"
+        + f"; membership residuals {'clean' if report.residuals_nonzero == 0 else 'NONZERO'}"
     )
     _emit(payload, args, [line])
-    ok = payload["matched"] is not False and residuals_clean
-    if "engines_agree" in payload:
-        ok = ok and payload["engines_agree"]
     return 0 if ok else 2
 
 

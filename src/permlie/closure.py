@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import SparseEchelon, generator_closure, integer_row
+from .linalg import SparseEchelon, generator_closure, integer_row, rank_of
 from .structure import StructureTable
 from .symops import (
     AmbientDims,
@@ -143,34 +143,16 @@ def is_universal_pair(n: int, k: int) -> bool:
     return k >= n - 1
 
 
-def membership_residual(v: SymOpVector, mu: int) -> Fraction:
-    """Linear functional whose kernel cuts out the mu-th central complement.
-
-    Sums the even-triple coordinates at level 2*mu with inverse factorial
-    weights; an operator lies in the centerless part only if this vanishes
-    for every mu.
-    """
-    if mu < 0 or 2 * mu > v.n:
-        raise ConstraintError(f"need 0 <= mu <= n/2, got mu={mu}, n={v.n}")
-    total = Fraction(0)
-    for a in range(mu + 1):
-        for b in range(mu - a + 1):
-            c = mu - a - b
-            coeff = v[(2 * a, 2 * b, 2 * c)]
-            if coeff:
-                total += Fraction(coeff, factorial(a) * factorial(b) * factorial(c))
-    return total
-
-
 def central_residuals(rows: Iterable[SymOpVector], n: int) -> list[list]:
-    """mu! * membership_residual(row, mu) for every row and 0 <= mu <= n/2.
+    """Central residual res[mu] of every row, for 0 <= mu <= n/2.
 
-    One pass over each row's support: a triple (2a, 2b, 2c) with every
-    letter count even adds coeff * mu!/(a!b!c!) at mu = a+b+c, and no other
-    triple adds anything; an integer row gets integer residuals.  Since C_mu
-    weighs (2a, 2b, 2c) by (2a)!(2b)!(2c)!/(a!b!c!) and orbit_size cancels
-    the numerator, tr(row C_mu) = 2^n n!/(mu! (n - 2mu)!) * residual[mu]: a
-    residual vanishes exactly when the row is trace-orthogonal to C_mu.
+    A triple (2a, 2b, 2c) with every letter count even adds
+    coeff * mu!/(a!b!c!) to res[mu], mu = a+b+c; no other triple adds anything,
+    so one pass over each row's support finds them all, and an integer row
+    gets integer residuals.  Since C_mu weighs (2a, 2b, 2c) by
+    (2a)!(2b)!(2c)!/(a!b!c!) and orbit_size cancels the numerator,
+    tr(row C_mu) = 2^n n!/(mu! (n - 2mu)!) * res[mu]: a residual vanishes
+    exactly when the row is trace-orthogonal to C_mu.
     """
     out = []
     for row in rows:
@@ -203,25 +185,20 @@ def verdicts(basis: LieBasis) -> Verdicts:
 def _verdicts(n: int, dim: int, residuals: Sequence[Sequence[int]]) -> Verdicts:
     """verdicts from the central residuals of the basis rows.
 
-    residual[mu] is tr(row C_mu) up to a nonzero factor per mu; scaling the
-    columns of the system row . x = 0 leaves the support of every nullspace
-    vector as it is, and those supports are all the verdicts read.
+    residual[mu] is tr(row C_mu) times a nonzero factor that depends on mu
+    alone, which changes neither the rank of the residual rows nor which of
+    their columns are zero.  The central elements trace-orthogonal to every
+    row therefore form a space of dimension dim_center minus that rank, and
+    the identity C_0 spans it exactly when it is one-dimensional and no row
+    has a residual at mu = 0.
     """
     dims = ambient_dims(n)
-    ech = SparseEchelon()
-    for res in residuals:
-        coords = {mu: r for mu, r in enumerate(res) if r}
-        if coords:
-            ech.insert(coords)
-    null = ech.nullspace(range(dims.dim_center))
-    complement = dims.dim_u - dim
-    semi = len(null) == complement
-    if dim == dims.dim_u:
-        universal = True
-    elif dim == dims.dim_su:
-        universal = len(null) == 1 and set(null[0]) == {0}
-    else:
-        universal = False
+    rank = rank_of({mu: r for mu, r in enumerate(res) if r} for res in residuals)
+    nullity = dims.dim_center - rank
+    semi = nullity == dims.dim_u - dim
+    universal = dim == dims.dim_u or (
+        dim == dims.dim_su and nullity == 1 and not any(res[0] for res in residuals)
+    )
     return Verdicts(universal, semi)
 
 
@@ -247,7 +224,8 @@ class ClosureReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return self.matched is not False
+        """No prediction mismatch and every checked residual is zero."""
+        return self.matched is not False and self.residuals_nonzero == 0
 
     def to_jsonable(self) -> dict:
         return {
@@ -282,13 +260,10 @@ class ClosureReport(NamedTuple):
 
 
 def family_exempt_mus(gens: GeneratorSet) -> frozenset[int]:
-    """Central levels a generator family is allowed to touch.
-
-    For the k-body ladder these are mu = 1..floor(k/2); for anything else the
-    exact trace pairing of the generators with each C_mu decides.
+    """Central levels a generator set is allowed to touch: the mu at which
+    some generator has a nonzero central residual, that is, a nonzero trace
+    pairing with C_mu.  For the k-body ladder these are mu = 1..floor(k/2).
     """
-    if gens.k is not None:
-        return frozenset(range(1, gens.k // 2 + 1))
     return frozenset(
         mu
         for res in central_residuals(gens.members, gens.n)

@@ -16,14 +16,13 @@ keeps a column index, mapping each non-pivot column to the set of pivots of
 the stored rows that are nonzero there (no column maps to an empty set).
 Back-substitution of a new row with pivot p then touches exactly the rows
 the index lists under p, and updates the index for the columns each of
-those rows gains or loses.  Elimination, membership and the nullspace read
-only the rows.
+those rows gains or loses.  Elimination and membership read only the
+rows.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Mapping
 
@@ -142,22 +141,6 @@ class SparseEchelon:
     def rows(self) -> list[tuple[Key, IntRow]]:
         """The stored primitive rows in pivot order."""
         return [(p, self._rows[p]) for p in self.pivots()]
-
-    def nullspace(self, unknowns: Iterable[Key]) -> list[dict]:
-        """Basis of {x : row . x = 0 for every stored row}, one solution per
-        non-pivot unknown, with that unknown's coordinate set to 1."""
-        unknowns = list(unknowns)
-        sols = []
-        for f in unknowns:
-            if f in self._rows:
-                continue
-            sol = {f: Fraction(1)}
-            for p, row in self._rows.items():
-                c = row.get(f)
-                if c:
-                    sol[p] = Fraction(-c, row[p])
-            sols.append(sol)
-        return sols
 
 
 def generator_closure(

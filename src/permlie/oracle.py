@@ -45,19 +45,11 @@ def _check_word_n(n: int) -> None:
         )
 
 
-def word_letters(w: int, n: int) -> tuple[int, ...]:
-    return tuple((w >> (2 * j)) & 3 for j in range(n))
-
-
 def letters_to_word(letters: Iterable[int]) -> int:
     w = 0
     for j, letter in enumerate(letters):
         w |= letter << (2 * j)
     return w
-
-
-def word_text(w: int, n: int) -> str:
-    return "".join("IXYZ"[letter] for letter in word_letters(w, n))
 
 
 class DenseOp(_Frozen):

@@ -16,10 +16,10 @@ even integer: [i P_a, i P_b] = sum_u g_u (i P_u).
 
 Inside the table a triple is its triple_rank, an int whose natural order is
 the canonical triple order; PauliTriple appears only at the boundary, in
-bracket and bracket_vectors.  StructureTable.bracket_coeffs brackets raw
-rank-keyed dicts and builds no SymOpVector; it is the bracket the closure
-worklist runs.  Its keys need no check of their own: a rank is checked once,
-when _pair_entry files its table entry.
+bracket.  StructureTable.bracket_coeffs brackets raw rank-keyed dicts and
+builds no SymOpVector; it is the bracket the closure worklist runs.  Its
+keys need no check of their own: a rank is checked once, when _pair_entry
+files its table entry.
 """
 
 from __future__ import annotations
@@ -31,13 +31,11 @@ from typing import Mapping
 from .oracle import _word_product, letters_to_word, orbit_words, word_triple
 from .symops import (
     ConstraintError,
-    DimensionMismatch,
     PauliTriple,
     SymOpVector,
     VerificationError,
     all_triples,
     as_triple,
-    by_rank,
     check_qubits,
     orbit_size,
     rank_triple,
@@ -221,13 +219,6 @@ class StructureTable:
                 for t, g in entry.items():
                     out[t] = out.get(t, 0) + c * g
         return {t: c for t, c in out.items() if c}
-
-    def bracket_vectors(self, u: SymOpVector, v: SymOpVector) -> SymOpVector:
-        """Bilinear extension of the basis bracket to coordinate vectors."""
-        if u.n != self.n or v.n != self.n:
-            raise DimensionMismatch("vector qubit count differs from table")
-        coeffs = self.bracket_coeffs(by_rank(u.coeffs), by_rank(v.coeffs))
-        return SymOpVector.from_ranks(self.n, coeffs)
 
     def fill(self) -> None:
         """Compute every pair of basis elements.  Idempotent."""

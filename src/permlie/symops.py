@@ -4,10 +4,10 @@ A symmetrized Pauli string P_(kx,ky,kz) is the sum of every distinct n-qubit
 Pauli word with exactly kx X letters, ky Y letters and kz Z letters.  The
 triples with kx+ky+kz <= n label a basis of the permutation-equivariant
 Hermitian operators; this module provides the triple bookkeeping, sparse
-coordinate vectors over that basis, the Frobenius pairing and the preset
-generator sets.  Inside the engine (structure table, closure worklist,
-echelons) a triple is its triple_rank, an int in the canonical order;
-PauliTriple and SymOpVector are the boundary types.
+coordinate vectors over that basis and the preset generator sets.  Inside
+the engine (structure table, closure worklist, echelons) a triple is its
+triple_rank, an int in the canonical order; PauliTriple and SymOpVector are
+the boundary types.
 
 Package rule: runtime records are typing.NamedTuples, and value types that
 validate on construction are __slots__ classes on _Frozen, never
@@ -85,11 +85,6 @@ def as_triple(t: Union[PauliTriple, tuple, str]) -> PauliTriple:
     return PauliTriple(*t)
 
 
-def triple_sort_key(t: PauliTriple) -> tuple[int, int, int, int]:
-    """Canonical total order: by level, then lexicographic on (kx, ky, kz)."""
-    return (t[0] + t[1] + t[2], t[0], t[1], t[2])
-
-
 @lru_cache(maxsize=None)
 def all_triples(n: int) -> tuple[PauliTriple, ...]:
     """Every triple with level <= n, in canonical order."""
@@ -104,9 +99,10 @@ def all_triples(n: int) -> tuple[PauliTriple, ...]:
 
 
 def triple_rank(t: PauliTriple) -> int:
-    """Position of t in the canonical order (triple_sort_key), the same at
-    every n: the C(L+2,3) triples below level L come first, then those of
-    level L with fewer X, then those with fewer Y."""
+    """Position of t in the canonical order, the same at every n: by level,
+    then lexicographic on (kx, ky, kz).  The C(L+2,3) triples below level L
+    come first, then those of level L with fewer X, then those with fewer
+    Y."""
     kx, ky, kz = t
     level = kx + ky + kz
     return comb(level + 2, 3) + kx * (2 * level + 3 - kx) // 2 + ky
@@ -246,7 +242,7 @@ class SymOpVector(_Frozen):
         return iter(self.coeffs.items())
 
     def support(self) -> tuple[PauliTriple, ...]:
-        return tuple(sorted(self.coeffs, key=triple_sort_key))
+        return tuple(sorted(self.coeffs, key=triple_rank))
 
     @property
     def is_zero(self) -> bool:
@@ -273,11 +269,6 @@ class SymOpVector(_Frozen):
         c = _canon_value(c)
         return SymOpVector(self.n, {k: v * c for k, v in self.coeffs.items()})
 
-    def leading(self) -> PauliTriple:
-        if self.is_zero:
-            raise ConstraintError("zero vector has no leading triple")
-        return min(self.coeffs, key=triple_sort_key)
-
     def text(self) -> str:
         if self.is_zero:
             return "0"
@@ -289,36 +280,11 @@ class SymOpVector(_Frozen):
     def to_jsonable(self) -> dict[str, str]:
         return {t.text(): frac_text(self.coeffs[t]) for t in self.support()}
 
-    @classmethod
-    def from_jsonable(cls, n: int, data: Mapping[str, str]) -> "SymOpVector":
-        return cls(n, {PauliTriple.from_text(k): parse_frac(v) for k, v in data.items()})
-
 
 def frac_text(v: Coeff) -> str:
     """Exact rational as 'p' or 'p/q' text."""
     f = Fraction(v)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def parse_frac(text: str) -> Coeff:
-    return _canon_value(Fraction(text))
-
-
-def trace_inner(u: SymOpVector, v: SymOpVector) -> Coeff:
-    """Frobenius pairing tr(U V) of the underlying Hermitian operators.
-
-    Distinct triples are orthogonal and tr(P_t^2) = 2^n * orbit_size(t), so
-    the pairing is a weighted dot product of coordinates, exact over the
-    rationals.
-    """
-    u._require_same(v)
-    small, big = (u, v) if len(u) <= len(v) else (v, u)
-    total: Coeff = 0
-    for t, a in small.items():
-        b = big.coeffs.get(t)
-        if b:
-            total += orbit_size(t, u.n) * a * b
-    return _canon_value(total * (1 << u.n))
 
 
 class GeneratorSet(_Frozen):

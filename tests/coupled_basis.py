@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from permlie.closure import LieBasis
-from permlie.oracle import orbit_words, word_letters
+from permlie.oracle import orbit_words
 from permlie.schur import SectorSpan, SubspaceControlReport, isotypic_table
 from permlie.symops import (
     ConstraintError,
@@ -35,6 +35,7 @@ from permlie.symops import (
     VerificationError,
     check_qubits,
 )
+from reference import word_letters
 
 SCHUR_BUILD_CAP = 8
 UNITARITY_TOL = 1e-12

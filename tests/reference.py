@@ -1,0 +1,113 @@
+"""Reference helpers the tests check permlie against.
+
+No verb needs any of these, so they live with the tests, as the float
+coupled basis of coupled_basis.py does: the Frobenius pairing, the rational
+central-membership functional, the bracket of coordinate vectors, the word
+text of the dense oracle, the paths of the bundled report schemas, and the
+universality verdicts read off an explicit nullspace of the trace pairings.
+"""
+
+from fractions import Fraction
+from importlib import resources
+from math import factorial
+
+from permlie import ambient_dims, make_C
+from permlie.closure import Verdicts
+from permlie.linalg import SparseEchelon
+from permlie.symops import ConstraintError, DimensionMismatch, SymOpVector, by_rank, orbit_size
+
+
+def trace_inner(u: SymOpVector, v: SymOpVector):
+    """Frobenius pairing tr(U V) of the underlying Hermitian operators.
+
+    Distinct triples are orthogonal and tr(P_t^2) = 2^n * orbit_size(t), so
+    the pairing is a weighted dot product of coordinates, exact over the
+    rationals.
+    """
+    if u.n != v.n:
+        raise DimensionMismatch(f"qubit counts differ: {u.n} vs {v.n}")
+    total = sum(orbit_size(t, u.n) * a * v[t] for t, a in u.items())
+    return total * 2**u.n
+
+
+def membership_residual(v: SymOpVector, mu: int) -> Fraction:
+    """Linear functional whose kernel cuts out the mu-th central complement.
+
+    Sums the even-triple coordinates at level 2*mu with inverse factorial
+    weights; an operator lies in the centerless part only if this vanishes
+    for every mu.  closure.central_residuals gives mu! times it.
+    """
+    if mu < 0 or 2 * mu > v.n:
+        raise ConstraintError(f"need 0 <= mu <= n/2, got mu={mu}, n={v.n}")
+    total = Fraction(0)
+    for a in range(mu + 1):
+        for b in range(mu - a + 1):
+            c = mu - a - b
+            coeff = v[(2 * a, 2 * b, 2 * c)]
+            if coeff:
+                total += Fraction(coeff, factorial(a) * factorial(b) * factorial(c))
+    return total
+
+
+def bracket_vectors(table, u: SymOpVector, v: SymOpVector) -> SymOpVector:
+    """Bilinear extension of the table's basis bracket to coordinate vectors."""
+    if u.n != table.n or v.n != table.n:
+        raise DimensionMismatch("vector qubit count differs from table")
+    coeffs = table.bracket_coeffs(by_rank(u.coeffs), by_rank(v.coeffs))
+    return SymOpVector.from_ranks(table.n, coeffs)
+
+
+def word_letters(w: int, n: int) -> tuple[int, ...]:
+    """Letter codes (I, X, Y, Z = 0..3) of a base-4 word, qubit 0 first."""
+    return tuple((w >> (2 * j)) & 3 for j in range(n))
+
+
+def word_text(w: int, n: int) -> str:
+    return "".join("IXYZ"[letter] for letter in word_letters(w, n))
+
+
+def schema_path(name: str) -> str:
+    """Filesystem path of a bundled report schema (no .schema.json suffix)."""
+    return str(resources.files("permlie").joinpath("schemas", f"{name}.schema.json"))
+
+
+def nullspace(ech: SparseEchelon, unknowns) -> list[dict]:
+    """Basis of {x : row . x = 0 for every row of ech}, one solution per
+    non-pivot unknown, with that unknown's coordinate set to 1.  The rows are
+    fully reduced, so a pivot's coordinate is read off its own row alone."""
+    rows = ech.rows()
+    pivots = {p for p, _ in rows}
+    sols = []
+    for f in unknowns:
+        if f in pivots:
+            continue
+        sol = {f: Fraction(1)}
+        for p, row in rows:
+            c = row.get(f)
+            if c:
+                sol[p] = Fraction(-c, row[p])
+        sols.append(sol)
+    return sols
+
+
+def trace_pairing_verdicts(basis) -> Verdicts:
+    """Reference verdicts read off the trace pairings tr(row C_mu) directly:
+    the central elements orthogonal to every row are a nullspace."""
+    n = basis.n
+    dims = ambient_dims(n)
+    cvecs = [make_C(mu, n) for mu in range(dims.dim_center)]
+    ech = SparseEchelon()
+    for row in basis.rows():
+        coords = {mu: trace_inner(row, cv) for mu, cv in enumerate(cvecs)}
+        coords = {mu: v for mu, v in coords.items() if v}
+        if coords:
+            ech.insert(coords)
+    null = nullspace(ech, range(dims.dim_center))
+    semi = len(null) == dims.dim_u - basis.dim
+    if basis.dim == dims.dim_u:
+        universal = True
+    elif basis.dim == dims.dim_su:
+        universal = len(null) == 1 and set(null[0]) == {0}
+    else:
+        universal = False
+    return Verdicts(universal, semi)

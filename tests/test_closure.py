@@ -22,17 +22,22 @@ from permlie import (
     build_report,
     is_universal_pair,
     lie_closure,
-    membership_residual,
     predicted_dim,
     preset_generators,
-    trace_inner,
     verdicts,
 )
 from permlie.center import make_C
 from permlie.closure import Verdicts, central_residuals, family_exempt_mus
 from permlie.linalg import SparseEchelon
 from permlie.oracle import dense_closure, densify
-from permlie.symops import parse_frac, parse_generator_spec, triple_sort_key
+from permlie.symops import parse_generator_spec
+from reference import (
+    bracket_vectors,
+    membership_residual,
+    schema_path,
+    trace_inner,
+    trace_pairing_verdicts,
+)
 
 
 @st.composite
@@ -48,8 +53,8 @@ def custom_generator_sets(draw):
 def all_pairs_closure(gens, table):
     """Reference worklist: each new row is bracketed with every stored row.
 
-    Its echelon is keyed by triple_sort_key tuples, so the reference does
-    not share the engine's triple ranks."""
+    Its echelon is keyed by (level, kx, ky, kz) tuples, so the reference
+    does not share the engine's triple ranks."""
     ech = SparseEchelon()
     stored = []
     work = deque()
@@ -58,7 +63,7 @@ def all_pairs_closure(gens, table):
         return SymOpVector(gens.n, {PauliTriple(*key[1:]): c for key, c in row.items()})
 
     def admit(v):
-        row = ech.insert({triple_sort_key(t): c for t, c in v.items()})
+        row = ech.insert({(t.level, *t): c for t, c in v.items()})
         if row is not None:
             vec = vector(row)
             work.extend((vec, s) for s in stored)
@@ -67,7 +72,7 @@ def all_pairs_closure(gens, table):
     for g in gens.members:
         admit(g)
     while work:
-        admit(table.bracket_vectors(*work.popleft()))
+        admit(bracket_vectors(table, *work.popleft()))
     return tuple(vector(r) for _, r in ech.rows())
 
 
@@ -236,28 +241,6 @@ class TestExemptLevels:
         assert family_exempt_mus(odd) == frozenset()
 
 
-def trace_pairing_verdicts(basis):
-    """Reference verdicts read off the trace pairings tr(row C_mu) directly."""
-    n = basis.n
-    dims = ambient_dims(n)
-    cvecs = [make_C(mu, n) for mu in range(dims.dim_center)]
-    ech = SparseEchelon()
-    for row in basis.rows():
-        coords = {mu: trace_inner(row, cv) for mu, cv in enumerate(cvecs)}
-        coords = {mu: v for mu, v in coords.items() if v}
-        if coords:
-            ech.insert(coords)
-    null = ech.nullspace(range(dims.dim_center))
-    semi = len(null) == dims.dim_u - basis.dim
-    if basis.dim == dims.dim_u:
-        universal = True
-    elif basis.dim == dims.dim_su:
-        universal = len(null) == 1 and set(null[0]) == {0}
-    else:
-        universal = False
-    return Verdicts(universal, semi)
-
-
 CUSTOM_SPECS = ("1,0,0;1,1,0", "2,0,0;0,1,1;1,0,0")
 
 
@@ -298,6 +281,12 @@ class TestResidualTraceIdentity:
                 if any(trace_inner(g, make_C(mu, n)) for g in gens.members)
             }
             assert family_exempt_mus(gens) == touched
+
+    @settings(max_examples=40, deadline=None)
+    @given(custom_generator_sets())
+    def test_verdicts_match_trace_pairing_reference_on_custom_sets(self, ctx, gens):
+        run = lie_closure(gens, ctx.table(gens.n))
+        assert verdicts(run.basis) == trace_pairing_verdicts(run.basis)
 
 
 def pivot_one_rows(basis):
@@ -384,8 +373,6 @@ class TestReports:
     def test_residual_summary_on_failing_case(self, ctx, spec, count):
         import jsonschema
 
-        from permlie.cli import schema_path
-
         n = 4
         if spec == "all":
             units = tuple(SymOpVector.unit(t, n) for t in all_triples(n))
@@ -394,6 +381,7 @@ class TestReports:
             gens = preset_generators(spec, n)
         run = lie_closure(gens, ctx.table(n))
         report = build_report(gens, run, exempt=())
+        assert not report.ok
         rows = pivot_one_rows(run.basis)
         assert report.residual_mus == (0, 1, 2) and report.dim == len(rows)
         nonzero = [
@@ -407,7 +395,7 @@ class TestReports:
         payload = report.to_jsonable()
         for entry in payload["residual_offenders"]:
             value = membership_residual(rows[entry["row"]], entry["mu"])
-            assert parse_frac(entry["value"]) == value != 0
+            assert Fraction(entry["value"]) == value != 0
         payload["command"] = "close"
         schema = json.loads(open(schema_path("closure_report")).read())
         jsonschema.validate(payload, schema)
@@ -443,8 +431,6 @@ class TestReports:
 
     def test_report_json_matches_schema(self, ctx):
         import jsonschema
-
-        from permlie.cli import schema_path
 
         gens = preset_generators("Gk", 5, k=3)
         run = ctx.closure("Gk", 5, 3)

@@ -15,6 +15,13 @@ src/permlie, dunders aside, must be read as an attribute (`x.name`) or
 passed as a keyword (`f(name=...)`) somewhere in src/permlie or tests/.
 Members that a library calls by name are allow-listed.
 
+Reached from main: every module-level function and class, and every
+method, of src/permlie/*.py is reached by a chain of uses from cli.main,
+the allow-listed library hooks, or code that runs on import.  Only
+src/permlie counts (a test's use does not keep a name alive), and
+`__init__.py` is left out, since a re-export is not a use.  Helpers only
+tests need live in tests/reference.py.
+
 Standard library only: every import in src/permlie/*.py is relative or
 names a module of the standard library (sys.stdlib_module_names), so the
 package has no runtime dependency.  This file itself uses the standard
@@ -238,10 +245,11 @@ def class_members(source: str) -> list[str]:
     return out
 
 
-def member_uses(source: str) -> set[str]:
+def member_uses(source: str | ast.AST) -> set[str]:
     """Names read as attributes, or passed as keyword arguments, in source."""
+    tree = ast.parse(source) if isinstance(source, str) else source
     uses = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             uses.add(node.attr)
         elif isinstance(node, ast.keyword) and node.arg is not None:
@@ -290,3 +298,113 @@ def test_detector_flags_a_dead_member():
         "        pass\n"
     )
     assert dead_members(source, member_uses(source)) == ["Run.gone"]
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """Names a node reads: Name loads, attribute reads and keywords."""
+    loads = {sub.id for sub in ast.walk(node)
+             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+    return loads | member_uses(node)
+
+
+def unreached_names(sources: dict[str, str], root: str = "cli.main") -> list[str]:
+    """Functions, classes and methods that no chain of uses reaches from
+    root, the members in CALLED_BY_LIBRARY, or module-level code that runs
+    on import.  sources maps module name to source.  A module-level def is
+    reported as 'module.name', a method as 'Class.name'.
+
+    A def is live once a live body names it; its own body is then followed.
+    A live class brings its dunders and the rest of its class body along;
+    a module-level assignment is followed once its name is used.  The walk
+    matches by name alone, across modules, so it over-approximates: a dead
+    def that shares its name with a live use is kept.
+    """
+    defs: dict[str, list] = {}  # name -> [(label or None, nodes it runs)]
+    pending: list = []  # nodes known to run
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.setdefault(node.name, []).append((f"{module}.{node.name}", [node]))
+            elif isinstance(node, ast.ClassDef):
+                body = [*node.bases, *node.keywords, *node.decorator_list]
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    ):
+                        label = f"{node.name}.{item.name}"
+                        defs.setdefault(item.name, []).append((label, [item]))
+                    else:  # dunders and class-level statements come with the class
+                        body.append(item)
+                defs.setdefault(node.name, []).append((f"{module}.{node.name}", body))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name) and node.value is not None:
+                        defs.setdefault(target.id, []).append((None, [node.value]))
+            else:
+                pending.append(node)
+    roots = {root} | CALLED_BY_LIBRARY
+    reached = set()
+    for entries in defs.values():
+        for label, nodes in entries:
+            if label in roots:
+                reached.add(label)
+                pending += nodes
+    seen = set()
+    while pending:
+        for name in names_read(pending.pop()) - seen:
+            seen.add(name)
+            for label, nodes in defs.get(name, ()):
+                reached.add(label)
+                pending += nodes
+    return sorted(label for entries in defs.values() for label, _ in entries
+                  if label is not None and label not in reached)
+
+
+def test_every_name_is_reached_from_main():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert unreached_names(sources) == []
+
+
+def test_detector_flags_an_unreached_name():
+    sources = {
+        "cli": (
+            "import sys\n"
+            "from .core import Box, f\n"
+            "LIMIT = g_const()\n"
+            "def main():\n"
+            "    return f(Box(1).get(), _Parser)\n"
+            "class _Parser:\n"
+            "    def error(self, message):\n"
+            "        return aid()\n"
+            "if __name__ == '__main__':\n"
+            "    sys.exit(main())\n"
+        ),
+        "core": (
+            "def f(x):\n"
+            "    return x\n"
+            "def h():\n"
+            "    return 1\n"
+            "def k():\n"
+            "    return h()\n"
+            "def aid():\n"
+            "    return 0\n"
+            "def g_const():\n"
+            "    return 2\n"
+            "class Box:\n"
+            "    size = width()\n"
+            "    def __init__(self, v):\n"
+            "        self.v = v\n"
+            "    def __repr__(self):\n"
+            "        return shown(self.v)\n"
+            "    def get(self):\n"
+            "        return self.v\n"
+            "    def gone(self):\n"
+            "        return self.get()\n"
+            "def width():\n"
+            "    return 3\n"
+            "def shown(v):\n"
+            "    return str(v)\n"
+        ),
+    }
+    assert unreached_names(sources) == ["Box.gone", "core.g_const", "core.h", "core.k"]

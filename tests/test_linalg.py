@@ -1,4 +1,5 @@
-"""Sparse exact echelon forms: integer rows, rank, nullspaces, row invariants."""
+"""Sparse exact echelon forms: integer rows, rank, row invariants, and the
+nullspace that tests/reference.py reads off an echelon's rows."""
 
 from fractions import Fraction
 from math import gcd
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from permlie import GeneratorSet, lie_closure, predicted_dim, preset_generators
 from permlie.cli import main
 from permlie.linalg import SparseEchelon, _make_primitive, integer_row, rank_of
+from reference import nullspace
 
 
 def gauss_rank(rows: list[list[int]]) -> int:
@@ -135,7 +137,7 @@ class TestNullspace:
         # x0 + x1 + x2 = 0 and x1 - x2 = 0  =>  kernel spanned by (-2, 1, 1)
         ech = SparseEchelon()
         ech.extend([{0: 1, 1: 1, 2: 1}, {1: 1, 2: -1}])
-        null = ech.nullspace(range(3))
+        null = nullspace(ech, range(3))
         assert len(null) == 1
         sol = null[0]
         scale = sol[2]
@@ -148,11 +150,11 @@ class TestNullspace:
     def test_full_rank_has_trivial_kernel(self):
         ech = SparseEchelon()
         ech.extend([{0: 1}, {1: 1}])
-        assert ech.nullspace(range(2)) == []
+        assert nullspace(ech, range(2)) == []
 
     def test_empty_system_kernel_is_everything(self):
         ech = SparseEchelon()
-        null = ech.nullspace(range(3))
+        null = nullspace(ech, range(3))
         assert len(null) == 3
 
 
@@ -176,14 +178,14 @@ class TestAgainstDenseOracle:
     def test_rank_nullity(self, rows):
         ech = SparseEchelon()
         ech.extend(to_sparse(r) for r in rows)
-        assert ech.rank + len(ech.nullspace(range(4))) == 4
+        assert ech.rank + len(nullspace(ech, range(4))) == 4
 
     @settings(max_examples=120, deadline=None)
     @given(small_matrices)
     def test_nullspace_annihilates_rows(self, rows):
         ech = SparseEchelon()
         ech.extend(to_sparse(r) for r in rows)
-        for sol in ech.nullspace(range(4)):
+        for sol in nullspace(ech, range(4)):
             for row in rows:
                 assert sum(Fraction(row[k]) * v for k, v in sol.items()) == 0
 

@@ -29,10 +29,9 @@ from permlie.oracle import (
     _word_product,
     letters_to_word,
     transposition_pairings,
-    word_letters,
     word_triple,
-    word_text,
 )
+from reference import word_letters, word_text
 
 
 def unit(t, n):

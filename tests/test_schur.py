@@ -37,11 +37,10 @@ from permlie import (
     preset_generators,
     sector_block,
     sector_check,
-    trace_inner,
 )
 from permlie import schur
-from permlie.oracle import word_text
 from permlie.schur import SECTOR_CAP
+from reference import trace_inner, word_text
 
 from conftest import kron_word
 
