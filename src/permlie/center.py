@@ -31,10 +31,11 @@ from .symops import (
 
 # The largest n verify_center accepts: the largest n for which
 # `center --n n --json -` finished as a process in under 60 s on each of
-# three runs on a 2-vCPU host (n = 61: 52-57 s, 147 MB peak RSS; n = 62 took
-# up to 62 s).  The G2 closure of the commute certificate is most of the
-# cost (4.8 s of 5.8 s at n = 40), the X/Y solve the rest.
-CENTER_CAP = 61
+# three runs on a 2-vCPU host (n = 98: 45.5, 54.7 and 50.3 s, 485 MB peak
+# RSS; n = 102 took 68.7 to 74.2 s in a slower stretch).  The X/Y solve is
+# now most of the cost: in one in-process run at n = 102 it took 48.0 s of
+# 81.2 s, and the G2 closure of the commute certificate 30.4 s.
+CENTER_CAP = 98
 
 # The uniform one-body fields X and Y (the members of G1prime).
 FIELDS = (PauliTriple(1, 0, 0), PauliTriple(0, 1, 0))

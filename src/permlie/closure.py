@@ -2,7 +2,9 @@
 
 lie_closure runs the one worklist, linalg.generator_closure, with the
 structure table's bracket: each newly independent row is bracketed with the
-generators only, and results go through a reduced echelon basis until
+generators only, as the echelon stores it when the worklist pops it (by
+then mostly shortened by back-substitution) unless the row as admitted has
+fewer coefficient bits.  Results go through a reduced echelon basis until
 nothing new appears.  There is no other pairing strategy.  Everything is
 exact: the resulting dimension is a theorem about the generated algebra, not
 a numerical estimate.  The module also carries the closed-form dimension
@@ -95,8 +97,9 @@ def lie_closure(gens: GeneratorSet, table: StructureTable | None = None) -> Clos
     """Smallest Lie algebra containing the generators, as an exact basis.
 
     Runs linalg.generator_closure with the table's bracket on rank-keyed
-    rows: each new row is bracketed with the generators only.  FIFO order and
-    the canonical triple order make runs deterministic.
+    rows: each new row, as stored when it is popped unless the row as
+    admitted is narrower, is bracketed with the generators only.  FIFO order and the canonical triple
+    order make runs deterministic.
     """
     if table is None:
         table = StructureTable(gens.n)

@@ -8,7 +8,10 @@ integer dicts (content gcd 1, positive pivot entry); elimination is
 fraction-free, so no Fraction is made inside it.  A rational vector enters
 through integer_row, once, where it comes in from outside the engine.
 generator_closure is the one Lie-closure worklist; the sparse and the
-word-level engines differ only in the bracket they hand it.
+word-level engines differ only in the bracket they hand it.  When it pops
+an admitted row, it brackets the row the echelon stores under the same
+pivot at that moment, which back-substitution has mostly shortened, unless
+the admitted row has fewer coefficient bits.
 
 Rows stay fully reduced: a pivot column is nonzero only in its own row.  To
 keep them so without scanning every row on each insert, the echelon also
@@ -151,12 +154,20 @@ def generator_closure(
     """Grow ech to the Lie algebra generated by seeds; returns the bracket count.
 
     The seeds are inserted first, and those that raise the rank become the
-    seed rows g.  Every admitted row, the seed rows included, is bracketed
-    with each seed row as bracket(row, g), in FIFO order, and each result is
+    seed rows g.  The worklist holds the admitted rows, the seed rows
+    included, in FIFO order, and pops each once.  For the row admitted with
+    pivot p it brackets, as bracket(row, g) with each seed row, the row ech
+    stores under p at that moment, which back-substitution has mostly
+    shortened since, unless the admitted row has fewer coefficient bits in
+    all.  (On dense custom sets, bracketing the stored row every time feeds
+    ever wider coefficients back into the echelon.)  Each result is
     inserted in turn.  bracket takes and returns coordinate mappings.
 
-    Pairing with the seeds alone is enough.  Let V be the final span.  By
-    construction [V, g] lies in V for every seed row g, so the set
+    Pairing with the seeds alone is enough.  Let V be the final span and fix
+    a seed row g.  The rows bracketed with g, one per pivot p, lie in V and
+    have p as their smallest key: back-substitution only changes columns
+    above a row's pivot.  So they are independent, and there are dim V of
+    them, so they span V, and [V, g] lies in V.  Hence the set
     N = {x : [x, V] lies in V} contains the seeds.  N is a Lie subalgebra:
     for x, y in N and v in V, Jacobi gives
     [[x, y], v] = [x, [y, v]] - [y, [x, v]], which lies in V.  Hence N holds
@@ -164,20 +175,30 @@ def generator_closure(
     V lies in L, hence in N, and [V, V] lies in V: V is a Lie algebra that
     contains the seeds, so V = L.
 
-    At most rank * len(seed rows) brackets are evaluated, so the loop always
-    ends.
+    Every admitted row is popped once, so exactly rank * len(seed rows)
+    brackets are evaluated and the loop always ends.
     """
     gens = [row for row in map(ech.insert, seeds) if row is not None]
+    rows = ech._rows
     work = deque(gens)
     steps = 0
     while work:
         row = work.popleft()
+        now = rows[min(row)]
+        if now is not row and _bits(now) <= _bits(row):
+            row = now
         for g in gens:
             steps += 1
             new = ech.insert(bracket(row, g))
             if new is not None:
                 work.append(new)
     return steps
+
+
+def _bits(row: IntRow) -> int:
+    """Total coefficient bits of a row: the size the bracket and the
+    elimination of its result work on."""
+    return sum(v.bit_length() for v in row.values())
 
 
 def rank_of(vecs: Iterable[Mapping]) -> int:

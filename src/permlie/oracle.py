@@ -203,7 +203,8 @@ class DenseClosureRun(NamedTuple):
 def dense_closure(seeds: Iterable[DenseOp]) -> DenseClosureRun:
     """Lie closure over raw words: linalg.generator_closure with dense_bracket.
 
-    At most rank * |seeds| brackets are evaluated, so the run always ends.
+    Exactly rank * r brackets are evaluated, r the number of seeds that
+    raise the rank, so the run always ends.
     """
     seeds = [s for s in seeds if not s.is_zero]
     if not seeds:

@@ -3,10 +3,12 @@
 No verb needs any of these, so they live with the tests, as the float
 coupled basis of coupled_basis.py does: the Frobenius pairing, the rational
 central-membership functional, the bracket of coordinate vectors, the word
-text of the dense oracle, the paths of the bundled report schemas, and the
-universality verdicts read off an explicit nullspace of the trace pairings.
+text of the dense oracle, the paths of the bundled report schemas, the
+universality verdicts read off an explicit nullspace of the trace pairings,
+and the closure worklist that brackets each row as it was admitted.
 """
 
+from collections import deque
 from fractions import Fraction
 from importlib import resources
 from math import factorial
@@ -111,3 +113,20 @@ def trace_pairing_verdicts(basis) -> Verdicts:
     else:
         universal = False
     return Verdicts(universal, semi)
+
+
+def snapshot_closure(seeds, bracket, ech: SparseEchelon) -> int:
+    """linalg.generator_closure that always brackets each admitted row as
+    insert returned it, though back-substitution may since have shortened
+    the row stored under its pivot.  Returns the bracket count."""
+    gens = [row for row in map(ech.insert, seeds) if row is not None]
+    work = deque(gens)
+    steps = 0
+    while work:
+        row = work.popleft()
+        for g in gens:
+            steps += 1
+            new = ech.insert(bracket(row, g))
+            if new is not None:
+                work.append(new)
+    return steps

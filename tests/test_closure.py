@@ -28,13 +28,14 @@ from permlie import (
 )
 from permlie.center import make_C
 from permlie.closure import Verdicts, central_residuals, family_exempt_mus
-from permlie.linalg import SparseEchelon
-from permlie.oracle import dense_closure, densify
-from permlie.symops import parse_generator_spec
+from permlie.linalg import SparseEchelon, generator_closure, integer_row, rank_of
+from permlie.oracle import DenseOp, dense_bracket, dense_closure, densify
+from permlie.symops import by_rank, parse_generator_spec
 from reference import (
     bracket_vectors,
     membership_residual,
     schema_path,
+    snapshot_closure,
     trace_inner,
     trace_pairing_verdicts,
 )
@@ -171,6 +172,106 @@ class TestClosureInvariance:
     def test_table_mismatch_rejected(self, ctx):
         with pytest.raises(DimensionMismatch):
             lie_closure(preset_generators("G2", 3), ctx.table(4))
+
+
+def preset_cases(max_n):
+    """(label, n, k) of every preset generator set at n <= max_n: G1,
+    G1prime, G2 and every Gk:k."""
+    cases = []
+    for n in range(1, max_n + 1):
+        cases += [("G1", n, None), ("G1prime", n, None)]
+        if n >= 2:
+            cases.append(("G2", n, None))
+        cases += [("Gk", n, k) for k in range(2, n + 1)]
+    return cases
+
+
+def case_ids(cases):
+    return [f"{label}{'' if k is None else f':{k}'}-n{n}" for label, n, k in cases]
+
+
+PRESETS_TO_12 = preset_cases(12)
+WORD_PRESETS = preset_cases(4)
+
+
+def seed_rows(gens):
+    return [integer_row(by_rank(g.coeffs)) for g in gens.members]
+
+
+def assert_worklists_agree(seeds, bracket):
+    """The pivot worklist and the admission-snapshot worklist end on the
+    same echelon after the same number of brackets."""
+    fast, slow = SparseEchelon(), SparseEchelon()
+    steps = generator_closure(seeds, bracket, fast)
+    assert steps == snapshot_closure(seeds, bracket, slow)
+    assert fast.pivots() == slow.pivots()
+    assert fast.rows() == slow.rows()
+
+
+class TestWorklist:
+    """generator_closure brackets each row as stored when popped, unless the
+    row as admitted is narrower; the snapshot worklist of tests/reference.py
+    is its oracle."""
+
+    @pytest.mark.parametrize("label,n,k", PRESETS_TO_12, ids=case_ids(PRESETS_TO_12))
+    def test_presets_match_snapshot_worklist(self, ctx, label, n, k):
+        gens = preset_generators(label, n, k=k)
+        assert_worklists_agree(seed_rows(gens), ctx.table(n).bracket_coeffs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(custom_generator_sets())
+    def test_custom_sets_match_snapshot_worklist(self, ctx, gens):
+        assert_worklists_agree(seed_rows(gens), ctx.table(gens.n).bracket_coeffs)
+
+    @pytest.mark.parametrize("label,n,k", WORD_PRESETS, ids=case_ids(WORD_PRESETS))
+    def test_word_bracket_matches_snapshot_worklist(self, label, n, k):
+        gens = preset_generators(label, n, k=k)
+
+        def bracket(u, g):
+            return dense_bracket(DenseOp(n, u), DenseOp(n, g)).coeffs
+
+        assert_worklists_agree([integer_row(densify(g).coeffs) for g in gens.members], bracket)
+
+    def test_coefficients_stay_narrow_on_a_dense_custom_set(self, ctx):
+        """Bracketing the stored row on every pop drove this set's bracketed
+        rows to 136,739-bit coefficients (11 s for a 54-dimensional closure);
+        the admission-snapshot worklist stays at 77 bits.  The pivot worklist
+        brackets whichever of the two rows is narrower."""
+        n = 5
+        members = [{(2, 2, 0): -3}, {(2, 1, 0): 1, (3, 0, 1): -3}, {(0, 4, 1): 1, (5, 0, 0): -1}]
+        gens = GeneratorSet(
+            n, tuple(SymOpVector(n, {PauliTriple(*t): c for t, c in m.items()}) for m in members), "custom"
+        )
+        table = ctx.table(n)
+
+        def widest(closure):
+            bits = []
+
+            def bracket(u, g):
+                bits.append(max(abs(v).bit_length() for v in u.values()))
+                return table.bracket_coeffs(u, g)
+
+            closure(seed_rows(gens), bracket, SparseEchelon())
+            return max(bits)
+
+        assert widest(generator_closure) <= widest(snapshot_closure)
+
+    @pytest.mark.parametrize("label,n,k", PRESETS_TO_12, ids=case_ids(PRESETS_TO_12))
+    def test_preset_bracket_count_is_exact(self, ctx, label, n, k):
+        run = ctx.closure(label, n, k)
+        assert run.iterations == run.dim * rank_of(seed_rows(preset_generators(label, n, k=k)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(custom_generator_sets())
+    def test_custom_bracket_count_is_exact(self, ctx, gens):
+        run = lie_closure(gens, ctx.table(gens.n))
+        assert run.iterations == run.dim * rank_of(seed_rows(gens))
+
+    @pytest.mark.parametrize("label,n,k", WORD_PRESETS, ids=case_ids(WORD_PRESETS))
+    def test_word_bracket_count_is_exact(self, label, n, k):
+        seeds = [densify(g) for g in preset_generators(label, n, k=k).members]
+        run = dense_closure(seeds)
+        assert run.iterations == run.dim * rank_of(integer_row(s.coeffs) for s in seeds)
 
 
 class TestComplementIsCentral:
