@@ -5,15 +5,16 @@ Pauli strings P_(kx,ky,kz); this package computes their commutators with
 exact integer structure constants, takes Lie closures of generator sets,
 verifies the centralizer and class-sum identities, certifies universality
 verdicts, and cross-checks everything against an independent word-level
-oracle.  Spin sectors are exact too: the block of every P_t on each sector
-is an integer matrix read off one generating polynomial (permlie.schur), so
-the sector-control certificate is a rank over the rationals.  The package
-uses the standard library only.
+oracle.  A closure is the SparseEchelon its worklist grew
+(ClosureRun.basis); build_report reads its verdicts and central residuals
+off the echelon's rank-keyed integer rows.  Spin sectors are exact too: the
+block of every P_t on each sector is an integer matrix read off one
+generating polynomial (permlie.schur), so the sector-control certificate is
+a rank over the rationals.  The package uses the standard library only.
 """
 
 from .center import (
     CenterReport,
-    central_projection_test,
     make_C,
     make_L,
     make_L_direct,
@@ -22,13 +23,11 @@ from .center import (
 from .closure import (
     ClosureReport,
     ClosureRun,
-    LieBasis,
     Verdicts,
     build_report,
     is_universal_pair,
     lie_closure,
     predicted_dim,
-    verdicts,
 )
 from .erratum import (
     ErratumCase,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple
 
-from .closure import central_residuals, lie_closure
+from .closure import lie_closure
 from .linalg import SparseEchelon, rank_of
 from .structure import StructureTable
 from .symops import (
@@ -104,18 +104,6 @@ def make_L_direct(mu: int, n: int) -> SymOpVector:
                 den = factorial(a) * factorial(b) * factorial(c) * factorial(mu - s)
                 coeffs[PauliTriple(2 * a, 2 * b, 2 * c)] = scale * Fraction(num, den)
     return SymOpVector(n, coeffs)
-
-
-def central_projection_test(gens: GeneratorSet) -> dict[int, bool]:
-    """Which central directions a generator set is trace-orthogonal to.
-
-    Returns {mu: True if every generator pairs to zero with C_mu}.  Bracket
-    flows conserve these pairings, so a False entry marks a central
-    direction the closure is allowed to reach.  A generator pairs to zero
-    with C_mu exactly when its central residual at mu vanishes.
-    """
-    residuals = central_residuals(gens.members, gens.n)
-    return {mu: not any(res[mu] for res in residuals) for mu in range(gens.n // 2 + 1)}
 
 
 class CenterReport(NamedTuple):
@@ -233,8 +221,7 @@ def verify_center(n: int, table: StructureTable | None = None) -> CenterReport:
         raise ConstraintError("table built for a different qubit count")
     num_c = n // 2 + 1
     size = comb(n + 3, 3)
-    cvecs = [make_C(mu, n) for mu in range(num_c)]
-    cs = [by_rank(c.coeffs) for c in cvecs]
+    cs = [by_rank(make_C(mu, n).coeffs) for mu in range(num_c)]
 
     gens = spanning_generators(n)
     commute_ok = not any(
@@ -242,10 +229,9 @@ def verify_center(n: int, table: StructureTable | None = None) -> CenterReport:
     )
     # a closure of its own: the C_mu are inserted into its echelon
     basis = lie_closure(gens, table).basis
-    closure_dim = basis.dim
-    for c in cvecs:
-        basis.insert(c)
-    span_rank = basis.dim
+    closure_dim = basis.rank
+    basis.extend(cs)
+    span_rank = basis.rank
     commute_ok = commute_ok and span_rank == size
 
     independent_ok = rank_of(cs) == num_c

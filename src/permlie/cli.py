@@ -208,6 +208,8 @@ def cmd_verify(args) -> int:
 def cmd_center(args) -> int:
     if args.mu is not None and args.emit == "none":
         raise UsageError("--mu needs --emit C or --emit L")
+    if args.mu is not None and not 0 <= 2 * args.mu <= args.n:
+        raise UsageError(f"need 0 <= 2*mu <= n, got mu={args.mu}, n={args.n}")
     case = centralizer_case(args.n)
     extra = {}
     if args.emit != "none":
@@ -232,7 +234,7 @@ def cmd_schur(args) -> int:
     if args.check_blocks:
         gens = parse_generator_spec(args.gens or "G2", args.n)
         run = lie_closure(gens)
-        found, rep = sector_check(run.basis)
+        found, rep = sector_check(args.n, run.basis)
         cases.append(
             CaseResult("block-structure", {"n": args.n, "gens": gens.label},
                        rep is not None and rep.consistent,

@@ -8,15 +8,16 @@ fewer coefficient bits.  Results go through a reduced echelon basis until
 nothing new appears.  There is no other pairing strategy.  Everything is
 exact: the resulting dimension is a theorem about the generated algebra, not
 a numerical estimate.  The module also carries the closed-form dimension
-predictions for the preset generator families, the central-membership
-residuals, and the universality verdicts read off from the closure basis.
+predictions for the preset generator families, the central residuals, and
+the universality verdicts read off from them.
 
-The worklist and its echelon key every row by triple_rank, whose int order
-is the canonical triple order, and hold integer rows only.  PauliTriple and
-Fraction appear only at the boundary: LieBasis takes rational SymOpVectors,
-clears their denominators once (linalg.integer_row) and returns primitive
-integer rows; reports read triples, and divide a residual by its row's
-pivot coefficient only for the offenders they print.
+A closure is its echelon: the run holds the SparseEchelon the worklist
+grew, and every reader takes its rows as they are stored, keyed by
+triple_rank (whose int order is the canonical triple order) and primitive
+over the integers.  PauliTriple and Fraction appear only at the boundary:
+generators enter through integer_row once, and build_report turns pivots
+into triple text and divides a residual by its row's pivot coefficient only
+for the offenders it prints.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .linalg import SparseEchelon, generator_closure, integer_row, rank_of
 from .structure import StructureTable
@@ -33,8 +34,6 @@ from .symops import (
     ConstraintError,
     DimensionMismatch,
     GeneratorSet,
-    PauliTriple,
-    SymOpVector,
     ambient_dims,
     by_rank,
     frac_text,
@@ -45,52 +44,19 @@ from .symops import (
 MAX_OFFENDERS = 8
 
 
-class LieBasis:
-    """Reduced echelon basis of SymOpVectors at fixed n.
-
-    The echelon is keyed by triple_rank, so its pivots follow the canonical
-    triple order; vectors are re-keyed on the way in and out, and their
-    denominators cleared on the way in.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self._ech = SparseEchelon()
-
-    @property
-    def dim(self) -> int:
-        return self._ech.rank
-
-    def insert(self, v: SymOpVector) -> SymOpVector | None:
-        """Grow the span; returns the stored primitive row, or None."""
-        if v.n != self.n:
-            raise DimensionMismatch("vector qubit count differs from basis")
-        row = self._ech.insert(integer_row(by_rank(v.coeffs)))
-        if row is None:
-            return None
-        return SymOpVector.from_ranks(self.n, row)
-
-    def contains(self, v: SymOpVector) -> bool:
-        if v.n != self.n:
-            raise DimensionMismatch("vector qubit count differs from basis")
-        return self._ech.contains(integer_row(by_rank(v.coeffs)))
-
-    def pivots(self) -> tuple[PauliTriple, ...]:
-        return tuple(map(rank_triple, self._ech.pivots()))
-
-    def rows(self) -> tuple[SymOpVector, ...]:
-        """Primitive integer rows (positive pivot coefficient) in pivot order."""
-        return tuple(SymOpVector.from_ranks(self.n, r) for _, r in self._ech.rows())
-
-
 class ClosureRun(NamedTuple):
-    basis: LieBasis
+    """A finished closure at n qubits.  basis is the reduced echelon the
+    worklist grew: its rows are the closure's primitive integer rows, keyed
+    by triple_rank."""
+
+    n: int
+    basis: SparseEchelon
     iterations: int
     wall_time: float
 
     @property
     def dim(self) -> int:
-        return self.basis.dim
+        return self.basis.rank
 
 
 def lie_closure(gens: GeneratorSet, table: StructureTable | None = None) -> ClosureRun:
@@ -106,13 +72,13 @@ def lie_closure(gens: GeneratorSet, table: StructureTable | None = None) -> Clos
     elif table.n != gens.n:
         raise DimensionMismatch("table and generators disagree on qubit count")
     t0 = time.perf_counter()
-    basis = LieBasis(gens.n)
+    ech = SparseEchelon()
     iterations = generator_closure(
         (integer_row(by_rank(g.coeffs)) for g in gens.members),
         table.bracket_coeffs,
-        basis._ech,
+        ech,
     )
-    return ClosureRun(basis, iterations, time.perf_counter() - t0)
+    return ClosureRun(gens.n, ech, iterations, time.perf_counter() - t0)
 
 
 def predicted_dim(label: str, n: int, k: int | None = None) -> int:
@@ -146,8 +112,8 @@ def is_universal_pair(n: int, k: int) -> bool:
     return k >= n - 1
 
 
-def central_residuals(rows: Iterable[SymOpVector], n: int) -> list[list]:
-    """Central residual res[mu] of every row, for 0 <= mu <= n/2.
+def central_residuals(rows: Iterable[Mapping[int, int]], n: int) -> list[list]:
+    """Central residual res[mu] of every rank-keyed row, for 0 <= mu <= n/2.
 
     A triple (2a, 2b, 2c) with every letter count even adds
     coeff * mu!/(a!b!c!) to res[mu], mu = a+b+c; no other triple adds anything,
@@ -160,7 +126,8 @@ def central_residuals(rows: Iterable[SymOpVector], n: int) -> list[list]:
     out = []
     for row in rows:
         res = [0] * (n // 2 + 1)
-        for (kx, ky, kz), coeff in row.items():
+        for r, coeff in row.items():
+            kx, ky, kz = rank_triple(r)
             if not (kx | ky | kz) & 1:
                 a, b, c = kx // 2, ky // 2, kz // 2
                 w = factorial(a + b + c) // (factorial(a) * factorial(b) * factorial(c))
@@ -174,19 +141,14 @@ class Verdicts(NamedTuple):
     semi_universal: bool
 
 
-def verdicts(basis: LieBasis) -> Verdicts:
-    """Universality flags read off a closure basis, exactly.
+def _verdicts(n: int, dim: int, residuals: Sequence[Sequence[int]]) -> Verdicts:
+    """Universality flags of a closure of dimension dim, read off exactly
+    from the central residuals of its rows.
 
     The central elements orthogonal to every row span the trace-pairing
     complement of the algebra.  Semi-universality means that complement is
     entirely central; universality additionally means it is at most the
     identity direction.
-    """
-    return _verdicts(basis.n, basis.dim, central_residuals(basis.rows(), basis.n))
-
-
-def _verdicts(n: int, dim: int, residuals: Sequence[Sequence[int]]) -> Verdicts:
-    """verdicts from the central residuals of the basis rows.
 
     residual[mu] is tr(row C_mu) times a nonzero factor that depends on mu
     alone, which changes neither the rank of the residual rows nor which of
@@ -269,7 +231,7 @@ def family_exempt_mus(gens: GeneratorSet) -> frozenset[int]:
     """
     return frozenset(
         mu
-        for res in central_residuals(gens.members, gens.n)
+        for res in central_residuals((by_rank(g.coeffs) for g in gens.members), gens.n)
         for mu, r in enumerate(res)
         if r
     )
@@ -316,7 +278,7 @@ def build_report(
         residual_mus=mus,
         residuals_nonzero=len(nonzero),
         residual_offenders=offenders,
-        pivots=tuple(t.text() for t in pivots),
+        pivots=tuple(rank_triple(p).text() for p in pivots),
         iterations=run.iterations,
         wall_time=run.wall_time,
     )

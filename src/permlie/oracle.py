@@ -76,20 +76,6 @@ class DenseOp(_Frozen):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "DenseOp") -> "DenseOp":
-        if self.n != other.n:
-            raise DimensionMismatch("qubit counts differ")
-        out = dict(self.coeffs)
-        for w, v in other.coeffs.items():
-            out[w] = out.get(w, 0) + v
-        return DenseOp(self.n, out)
-
-    def __sub__(self, other: "DenseOp") -> "DenseOp":
-        return self + other.scaled(-1)
-
-    def scaled(self, c) -> "DenseOp":
-        return DenseOp(self.n, {w: v * c for w, v in self.coeffs.items()})
-
 
 def _word_product(w1: int, w2: int, n: int) -> tuple[int, int]:
     """(phase_power, word) with w1*w2 = i**phase_power * word.

@@ -46,7 +46,6 @@ from functools import cache
 from math import comb, lcm
 from typing import NamedTuple
 
-from .closure import LieBasis
 from .linalg import SparseEchelon, rank_of
 from .symops import (
     ConstraintError,
@@ -196,9 +195,10 @@ class SubspaceControlReport(NamedTuple):
         }
 
 
-def certify_subspace_control(basis: LieBasis) -> SubspaceControlReport:
-    """Check the exact blocks and measure how much of each sector's traceless
-    algebra a basis reaches, one sector at a time.
+def certify_subspace_control(n: int, basis: SparseEchelon) -> SubspaceControlReport:
+    """Check the exact blocks at n qubits and measure how much of each
+    sector's traceless algebra the span of basis, a closure's echelon of
+    rank-keyed rows, reaches, one sector at a time.
 
     Each sector's table is built by sector_block, checked, ranked and
     dropped before the next one is built, so memory holds one sector.
@@ -220,9 +220,8 @@ def certify_subspace_control(basis: LieBasis) -> SubspaceControlReport:
     closure dimension.  Those traces are ranked as the integers
     2^mu L tr A_mu(row): scaling column mu by 2^mu L leaves the rank as it is.
     """
-    n = basis.n
-    rows = [list(row.items()) for row in basis.rows()]
     triples = all_triples(n)
+    rows = [[(triples[r], c) for r, c in row.items()] for row in basis.rows()]
     not_hermitian: dict[PauliTriple, int] = {}  # triple -> lowest failing mu
     tr1 = dict.fromkeys(triples, Fraction(0))  # sum_mu d_mu tr(D^-2 G)
     tr2 = dict.fromkeys(triples, Fraction(0))  # sum_mu d_mu tr A_mu^2
@@ -276,20 +275,20 @@ def certify_subspace_control(basis: LieBasis) -> SubspaceControlReport:
             raise VerificationError(f"norm sum rule fails at P_({t.text()}): {tr2[t]} != {want2}")
     return SubspaceControlReport(
         n=n,
-        closure_dim=len(rows),
+        closure_dim=basis.rank,
         sectors=tuple(sectors),
         trace_rank=rank_of(traces),
     )
 
 
-def sector_check(basis: LieBasis) -> tuple[dict, SubspaceControlReport | None]:
+def sector_check(n: int, basis: SparseEchelon) -> tuple[dict, SubspaceControlReport | None]:
     """certify_subspace_control as report details: (details, report).
 
     A violation is a finding, not an error here: details then name the
     triple under block_pattern and report is None.
     """
     try:
-        rep = certify_subspace_control(basis)
+        rep = certify_subspace_control(n, basis)
     except VerificationError as exc:
         return {"block_pattern": str(exc)}, None
     return {"block_pattern": "clean", "subspace_control": rep.to_jsonable()}, rep

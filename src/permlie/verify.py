@@ -24,24 +24,10 @@ lower end in SELECTORS, rather than run it with no case.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
-from .center import (
-    CENTER_CAP,
-    central_projection_test,
-    make_C,
-    make_L,
-    make_L_direct,
-    verify_center,
-)
-from .closure import (
-    build_report,
-    central_residuals,
-    is_universal_pair,
-    lie_closure,
-    predicted_dim,
-    verdicts,
-)
+from .center import CENTER_CAP, make_C, make_L, make_L_direct, verify_center
+from .closure import build_report, is_universal_pair, lie_closure, predicted_dim
 from .erratum import build_abc, verify_printed_commutators
 from .linalg import SparseEchelon, integer_row, rank_of
 from .oracle import WORD_QUBIT_CAP, class_sum, dense_closure, densify
@@ -49,8 +35,6 @@ from .schur import SECTOR_CAP, isotypic_table, sector_check
 from .structure import StructureTable
 from .symops import (
     ConstraintError,
-    GeneratorSet,
-    SymOpVector,
     VerificationError,
     ambient_dims,
     by_rank,
@@ -122,19 +106,6 @@ class RunContext:
         return self._closures[key]
 
 
-def _orthogonality_pattern(gens: GeneratorSet, rows: Iterable[SymOpVector]) -> tuple[dict, bool]:
-    """Projection pattern of the generators plus its conservation by closure.
-
-    Bracket flows cannot create a trace pairing with a central element the
-    generators start orthogonal to, so every closure row must stay exactly
-    orthogonal to those C_mu: its central residual at each such mu is zero.
-    """
-    pattern = central_projection_test(gens)
-    kept = [mu for mu, orthogonal in pattern.items() if orthogonal]
-    conserved = not any(res[mu] for res in central_residuals(rows, gens.n) for mu in kept)
-    return pattern, conserved
-
-
 def _suite_thm1(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     out = []
     for n in range(lo, hi + 1):
@@ -155,9 +126,9 @@ def _suite_thm1(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
 def _suite_thm3(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     out = []
     for n in range(lo, hi + 1):
-        gens = preset_generators("G2", n)
-        run = ctx.closure("G2", n)
-        pattern, conserved = _orthogonality_pattern(gens, run.basis.rows())
+        rep = build_report(preset_generators("G2", n), ctx.closure("G2", n))
+        pattern = {mu: mu not in rep.exempt for mu in range(n // 2 + 1)}
+        conserved = rep.residuals_nonzero == 0
         expected = {mu: mu != 1 for mu in range(n // 2 + 1)}
         out.append(
             CaseResult(
@@ -176,7 +147,7 @@ def _suite_thm4(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
         run = ctx.closure("G2", n)
         rep = build_report(preset_generators("G2", n), run, exempt={1})
         clean = rep.residuals_nonzero == 0
-        c1_inside = run.basis.contains(make_C(1, n))
+        c1_inside = run.basis.contains(by_rank(make_C(1, n).coeffs))
         out.append(
             CaseResult(
                 "g2-membership-residuals",
@@ -210,9 +181,9 @@ def _suite_thm6(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     out = []
     for n in range(lo, hi + 1):
         for k in range(2, n + 1):
-            gens = preset_generators("Gk", n, k=k)
-            run = ctx.closure("Gk", n, k)
-            pattern, conserved = _orthogonality_pattern(gens, run.basis.rows())
+            rep = build_report(preset_generators("Gk", n, k=k), ctx.closure("Gk", n, k))
+            pattern = {mu: mu not in rep.exempt for mu in range(n // 2 + 1)}
+            conserved = rep.residuals_nonzero == 0
             expected = {mu: not 1 <= mu <= k // 2 for mu in range(n // 2 + 1)}
             out.append(
                 CaseResult(
@@ -232,7 +203,7 @@ def _suite_cor1(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
         for k in range(2, n + 1):
             run = ctx.closure("Gk", n, k)
             want = predicted_dim("Gk", n, k)
-            vd = verdicts(run.basis)
+            vd = build_report(preset_generators("Gk", n, k=k), run).verdicts
             threshold = is_universal_pair(n, k)
             ok = (
                 run.dim == want
@@ -330,7 +301,7 @@ def _suite_schur(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
         details: dict = {"blocks": [[b.mu, b.d, b.m] for b in isotypic_table(n)]}
         ok = True
         if n >= 2:
-            found, rep = sector_check(ctx.closure("G2", n).basis)
+            found, rep = sector_check(n, ctx.closure("G2", n).basis)
             details.update(found)
             ok = rep is not None and rep.controllable and rep.consistent
         out.append(CaseResult("sector-decomposition", {"n": n}, ok, details))

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from permlie.closure import LieBasis
+from permlie.linalg import SparseEchelon
 from permlie.oracle import orbit_words
 from permlie.schur import SectorSpan, SubspaceControlReport, isotypic_table
 from permlie.symops import (
@@ -35,7 +35,7 @@ from permlie.symops import (
     VerificationError,
     check_qubits,
 )
-from reference import word_letters
+from reference import row_vectors, word_letters
 
 SCHUR_BUILD_CAP = 8
 UNITARITY_TOL = 1e-12
@@ -226,21 +226,22 @@ def _traceless_coords(a: np.ndarray) -> np.ndarray:
 
 
 def certify_subspace_control(
-    basis: LieBasis, st: SchurTransform | None = None, tol: float = RANK_TOL
+    n: int, basis: SparseEchelon, st: SchurTransform | None = None, tol: float = RANK_TOL
 ) -> SubspaceControlReport:
-    """Measure how much of each sector's traceless algebra a basis reaches.
+    """Measure how much of each sector's traceless algebra the span of a
+    closure's echelon reaches at n qubits.
 
     Projects every basis row into its sector blocks and computes real ranks.
     The span dimensions plus the rank of the per-sector trace tuples must add
     up to the exact closure dimension; that cross-check ties the float ranks
     back to proven integer arithmetic.
     """
-    check_qubits(basis.n, SCHUR_BUILD_CAP, "sector-span certification")
+    check_qubits(n, SCHUR_BUILD_CAP, "sector-span certification")
     if st is None:
-        st = build_schur_transform(basis.n)
-    if st.n != basis.n:
+        st = build_schur_transform(n)
+    if st.n != n:
         raise DimensionMismatch("basis and transform disagree on qubit count")
-    rows = basis.rows()
+    rows = row_vectors(n, basis)
     per_sector: list[list[np.ndarray]] = [[] for _ in st.blocks]
     traces = []
     for row in rows:
@@ -256,8 +257,8 @@ def certify_subspace_control(
     tr = np.array(traces)
     trace_rank = int(np.linalg.matrix_rank(tr, tol)) if tr.size else 0
     return SubspaceControlReport(
-        n=basis.n,
-        closure_dim=len(rows),
+        n=n,
+        closure_dim=basis.rank,
         sectors=tuple(sectors),
         trace_rank=trace_rank,
     )

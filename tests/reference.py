@@ -5,7 +5,9 @@ coupled basis of coupled_basis.py does: the Frobenius pairing, the rational
 central-membership functional, the bracket of coordinate vectors, the word
 text of the dense oracle, the paths of the bundled report schemas, the
 universality verdicts read off an explicit nullspace of the trace pairings,
-and the closure worklist that brackets each row as it was admitted.
+the view of an echelon's rank-keyed rows as SymOpVectors that lets these
+triple-keyed oracles check the engine, and the closure worklist that
+brackets each row as it was admitted.
 """
 
 from collections import deque
@@ -77,8 +79,8 @@ def nullspace(ech: SparseEchelon, unknowns) -> list[dict]:
     """Basis of {x : row . x = 0 for every row of ech}, one solution per
     non-pivot unknown, with that unknown's coordinate set to 1.  The rows are
     fully reduced, so a pivot's coordinate is read off its own row alone."""
-    rows = ech.rows()
-    pivots = {p for p, _ in rows}
+    pivots = ech.pivots()
+    rows = list(zip(pivots, ech.rows()))
     sols = []
     for f in unknowns:
         if f in pivots:
@@ -92,23 +94,28 @@ def nullspace(ech: SparseEchelon, unknowns) -> list[dict]:
     return sols
 
 
-def trace_pairing_verdicts(basis) -> Verdicts:
-    """Reference verdicts read off the trace pairings tr(row C_mu) directly:
-    the central elements orthogonal to every row are a nullspace."""
-    n = basis.n
+def row_vectors(n: int, ech: SparseEchelon) -> list[SymOpVector]:
+    """The rank-keyed rows of ech, in pivot order, as SymOpVectors at n."""
+    return [SymOpVector.from_ranks(n, row) for row in ech.rows()]
+
+
+def trace_pairing_verdicts(n: int, basis: SparseEchelon) -> Verdicts:
+    """Reference verdicts of the span of basis at n, read off the trace
+    pairings tr(row C_mu) directly: the central elements orthogonal to every
+    row are a nullspace."""
     dims = ambient_dims(n)
     cvecs = [make_C(mu, n) for mu in range(dims.dim_center)]
     ech = SparseEchelon()
-    for row in basis.rows():
+    for row in row_vectors(n, basis):
         coords = {mu: trace_inner(row, cv) for mu, cv in enumerate(cvecs)}
         coords = {mu: v for mu, v in coords.items() if v}
         if coords:
             ech.insert(coords)
     null = nullspace(ech, range(dims.dim_center))
-    semi = len(null) == dims.dim_u - basis.dim
-    if basis.dim == dims.dim_u:
+    semi = len(null) == dims.dim_u - basis.rank
+    if basis.rank == dims.dim_u:
         universal = True
-    elif basis.dim == dims.dim_su:
+    elif basis.rank == dims.dim_su:
         universal = len(null) == 1 and set(null[0]) == {0}
     else:
         universal = False

@@ -26,13 +26,13 @@ from permlie.center import (
     CENTER_CAP,
     FIELDS,
     _ad_kernel_system,
-    central_projection_test,
     spanning_generators,
 )
+from permlie.closure import family_exempt_mus
 from permlie.linalg import integer_row
 from permlie.oracle import class_sum, dense_bracket, densify
 from permlie.symops import GeneratorSet, rank_triple
-from reference import bracket_vectors, nullspace, trace_inner
+from reference import bracket_vectors, nullspace, row_vectors, trace_inner
 
 
 class TestCenterElements:
@@ -128,26 +128,26 @@ class TestClassSums:
 
 
 class TestProjectionPattern:
+    """family_exempt_mus lists the C_mu some generator pairs with; every
+    other C_mu is trace-orthogonal to the generators."""
+
     def test_two_body_set_touches_only_mu_one(self):
-        pattern = central_projection_test(preset_generators("G2", 6))
-        assert pattern == {0: True, 1: False, 2: True, 3: True}
+        assert family_exempt_mus(preset_generators("G2", 6)) == {1}
 
     def test_four_body_set_touches_mu_one_and_two(self):
-        pattern = central_projection_test(preset_generators("Gk", 6, k=4))
-        assert pattern == {0: True, 1: False, 2: False, 3: True}
+        assert family_exempt_mus(preset_generators("Gk", 6, k=4)) == {1, 2}
 
     def test_odd_letter_generator_orthogonal_everywhere(self):
         gens = GeneratorSet(4, (SymOpVector.unit((1, 1, 1), 4),), "custom")
-        assert all(central_projection_test(gens).values())
+        assert family_exempt_mus(gens) == frozenset()
 
     def test_pattern_is_conserved_by_the_closure(self, ctx):
         n, k = 5, 3
-        gens = preset_generators("Gk", n, k=k)
-        pattern = central_projection_test(gens)
-        rows = ctx.closure("Gk", n, k).basis.rows()
-        for mu, orthogonal in pattern.items():
+        exempt = family_exempt_mus(preset_generators("Gk", n, k=k))
+        rows = row_vectors(n, ctx.closure("Gk", n, k).basis)
+        for mu in range(n // 2 + 1):
             cv = make_C(mu, n)
-            if orthogonal:
+            if mu not in exempt:
                 assert all(trace_inner(row, cv) == 0 for row in rows)
             else:
                 assert any(trace_inner(row, cv) != 0 for row in rows)

@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 
 import permlie
-from permlie import make_C, structure
+from permlie import make_C, structure, verify
 from permlie.center import CENTER_CAP
 from permlie.cli import build_parser, main
 from permlie.oracle import WORD_QUBIT_CAP
@@ -290,6 +290,17 @@ class TestCenter:
         assert rc == 0
         assert "center @ n=4: dim 3, solve dim 3, closure dim 33, span rank 35, ok" in out
 
+    @pytest.mark.parametrize("emit", ["C", "L"])
+    @pytest.mark.parametrize("mu", [-1, 40 // 2 + 1])
+    def test_mu_out_of_range_refused_before_any_work(self, capsys, monkeypatch, emit, mu):
+        def no_work(*args):
+            raise AssertionError("the centralizer verification ran")
+
+        monkeypatch.setattr(verify, "verify_center", no_work)
+        rc, out, err = run(capsys, "center", "--n", "40", "--emit", emit, "--mu", str(mu))
+        assert rc == 1 and out == ""
+        assert f"got mu={mu}, n=40" in err
+
     @pytest.mark.parametrize("n", [CENTER_CAP + 1, 200])
     def test_resource_cap_exit_code(self, capsys, n):
         rc, out, err = run(capsys, "center", "--n", str(n), "--json", "-")
@@ -507,7 +518,7 @@ import permlie
 assert "numpy" not in sys.modules, "numpy loaded at start-up"
 assert permlie.isotypic_table(4)[0].m == 5
 basis = permlie.lie_closure(permlie.preset_generators("G2", 4)).basis
-assert permlie.certify_subspace_control(basis).controllable
+assert permlie.certify_subspace_control(4, basis).controllable
 assert "numpy" not in sys.modules, "numpy loaded by the sector layer"
 try:
     permlie.no_such_name

@@ -116,17 +116,6 @@ class TestDenseOpAlgebra:
         op = DenseOp(2, {5: 1, 10: 0})
         assert op.coeffs == {5: 1}
 
-    def test_add_sub_scale(self):
-        a = DenseOp(2, {5: 1})
-        b = DenseOp(2, {5: -1, 10: 2})
-        assert (a + b).coeffs == {10: 2}
-        assert (a - a).is_zero
-        assert a.scaled(Fraction(1, 2)).coeffs == {5: Fraction(1, 2)}
-
-    def test_mixed_n_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            DenseOp(2, {0: 1}) + DenseOp(3, {0: 1})
-
 
 class TestDensify:
     def test_two_z_on_two_qubits_is_single_word(self):

@@ -23,11 +23,12 @@ from coupled_basis import (
 from permlie import (
     ConstraintError,
     DimensionMismatch,
-    LieBasis,
     ResourceLimitError,
+    SparseEchelon,
     SymOpVector,
     VerificationError,
     all_triples,
+    by_rank,
     certify_subspace_control,
     isotypic_table,
     lie_closure,
@@ -40,7 +41,8 @@ from permlie import (
 )
 from permlie import schur
 from permlie.schur import SECTOR_CAP
-from reference import trace_inner, word_text
+from permlie.linalg import integer_row
+from reference import row_vectors, trace_inner, word_text
 
 from conftest import kron_word
 
@@ -192,7 +194,7 @@ class TestBlockProjection:
     def test_every_closure_row_is_block_structured(self, ctx):
         for n in (2, 3, 4):
             st = build_schur_transform(n)
-            for row in ctx.closure("G2", n).basis.rows():
+            for row in row_vectors(n, ctx.closure("G2", n).basis):
                 block_project(row, st)  # raises on any off-pattern entry
 
     def test_detector_catches_a_wrong_transform(self):
@@ -211,7 +213,7 @@ class TestBlockProjection:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_matches_loop_reference_on_closure_rows(self, ctx, n):
         st = build_schur_transform(n)
-        for row in ctx.closure("G2", n).basis.rows():
+        for row in row_vectors(n, ctx.closure("G2", n).basis):
             got = block_project(row, st)
             want = loop_block_project(row, st)
             assert len(got) == len(want)
@@ -275,11 +277,11 @@ class TestBlockPatternDetector:
             self.project(monkeypatch, planted)
 
 
-def orthogonalized_traceless_basis(n: int) -> LieBasis:
+def orthogonalized_traceless_basis(n: int) -> SparseEchelon:
     """Span of all triples with every central direction projected out."""
     center = [make_C(mu, n) for mu in range(n // 2 + 1)]
     norms = [trace_inner(c, c) for c in center]
-    basis = LieBasis(n)
+    basis = SparseEchelon()
     for t in all_triples(n):
         v = SymOpVector.unit(t, n)
         for c, norm in zip(center, norms):
@@ -287,13 +289,13 @@ def orthogonalized_traceless_basis(n: int) -> LieBasis:
             if coeff:
                 v = v - c.scaled(coeff)
         if not v.is_zero:
-            basis.insert(v)
+            basis.insert(integer_row(by_rank(v.coeffs)))
     return basis
 
 
 class TestSubspaceControl:
     def test_two_body_four_qubits(self, ctx):
-        report = certify_subspace_control(ctx.closure("G2", 4).basis)
+        report = certify_subspace_control(4, ctx.closure("G2", 4).basis)
         assert [s.span_dim for s in report.sectors] == [24, 8, 0]
         assert [s.su_dim for s in report.sectors] == [24, 8, 0]
         assert report.trace_rank == 1
@@ -302,12 +304,12 @@ class TestSubspaceControl:
 
     def test_relative_phase_deficit_is_exactly_one(self, ctx):
         # a fully phase-controlling algebra would have trace rank L-1 = 2
-        report = certify_subspace_control(ctx.closure("G2", 4).basis)
+        report = certify_subspace_control(4, ctx.closure("G2", 4).basis)
         n_sectors = len(report.sectors)
         assert report.trace_rank == n_sectors - 1 - 1
 
     def test_one_body_generators_fail_every_big_sector(self, ctx):
-        report = certify_subspace_control(ctx.closure("G1", 3).basis)
+        report = certify_subspace_control(3, ctx.closure("G1", 3).basis)
         for s in report.sectors:
             if s.m > 1:
                 assert not s.spans_su
@@ -319,19 +321,19 @@ class TestSubspaceControl:
     def test_synthetic_traceless_complement_passes_all_sectors(self):
         n = 3
         basis = orthogonalized_traceless_basis(n)
-        assert basis.dim == 18
-        report = certify_subspace_control(basis)
+        assert basis.rank == 18
+        report = certify_subspace_control(n, basis)
         assert report.controllable and report.consistent
         assert report.trace_rank == 0
 
     def test_analysis_cap(self):
-        basis = LieBasis(SECTOR_CAP + 1)
-        basis.insert(SymOpVector.unit((1, 0, 0), SECTOR_CAP + 1))
+        basis = SparseEchelon()
+        basis.insert({1: 1})  # P_(1,0,0)
         with pytest.raises(ResourceLimitError):
-            certify_subspace_control(basis)
+            certify_subspace_control(SECTOR_CAP + 1, basis)
 
     def test_jsonable_fields(self, ctx):
-        data = certify_subspace_control(ctx.closure("G1prime", 2).basis).to_jsonable()
+        data = certify_subspace_control(2, ctx.closure("G1prime", 2).basis).to_jsonable()
         assert data["closure_dim"] == 3
         assert {"mu", "m", "span_dim", "su_dim", "spans_su"} <= set(data["sectors"][0])
 
@@ -374,7 +376,7 @@ def gram_weight(b):
 
 def violation(n):
     """The sector pass's first block violation on the empty basis, or None."""
-    found, _ = sector_check(LieBasis(n))
+    found, _ = sector_check(n, SparseEchelon())
     return None if found["block_pattern"] == "clean" else found["block_pattern"]
 
 
@@ -415,8 +417,8 @@ class TestExactBlocks:
     def test_certificate_matches_the_float_oracle(self, n):
         for gens in presets(n):
             basis = lie_closure(gens).basis
-            assert certify_subspace_control(basis) == coupled_basis.certify_subspace_control(
-                basis
+            assert certify_subspace_control(n, basis) == coupled_basis.certify_subspace_control(
+                n, basis
             ), gens.label
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -451,17 +453,17 @@ class TestExactBlocks:
     def test_a_violation_raises_from_the_pass(self, ctx, plant):
         plant(0, (1, 0, 0), 1)
         with pytest.raises(VerificationError, match=r"P_\(1,0,0\) in sector mu=0 is not Hermitian"):
-            certify_subspace_control(ctx.closure("G2", 4).basis)
+            certify_subspace_control(4, ctx.closure("G2", 4).basis)
 
     def test_sector_check_reports_a_violation(self, ctx, plant):
         plant(1, (0, 0, 1), 0)
-        found, rep = sector_check(ctx.closure("G2", 4).basis)
+        found, rep = sector_check(4, ctx.closure("G2", 4).basis)
         assert rep is None
         assert found == {"block_pattern": found["block_pattern"]}
         assert found["block_pattern"].startswith("trace sum rule fails at P_(0,0,1)")
 
     def test_clean_check_carries_the_certificate(self, ctx):
-        found, rep = sector_check(ctx.closure("G2", 5).basis)
+        found, rep = sector_check(5, ctx.closure("G2", 5).basis)
         assert found["block_pattern"] == "clean"
         assert found["subspace_control"] == rep.to_jsonable()
         assert rep.controllable and rep.consistent
@@ -492,5 +494,5 @@ class TestExactBlocks:
             return table
 
         monkeypatch.setattr(schur, "sector_block", tracked)
-        rep = certify_subspace_control(ctx.closure("G2", 6).basis)
+        rep = certify_subspace_control(6, ctx.closure("G2", 6).basis)
         assert len(built) == 4 and rep.controllable
