@@ -31,11 +31,12 @@ from .symops import (
 
 # The largest n verify_center accepts: the largest n for which
 # `center --n n --json -` finished as a process in under 60 s on each of
-# three runs on a 2-vCPU host (n = 98: 45.5, 54.7 and 50.3 s, 485 MB peak
-# RSS; n = 102 took 68.7 to 74.2 s in a slower stretch).  The X/Y solve is
-# now most of the cost: in one in-process run at n = 102 it took 48.0 s of
-# 81.2 s, and the G2 closure of the commute certificate 30.4 s.
-CENTER_CAP = 98
+# three runs on a 2-vCPU host (n = 100: 57.9, 52.0 and 48.0 s, 298 MB peak
+# RSS; n = 102 took 70.4, 56.8 and 58.3 s in the same sitting).  The X/Y
+# solve is most of the cost, and its echelon, not its brackets, is most of
+# that: at n = 60 in process the solve took 3.6 s and the G2 closure of the
+# commute certificate 2.9 s.
+CENTER_CAP = 100
 
 # The uniform one-body fields X and Y (the members of G1prime).
 FIELDS = (PauliTriple(1, 0, 0), PauliTriple(0, 1, 0))
@@ -145,7 +146,7 @@ def _ad_kernel_system(
     """Exact echelon of the equations [A, P_g] = 0, g in gens, on the
     coordinates x_s of A = sum_s x_s P_s, with s the triple rank.
 
-    One table bracket per (P_s, g); the equation for (g, u) collects the
+    One column bracket per (P_s, g); the equation for (g, u) collects the
     coefficient of P_u in every [P_s, P_g].  The nullspace over the ranks
     range(C(n+3,3)) is the common kernel of the ad_g.
     """
@@ -172,7 +173,7 @@ def spanning_generators(n: int) -> GeneratorSet:
     return GeneratorSet(n, units, "one-body")
 
 
-def verify_center(n: int, table: StructureTable | None = None) -> CenterReport:
+def verify_center(n: int) -> CenterReport:
     """Mechanical check that span{C_mu} is exactly the centralizer.
 
     Three exact stages, with G = spanning_generators(n) (G2, or the one-body
@@ -201,7 +202,7 @@ def verify_center(n: int, table: StructureTable | None = None) -> CenterReport:
     * Independence (independent_ok): the C_mu are linearly independent.
     * Solve (solved_dim): the common kernel of ad_X and ad_Y over the whole
       basis, where X = P_(1,0,0) and Y = P_(0,1,0) are the uniform one-body
-      fields: 2*dim table brackets.  The kernel of ad over any subset of the
+      fields: 2*dim column brackets.  The kernel of ad over any subset of the
       algebra contains the centralizer of the whole algebra, so solved_dim
       can only overcount it; with the commute certificate and independence,
       solved_dim == floor(n/2)+1 proves that span{C_mu} is the centralizer.
@@ -215,10 +216,7 @@ def verify_center(n: int, table: StructureTable | None = None) -> CenterReport:
     it only explains why the count comes out exact.
     """
     check_qubits(n, CENTER_CAP, "centralizer verification")
-    if table is None:
-        table = StructureTable(n)
-    elif table.n != n:
-        raise ConstraintError("table built for a different qubit count")
+    table = StructureTable(n)
     num_c = n // 2 + 1
     size = comb(n + 3, 3)
     cs = [by_rank(make_C(mu, n).coeffs) for mu in range(num_c)]
@@ -228,7 +226,7 @@ def verify_center(n: int, table: StructureTable | None = None) -> CenterReport:
         table.bracket_coeffs(c, by_rank(g.coeffs)) for c in cs for g in gens.members
     )
     # a closure of its own: the C_mu are inserted into its echelon
-    basis = lie_closure(gens, table).basis
+    basis = lie_closure(gens).basis
     closure_dim = basis.rank
     basis.extend(cs)
     span_rank = basis.rank

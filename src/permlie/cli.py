@@ -6,8 +6,9 @@ counts; `center` verifies the centralizer and optionally emits coefficient
 tables; `schur` lists the spin sectors and, with --check-blocks, checks the
 exact sector blocks and certifies sector control of a closure; `table`
 builds the full structure-constant table and, with --compare, checks every
-entry against the orbit-expansion reference engine.  Every verb brackets
-with the one overlap-count engine of StructureTable.
+entry against the orbit-expansion reference engine.  Closures and the
+centralizer solve bracket with StructureTable's seed columns, which store
+nothing; only `table` fills the pair table of overlap counts.
 
 `close` reports one closure.  Every other verb builds verify.CaseResults
 and hands them to _report, the one function that turns cases into the JSON

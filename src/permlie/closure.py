@@ -1,15 +1,15 @@
 """Lie closures of equivariant generator sets, with exact dimension proofs.
 
-lie_closure runs the one worklist, linalg.generator_closure, with the
-structure table's bracket: each newly independent row is bracketed with the
-generators only, as the echelon stores it when the worklist pops it (by
-then mostly shortened by back-substitution) unless the row as admitted has
-fewer coefficient bits.  Results go through a reduced echelon basis until
-nothing new appears.  There is no other pairing strategy.  Everything is
-exact: the resulting dimension is a theorem about the generated algebra, not
-a numerical estimate.  The module also carries the closed-form dimension
-predictions for the preset generator families, the central residuals, and
-the universality verdicts read off from them.
+lie_closure runs the one worklist, linalg.generator_closure, with the seed
+columns of StructureTable.bracket_coeffs: each newly independent row is
+bracketed with the generators only, as the echelon stores it when the
+worklist pops it (by then mostly shortened by back-substitution) unless the
+row as admitted has fewer coefficient bits.  Results go through a reduced
+echelon basis until nothing new appears.  There is no other pairing
+strategy.  Everything is exact: the resulting dimension is a theorem about
+the generated algebra, not a numerical estimate.  The module also carries
+the closed-form dimension predictions for the preset generator families,
+the central residuals, and the universality verdicts read off from them.
 
 A closure is its echelon: the run holds the SparseEchelon the worklist
 grew, and every reader takes its rows as they are stored, keyed by
@@ -32,7 +32,6 @@ from .structure import StructureTable
 from .symops import (
     AmbientDims,
     ConstraintError,
-    DimensionMismatch,
     GeneratorSet,
     ambient_dims,
     by_rank,
@@ -59,23 +58,20 @@ class ClosureRun(NamedTuple):
         return self.basis.rank
 
 
-def lie_closure(gens: GeneratorSet, table: StructureTable | None = None) -> ClosureRun:
+def lie_closure(gens: GeneratorSet) -> ClosureRun:
     """Smallest Lie algebra containing the generators, as an exact basis.
 
-    Runs linalg.generator_closure with the table's bracket on rank-keyed
+    Runs linalg.generator_closure with the seed columns of
+    StructureTable.bracket_coeffs, which store no pair entry, on rank-keyed
     rows: each new row, as stored when it is popped unless the row as
-    admitted is narrower, is bracketed with the generators only.  FIFO order and the canonical triple
-    order make runs deterministic.
+    admitted is narrower, is bracketed with the generators only.
+    FIFO order and the canonical triple order make runs deterministic.
     """
-    if table is None:
-        table = StructureTable(gens.n)
-    elif table.n != gens.n:
-        raise DimensionMismatch("table and generators disagree on qubit count")
     t0 = time.perf_counter()
     ech = SparseEchelon()
     iterations = generator_closure(
         (integer_row(by_rank(g.coeffs)) for g in gens.members),
-        table.bracket_coeffs,
+        StructureTable(gens.n).bracket_coeffs,
         ech,
     )
     return ClosureRun(gens.n, ech, iterations, time.perf_counter() - t0)

@@ -1,25 +1,34 @@
 """Integer structure constants of the symmetrized-Pauli bracket.
 
-The bracket of two basis elements is computed two independent ways.  The
-engine, behind every StructureTable, counts letter-overlap patterns between a
-fixed representative word of the first orbit and the full orbit of the
-second, which costs a polynomial number of integer terms.  The reference,
-orbit_bracket, multiplies that representative word by every word of the
-second orbit with the word oracle's bit-mask product, at exponential cost;
-compare_tables checks a whole table against it.  The two engines share only
-the final orbit-averaging step, so agreement is a strong check on the
-combinatorics; the word product itself is checked site by site in the
-oracle's tests.
+The bracket of two basis elements is computed three ways.
+
+* Columns (StructureTable.bracket_coeffs), the bracket that closures, the
+  centralizer certificate and its X/Y solve run.  The second argument of a
+  closure bracket is always a seed, so each seed triple s carries one
+  column (_seed_column): its letter-placement patterns, counted once per
+  process and for every n.  A structure constant is then counted against
+  the representative word of the output triple, with no orbit size, no
+  division and nothing stored per pair.
+* The pair overlap count (_bracket_overlap), behind StructureTable.bracket,
+  fill and `table`: the letter-overlap patterns between a fixed
+  representative word of the first orbit and the full orbit of the second,
+  averaged over the output orbit (_orbit_average) and stored per pair.  It
+  is the columns' cross-check in the tests.
+* The orbit expansion (orbit_bracket), the pair count's reference: it
+  multiplies that representative word by every word of the second orbit
+  with the word oracle's bit-mask product, at exponential cost;
+  compare_tables checks a whole table against it.  The two share only the
+  orbit averaging, so agreement is a strong check on the combinatorics; the
+  word product itself is checked site by site in the oracle's tests.
 
 With coordinates standing for i * sum c_t P_t, every structure constant is an
 even integer: [i P_a, i P_b] = sum_u g_u (i P_u).
 
 Inside the table a triple is its triple_rank, an int whose natural order is
 the canonical triple order; PauliTriple appears only at the boundary, in
-bracket.  StructureTable.bracket_coeffs brackets raw rank-keyed dicts and
-builds no SymOpVector; it is the bracket the closure worklist runs.  Its
-keys need no check of their own: a rank is checked once, when _pair_entry
-files its table entry.
+bracket.  bracket_coeffs brackets raw rank-keyed dicts and builds no
+SymOpVector; it checks the ranks of both arguments against the C(n+3,3)
+triples of n, as _pair_entry checks a pair before it files an entry.
 """
 
 from __future__ import annotations
@@ -142,6 +151,91 @@ def _orbit_average(a: PauliTriple, masses: Mapping, n: int) -> dict[int, int]:
     return out
 
 
+# Site letters X, Y, Z, I as 0..3.  A seed letter L on an output site of
+# letter R leaves the letter _REST[L][R] to the other word (their product
+# up to phase) and multiplies the phase of (other word) . (seed word) by
+# i**_PHASE[L][R]: 0 when they commute, 1 for the cyclic products
+# X.Y, Y.Z, Z.X, and 3 for X.Z, Y.X, Z.Y.
+_REST = ((3, 2, 1, 0), (2, 3, 0, 1), (1, 0, 3, 2))
+_PHASE = ((0, 1, 3, 0), (3, 0, 1, 0), (1, 3, 0, 0))
+
+
+@lru_cache(maxsize=None)
+def _moves(letter: int, count: int) -> tuple:
+    """Every way to place `count` seed letters `letter` on the four site
+    letters: (n_X, n_Y, n_Z, n_I, dm_X, dm_Y, dm_Z, dm_I, phase), with n_R
+    letters on R sites, dm_A of the other word's letters A on them, and the
+    phase exponent they add."""
+    rest, phase = _REST[letter], _PHASE[letter]
+    out = []
+    for n0 in range(count + 1):
+        for n1 in range(count - n0 + 1):
+            for n2 in range(count - n0 - n1 + 1):
+                ns = (n0, n1, n2, count - n0 - n1 - n2)
+                dm = [0, 0, 0, 0]
+                for r, nr in enumerate(ns):
+                    dm[rest[r]] += nr
+                out.append((*ns, *dm, sum(p * nr for p, nr in zip(phase, ns))))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _seed_column(s: int) -> tuple:
+    """Pattern groups of [i P_t, i P_s] for the seed triple of rank s, for
+    every n and every t.
+
+    Fix the representative word of the output triple w and place the
+    seed's letters on its sites: n[L][R] of its L letters on R sites, with
+    k_R = sum_L n[L][R] sites of letter R covered.  The other word is then
+    fixed, and it has m_A letters A on the covered sites.  The pattern
+    counts prod_R C(w_R, k_R) * k_R!/prod_L n[L][R]! seed words, and it
+    contributes only when an odd number d of covered sites anticommute,
+    with -2 or +2 per word by the sign rule of _bracket_overlap.  The
+    uncovered sites carry the same letters in w and t, so w = t - m + k,
+    and the pattern fits t exactly when m <= t letter by letter (with the
+    identities t_I = n - level(t) and m_I).
+
+    The states (k, m, parity of the phase exponent) are built one seed
+    letter at a time, X, then Y, then Z, with equal states merged after
+    each.  As the L letters land, n[L][R] of them on R sites, the weight is
+    multiplied by C(k_R + n[L][R], n[L][R]), whose product over L is the
+    multinomial, and negated when the phase passes i**2 = -1.  The groups
+    are nested by the letters they consume from t, each level sorted:
+    (m_X, ((m_Y, ((m_Z, m_I, terms), ...)), ...)), each term
+    (k_X, k_Y, k_Z, k_I, G) with G the signed sum over its patterns, so
+    bracket_coeffs stops at the first m_X, m_Y or m_Z that t cannot supply.
+    Nothing in it depends on n or t, so the memo is keyed by s alone.
+    """
+    states = {(0, 0, 0, 0, 0, 0, 0, 0, 0): 1}
+    for letter, count in enumerate(rank_triple(s)):
+        moves = _moves(letter, count)
+        merged: dict[tuple, int] = {}
+        for (k0, k1, k2, k3, m0, m1, m2, m3, e), weight in states.items():
+            for n0, n1, n2, n3, d0, d1, d2, d3, de in moves:
+                e2 = e + de
+                key = (k0 + n0, k1 + n1, k2 + n2, k3 + n3,
+                       m0 + d0, m1 + d1, m2 + d2, m3 + d3, e2 & 1)
+                w = weight * (
+                    comb(k0 + n0, n0) * comb(k1 + n1, n1) * comb(k2 + n2, n2) * comb(k3 + n3, n3)
+                )
+                merged[key] = merged.get(key, 0) + (-w if e2 & 2 else w)
+        states = merged
+    groups: dict[tuple, dict] = {}
+    for state, weight in states.items():
+        if state[8]:
+            terms = groups.setdefault(state[4:8], {})
+            terms[state[:4]] = terms.get(state[:4], 0) - 2 * weight
+    nested: dict = {}
+    for (m0, m1, m2, m3), terms in sorted(groups.items()):
+        terms = tuple((*k, g) for k, g in terms.items() if g)
+        if terms:
+            nested.setdefault(m0, {}).setdefault(m1, []).append((m2, m3, terms))
+    return tuple(
+        (m0, tuple((m1, tuple(by_z)) for m1, by_z in by_y.items()))
+        for m0, by_y in nested.items()
+    )
+
+
 def orbit_bracket(a, b, n: int) -> SymOpVector:
     """Structure constants of [i P_a, i P_b] on n qubits by orbit expansion.
 
@@ -165,15 +259,20 @@ def orbit_bracket(a, b, n: int) -> SymOpVector:
 
 
 class StructureTable:
-    """In-memory, lazily filled pairwise structure constants at fixed n.
+    """Structure constants at fixed n: the column engine, and a lazily
+    filled pair table behind it.
 
-    Inside, a triple is its triple_rank.  Entries are overlap counts
-    (_bracket_overlap) keyed by rank, computed on first request and stored
-    under the pair (lo, hi) with lo < hi; the antisymmetric partner is
-    produced by sign flip on lookup.  Every entry comes from _pair_entry,
-    which checks hi against the C(n+3,3) triples of n before it files one.
-    A finished table is read-only in practice: lookups after fill() mutate
-    nothing.
+    Inside, a triple is its triple_rank.  bracket_coeffs, the bracket of
+    coordinate dicts that closures and the centralizer solve run, counts
+    each structure constant against the output word with the seed's column
+    (_seed_column) and stores nothing.  bracket, fill and compare_tables
+    read the pair table instead: overlap counts (_bracket_overlap), computed
+    on first request and stored under the pair (lo, hi) with lo < hi; the
+    antisymmetric partner is produced by sign flip on lookup.  Every entry
+    comes from _pair_entry, which checks hi against the C(n+3,3) triples of
+    n before it files one, as bracket_coeffs checks the keys of both
+    arguments.  A finished table is read-only in practice: lookups after
+    fill() mutate nothing.
     """
 
     def __init__(self, n: int) -> None:
@@ -208,17 +307,49 @@ class StructureTable:
 
     def bracket_coeffs(self, u: Mapping[int, object], v: Mapping[int, object]) -> dict:
         """Bilinear extension of the basis bracket to coordinate dicts keyed
-        by triple rank; zero coefficients are dropped."""
+        by triple rank; zero coefficients are dropped.
+
+        Each key s of v brings its column, and each key t of u with
+        coefficient c adds c * G * prod_R C(w_R, k_R) to the output triple
+        w = t - m + k of every group (m, k, G) of the column whose consumed
+        letters m fit into t.
+        """
+        n, size = self.n, self._size
+        for keys in (u, v):
+            if keys and (min(keys) < 0 or max(keys) >= size):
+                bad = sorted(r for r in keys if not 0 <= r < size)
+                raise ConstraintError(f"ranks {bad} leave the {size} triples of n = {n}")
+        rows = [(rank_triple(t), c) for t, c in u.items()]
         out: dict[int, object] = {}
-        for a, ca in u.items():
-            for b, cb in v.items():
-                entry, sign = self._pair_entry(a, b)
-                if not entry:
-                    continue
-                c = ca * cb if sign > 0 else -ca * cb
-                for t, g in entry.items():
-                    out[t] = out.get(t, 0) + c * g
-        return {t: c for t, c in out.items() if c}
+        for s, cs in v.items():
+            column = _seed_column(s)
+            for (tx, ty, tz), ct in rows:
+                ti = n - tx - ty - tz
+                c = ct * cs
+                for m0, by_y in column:
+                    r0 = tx - m0
+                    if r0 < 0:
+                        break
+                    for m1, by_z in by_y:
+                        r1 = ty - m1
+                        if r1 < 0:
+                            break
+                        for m2, m3, terms in by_z:
+                            r2, r3 = tz - m2, ti - m3
+                            if r2 < 0:
+                                break
+                            if r3 < 0:
+                                continue
+                            for k0, k1, k2, k3, g in terms:
+                                # w is the triple_rank of (wx, wy, wz)
+                                wx, wy, wz = r0 + k0, r1 + k1, r2 + k2
+                                lev = wx + wy + wz
+                                w = (lev * (lev + 1) * (lev + 2) // 6
+                                     + wx * (2 * lev + 3 - wx) // 2 + wy)
+                                out[w] = out.get(w, 0) + c * g * (
+                                    comb(wx, k0) * comb(wy, k1) * comb(wz, k2) * comb(r3 + k3, k3)
+                                )
+        return {w: c for w, c in out.items() if c}
 
     def fill(self) -> None:
         """Compute every pair of basis elements.  Idempotent."""

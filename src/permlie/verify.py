@@ -32,7 +32,6 @@ from .erratum import build_abc, verify_printed_commutators
 from .linalg import SparseEchelon, integer_row, rank_of
 from .oracle import WORD_QUBIT_CAP, class_sum, dense_closure, densify
 from .schur import SECTOR_CAP, isotypic_table, sector_check
-from .structure import StructureTable
 from .symops import (
     ConstraintError,
     VerificationError,
@@ -87,22 +86,16 @@ class SuiteReport(NamedTuple):
 
 
 class RunContext:
-    """Shared tables and closures for one suite invocation."""
+    """Shared closures for one suite invocation."""
 
     def __init__(self):
-        self._tables: dict[int, StructureTable] = {}
         self._closures: dict = {}
-
-    def table(self, n: int) -> StructureTable:
-        if n not in self._tables:
-            self._tables[n] = StructureTable(n)
-        return self._tables[n]
 
     def closure(self, label: str, n: int, k: int | None = None):
         key = (label, n, k)
         if key not in self._closures:
             gens = preset_generators(label, n, k=k)
-            self._closures[key] = lie_closure(gens, self.table(n))
+            self._closures[key] = lie_closure(gens)
         return self._closures[key]
 
 
@@ -224,15 +217,15 @@ def _suite_cor1(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     return out
 
 
-def centralizer_case(n: int, table: StructureTable | None = None) -> CaseResult:
+def centralizer_case(n: int) -> CaseResult:
     """Proposition 1 at one n: span{C_mu} is exactly the centralizer."""
-    rep = verify_center(n, table)
+    rep = verify_center(n)
     return CaseResult("centralizer-span", {"n": n}, rep.ok, rep.to_jsonable())
 
 
 def _suite_prop1(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     check_qubits(hi, CENTER_CAP, "centralizer verification")
-    return [centralizer_case(n, ctx.table(n)) for n in range(lo, hi + 1)]
+    return [centralizer_case(n) for n in range(lo, hi + 1)]
 
 
 def _suite_lemma2(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
@@ -319,7 +312,7 @@ def _suite_oracle(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
         details = {}
         for label in _PRESETS_FOR_ORACLE + tuple(f"Gk:{k}" for k in range(3, min(n, 5) + 1)):
             gens = parse_generator_spec(label, n)
-            srun = lie_closure(gens, ctx.table(n))
+            srun = lie_closure(gens)
             drun = dense_closure([densify(g) for g in gens.members])
             details[label] = {"sparse": srun.dim, "dense": drun.dim}
             agree = agree and srun.dim == drun.dim

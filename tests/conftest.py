@@ -1,16 +1,25 @@
-"""Shared fixtures: one memoized context so expensive tables and closures
-are built once per test session."""
+"""Shared fixtures: a memoized context and structure tables, so expensive
+closures and pair entries are built once per test session."""
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from permlie import schur
+from permlie import StructureTable, schur
 from permlie.verify import RunContext
 
 
 @pytest.fixture(scope="session")
 def ctx():
     return RunContext()
+
+
+@pytest.fixture(scope="session")
+def tables():
+    """tables(n): one StructureTable per n for the session, so the pair
+    entries that bracket and compare_tables store are computed once."""
+    return lru_cache(maxsize=None)(StructureTable)
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ Every criterion is checked at its stated strength: exact rational arithmetic
 wherever the claim is exact, 1e-9 off-pattern tolerance for the one
 floating-point check (the block structure in the float coupled basis of
 tests/coupled_basis.py), and a wall-clock bound on the large runs.  Shared
-tables and closures are memoized on the session context so the criteria
+structure tables and closures are memoized for the session so the criteria
 stay independent without redoing work.
 """
 
@@ -72,10 +72,10 @@ def test_criterion_02_k_body_universality_threshold(ctx):
     print(f"criterion 2: {checked} (n,k) cases match the threshold and dimension formula")
 
 
-def test_criterion_03_centralizer_span(ctx):
+def test_criterion_03_centralizer_span():
     """The centralizer has dim floor(n/2)+1 and equals the C_mu span, n = 1..24."""
     for n in range(1, 25):
-        rep = verify_center(n, ctx.table(n))
+        rep = verify_center(n)
         assert rep.commute_ok, f"n={n}: some bracket(C_mu, P_t) nonzero"
         assert rep.independent_ok, f"n={n}"
         assert rep.solved_dim == n // 2 + 1, f"n={n}"
@@ -154,20 +154,20 @@ def test_criterion_07_dense_sparse_agreement(ctx):
     print(f"criterion 7: {len(cases)} preset closures agree with the word oracle, plus G2 at n=6")
 
 
-def test_criterion_08_structure_constant_cross_validation(ctx):
+def test_criterion_08_structure_constant_cross_validation(tables):
     """Both sparse bracket routes agree everywhere, match the word oracle, and satisfy Jacobi."""
     for n in range(1, 9):
-        assert compare_tables(ctx.table(n)) == [], f"n={n}"
+        assert compare_tables(tables(n)) == [], f"n={n}"
     pairs = 0
     for n in range(1, 6):
-        table = ctx.table(n)
+        table = tables(n)
         dense = {t: densify(SymOpVector.unit(t, n)) for t in all_triples(n)}
         for a, b in combinations(all_triples(n), 2):
             assert table.bracket(a, b) == symmetrize(dense_bracket(dense[a], dense[b]))
             pairs += 1
     triples_scanned = 0
     for n in range(1, 5):
-        table = ctx.table(n)
+        table = tables(n)
         units = [SymOpVector.unit(t, n) for t in all_triples(n)]
         for va, vb, vc in combinations_with_replacement(units, 3):
             total = (

@@ -76,9 +76,9 @@ class TestCenterElements:
         with pytest.raises(ConstraintError):
             make_C(-1, 5)
 
-    def test_structurally_central_in_the_table(self, ctx):
+    def test_structurally_central_in_the_table(self, tables):
         n = 4
-        table = ctx.table(n)
+        table = tables(n)
         for mu in range(n // 2 + 1):
             cv = make_C(mu, n)
             for t in all_triples(n):
@@ -198,23 +198,23 @@ def perturbed_make_C(mu, n):
 
 
 class TestCentralizerVerification:
-    def test_five_qubits(self, ctx):
-        report = verify_center(5, ctx.table(5))
+    def test_five_qubits(self):
+        report = verify_center(5)
         assert report.expected_dim == 3
         assert report.commute_ok and report.independent_ok
         assert report.solved_dim == 3 == report.expected_dim
         assert report.ok
 
-    def test_single_qubit_center_is_identity_line(self, ctx):
-        report = verify_center(1, ctx.table(1))
+    def test_single_qubit_center_is_identity_line(self):
+        report = verify_center(1)
         assert report.expected_dim == 1 and report.ok
         assert spanning_generators(1).members == tuple(
             SymOpVector.unit(t, 1) for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         )
         assert (report.closure_dim, report.span_rank) == (3, 4)
 
-    def test_jsonable_fields(self, ctx):
-        data = verify_center(2, ctx.table(2)).to_jsonable()
+    def test_jsonable_fields(self):
+        data = verify_center(2).to_jsonable()
         assert data["n"] == 2 and data["ok"] is True
         assert set(data) == {
             "n", "expected_dim", "commute_ok", "independent_ok", "solved_dim",
@@ -223,9 +223,9 @@ class TestCentralizerVerification:
         assert (data["closure_dim"], data["span_rank"]) == (9, 10)
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_certificate_agrees_with_commute_scan(self, ctx, n):
-        table = ctx.table(n)
-        report = verify_center(n, table)
+    def test_certificate_agrees_with_commute_scan(self, tables, n):
+        table = tables(n)
+        report = verify_center(n)
         cs = [make_C(mu, n) for mu in range(n // 2 + 1)]
         assert commute_scan(table, cs) is report.commute_ok is True
         assert report.span_rank == comb(n + 3, 3)
@@ -234,28 +234,28 @@ class TestCentralizerVerification:
 
     @pytest.mark.parametrize("engine", ["overlap", "orbit"])
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_bracket_flips_y_parity(self, ctx, n, engine):
+    def test_bracket_flips_y_parity(self, tables, n, engine):
         """ky(u) = ky(a) + ky(b) + 1 (mod 2) on every structure constant:
         the grading that rules out a nonzero [C_mu, C_nu]."""
-        table = ctx.table(n)
+        table = tables(n)
         for a, b in combinations(all_triples(n), 2):
             ab = table.bracket(a, b) if engine == "overlap" else orbit_bracket(a, b, n)
             for u in ab.coeffs:
                 assert (u.ky - a.ky - b.ky) % 2 == 1, (a, b, u)
 
     @pytest.mark.parametrize("n", range(1, 11))
-    def test_center_elements_commute_with_each_other(self, ctx, n):
-        table = ctx.table(n)
+    def test_center_elements_commute_with_each_other(self, tables, n):
+        table = tables(n)
         cs = [make_C(mu, n) for mu in range(n // 2 + 1)]
         for c1, c2 in combinations(cs, 2):
             assert bracket_vectors(table, c1, c2).is_zero
 
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_short_spanning_set_fails(self, ctx, monkeypatch, n):
+    def test_short_spanning_set_fails(self, monkeypatch, n):
         monkeypatch.setattr(
             center_mod, "spanning_generators", lambda m: preset_generators("G1prime", m)
         )
-        report = verify_center(n, ctx.table(n))
+        report = verify_center(n)
         assert report.closure_dim == 3
         assert report.span_rank < comb(n + 3, 3)
         assert not report.commute_ok
@@ -263,8 +263,8 @@ class TestCentralizerVerification:
         assert not report.ok
 
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_field_kernel_equals_full_scan_and_c_span(self, ctx, n):
-        table = ctx.table(n)
+    def test_field_kernel_equals_full_scan_and_c_span(self, tables, n):
+        table = tables(n)
         triples = all_triples(n)
         kernel = nullspace(_ad_kernel_system(table, FIELDS), range(len(triples)))
         fields = span_rows({rank_triple(r): q for r, q in sol.items()} for sol in kernel)
@@ -274,24 +274,24 @@ class TestCentralizerVerification:
         assert fields == full == c_span
 
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_x_field_alone_overcounts(self, ctx, monkeypatch, n):
-        table = ctx.table(n)
+    def test_x_field_alone_overcounts(self, tables, monkeypatch, n):
+        table = tables(n)
         x_only = (PauliTriple(1, 0, 0),)
         free = len(all_triples(n)) - _ad_kernel_system(table, x_only).rank
         assert free > n // 2 + 1
         monkeypatch.setattr(center_mod, "FIELDS", x_only)
-        report = verify_center(n, table)
+        report = verify_center(n)
         assert report.commute_ok and report.independent_ok
         assert report.solved_dim == free != report.expected_dim
         assert not report.ok
 
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_changed_weight_fails_commute_scan(self, ctx, monkeypatch, n):
-        table = ctx.table(n)
+    def test_changed_weight_fails_commute_scan(self, tables, monkeypatch, n):
+        table = tables(n)
         bad = [perturbed_make_C(mu, n) for mu in range(n // 2 + 1)]
         assert not commute_scan(table, bad)
         monkeypatch.setattr(center_mod, "make_C", perturbed_make_C)
-        report = verify_center(n, table)
+        report = verify_center(n)
         assert not report.commute_ok
         assert report.solved_dim == n // 2 + 1 == report.expected_dim
         assert not report.ok

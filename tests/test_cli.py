@@ -473,7 +473,7 @@ class TestBrokenPipe:
 class TestWrongDataDetection:
     def test_silenced_brackets_fail_closure(self, capsys, monkeypatch):
         """A bracket engine that returns zero everywhere is caught by the math."""
-        monkeypatch.setattr(structure, "_bracket_overlap", lambda a, b, n: {})
+        monkeypatch.setattr(structure, "_seed_column", lambda s: ())
         rc, payload, _ = run_json(capsys, "close", "--n", "3", "--gens", "G2")
         assert rc == 2
         assert payload["dim"] == 3  # nothing commutes into existence any more

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from permlie import (
     ClosureRun,
     ConstraintError,
-    DimensionMismatch,
     GeneratorSet,
     PauliTriple,
+    StructureTable,
     SymOpVector,
     all_triples,
     ambient_dims,
@@ -148,10 +148,9 @@ class TestUniversalityThreshold:
 
 
 class TestClosureInvariance:
-    def test_generator_order_and_scale_do_not_matter(self, ctx):
+    def test_generator_order_and_scale_do_not_matter(self):
         base = preset_generators("G2", 4)
-        table = ctx.table(4)
-        reference = lie_closure(base, table)
+        reference = lie_closure(base)
         shuffled = GeneratorSet(
             4,
             tuple(
@@ -159,7 +158,7 @@ class TestClosureInvariance:
             ),
             "custom",
         )
-        other = lie_closure(shuffled, table)
+        other = lie_closure(shuffled)
         assert other.dim == reference.dim
         # reduced echelon over a fixed order is canonical: same subspace,
         # identical rows
@@ -175,15 +174,11 @@ class TestClosureInvariance:
 
     @settings(max_examples=20, deadline=ORACLE_DEADLINE)
     @given(custom_generator_sets())
-    def test_generator_pairing_matches_all_pairs_and_dense(self, ctx, gens):
-        run = lie_closure(gens, ctx.table(gens.n))
-        reference = all_pairs_closure(gens, ctx.table(gens.n))
+    def test_generator_pairing_matches_all_pairs_and_dense(self, tables, gens):
+        run = lie_closure(gens)
+        reference = all_pairs_closure(gens, tables(gens.n))
         assert tuple(row_vectors(gens.n, run.basis)) == reference
         assert dense_closure(densify(g) for g in gens.members).dim == run.dim
-
-    def test_table_mismatch_rejected(self, ctx):
-        with pytest.raises(DimensionMismatch):
-            lie_closure(preset_generators("G2", 3), ctx.table(4))
 
 
 def preset_cases(max_n):
@@ -226,14 +221,14 @@ class TestWorklist:
     is its oracle."""
 
     @pytest.mark.parametrize("label,n,k", PRESETS_TO_12, ids=case_ids(PRESETS_TO_12))
-    def test_presets_match_snapshot_worklist(self, ctx, label, n, k):
+    def test_presets_match_snapshot_worklist(self, label, n, k):
         gens = preset_generators(label, n, k=k)
-        assert_worklists_agree(seed_rows(gens), ctx.table(n).bracket_coeffs)
+        assert_worklists_agree(seed_rows(gens), StructureTable(n).bracket_coeffs)
 
     @settings(max_examples=30, deadline=ENGINE_DEADLINE)
     @given(custom_generator_sets())
-    def test_custom_sets_match_snapshot_worklist(self, ctx, gens):
-        assert_worklists_agree(seed_rows(gens), ctx.table(gens.n).bracket_coeffs)
+    def test_custom_sets_match_snapshot_worklist(self, gens):
+        assert_worklists_agree(seed_rows(gens), StructureTable(gens.n).bracket_coeffs)
 
     @pytest.mark.parametrize("label,n,k", WORD_PRESETS, ids=case_ids(WORD_PRESETS))
     def test_word_bracket_matches_snapshot_worklist(self, label, n, k):
@@ -244,7 +239,7 @@ class TestWorklist:
 
         assert_worklists_agree([integer_row(densify(g).coeffs) for g in gens.members], bracket)
 
-    def test_coefficients_stay_narrow_on_a_dense_custom_set(self, ctx):
+    def test_coefficients_stay_narrow_on_a_dense_custom_set(self):
         """Bracketing the stored row on every pop drove this set's bracketed
         rows to 136,739-bit coefficients (11 s for a 54-dimensional closure);
         the admission-snapshot worklist stays at 77 bits.  The pivot worklist
@@ -254,14 +249,14 @@ class TestWorklist:
         gens = GeneratorSet(
             n, tuple(SymOpVector(n, {PauliTriple(*t): c for t, c in m.items()}) for m in members), "custom"
         )
-        table = ctx.table(n)
+        bracket_coeffs = StructureTable(n).bracket_coeffs
 
         def widest(closure):
             bits = []
 
             def bracket(u, g):
                 bits.append(max(abs(v).bit_length() for v in u.values()))
-                return table.bracket_coeffs(u, g)
+                return bracket_coeffs(u, g)
 
             closure(seed_rows(gens), bracket, SparseEchelon())
             return max(bits)
@@ -275,8 +270,8 @@ class TestWorklist:
 
     @settings(max_examples=30, deadline=ENGINE_DEADLINE)
     @given(custom_generator_sets())
-    def test_custom_bracket_count_is_exact(self, ctx, gens):
-        run = lie_closure(gens, ctx.table(gens.n))
+    def test_custom_bracket_count_is_exact(self, gens):
+        run = lie_closure(gens)
         assert run.iterations == run.dim * rank_of(seed_rows(gens))
 
     @pytest.mark.parametrize("label,n,k", WORD_PRESETS, ids=case_ids(WORD_PRESETS))
@@ -362,7 +357,7 @@ def identity_closures(ctx, n):
     runs = [ctx.closure("G1", n), ctx.closure("G1prime", n), ctx.closure("G2", n)]
     runs += [ctx.closure("Gk", n, k) for k in range(2, n + 1)]
     customs = [parse_generator_spec(spec, n) for spec in CUSTOM_SPECS]
-    runs += [lie_closure(gens, ctx.table(n)) for gens in customs]
+    runs += [lie_closure(gens) for gens in customs]
     return runs, customs
 
 
@@ -397,8 +392,8 @@ class TestResidualTraceIdentity:
 
     @settings(max_examples=40, deadline=ENGINE_DEADLINE)
     @given(custom_generator_sets())
-    def test_verdicts_match_trace_pairing_reference_on_custom_sets(self, ctx, gens):
-        run = lie_closure(gens, ctx.table(gens.n))
+    def test_verdicts_match_trace_pairing_reference_on_custom_sets(self, gens):
+        run = lie_closure(gens)
         assert build_report(gens, run).verdicts == trace_pairing_verdicts(gens.n, run.basis)
 
 
@@ -435,20 +430,20 @@ class TestVerdicts:
         v = basis_verdicts(3, ctx.closure("G1", 3).basis)
         assert v == Verdicts(universal=False, semi_universal=False)
 
-    def test_full_algebra_via_adjoined_centers(self, ctx):
+    def test_full_algebra_via_adjoined_centers(self):
         n = 4
         extra = (make_C(0, n), make_C(2, n))
         gens = GeneratorSet(n, preset_generators("G2", n).members + extra, "custom")
-        run = lie_closure(gens, ctx.table(n))
+        run = lie_closure(gens)
         assert run.dim == ambient_dims(n).dim_u
         assert build_report(gens, run).verdicts.universal
 
-    def test_traceless_algebra_via_adjoined_center(self, ctx):
+    def test_traceless_algebra_via_adjoined_center(self):
         n = 4
         gens = GeneratorSet(
             n, preset_generators("G2", n).members + (make_C(2, n),), "custom"
         )
-        run = lie_closure(gens, ctx.table(n))
+        run = lie_closure(gens)
         assert run.dim == ambient_dims(n).dim_su
         assert build_report(gens, run).verdicts.universal
 
@@ -490,7 +485,7 @@ class TestReports:
 
     # all units at n = 4: 10 even triples touch some C_mu, past the cap of 8
     @pytest.mark.parametrize("spec, count", [("G2", 3), ("all", 10)])
-    def test_residual_summary_on_failing_case(self, ctx, spec, count):
+    def test_residual_summary_on_failing_case(self, spec, count):
         import jsonschema
 
         n = 4
@@ -499,7 +494,7 @@ class TestReports:
             gens = GeneratorSet(n, units, "custom")
         else:
             gens = preset_generators(spec, n)
-        run = lie_closure(gens, ctx.table(n))
+        run = lie_closure(gens)
         report = build_report(gens, run, exempt=())
         assert not report.ok
         rows = pivot_one_rows(n, run.basis)
@@ -525,14 +520,14 @@ class TestReports:
     # has its offenders on rows with primitive pivot coefficient 5, where the
     # division by the pivot shows.  The ladder's offending rows have pivot 1.
     @pytest.mark.parametrize("n, spec", [(7, "Gk:4"), (4, None)])
-    def test_offenders_are_residuals_of_pivot_one_rows(self, ctx, n, spec):
+    def test_offenders_are_residuals_of_pivot_one_rows(self, n, spec):
         if spec is None:
             members = (SymOpVector.unit((1, 0, 0), n),
                        SymOpVector(n, {(2, 0, 0): 2, (0, 0, 2): 3}))
             gens = GeneratorSet(n, members, "custom")
         else:
             gens = parse_generator_spec(spec, n)
-        run = lie_closure(gens, ctx.table(n))
+        run = lie_closure(gens)
         report = build_report(gens, run, exempt=())
         assert report.residual_offenders
         normalized = pivot_one_rows(n, run.basis)
@@ -544,10 +539,10 @@ class TestReports:
 
     @settings(max_examples=40, deadline=ENGINE_DEADLINE)
     @given(custom_generator_sets())
-    def test_offenders_match_membership_residual_on_custom_sets(self, ctx, gens):
+    def test_offenders_match_membership_residual_on_custom_sets(self, gens):
         """Every offender, whatever its row's pivot coefficient, is the
         rational membership residual of its row scaled to pivot 1."""
-        run = lie_closure(gens, ctx.table(gens.n))
+        run = lie_closure(gens)
         report = build_report(gens, run, exempt=())
         nonzero = [
             (i, mu, value)
@@ -558,9 +553,9 @@ class TestReports:
         assert report.residuals_nonzero == len(nonzero)
         assert report.residual_offenders == tuple(nonzero[:MAX_OFFENDERS])
 
-    def test_custom_report_has_no_prediction(self, ctx):
+    def test_custom_report_has_no_prediction(self):
         gens = GeneratorSet(3, (SymOpVector.unit((1, 0, 0), 3),), "custom")
-        run = lie_closure(gens, ctx.table(3))
+        run = lie_closure(gens)
         report = build_report(gens, run)
         assert report.predicted is None and report.matched is None
         assert report.ok
@@ -575,11 +570,10 @@ class TestReports:
         schema = json.loads(open(schema_path("closure_report")).read())
         jsonschema.validate(payload, schema)
 
-    def test_reports_deterministic_apart_from_timing(self, ctx):
+    def test_reports_deterministic_apart_from_timing(self):
         gens = preset_generators("G2", 3)
-        table = ctx.table(3)
-        a = build_report(gens, lie_closure(gens, table)).to_jsonable()
-        b = build_report(gens, lie_closure(gens, table)).to_jsonable()
+        a = build_report(gens, lie_closure(gens)).to_jsonable()
+        b = build_report(gens, lie_closure(gens)).to_jsonable()
         a.pop("wall_time")
         b.pop("wall_time")
         assert a == b
@@ -618,7 +612,7 @@ class TestLieBasis:
         assert basis.insert(row(x.scaled(Fraction(-1, 7)))) is None
 
 
-def test_closure_dimension_random_generator_sanity(ctx):
+def test_closure_dimension_random_generator_sanity():
     """A random single generator always closes on a subalgebra, never errors."""
     rng = random.Random(3)
     n = 3
@@ -627,5 +621,5 @@ def test_closure_dimension_random_generator_sanity(ctx):
         v = SymOpVector(n, {t: rng.randint(-3, 3) for t in rng.sample(ts, 3)})
         if v.is_zero:
             continue
-        run = lie_closure(GeneratorSet(n, (v,), "custom"), ctx.table(n))
+        run = lie_closure(GeneratorSet(n, (v,), "custom"))
         assert 1 <= run.dim <= ambient_dims(n).dim_u

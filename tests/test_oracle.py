@@ -175,9 +175,9 @@ class TestDenseBracket:
         assert dense_bracket(y, x).coeffs == {3: 2}
         assert dense_bracket(z, z).is_zero
 
-    def test_cross_module_equality(self, ctx):
+    def test_cross_module_equality(self, tables):
         n = 4
-        table = ctx.table(n)
+        table = tables(n)
         got = dense_bracket(densify(unit((1, 0, 0), n)), densify(unit((0, 1, 0), n)))
         assert got == densify(table.bracket((1, 0, 0), (0, 1, 0)))
 

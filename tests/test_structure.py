@@ -18,7 +18,10 @@ from permlie import (
     VerificationError,
     all_triples,
     compare_tables,
+    lie_closure,
     orbit_bracket,
+    preset_generators,
+    verify_center,
 )
 from permlie.center import make_C
 from permlie.oracle import dense_bracket, densify, symmetrize
@@ -59,21 +62,21 @@ class TestBracketExamples:
         assert table.bracket(y, z) == unit(x, 1).scaled(-2)
         assert table.bracket(z, x) == unit(y, 1).scaled(-2)
 
-    def test_x_field_ladder_coefficients(self, ctx):
+    def test_x_field_ladder_coefficients(self, tables):
         # [P_(kx,ky,kz), P_(1,0,0)] swaps one Y<->Z with weights ky+1, kz+1
         n, t = 5, PauliTriple(1, 2, 1)
         expected = (
             unit((1, 3, 0), n).scaled(-2 * (t.ky + 1))
             + unit((1, 1, 2), n).scaled(2 * (t.kz + 1))
         )
-        got = ctx.table(n).bracket(t, (1, 0, 0))
+        got = tables(n).bracket(t, (1, 0, 0))
         assert got == expected
         dense = symmetrize(dense_bracket(densify(unit(t, n)), densify(unit((1, 0, 0), n))))
         assert dense == expected
 
     @pytest.mark.parametrize("n", [4, 6])
-    def test_x_field_ladder_general(self, ctx, n):
-        table = ctx.table(n)
+    def test_x_field_ladder_general(self, tables, n):
+        table = tables(n)
         for t in all_triples(n):
             terms = []
             if t.kz >= 1:
@@ -94,8 +97,8 @@ class TestBracketExamples:
 
 class TestAlgebraicLaws:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_antisymmetry_and_even_integer_coefficients(self, ctx, n):
-        table = ctx.table(n)
+    def test_antisymmetry_and_even_integer_coefficients(self, tables, n):
+        table = tables(n)
         ts = all_triples(n)
         for i, a in enumerate(ts):
             for b in ts[i:]:
@@ -104,9 +107,9 @@ class TestAlgebraicLaws:
                 for _, g in ab.items():
                     assert isinstance(g, int) and g % 2 == 0
 
-    def test_level_and_kx_preserved_by_x_field(self, ctx):
+    def test_level_and_kx_preserved_by_x_field(self, tables):
         n = 6
-        table = ctx.table(n)
+        table = tables(n)
         probe = PauliTriple(1, 0, 0)
         for t in all_triples(n):
             for u, _ in table.bracket(t, probe).items():
@@ -114,8 +117,8 @@ class TestAlgebraicLaws:
                 assert u.kx == t.kx
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_jacobi_full_scan(self, ctx, n):
-        table = ctx.table(n)
+    def test_jacobi_full_scan(self, tables, n):
+        table = tables(n)
         ts = all_triples(n)
         for a in ts:
             for b in ts:
@@ -127,13 +130,13 @@ class TestAlgebraicLaws:
                     )
                     assert total.is_zero
 
-    def test_jacobi_random_sample_up_to_ten_qubits(self, ctx):
+    def test_jacobi_random_sample_up_to_ten_qubits(self, tables):
         # 10,000 seeded draws, weighted toward the larger qubit counts
         rng = random.Random(0x5EED)
         weights = [1, 1, 1, 2, 2, 3, 3, 4, 4]
         for _ in range(10_000):
             n = rng.choices(range(2, 11), weights=weights)[0]
-            table = ctx.table(n)
+            table = tables(n)
             ts = all_triples(n)
             a, b, c = (rng.choice(ts) for _ in range(3))
             total = (
@@ -143,9 +146,9 @@ class TestAlgebraicLaws:
             )
             assert total.is_zero, (n, a, b, c)
 
-    def test_trace_form_is_ad_invariant(self, ctx):
+    def test_trace_form_is_ad_invariant(self, tables):
         n = 4
-        table = ctx.table(n)
+        table = tables(n)
         rng = random.Random(7)
         ts = all_triples(n)
 
@@ -162,19 +165,19 @@ class TestAlgebraicLaws:
 
 
 class TestBracketVectors:
-    def test_self_bracket_zero(self, ctx):
-        table = ctx.table(3)
+    def test_self_bracket_zero(self, tables):
+        table = tables(3)
         v = SymOpVector(3, {(1, 0, 0): 2, (0, 0, 2): 3})
         assert bracket_vectors(table, v, v).is_zero
 
-    def test_unit_vectors_reduce_to_plain_bracket(self, ctx):
-        table = ctx.table(4)
+    def test_unit_vectors_reduce_to_plain_bracket(self, tables):
+        table = tables(4)
         got = bracket_vectors(table, unit((1, 0, 0), 4), unit((0, 1, 0), 4))
         assert got == unit((0, 0, 1), 4).scaled(-2)
 
-    def test_center_element_annihilates_everything(self, ctx):
+    def test_center_element_annihilates_everything(self, tables):
         n = 4
-        table = ctx.table(n)
+        table = tables(n)
         c1 = make_C(1, n)
         rng = random.Random(11)
         ts = all_triples(n)
@@ -188,16 +191,16 @@ class TestBracketVectors:
         st.dictionaries(st.sampled_from(all_triples(3)), st.integers(-9, 9), max_size=4),
         st.dictionaries(st.sampled_from(all_triples(3)), st.integers(-9, 9), max_size=4),
     )
-    def test_bilinearity(self, ctx, du, dv, dw):
-        table = ctx.table(3)
+    def test_bilinearity(self, tables, du, dv, dw):
+        table = tables(3)
         u, v, w = (SymOpVector(3, d) for d in (du, dv, dw))
         assert bracket_vectors(table, u, v + w) == (
             bracket_vectors(table, u, v) + bracket_vectors(table, u, w)
         )
 
-    def test_mismatched_n_rejected(self, ctx):
+    def test_mismatched_n_rejected(self, tables):
         with pytest.raises(DimensionMismatch):
-            bracket_vectors(ctx.table(3), unit((1, 0, 0), 3), unit((1, 0, 0), 4))
+            bracket_vectors(tables(3), unit((1, 0, 0), 3), unit((1, 0, 0), 4))
 
 
 class TestMethodAgreement:
@@ -220,14 +223,70 @@ class TestMethodAgreement:
         assert bad[0] == {"pair": ["0,0,1", "0,1,0"], "overlap": {}, "orbit": {"1,0,0": "2"}}
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_both_match_dense_oracle(self, ctx, n):
-        table = ctx.table(n)
+    def test_both_match_dense_oracle(self, tables, n):
+        table = tables(n)
         ts = all_triples(n)
         for i, a in enumerate(ts):
             for b in ts[i + 1 :]:
                 dense = symmetrize(dense_bracket(densify(unit(a, n)), densify(unit(b, n))))
                 assert table.bracket(a, b) == dense
                 assert orbit_bracket(a, b, n) == dense
+
+
+def pair_engine_coeffs(table, t, s):
+    """[i P_t, i P_s] from the pair table, keyed by rank."""
+    entry, sign = table._pair_entry(t, s)
+    return {u: sign * g for u, g in (entry or {}).items()}
+
+
+class TestSeedColumns:
+    """bracket_coeffs counts each structure constant against the output
+    word with the seed's column; the pair overlap count is its reference."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_preset_seed_against_every_triple(self, n):
+        table = StructureTable(n)
+        seeds = [(1, 0, 0), (0, 1, 0)] + [(0, 0, k) for k in range(2, n + 1)]
+        for s in map(triple_rank, seeds):
+            for t in range(comb(n + 3, 3)):
+                assert table.bracket_coeffs({t: 1}, {s: 1}) == pair_engine_coeffs(table, t, s)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_low_seed_against_every_triple(self, n):
+        table = StructureTable(n)
+        for s in range(comb(min(n, 3) + 3, 3)):
+            for t in range(comb(n + 3, 3)):
+                assert table.bracket_coeffs({t: 1}, {s: 1}) == pair_engine_coeffs(table, t, s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_pairs_up_to_twenty_qubits(self, data):
+        n = data.draw(st.integers(1, 20))
+        s = data.draw(st.sampled_from(all_triples(min(n, 6))))
+        t = data.draw(st.sampled_from(all_triples(n)))
+        got = StructureTable(n).bracket_coeffs({triple_rank(t): 1}, {triple_rank(s): 1})
+        assert got == (_bracket_overlap(t, s, n) if t != s else {})
+
+    def test_bilinear_in_both_arguments(self):
+        n, table = 7, StructureTable(7)
+        u = {triple_rank(PauliTriple(2, 1, 3)): 3, triple_rank(PauliTriple(0, 4, 0)): -5}
+        v = {triple_rank(PauliTriple(1, 0, 0)): 2, triple_rank(PauliTriple(1, 1, 2)): 7}
+        want: dict = {}
+        for t, a in u.items():
+            for s, b in v.items():
+                for w, g in pair_engine_coeffs(table, t, s).items():
+                    want[w] = want.get(w, 0) + a * b * g
+        assert table.bracket_coeffs(u, v) == {w: c for w, c in want.items() if c}
+        assert table.bracket_coeffs(u, {}) == table.bracket_coeffs({}, v) == {}
+
+    def test_closures_store_no_pair_entry(self, monkeypatch):
+        # every pair entry is computed by _bracket_overlap before it is filed
+        def refuse(a, b, n):
+            raise AssertionError("a closure computed a pair entry")
+
+        monkeypatch.setattr("permlie.structure._bracket_overlap", refuse)
+        assert lie_closure(preset_generators("G2", 6)).dim == comb(9, 3) - 3
+        assert verify_center(6).ok
 
 
 class TestTableBasics:
@@ -243,8 +302,8 @@ class TestTableBasics:
         table.fill()
         assert table.entry_count == count
 
-    def test_bracket_accepts_text_and_tuples(self, ctx):
-        table = ctx.table(2)
+    def test_bracket_accepts_text_and_tuples(self, tables):
+        table = tables(2)
         assert table.bracket("1,0,0", (0, 1, 0)) == unit((0, 0, 1), 2).scaled(-2)
 
     @pytest.mark.parametrize("engine", ENGINES.values(), ids=ENGINES)
