@@ -31,12 +31,10 @@ from .symops import (
 
 # The largest n verify_center accepts: the largest n for which
 # `center --n n --json -` finished as a process in under 60 s on each of
-# three runs on a 2-vCPU host (n = 100: 57.9, 52.0 and 48.0 s, 298 MB peak
-# RSS; n = 102 took 70.4, 56.8 and 58.3 s in the same sitting).  The X/Y
-# solve is most of the cost, and its echelon, not its brackets, is most of
-# that: at n = 60 in process the solve took 3.6 s and the G2 closure of the
-# commute certificate 2.9 s.
-CENTER_CAP = 100
+# three runs on a 2-vCPU host (n = 144: 50.6, 52.9 and 54.1 s, 799 MB peak
+# RSS; n = 148 took 66.8 s).  The G2 closure of the commute certificate is
+# most of it: at n = 100 in process it took 9.3 s and the X/Y solve 4.0 s.
+CENTER_CAP = 144
 
 # The uniform one-body fields X and Y (the members of G1prime).
 FIELDS = (PauliTriple(1, 0, 0), PauliTriple(0, 1, 0))
@@ -148,7 +146,10 @@ def _ad_kernel_system(
 
     One column bracket per (P_s, g); the equation for (g, u) collects the
     coefficient of P_u in every [P_s, P_g].  The nullspace over the ranks
-    range(C(n+3,3)) is the common kernel of the ad_g.
+    range(C(n+3,3)) is the common kernel of the ad_g.  The equations go in
+    by their smallest key, highest first, so a new pivot mostly lies below
+    every key of the stored rows and back-substitution seldom has a row to
+    reduce.
     """
     constraints: dict[tuple[int, int], dict] = {}
     for s in range(comb(table.n + 3, 3)):
@@ -156,7 +157,7 @@ def _ad_kernel_system(
             for u, c in table.bracket_coeffs({s: 1}, {g: 1}).items():
                 constraints.setdefault((g, u), {})[s] = c
     system = SparseEchelon()
-    system.extend(constraints.values())
+    system.extend(sorted(constraints.values(), key=min, reverse=True))
     return system
 
 

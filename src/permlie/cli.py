@@ -5,10 +5,9 @@ verdicts, and residuals; `verify` runs a named suite over a range of qubit
 counts; `center` verifies the centralizer and optionally emits coefficient
 tables; `schur` lists the spin sectors and, with --check-blocks, checks the
 exact sector blocks and certifies sector control of a closure; `table`
-builds the full structure-constant table and, with --compare, checks every
-entry against the orbit-expansion reference engine.  Closures and the
-centralizer solve bracket with StructureTable's seed columns, which store
-nothing; only `table` fills the pair table of overlap counts.
+brackets every pair of basis elements once and, with --compare, checks
+each against the orbit-expansion reference engine.  Every verb brackets
+with StructureTable's seed columns, which store nothing.
 
 `close` reports one closure.  Every other verb builds verify.CaseResults
 and hands them to _report, the one function that turns cases into the JSON
@@ -248,7 +247,7 @@ def cmd_schur(args) -> int:
 def cmd_table(args) -> int:
     table = StructureTable(args.n)
     if args.compare:
-        bad = compare_tables(table)  # fills the table on the way
+        bad = compare_tables(table)  # brackets every pair on the way
     else:
         table.fill()
     cases = [CaseResult("table-build", {"n": args.n}, True, {"entries": table.entry_count})]

@@ -62,9 +62,9 @@ def lie_closure(gens: GeneratorSet) -> ClosureRun:
     """Smallest Lie algebra containing the generators, as an exact basis.
 
     Runs linalg.generator_closure with the seed columns of
-    StructureTable.bracket_coeffs, which store no pair entry, on rank-keyed
-    rows: each new row, as stored when it is popped unless the row as
-    admitted is narrower, is bracketed with the generators only.
+    StructureTable.bracket_coeffs, which store nothing, on rank-keyed rows:
+    each new row, as stored when it is popped unless the row as admitted is
+    narrower, is bracketed with the generators only.
     FIFO order and the canonical triple order make runs deterministic.
     """
     t0 = time.perf_counter()

@@ -1,5 +1,5 @@
-"""Shared fixtures: a memoized context and structure tables, so expensive
-closures and pair entries are built once per test session."""
+"""Shared fixtures: a memoized context, so expensive closures are built
+once per test session, and one structure table per qubit count."""
 
 from functools import lru_cache
 
@@ -17,8 +17,8 @@ def ctx():
 
 @pytest.fixture(scope="session")
 def tables():
-    """tables(n): one StructureTable per n for the session, so the pair
-    entries that bracket and compare_tables store are computed once."""
+    """tables(n): one StructureTable per n for the session.  A table stores
+    no bracket; the seed columns behind it are memoized per process."""
     return lru_cache(maxsize=None)(StructureTable)
 
 

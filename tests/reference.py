@@ -6,19 +6,29 @@ central-membership functional, the bracket of coordinate vectors, the word
 text of the dense oracle, the paths of the bundled report schemas, the
 universality verdicts read off an explicit nullspace of the trace pairings,
 the view of an echelon's rank-keyed rows as SymOpVectors that lets these
-triple-keyed oracles check the engine, and the closure worklist that
-brackets each row as it was admitted.
+triple-keyed oracles check the engine, the closure worklist that brackets
+each row as it was admitted, and the pair overlap count, a bracket engine
+of its own that the seed columns are checked against.
 """
 
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
-from math import factorial
+from math import comb, factorial
 
 from permlie import ambient_dims, make_C
 from permlie.closure import Verdicts
 from permlie.linalg import SparseEchelon
-from permlie.symops import ConstraintError, DimensionMismatch, SymOpVector, by_rank, orbit_size
+from permlie.structure import _orbit_average
+from permlie.symops import (
+    ConstraintError,
+    DimensionMismatch,
+    PauliTriple,
+    SymOpVector,
+    by_rank,
+    orbit_size,
+)
 
 
 def trace_inner(u: SymOpVector, v: SymOpVector):
@@ -137,3 +147,65 @@ def snapshot_closure(seeds, bracket, ech: SparseEchelon) -> int:
             if new is not None:
                 work.append(new)
     return steps
+
+
+@lru_cache(maxsize=None)
+def _row_options(total: int, caps: tuple[int, int, int, int]):
+    """Ways to place `total` identical letters onto four position classes.
+
+    Returns tuples (counts, weight, remaining_caps) where weight counts the
+    position choices within each class.
+    """
+    out = []
+    c0m, c1m, c2m, c3m = caps
+    for c0 in range(min(total, c0m) + 1):
+        w0 = comb(c0m, c0)
+        r0 = total - c0
+        for c1 in range(min(r0, c1m) + 1):
+            w1 = w0 * comb(c1m, c1)
+            r1 = r0 - c1
+            for c2 in range(min(r1, c2m) + 1):
+                c3 = r1 - c2
+                if c3 > c3m:
+                    continue
+                w = w1 * comb(c2m, c2) * comb(c3m, c3)
+                out.append(
+                    (
+                        (c0, c1, c2, c3),
+                        w,
+                        (c0m - c0, c1m - c1, c2m - c2, c3m - c3),
+                    )
+                )
+    return tuple(out)
+
+
+def _bracket_overlap(a: PauliTriple, b: PauliTriple, n: int) -> dict[int, int]:
+    """Overlap-pattern count of [i P_a, i P_b].
+
+    Fixes the representative word of orbit a (X block, Y block, Z block,
+    identities) and classifies each word of orbit b by how many of its X, Y
+    and Z letters land on each block.  A pattern contributes only when the
+    number d of anticommuting overlaps is odd; its weight is the number of
+    words realizing it and its sign tracks the product phase.
+    """
+    ax, ay, az = a
+    bx, by, bz = b
+    caps0 = (ax, ay, az, n - ax - ay - az)
+    masses: dict[tuple[int, int, int], int] = {}
+    for xs, wx, caps1 in _row_options(bx, caps0):
+        for ys, wy, caps2 in _row_options(by, caps1):
+            wxy = wx * wy
+            for zs, wz, caps3 in _row_options(bz, caps2):
+                d = xs[1] + xs[2] + ys[0] + ys[2] + zs[0] + zs[1]
+                if not d & 1:
+                    continue
+                # negative single-site products: X.Z, Y.X, Z.Y
+                neg = (zs[0] + xs[1] + ys[2] + ((d - 1) >> 1)) & 1
+                w = wxy * wz
+                contrib = 2 * w if neg else -2 * w
+                ux = ax - xs[0] - ys[0] - zs[0] + zs[1] + ys[2] + xs[3]
+                uy = ay - xs[1] - ys[1] - zs[1] + zs[0] + xs[2] + ys[3]
+                uz = az - xs[2] - ys[2] - zs[2] + ys[0] + xs[1] + zs[3]
+                key = (ux, uy, uz)
+                masses[key] = masses.get(key, 0) + contrib
+    return _orbit_average(a, masses, n)

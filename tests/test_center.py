@@ -1,5 +1,6 @@
 """Center elements, conjugacy-class sums, and the centralizer verification."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -31,7 +32,7 @@ from permlie.center import (
 from permlie.closure import family_exempt_mus
 from permlie.linalg import integer_row
 from permlie.oracle import class_sum, dense_bracket, densify
-from permlie.symops import GeneratorSet, rank_triple
+from permlie.symops import GeneratorSet, rank_triple, triple_rank
 from reference import bracket_vectors, nullspace, row_vectors, trace_inner
 
 
@@ -272,6 +273,26 @@ class TestCentralizerVerification:
         c_span = span_rows(make_C(mu, n).coeffs for mu in range(n // 2 + 1))
         assert len(fields) == n // 2 + 1
         assert fields == full == c_span
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_solve_rank_does_not_depend_on_insert_order(self, tables, n):
+        # _ad_kernel_system inserts its equations sorted; any order has the
+        # same rank, so solved_dim does not rest on the sort
+        table = tables(n)
+        equations: dict = {}
+        for s in range(comb(n + 3, 3)):
+            for g in map(triple_rank, FIELDS):
+                for u, c in table.bracket_coeffs({s: 1}, {g: 1}).items():
+                    equations.setdefault((g, u), {})[s] = c
+        built = list(equations.values())
+        shuffled = built[:]
+        random.Random(n).shuffle(shuffled)
+        rank = _ad_kernel_system(table, FIELDS).rank
+        assert comb(n + 3, 3) - rank == n // 2 + 1
+        for order in (built, built[::-1], shuffled):
+            ech = SparseEchelon()
+            ech.extend(order)
+            assert ech.rank == rank
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_x_field_alone_overcounts(self, tables, monkeypatch, n):

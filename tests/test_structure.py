@@ -1,5 +1,5 @@
-"""Structure constants: the table engine and its orbit-expansion reference,
-algebraic laws, the in-memory table."""
+"""Structure constants: the seed columns and their two references, the
+orbit expansion and the pair overlap count; algebraic laws; the table."""
 
 import random
 from math import comb
@@ -17,23 +17,30 @@ from permlie import (
     SymOpVector,
     VerificationError,
     all_triples,
+    as_triple,
     compare_tables,
-    lie_closure,
     orbit_bracket,
-    preset_generators,
-    verify_center,
 )
 from permlie.center import make_C
 from permlie.oracle import dense_bracket, densify, symmetrize
-from permlie.structure import FILL_CAP, ORBIT_CAP, _bracket_overlap, _orbit_average
+from permlie.structure import FILL_CAP, ORBIT_CAP, _orbit_average
 from permlie.symops import rank_triple, triple_rank
-from reference import bracket_vectors, trace_inner
+from reference import _bracket_overlap, bracket_vectors, trace_inner
 
-# The two bracket engines, as (table, a, b) -> vector: the overlap count
-# behind every StructureTable, and the orbit expansion it is checked against.
+
+def pair_count_bracket(table, a, b):
+    """[i P_a, i P_b] by the reference pair overlap count."""
+    a, b = (as_triple(t).check(table.n) for t in (a, b))
+    return SymOpVector.from_ranks(table.n, _bracket_overlap(a, b, table.n) if a != b else {})
+
+
+# The three bracket engines, as (table, a, b) -> vector: the seed columns
+# behind every StructureTable, and the orbit expansion and the pair overlap
+# count they are checked against.
 ENGINES = {
     "overlap-combinatorics": lambda table, a, b: table.bracket(a, b),
     "orbit-expansion": lambda table, a, b: orbit_bracket(a, b, table.n),
+    "pair-overlap-count": pair_count_bracket,
 }
 
 
@@ -216,11 +223,11 @@ class TestMethodAgreement:
         assert compared.entry_count == filled.entry_count == 84 * 83 // 2
 
     def test_mismatch_records_name_both_engines(self, monkeypatch):
-        monkeypatch.setattr("permlie.structure._bracket_overlap", lambda a, b, n: {})
+        monkeypatch.setattr("permlie.structure._seed_column", lambda s: ())
         bad = compare_tables(StructureTable(1))
         assert [r["pair"] for r in bad] == [["0,0,1", "0,1,0"], ["0,0,1", "1,0,0"],
                                             ["0,1,0", "1,0,0"]]
-        assert bad[0] == {"pair": ["0,0,1", "0,1,0"], "overlap": {}, "orbit": {"1,0,0": "2"}}
+        assert bad[0] == {"pair": ["0,0,1", "0,1,0"], "columns": {}, "orbit": {"1,0,0": "2"}}
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_both_match_dense_oracle(self, tables, n):
@@ -234,9 +241,8 @@ class TestMethodAgreement:
 
 
 def pair_engine_coeffs(table, t, s):
-    """[i P_t, i P_s] from the pair table, keyed by rank."""
-    entry, sign = table._pair_entry(t, s)
-    return {u: sign * g for u, g in (entry or {}).items()}
+    """[i P_t, i P_s] by the reference pair overlap count, keyed by rank."""
+    return _bracket_overlap(rank_triple(t), rank_triple(s), table.n) if t != s else {}
 
 
 class TestSeedColumns:
@@ -279,15 +285,6 @@ class TestSeedColumns:
         assert table.bracket_coeffs(u, v) == {w: c for w, c in want.items() if c}
         assert table.bracket_coeffs(u, {}) == table.bracket_coeffs({}, v) == {}
 
-    def test_closures_store_no_pair_entry(self, monkeypatch):
-        # every pair entry is computed by _bracket_overlap before it is filed
-        def refuse(a, b, n):
-            raise AssertionError("a closure computed a pair entry")
-
-        monkeypatch.setattr("permlie.structure._bracket_overlap", refuse)
-        assert lie_closure(preset_generators("G2", 6)).dim == comb(9, 3) - 3
-        assert verify_center(6).ok
-
 
 class TestTableBasics:
     def test_two_qubit_fill_has_all_nonredundant_pairs(self):
@@ -308,9 +305,8 @@ class TestTableBasics:
 
     @pytest.mark.parametrize("engine", ENGINES.values(), ids=ENGINES)
     def test_out_of_range_triple_never_enters_the_table(self, engine):
-        # bracket_coeffs trusts the keys of stored entries, so the one place
-        # entries are made must refuse ranks outside the C(n+3,3) triples of
-        # n, in either slot of the pair
+        # every engine must refuse ranks outside the C(n+3,3) triples of n,
+        # in either slot of the pair, before it brackets anything
         table = StructureTable(2)
         past, y_field = comb(2 + 3, 3), triple_rank(PauliTriple(0, 1, 0))
         assert rank_triple(past) == (0, 0, 3)
