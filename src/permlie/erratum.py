@@ -114,7 +114,6 @@ def relevant_support(kbar: int) -> tuple[PauliTriple, ...]:
 class ErratumCase(NamedTuple):
     """Rank analysis of the printed tables restricted to the shared support."""
 
-    kbar: int
     n: int
     corrected: bool
     A: SymOpVector
@@ -140,24 +139,15 @@ def build_abc(kbar: int, n: int, corrected: bool = True) -> ErratumCase:
     a, b, c = vecs
     rank = rank_of(by_rank(v.coeffs) for v in vecs)
     dependence = c == a.scaled(kbar - 2) - b
-    return ErratumCase(kbar, n, corrected, a, b, c, rank, dependence)
+    return ErratumCase(n, corrected, a, b, c, rank, dependence)
 
 
 class ErratumReport(NamedTuple):
     """Outcome of recomputing every printed coefficient from the oracle."""
 
-    kbar: int
     n: int
     records: tuple[dict, ...]
     ok: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "kbar": self.kbar,
-            "n": self.n,
-            "records": list(self.records),
-            "ok": self.ok,
-        }
 
 
 def verify_printed_commutators(kbar: int, n: int) -> ErratumReport:
@@ -192,4 +182,4 @@ def verify_printed_commutators(kbar: int, n: int) -> ErratumReport:
                     "match": match,
                 }
             )
-    return ErratumReport(kbar, n, tuple(records), ok)
+    return ErratumReport(n, tuple(records), ok)

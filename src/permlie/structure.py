@@ -4,9 +4,9 @@ The bracket of two basis elements is computed two ways.
 
 * Columns (StructureTable.bracket_coeffs), the one bracket that permlie
   runs: in closures, the centralizer certificate and its X/Y solve, and
-  `table`.  Each seed triple s, the second argument, carries one column
-  (_seed_column): its letter-placement patterns, counted once per process
-  and for every n.  A structure constant is then counted against the
+  `table --compare`.  Each seed triple s, the second argument, carries one
+  column (_seed_column): its letter-placement patterns, counted once per
+  process and for every n.  A structure constant is then counted against the
   representative word of the output triple, with no orbit size, no
   division and nothing stored per pair.
 * The orbit expansion (orbit_bracket), the columns' reference: it
@@ -45,14 +45,10 @@ from .symops import (
     triple_rank,
 )
 
-# The largest n for which `table --n n` (StructureTable.fill) finished as a
-# process in under 60 s on each of three runs on a 2-vCPU host (n = 16:
-# 41.6, 41.1 and 35.5 s, 35 MB peak RSS; n = 17 took 68.4 and 55.3 s).
-FILL_CAP = 16
-
-# The same for compare_tables, and with it `table --n n --compare`
-# (n = 8: 14.1-14.7 s, 31 MB; n = 9 took 74 s).  The orbit expansion of
-# every pair is nearly all of it.
+# The largest n for which compare_tables, and with it `table --n n
+# --compare`, finished as a process in under 60 s on a 2-vCPU host (n = 8:
+# 14.1-14.7 s, 31 MB; n = 9 took 74 s).  The orbit expansion of every pair
+# is nearly all of it.
 ORBIT_CAP = 8
 
 
@@ -118,7 +114,8 @@ def _moves(letter: int, count: int, bits: int) -> tuple:
     return out
 
 
-def _build_column(s: int) -> tuple:
+@lru_cache(maxsize=None)
+def _seed_column(s: int) -> tuple:
     """Pattern groups of [i P_t, i P_s] for the seed triple of rank s, for
     every n and every t.
 
@@ -144,7 +141,7 @@ def _build_column(s: int) -> tuple:
     ((m_Z, m_I, terms), ...)), ...)), each term (k_X, k_Y, k_Z, k_I, G)
     with G the signed sum over its patterns, so _add_column stops at the
     first m_X, m_Y or m_Z that t cannot supply.  Nothing in it depends on
-    n or t, so _seed_column memoizes it by s alone.
+    n or t, so it is memoized by s alone.
     """
     counts = rank_triple(s)
     level = sum(counts)
@@ -180,9 +177,6 @@ def _build_column(s: int) -> tuple:
                    for m1, by_z in by_y.items()))
         for m0, by_y in nested.items()
     )
-
-
-_seed_column = lru_cache(maxsize=None)(_build_column)
 
 
 @lru_cache(maxsize=None)
@@ -255,7 +249,8 @@ class StructureTable:
     counts each structure constant of coordinate dicts against the output
     word with the column of each seed key, and stores nothing; bracket is
     its boundary for two PauliTriples.  entry_count is the number of pairs
-    that fill or compare_tables bracketed, 0 until one of them runs.
+    that compare_tables bracketed, 0 until it runs; permbench/tracing.py
+    reads it.
     """
 
     def __init__(self, n: int) -> None:
@@ -283,18 +278,6 @@ class StructureTable:
         for s, cs in v.items():
             _add_column(out, s, _seed_column(s), rows, n, cs)
         return {w: c for w, c in out.items() if c}
-
-    def fill(self) -> None:
-        """Bracket every pair a < b of basis elements once, each column
-        built afresh and dropped after its pairs; nothing is kept.
-        Idempotent."""
-        check_qubits(self.n, FILL_CAP, "a full structure table")
-        size = self._size
-        for b in range(1, size):
-            column = _build_column(b)
-            for a in range(b):
-                _add_column({}, b, column, [(rank_triple(a), 1)], self.n, 1)
-        self.entry_count = size * (size - 1) // 2
 
 
 def compare_tables(table: StructureTable) -> list[dict]:

@@ -317,9 +317,6 @@ class GeneratorSet(_Frozen):
             raise ConstraintError("generator set must contain a nonzero member")
         self._set(n, tuple(kept), label, k)
 
-    def text(self) -> str:
-        return "; ".join(g.text() for g in self.members)
-
 
 def preset_generators(label: str, n: int, k: int | None = None) -> GeneratorSet:
     """Build one of the named generator families.

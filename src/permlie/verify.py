@@ -43,20 +43,13 @@ from .symops import (
 )
 
 
-class _CaseFields(NamedTuple):
+class CaseResult(NamedTuple):
+    """One checked case."""
+
     name: str
     params: dict
     ok: bool
     details: dict
-
-
-class CaseResult(_CaseFields):
-    """One checked case; details defaults to a new empty dict per case."""
-
-    __slots__ = ()
-
-    def __new__(cls, name: str, params: dict, ok: bool, details: dict | None = None):
-        return super().__new__(cls, name, params, ok, {} if details is None else details)
 
     def to_jsonable(self) -> dict:
         return {"name": self.name, "params": self.params, "ok": self.ok, "details": self.details}

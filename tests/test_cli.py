@@ -8,18 +8,19 @@ import shlex
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import permlie
-from permlie import make_C, structure, verify
+from permlie import make_C, schur, structure, verify
 from permlie.center import CENTER_CAP
 from permlie.cli import build_parser, main
 from permlie.oracle import WORD_QUBIT_CAP
 from permlie.schur import SECTOR_CAP
-from permlie.structure import FILL_CAP, ORBIT_CAP
+from permlie.structure import ORBIT_CAP
 from reference import schema_path
 
 
@@ -74,6 +75,14 @@ class TestClose:
         assert payload["dense_dim"] == payload["dim"] == 19
         assert payload["engines_agree"] is True
         jsonschema.validate(payload, load_schema("closure_report"))
+
+    def test_columns_is_the_default_method(self, capsys):
+        rc, out, err = run(capsys, "close", "--n", "3", "--gens", "G2", "--method", "overlap")
+        assert rc == 1 and out == "" and "invalid choice: 'overlap'" in err
+        _, default, _ = run_json(capsys, "close", "--n", "3", "--gens", "G2")
+        _, columns, _ = run_json(capsys, "close", "--n", "3", "--gens", "G2", "--method", "columns")
+        default.pop("wall_time"), columns.pop("wall_time")
+        assert default == columns and "dense_dim" not in default
 
     def test_human_line(self, capsys):
         rc, out, _ = run(capsys, "close", "--n", "4", "--gens", "G2")
@@ -330,6 +339,26 @@ class TestSchur:
         assert control["controllable"] and control["consistent"]
         jsonschema.validate(payload, load_schema("verify_report"))
 
+    @pytest.mark.parametrize("gens", ["G1", "G1prime"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_uncontrollable_closure_with_clean_blocks_passes(self, capsys, n, gens):
+        # the spans and the trace rank sum to the closure dimension only when
+        # every sector is full; G1's one X lands in two sectors
+        rc, payload, _ = run_json(capsys, "schur", "--n", str(n), "--check-blocks", "--gens", gens)
+        assert rc == 0 and payload["ok"] is True
+        details = payload["cases"][1]["details"]
+        assert details["block_pattern"] == "clean"
+        assert details["subspace_control"]["controllable"] is False
+
+    def test_inconsistent_controllable_closure_fails(self, capsys, monkeypatch):
+        certify = schur.certify_subspace_control
+        monkeypatch.setattr(schur, "certify_subspace_control",
+                            lambda n, basis: certify(n, basis)._replace(trace_rank=2))
+        rc, payload, _ = run_json(capsys, "schur", "--n", "4", "--check-blocks")
+        assert rc == 2 and payload["ok"] is False
+        control = payload["cases"][1]["details"]["subspace_control"]
+        assert control["controllable"] is True and control["consistent"] is False
+
     def test_emit_transform(self, capsys, tmp_path):
         """The float coupled basis is gone from the package, so is its flag."""
         path = tmp_path / "transform.json"
@@ -386,16 +415,25 @@ class TestTable:
         rc, _, err = run(capsys, "table", "--n", "3", "--method", "both")
         assert rc == 1 and "unrecognized arguments: --method" in err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [("--n", str(FILL_CAP + 1)), ("--n", str(ORBIT_CAP + 1), "--compare"), ("--n", "200")],
-        ids=" ".join,
-    )
+    @pytest.mark.parametrize("argv", [("--n", str(ORBIT_CAP + 1), "--compare")], ids=" ".join)
     def test_whole_table_caps_exit_code(self, capsys, argv):
         start = time.perf_counter()
         rc, out, err = run(capsys, "table", *argv, "--json", "-")
         assert rc == 3 and out == "" and "capped at n <= " in err
         assert time.perf_counter() - start < 1.0
+
+    def test_plain_table_answers_at_once_at_any_n(self, capsys):
+        # it counts the pairs of the C(n+3,3) basis elements and brackets none
+        start = time.perf_counter()
+        rc, payload, _ = run_json(capsys, "table", "--n", "200")
+        assert rc == 0 and payload["ok"] is True
+        assert payload["cases"] == [{"name": "table-build", "params": {"n": 200}, "ok": True,
+                                     "details": {"entries": comb(comb(203, 3), 2)}}]
+        assert time.perf_counter() - start < 1.0
+
+    def test_zero_qubits_is_a_usage_error(self, capsys):
+        rc, out, err = run(capsys, "table", "--n", "0", "--json", "-")
+        assert rc == 1 and out == "" and "qubit count must be positive" in err
 
 
 class TestOrbitMethodGone:

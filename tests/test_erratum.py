@@ -1,5 +1,7 @@
 """Published coefficient tables: recomputation, rank, and the dependence fix."""
 
+import json
+
 import pytest
 
 from permlie import (
@@ -99,10 +101,12 @@ class TestOracleRecomputation:
         )
 
     def test_record_shape_and_jsonable(self):
-        data = verify_printed_commutators(3, 4).to_jsonable()
-        assert data["kbar"] == 3 and data["n"] == 4 and data["ok"] is True
-        rec = data["records"][0]
+        report = verify_printed_commutators(3, 4)
+        assert report.n == 4 and report.ok is True
+        rec = report.records[0]
         assert {"commutator", "triple", "printed", "recomputed", "match"} <= set(rec)
+        # the records go into verify noteF's report as they are
+        assert json.loads(json.dumps(report.records)) == list(report.records)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ConstraintError):

@@ -22,6 +22,12 @@ src/permlie counts (a test's use does not keep a name alive), and
 `__init__.py` is left out, since a re-export is not a use.  Helpers only
 tests need live in tests/reference.py.
 
+Entered by a verb: the reach walk matches members by name, so a dead method
+that shares its name with a live one on another class passes it.  Every
+function and method of src/permlie, dunders aside, must also be entered
+when each verb runs once at small n under sys.setprofile; the broken-pipe
+path alone is exempt.
+
 Standard library only: every import in src/permlie/*.py is relative or
 names a module of the standard library (sys.stdlib_module_names), so the
 package has no runtime dependency.  This file itself uses the standard
@@ -40,13 +46,18 @@ interpreter.
 
 import ast
 import io
+import json
+import os
 import re
+import subprocess
 import sys
 import tokenize
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from permlie.verify import SELECTORS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "permlie"
@@ -408,3 +419,90 @@ def test_detector_flags_an_unreached_name():
         ),
     }
     assert unreached_names(sources) == ["Box.gone", "core.g_const", "core.h", "core.k"]
+
+
+# One run of each verb at small n, and a bad usage, which enters
+# _Parser.error.  Together they must enter every function of src/permlie.
+TRACED_ARGVS = (
+    ("close", "--n", "3", "--gens", "G2"),
+    ("close", "--n", "3", "--gens", "1,0,0; 0,2,0", "--method", "dense"),
+    *(("verify", name, "--n", str(max(lo, 3))) for name, (lo, _, _) in SELECTORS.items()),
+    ("verify", "thm1", "--n", "2", "--csv", os.devnull),
+    ("center", "--n", "4", "--emit", "C"),
+    ("center", "--n", "4", "--emit", "L", "--mu", "1"),
+    ("schur", "--n", "4", "--check-blocks"),
+    ("table", "--n", "2"),
+    ("table", "--n", "2", "--compare"),
+    ("close",),
+)
+
+# Functions that only a fault of the environment enters.
+UNTRACED = {"cli._stdout_to_devnull"}  # a reader that closed stdout early
+
+TRACE_SCRIPT = """
+import contextlib, io, json, sys
+entered = set()
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(profile)
+from permlie.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        main(argv)
+sys.setprofile(None)
+print(json.dumps(sorted(entered)))
+"""
+
+
+def defined_functions(path: Path) -> dict[tuple[str, int], str]:
+    """(file, first line) -> label of every def in a module, nested ones
+    too, dunders aside: 'module.name' at module level, else 'Outer.name'.
+    The first line is that of the code object, the first decorator's."""
+    out = {}
+
+    def walk(node, owner):
+        for item in ast.iter_child_nodes(node):
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (item.name.startswith("__") and item.name.endswith("__")):
+                    line = min([item.lineno] + [d.lineno for d in item.decorator_list])
+                    out[(str(path), line)] = f"{owner}.{item.name}"
+                walk(item, item.name)
+            elif isinstance(item, ast.ClassDef):
+                walk(item, item.name)
+            else:
+                walk(item, owner)
+
+    walk(ast.parse(path.read_text()), path.stem)
+    return out
+
+
+def test_every_function_is_entered_by_a_verb():
+    """In a fresh interpreter, so that no cache is warm and hides a call."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", TRACE_SCRIPT, json.dumps(TRACED_ARGVS)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    entered = {(f, line) for f, line in json.loads(proc.stdout)}
+    defined = {}
+    for path in SOURCES:
+        defined.update(defined_functions(path.resolve()))
+    missed = [label for key, label in defined.items() if key not in entered]
+    assert sorted(set(missed) - UNTRACED) == []
+
+
+def test_function_labels_and_first_lines(tmp_path):
+    path = tmp_path / "core.py"
+    path.write_text(
+        "def f():\n"
+        "    def g():\n"
+        "        pass\n"
+        "class Box:\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+    )
+    key = str(path)
+    assert defined_functions(path) == {(key, 1): "core.f", (key, 2): "f.g", (key, 5): "Box.size"}

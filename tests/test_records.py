@@ -50,7 +50,7 @@ def immutable_instances():
         (build_abc(3, 3), "rank"),
         (verify_printed_commutators(3, 3), "ok"),
         (dense_closure([densify(g) for g in preset_generators("G2", 2).members]), "dim"),
-        (CaseResult("case", {"n": 2}, True), "details"),
+        (CaseResult("case", {"n": 2}, True, {}), "details"),
         (SuiteReport("thm1", ()), "cases"),
     ]
 
@@ -110,14 +110,6 @@ class TestValueTypes:
 
 
 class TestRecords:
-    def test_case_details_not_shared(self):
-        a = CaseResult("a", {}, True)
-        b = CaseResult("b", {}, True)
-        assert a.details == {} and b.details == {}
-        a.details["x"] = 1
-        assert b.details == {}
-        assert CaseResult("c", {}, True).details == {}
-
     def test_case_details_given_are_kept(self):
         details = {"dim": 3}
         assert CaseResult("a", {"n": 2}, False, details).details is details

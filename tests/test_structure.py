@@ -23,7 +23,7 @@ from permlie import (
 )
 from permlie.center import make_C
 from permlie.oracle import dense_bracket, densify, symmetrize
-from permlie.structure import FILL_CAP, ORBIT_CAP, _orbit_average
+from permlie.structure import ORBIT_CAP, _orbit_average
 from permlie.symops import rank_triple, triple_rank
 from reference import _bracket_overlap, bracket_vectors, trace_inner
 
@@ -218,9 +218,7 @@ class TestMethodAgreement:
     def test_six_qubit_full_table_dual_method(self):
         compared = StructureTable(6)
         assert compare_tables(compared) == []
-        filled = StructureTable(6)
-        filled.fill()
-        assert compared.entry_count == filled.entry_count == 84 * 83 // 2
+        assert compared.entry_count == 84 * 83 // 2
 
     def test_mismatch_records_name_both_engines(self, monkeypatch):
         monkeypatch.setattr("permlie.structure._seed_column", lambda s: ())
@@ -287,18 +285,6 @@ class TestSeedColumns:
 
 
 class TestTableBasics:
-    def test_two_qubit_fill_has_all_nonredundant_pairs(self):
-        table = StructureTable(2)
-        table.fill()
-        assert table.entry_count == 10 * 9 // 2
-
-    def test_fill_is_idempotent(self):
-        table = StructureTable(2)
-        table.fill()
-        count = table.entry_count
-        table.fill()
-        assert table.entry_count == count
-
     def test_bracket_accepts_text_and_tuples(self, tables):
         table = tables(2)
         assert table.bracket("1,0,0", (0, 1, 0)) == unit((0, 0, 1), 2).scaled(-2)
@@ -331,10 +317,8 @@ class TestTableBasics:
             _orbit_average(PauliTriple(1, 0, 0), {u: 2}, 2)
 
     def test_whole_table_work_is_capped(self):
-        # both refuse before computing a single entry
-        past_fill, past_orbit = StructureTable(FILL_CAP + 1), StructureTable(ORBIT_CAP + 1)
-        with pytest.raises(ResourceLimitError, match=f"capped at n <= {FILL_CAP}"):
-            past_fill.fill()
+        # refuses before computing a single entry
+        past_orbit = StructureTable(ORBIT_CAP + 1)
         with pytest.raises(ResourceLimitError, match=f"capped at n <= {ORBIT_CAP}"):
             compare_tables(past_orbit)
-        assert past_fill.entry_count == past_orbit.entry_count == 0
+        assert past_orbit.entry_count == 0
