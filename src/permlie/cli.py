@@ -18,8 +18,7 @@ report path, or a reader that closed stdout early, included), 2
 verification failure or prediction mismatch, 3 resource-cap refusal, made
 before any work and with nothing on stdout.
 Reports are JSON (`--json PATH`, `-` for stdout) with exact rationals as
-'p/q' strings.  Structure tables live in memory for one run only; none is
-read from or written to disk.
+'p/q' strings.
 """
 
 from __future__ import annotations
@@ -180,7 +179,7 @@ def _parse_range(args) -> tuple[int | None, int | None]:
     return None, None
 
 
-_CSV_DETAILS = ("dim", "predicted", "sparse", "dense", "universal", "semi_universal", "threshold")
+_CSV_DETAILS = ("dim", "predicted", "universal", "semi_universal", "threshold")
 
 
 def _write_csv(path: str, cases: tuple[CaseResult, ...]) -> None:

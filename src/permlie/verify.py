@@ -8,6 +8,11 @@ the spin-sector decomposition, and the word-level oracle agreement.  The CLI
 exposes these as `permlie verify <selector>`; the test suite calls them
 directly.
 
+The six ladder suites (thm1, thm3, thm4, thm5, thm6, cor1) share one walk,
+_closures, which builds the closure of G2 at each n, or of Gk at every
+2 <= k <= n, one at a time; each suite is a case function that reads one
+closure.  thm3 and thm6 share theirs: G2 is Gk at k = 2.
+
 Every case is a CaseResult and every report a SuiteReport; the `center`
 and `schur` verbs build theirs with the same case builders as the prop1
 and schur suites (centralizer_case, schur.sector_check).  The schur suite
@@ -78,136 +83,67 @@ class SuiteReport(NamedTuple):
         return out
 
 
-class RunContext:
-    """Shared closures for one suite invocation."""
-
-    def __init__(self):
-        self._closures: dict = {}
-
-    def closure(self, label: str, n: int, k: int | None = None):
-        key = (label, n, k)
-        if key not in self._closures:
+def _closures(label: str, lo: int, hi: int):
+    """The ladder walk: (n, k, gens, run) for G2 at each n in lo..hi (k is
+    None), or for Gk at every 2 <= k <= n, one closure at a time."""
+    for n in range(lo, hi + 1):
+        for k in (None,) if label == "G2" else range(2, n + 1):
             gens = preset_generators(label, n, k=k)
-            self._closures[key] = lie_closure(gens)
-        return self._closures[key]
+            yield n, k, gens, lie_closure(gens)
 
 
-def _suite_thm1(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
-    out = []
-    for n in range(lo, hi + 1):
-        run = ctx.closure("G2", n)
-        want = predicted_dim("G2", n)
-        out.append(
-            CaseResult(
-                "g2-closure-dimension",
-                {"n": n},
-                run.dim == want,
-                {"dim": run.dim, "predicted": want, "iterations": run.iterations,
-                 "wall_time": run.wall_time},
-            )
-        )
-    return out
+def _dimension(gens, run) -> tuple[bool, dict]:
+    want = predicted_dim("Gk", gens.n, gens.k)
+    return run.dim == want, {"dim": run.dim, "predicted": want}
 
 
-def _suite_thm3(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
-    out = []
-    for n in range(lo, hi + 1):
-        rep = build_report(preset_generators("G2", n), ctx.closure("G2", n))
-        pattern = {mu: mu not in rep.exempt for mu in range(n // 2 + 1)}
-        conserved = rep.residuals_nonzero == 0
-        expected = {mu: mu != 1 for mu in range(n // 2 + 1)}
-        out.append(
-            CaseResult(
-                "g2-central-projections",
-                {"n": n},
-                pattern == expected and conserved,
-                {"pattern": {str(k): v for k, v in pattern.items()}, "conserved": conserved},
-            )
-        )
-    return out
+def _g2_dimension(gens, run) -> tuple[bool, dict]:
+    ok, details = _dimension(gens, run)
+    return ok, {**details, "iterations": run.iterations, "wall_time": run.wall_time}
 
 
-def _suite_thm4(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
-    out = []
-    for n in range(lo, hi + 1):
-        run = ctx.closure("G2", n)
-        rep = build_report(preset_generators("G2", n), run, exempt={1})
-        clean = rep.residuals_nonzero == 0
-        c1_inside = run.basis.contains(by_rank(make_C(1, n).coeffs))
-        out.append(
-            CaseResult(
-                "g2-membership-residuals",
-                {"n": n},
-                clean and c1_inside,
-                {"residuals_checked": rep.dim * len(rep.residual_mus), "all_zero": clean,
-                 "c1_reachable": c1_inside},
-            )
-        )
-    return out
+def _central_projections(gens, run) -> tuple[bool, dict]:
+    """Exactly the levels 1..k//2 are touched (only mu = 1 for G2), and the
+    closure conserves every other central projection."""
+    rep = build_report(gens, run)
+    mus = range(gens.n // 2 + 1)
+    pattern = {mu: mu not in rep.exempt for mu in mus}
+    conserved = rep.residuals_nonzero == 0
+    expected = {mu: not 1 <= mu <= gens.k // 2 for mu in mus}
+    return pattern == expected and conserved, {
+        "pattern": {str(mu): v for mu, v in pattern.items()}, "conserved": conserved}
 
 
-def _suite_thm5(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
-    out = []
-    for n in range(lo, hi + 1):
-        for k in range(2, n + 1):
-            run = ctx.closure("Gk", n, k)
-            want = predicted_dim("Gk", n, k)
-            out.append(
-                CaseResult(
-                    "kbody-closure-dimension",
-                    {"n": n, "k": k},
-                    run.dim == want,
-                    {"dim": run.dim, "predicted": want},
-                )
-            )
-    return out
+def _membership(gens, run) -> tuple[bool, dict]:
+    rep = build_report(gens, run)
+    clean = rep.residuals_nonzero == 0
+    c1_inside = run.basis.contains(by_rank(make_C(1, gens.n).coeffs))
+    return clean and c1_inside, {
+        "residuals_checked": rep.dim * len(rep.residual_mus), "all_zero": clean,
+        "c1_reachable": c1_inside}
 
 
-def _suite_thm6(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
-    out = []
-    for n in range(lo, hi + 1):
-        for k in range(2, n + 1):
-            rep = build_report(preset_generators("Gk", n, k=k), ctx.closure("Gk", n, k))
-            pattern = {mu: mu not in rep.exempt for mu in range(n // 2 + 1)}
-            conserved = rep.residuals_nonzero == 0
-            expected = {mu: not 1 <= mu <= k // 2 for mu in range(n // 2 + 1)}
-            out.append(
-                CaseResult(
-                    "kbody-central-projections",
-                    {"n": n, "k": k},
-                    pattern == expected and conserved,
-                    {"pattern": {str(m): v for m, v in pattern.items()}, "conserved": conserved},
-                )
-            )
-    return out
+def _threshold(gens, run) -> tuple[bool, dict]:
+    matched, details = _dimension(gens, run)
+    dim_su = ambient_dims(gens.n).dim_su
+    vd = build_report(gens, run).verdicts
+    threshold = is_universal_pair(gens.n, gens.k)
+    ok = (
+        matched
+        and (run.dim == dim_su) == threshold
+        and vd.universal == threshold
+        and vd.semi_universal
+    )
+    return ok, {**details, "dim_su": dim_su, "universal": vd.universal,
+                "semi_universal": vd.semi_universal, "threshold": threshold}
 
 
-def _suite_cor1(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
-    out = []
-    for n in range(lo, hi + 1):
-        dims = ambient_dims(n)
-        for k in range(2, n + 1):
-            run = ctx.closure("Gk", n, k)
-            want = predicted_dim("Gk", n, k)
-            vd = build_report(preset_generators("Gk", n, k=k), run).verdicts
-            threshold = is_universal_pair(n, k)
-            ok = (
-                run.dim == want
-                and (run.dim == dims.dim_su) == threshold
-                and vd.universal == threshold
-                and vd.semi_universal
-            )
-            out.append(
-                CaseResult(
-                    "universality-threshold",
-                    {"n": n, "k": k},
-                    ok,
-                    {"dim": run.dim, "predicted": want, "dim_su": dims.dim_su,
-                     "universal": vd.universal, "semi_universal": vd.semi_universal,
-                     "threshold": threshold},
-                )
-            )
-    return out
+def _ladder(name: str, label: str, case: Callable) -> Callable:
+    """A ladder suite: one case per closure of the walk over label."""
+    def suite(lo: int, hi: int) -> list[CaseResult]:
+        return [CaseResult(name, {"n": n} if k is None else {"n": n, "k": k}, *case(gens, run))
+                for n, k, gens, run in _closures(label, lo, hi)]
+    return suite
 
 
 def centralizer_case(n: int) -> CaseResult:
@@ -216,12 +152,12 @@ def centralizer_case(n: int) -> CaseResult:
     return CaseResult("centralizer-span", {"n": n}, rep.ok, rep.to_jsonable())
 
 
-def _suite_prop1(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
+def _suite_prop1(lo: int, hi: int) -> list[CaseResult]:
     check_qubits(hi, CENTER_CAP, "centralizer verification")
     return [centralizer_case(n) for n in range(lo, hi + 1)]
 
 
-def _suite_lemma2(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
+def _suite_lemma2(lo: int, hi: int) -> list[CaseResult]:
     out = []
     for n in range(lo, hi + 1):
         mus = range(n // 2 + 1)
@@ -242,7 +178,7 @@ def _suite_lemma2(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     return out
 
 
-def _suite_notef(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
+def _suite_notef(lo: int, hi: int) -> list[CaseResult]:
     out = []
     for n in range(lo, min(hi, WORD_QUBIT_CAP) + 1):
         for kbar in range(3, min(n, 4) + 1):
@@ -273,7 +209,7 @@ def _suite_notef(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
     return out
 
 
-def _suite_schur(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
+def _suite_schur(lo: int, hi: int) -> list[CaseResult]:
     check_qubits(hi, SECTOR_CAP, "sector analysis")
     out = []
     rule_ok = True
@@ -287,7 +223,7 @@ def _suite_schur(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
         details: dict = {"blocks": [[b.mu, b.d, b.m] for b in isotypic_table(n)]}
         ok = True
         if n >= 2:
-            found, rep = sector_check(n, ctx.closure("G2", n).basis)
+            found, rep = sector_check(n, lie_closure(preset_generators("G2", n)).basis)
             details.update(found)
             ok = rep is not None and rep.controllable and rep.consistent
         out.append(CaseResult("sector-decomposition", {"n": n}, ok, details))
@@ -297,7 +233,7 @@ def _suite_schur(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
 _PRESETS_FOR_ORACLE = ("G1", "G1prime", "G2")
 
 
-def _suite_oracle(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
+def _suite_oracle(lo: int, hi: int) -> list[CaseResult]:
     check_qubits(hi, WORD_QUBIT_CAP, "word-level engine")
     out = []
     for n in range(lo, min(hi, 5) + 1):
@@ -311,8 +247,8 @@ def _suite_oracle(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
             agree = agree and srun.dim == drun.dim
         out.append(CaseResult("dense-vs-sparse-closure", {"n": n}, agree, details))
     if lo <= 6 <= hi:
-        run6 = ctx.closure("G2", 6)
         gens6 = preset_generators("G2", 6)
+        run6 = lie_closure(gens6)
         smoke = dense_closure([densify(g) for g in gens6.members])
         ok = smoke.dim == run6.dim
         out.append(
@@ -327,12 +263,12 @@ def _suite_oracle(ctx: RunContext, lo: int, hi: int) -> list[CaseResult]:
 
 
 SELECTORS: dict[str, tuple[int, int, Callable]] = {
-    "thm1": (2, 10, _suite_thm1),
-    "thm3": (2, 8, _suite_thm3),
-    "thm4": (2, 10, _suite_thm4),
-    "thm5": (2, 8, _suite_thm5),
-    "thm6": (2, 8, _suite_thm6),
-    "cor1": (2, 8, _suite_cor1),
+    "thm1": (2, 10, _ladder("g2-closure-dimension", "G2", _g2_dimension)),
+    "thm3": (2, 8, _ladder("g2-central-projections", "G2", _central_projections)),
+    "thm4": (2, 10, _ladder("g2-membership-residuals", "G2", _membership)),
+    "thm5": (2, 8, _ladder("kbody-closure-dimension", "Gk", _dimension)),
+    "thm6": (2, 8, _ladder("kbody-central-projections", "Gk", _central_projections)),
+    "cor1": (2, 8, _ladder("universality-threshold", "Gk", _threshold)),
     "prop1": (1, 8, _suite_prop1),
     "lemma2": (1, 8, _suite_lemma2),
     "noteF": (3, 9, _suite_notef),
@@ -358,5 +294,5 @@ def run_selector(selector: str, n_lo: int | None = None, n_hi: int | None = None
         raise ConstraintError(f"bad range {lo}..{hi}")
     if lo < d_lo:
         raise ConstraintError(f"{selector} starts at n = {d_lo}, got n = {lo}")
-    cases = fn(RunContext(), lo, hi)
+    cases = fn(lo, hi)
     return SuiteReport(selector, tuple(cases), (lo, hi))

@@ -1,18 +1,22 @@
-"""Shared fixtures: a memoized context, so expensive closures are built
-once per test session, and one structure table per qubit count."""
+"""Shared fixtures: ctx.closure(label, n, k), which builds each preset
+closure once per test session (the package keeps no closure between
+calls), and one structure table per qubit count."""
 
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from permlie import StructureTable, schur
-from permlie.verify import RunContext
+from permlie import StructureTable, lie_closure, preset_generators, schur
 
 
 @pytest.fixture(scope="session")
 def ctx():
-    return RunContext()
+    """ctx.closure(label, n, k=None): the closure of a preset family."""
+    built = lru_cache(maxsize=None)(
+        lambda label, n, k: lie_closure(preset_generators(label, n, k=k)))
+    return SimpleNamespace(closure=lambda label, n, k=None: built(label, n, k))
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ import pytest
 import permlie
 from permlie import make_C, schur, structure, verify
 from permlie.center import CENTER_CAP
-from permlie.cli import build_parser, main
+from permlie.cli import _CSV_DETAILS, build_parser, main
 from permlie.oracle import WORD_QUBIT_CAP
 from permlie.schur import SECTOR_CAP
 from permlie.structure import ORBIT_CAP
@@ -176,6 +176,15 @@ class TestVerify:
         header, body = rows[0], rows[1:]
         assert header[0] == "name" and header[-1] == "ok"
         assert body and all(r[-1] == "True" for r in body)
+
+    def test_every_csv_detail_key_is_written(self, capsys, tmp_path):
+        columns = set()
+        for name, (lo, _, _) in verify.SELECTORS.items():
+            path = tmp_path / f"{name}.csv"
+            run(capsys, "verify", name, "--n", str(max(lo, 3)), "--csv", str(path), "--quiet")
+            with open(path, newline="") as fh:
+                columns.update(next(csv.reader(fh)))
+        assert set(_CSV_DETAILS) - columns == set()
 
     def test_range_parsing_errors(self, capsys):
         for extra in (

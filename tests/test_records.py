@@ -109,6 +109,31 @@ class TestValueTypes:
         assert (g.label, g.k) == ("custom", None)
 
 
+# Every ladder suite's payload at n = 2..3, wall_time dropped: the case
+# name, then (params, details) per case.
+_PATTERN = {"pattern": {"0": True, "1": False}, "conserved": True}
+_NK = ({"n": 2, "k": 2}, {"n": 3, "k": 2}, {"n": 3, "k": 3})
+LADDER_PAYLOADS = {
+    "thm1": ("g2-closure-dimension", [
+        ({"n": 2}, {"dim": 9, "predicted": 9, "iterations": 27}),
+        ({"n": 3}, {"dim": 19, "predicted": 19, "iterations": 57}),
+    ]),
+    "thm3": ("g2-central-projections", [({"n": 2}, _PATTERN), ({"n": 3}, _PATTERN)]),
+    "thm4": ("g2-membership-residuals", [
+        ({"n": 2}, {"residuals_checked": 9, "all_zero": True, "c1_reachable": True}),
+        ({"n": 3}, {"residuals_checked": 19, "all_zero": True, "c1_reachable": True}),
+    ]),
+    "thm5": ("kbody-closure-dimension", [
+        (p, {"dim": d, "predicted": d}) for p, d in zip(_NK, (9, 19, 19))
+    ]),
+    "thm6": ("kbody-central-projections", [(p, _PATTERN) for p in _NK]),
+    "cor1": ("universality-threshold", [
+        (p, {"dim": d, "predicted": d, "dim_su": d, "universal": True,
+             "semi_universal": True, "threshold": True}) for p, d in zip(_NK, (9, 19, 19))
+    ]),
+}
+
+
 class TestRecords:
     def test_case_details_given_are_kept(self):
         details = {"dim": 3}
@@ -141,18 +166,22 @@ class TestRecords:
             "verdicts": {"semi_universal": True, "universal": True},
         }
 
-    def test_suite_report_payload(self):
-        case = {"name": "kbody-closure-dimension", "ok": True}
-        assert run_selector("thm5", 2, 3).to_jsonable() == {
-            "cases": [
-                {**case, "details": {"dim": 9, "predicted": 9}, "params": {"k": 2, "n": 2}},
-                {**case, "details": {"dim": 19, "predicted": 19}, "params": {"k": 2, "n": 3}},
-                {**case, "details": {"dim": 19, "predicted": 19}, "params": {"k": 3, "n": 3}},
-            ],
+    @pytest.mark.parametrize("selector", sorted(LADDER_PAYLOADS))
+    def test_suite_report_payload(self, selector):
+        name, rows = LADDER_PAYLOADS[selector]
+        payload = run_selector(selector, 2, 3).to_jsonable()
+        for case in payload["cases"]:
+            assert ("wall_time" in case["details"]) == (selector == "thm1")
+            case["details"].pop("wall_time", None)
+        assert payload == {
+            "cases": [{"name": name, "ok": True, "params": params, "details": details}
+                      for params, details in rows],
             "n_range": [2, 3],
             "ok": True,
-            "selector": "thm5",
+            "selector": selector,
         }
+
+    def test_verb_report_payload(self):
         verb = SuiteReport("table", (CaseResult("x", {"n": 2}, False, {"a": 1}),))
         assert verb.to_jsonable() == {
             "selector": "table",
