@@ -108,8 +108,8 @@ def make_L_direct(mu: int, n: int) -> SymOpVector:
 class CenterReport(NamedTuple):
     """Outcome of the full centralizer verification at one n.
 
-    closure_dim is the rank of the spanning closure (G2, or the one-body
-    units at n = 1) and span_rank the rank after the C_mu join it; the
+    closure_dim is the rank of the spanning closure (G2, or G1prime at
+    n = 1) and span_rank the rank after the C_mu join it; the
     certificate needs span_rank == C(n+3,3).
     """
 
@@ -165,20 +165,17 @@ def spanning_generators(n: int) -> GeneratorSet:
     """Generators whose closure plus span{C_mu} is the whole algebra.
 
     G2 from two qubits on (the semi-universality theorem); at n = 1, where
-    G2 does not exist, the one-body units, which close on su(2).  Both
-    contain the fields X and Y.
+    G2 does not exist, G1prime, whose X and Y close on su(2).  Both contain
+    the fields X and Y.
     """
-    if n >= 2:
-        return preset_generators("G2", n)
-    units = tuple(SymOpVector.unit(t, n) for t in FIELDS + (PauliTriple(0, 0, 1),))
-    return GeneratorSet(n, units, "one-body")
+    return preset_generators("G2" if n >= 2 else "G1prime", n)
 
 
 def verify_center(n: int) -> CenterReport:
     """Mechanical check that span{C_mu} is exactly the centralizer.
 
-    Three exact stages, with G = spanning_generators(n) (G2, or the one-body
-    units at n = 1):
+    Three exact stages, with G = spanning_generators(n) (G2, or G1prime at
+    n = 1):
 
     * Commute certificate (commute_ok).  (1) Every C_mu brackets to zero
       with each generator in G.  (2) The C_mu, inserted into the echelon of

@@ -32,7 +32,7 @@ from math import comb
 
 from .center import make_C, make_L
 from .closure import build_report, lie_closure
-from .oracle import dense_closure, densify
+from .oracle import WORD_QUBIT_CAP, dense_closure, densify
 from .schur import SECTOR_CAP, isotypic_table, sector_check
 from .structure import StructureTable, compare_tables
 from .symops import (
@@ -140,14 +140,14 @@ def _report(args, command: str, suite: SuiteReport, summary: str, **extra) -> in
 
 def cmd_close(args) -> int:
     gens = parse_generator_spec(args.gens, args.n)
-    # densify first: the word engine's cap refuses before the closure runs
-    dense_seeds = [densify(g) for g in gens.members] if args.method == "dense" else None
+    if args.method == "dense":
+        check_qubits(args.n, WORD_QUBIT_CAP, "word-level engine")
     run = lie_closure(gens)
     report = build_report(gens, run)
     payload = {"command": "close", **report.to_jsonable()}
     ok = report.ok
-    if dense_seeds is not None:
-        drun = dense_closure(dense_seeds)
+    if args.method == "dense":
+        drun = dense_closure([densify(g) for g in gens.members])
         agree = drun.dim == run.dim
         payload["dense_dim"] = drun.dim
         payload["engines_agree"] = agree

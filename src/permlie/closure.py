@@ -132,6 +132,13 @@ def central_residuals(rows: Iterable[Mapping[int, int]], n: int) -> list[list]:
     return out
 
 
+def central_rank(residuals: Iterable[Sequence[int]]) -> int:
+    """Rank of the rows' trace pairing with the C_mu, read off their central
+    residuals: residual[mu] is tr(row C_mu) times a nonzero factor that
+    depends on mu alone, which leaves the rank as it is."""
+    return rank_of({mu: r for mu, r in enumerate(res) if r} for res in residuals)
+
+
 class Verdicts(NamedTuple):
     universal: bool
     semi_universal: bool
@@ -146,16 +153,12 @@ def _verdicts(n: int, dim: int, residuals: Sequence[Sequence[int]]) -> Verdicts:
     entirely central; universality additionally means it is at most the
     identity direction.
 
-    residual[mu] is tr(row C_mu) times a nonzero factor that depends on mu
-    alone, which changes neither the rank of the residual rows nor which of
-    their columns are zero.  The central elements trace-orthogonal to every
-    row therefore form a space of dimension dim_center minus that rank, and
-    the identity C_0 spans it exactly when it is one-dimensional and no row
-    has a residual at mu = 0.
+    The central elements trace-orthogonal to every row form a space of
+    dimension dim_center minus central_rank, and the identity C_0 spans it
+    exactly when it is one-dimensional and no row has a residual at mu = 0.
     """
     dims = ambient_dims(n)
-    rank = rank_of({mu: r for mu, r in enumerate(res) if r} for res in residuals)
-    nullity = dims.dim_center - rank
+    nullity = dims.dim_center - central_rank(residuals)
     semi = nullity == dims.dim_u - dim
     universal = dim == dims.dim_u or (
         dim == dims.dim_su and nullity == 1 and not any(res[0] for res in residuals)

@@ -26,10 +26,10 @@ from .symops import (
     ConstraintError,
     DimensionMismatch,
     PauliTriple,
-    ResourceLimitError,
     SymOpVector,
     _Frozen,
     as_triple,
+    check_qubits,
     orbit_size,
 )
 
@@ -39,10 +39,7 @@ WORD_QUBIT_CAP = 6
 def _check_word_n(n: int) -> None:
     if n < 1:
         raise ConstraintError("qubit count must be positive")
-    if n > WORD_QUBIT_CAP:
-        raise ResourceLimitError(
-            f"word-level engine is capped at n <= {WORD_QUBIT_CAP}, got n = {n}"
-        )
+    check_qubits(n, WORD_QUBIT_CAP, "word-level engine")
 
 
 def letters_to_word(letters: Iterable[int]) -> int:

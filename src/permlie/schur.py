@@ -27,16 +27,9 @@ numbers K(a,b,k) = [y^k] (1+y)^a (1-y)^b.  So the triple fixes r, and each
 entry of G_mu(t) is one product W_mu(w',w,r) K(a,b,ky) K(c,e,kz).
 
 One pass.  certify_subspace_control walks the sectors once, building,
-checking and ranking one sector's table (sector_block) at a time.  It tests
-every triple's blocks for Hermiticity and two exact sum rules: the trace,
-sum_mu d_mu tr A_mu(P_t) = 2^n [t = 0], and the norm,
-sum_mu d_mu tr A_mu(P_t)^2 = 2^n orbit_size(t).  Any one wrong table entry
-fails one of the three.  It ranks the blocks of a closure basis's
-primitive integer rows with integer arithmetic only: A -> D A D is an
-invertible real-linear map that sends I to D^2, so the span of the
-D A_mu(row) D joined with D^2 has dimension one more than the span of the
-traceless parts of the A_mu(row).  sector_check turns
-the result, or the violation, into report details.
+checking and ranking one sector's table (sector_block) at a time, and
+takes the rank the blocks leave out from closure.central_rank.
+sector_check turns the result, or the violation, into report details.
 """
 
 from __future__ import annotations
@@ -46,7 +39,8 @@ from functools import cache
 from math import comb, lcm
 from typing import NamedTuple
 
-from .linalg import SparseEchelon, rank_of
+from .closure import central_rank, central_residuals
+from .linalg import SparseEchelon
 from .symops import (
     ConstraintError,
     PauliTriple,
@@ -213,19 +207,24 @@ def certify_subspace_control(n: int, basis: SparseEchelon) -> SubspaceControlRep
     rule, then the norm rule.
 
     Rank.  Per sector, the integer blocks G_mu(row) (real and imaginary
-    parts) are ranked exactly together with D^2, the image of the identity;
-    the span dimension is that rank less one.  The blocks are Hermitian, so
-    the rank stops growing at m^2 and later rows are skipped.  The span
-    dimensions plus the rank of the per-sector traces must add up to the
-    closure dimension.  Those traces are ranked as the integers
-    2^mu L tr A_mu(row): scaling column mu by 2^mu L leaves the rank as it is.
+    parts) are ranked exactly together with D^2, the image of the identity.
+    A -> D A D is an invertible real-linear map that sends I to D^2, so the
+    span of the traceless parts of the A_mu(row) has dimension that rank
+    less one.  The blocks are Hermitian, so the rank stops growing at m^2
+    and the pass over the rows stops there.
+
+    The span dimensions plus trace_rank, the central_rank of the rows, must
+    add up to the closure dimension.  It is the rank of the per-sector
+    traces: the projectors Pi_mu and the C_nu are both bases of the center
+    (the C_nu are central for every n <= CENTER_CAP, which covers
+    SECTOR_CAP), and tr(row Pi_mu) = d_mu tr A_mu(row), so the two pairings
+    differ by an invertible matrix and have the same rank.
     """
     triples = all_triples(n)
     rows = [[(triples[r], c) for r, c in row.items()] for row in basis.rows()]
     not_hermitian: dict[PauliTriple, int] = {}  # triple -> lowest failing mu
     tr1 = dict.fromkeys(triples, Fraction(0))  # sum_mu d_mu tr(D^-2 G)
     tr2 = dict.fromkeys(triples, Fraction(0))  # sum_mu d_mu tr A_mu^2
-    traces: list[dict[int, int]] = [{} for _ in rows]  # 2^mu L tr A_mu, per mu
     sectors = []
     for b in isotypic_table(n):
         m = b.m
@@ -233,7 +232,6 @@ def certify_subspace_control(n: int, basis: SparseEchelon) -> SubspaceControlRep
         transpose = [k % m * m + k // m for k in range(m * m)]
         weight = [inv[k // m] * inv[k % m] for k in range(m * m)]
         table = sector_block(n, b.mu)
-        tr: dict[PauliTriple, int] = {}  # real trace of A_mu times 2^mu L
         for t, g in table.items():
             sign = -1 if t.ky & 1 else 1
             if any(g.get(transpose[k]) != sign * v for k, v in g.items()):
@@ -241,18 +239,13 @@ def certify_subspace_control(n: int, basis: SparseEchelon) -> SubspaceControlRep
             s1 = sum(g.get(w * (m + 1), 0) * inv[w] for w in range(m))
             if s1:
                 tr1[t] += Fraction(b.d * s1, big << b.mu)
-                if not t.ky & 1:  # zero for odd ky
-                    tr[t] = -s1 if t.ky & 2 else s1
             tr2[t] += Fraction(b.d * sum(v * v * weight[k] for k, v in g.items()),
                                big * big << 2 * b.mu)
         ech = SparseEchelon()
         ech.insert({2 * w * (m + 1): comb(m - 1, w) for w in range(m)})
-        for row, row_tr in zip(rows, traces):
-            s = sum(c * tr.get(t, 0) for t, c in row)
-            if s:
-                row_tr[b.mu] = s
+        for row in rows:
             if ech.rank == m * m:
-                continue
+                break
             acc: dict[int, int] = {}
             for t, c in row:
                 part = t.ky & 1  # i^ky: real for even ky, imaginary for odd
@@ -277,7 +270,7 @@ def certify_subspace_control(n: int, basis: SparseEchelon) -> SubspaceControlRep
         n=n,
         closure_dim=basis.rank,
         sectors=tuple(sectors),
-        trace_rank=rank_of(traces),
+        trace_rank=central_rank(central_residuals(basis.rows(), n)),
     )
 
 

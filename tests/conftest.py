@@ -1,14 +1,67 @@
 """Shared fixtures: ctx.closure(label, n, k), which builds each preset
 closure once per test session (the package keeps no closure between
-calls), and one structure table per qubit count."""
+calls), and one structure table per qubit count; and the generator sets
+the closure and sector tests share: every preset to a given n and the
+hypothesis strategy of custom sets."""
 
+from datetime import timedelta
 from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from permlie import StructureTable, lie_closure, preset_generators, schur
+from permlie import (
+    GeneratorSet,
+    StructureTable,
+    SymOpVector,
+    all_triples,
+    lie_closure,
+    preset_generators,
+    schur,
+)
+
+
+# Per-example deadlines of the custom_generator_sets tests.  In 1,500
+# examples of each, the slowest took 4.8 s in the test that also runs the
+# word oracle and 0.22 s in the others (medians 0.1 to 0.7 ms), so these
+# fail a slowdown of an order of magnitude or more on the heaviest examples.
+# Hypothesis checks a deadline once an example has ended: a runaway example
+# still runs to its end before it fails.
+ORACLE_DEADLINE = timedelta(seconds=30)
+ENGINE_DEADLINE = timedelta(seconds=3)
+# The deadline of the custom-set tests that reach n = 7.  Of 400 random sets
+# at n = 7, closing one and ranking its central and sector traces took
+# 25 ms at the median, 5.3 s at the 99th percentile and 6.9 s at most, on
+# a 2-vCPU host: a few dense sets spend seconds in echelon inserts.
+WIDE_DEADLINE = timedelta(seconds=30)
+
+
+@st.composite
+def custom_generator_sets(draw, max_n=5):
+    """1-3 vectors with small integer coefficients on random triples, 2 <= n <= max_n."""
+    n = draw(st.integers(2, max_n))
+    coeffs = st.integers(-3, 3).filter(bool)
+    vector = st.dictionaries(st.sampled_from(all_triples(n)), coeffs, min_size=1, max_size=2)
+    members = draw(st.lists(vector, min_size=1, max_size=3))
+    return GeneratorSet(n, tuple(SymOpVector(n, m) for m in members), "custom")
+
+
+def preset_cases(max_n):
+    """(label, n, k) of every preset generator set at n <= max_n: G1,
+    G1prime, G2 and every Gk:k."""
+    cases = []
+    for n in range(1, max_n + 1):
+        cases += [("G1", n, None), ("G1prime", n, None)]
+        if n >= 2:
+            cases.append(("G2", n, None))
+        cases += [("Gk", n, k) for k in range(2, n + 1)]
+    return cases
+
+
+def case_ids(cases):
+    return [f"{label}{'' if k is None else f':{k}'}-n{n}" for label, n, k in cases]
 
 
 @pytest.fixture(scope="session")

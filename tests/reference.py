@@ -7,8 +7,9 @@ text of the dense oracle, the paths of the bundled report schemas, the
 universality verdicts read off an explicit nullspace of the trace pairings,
 the view of an echelon's rank-keyed rows as SymOpVectors that lets these
 triple-keyed oracles check the engine, the closure worklist that brackets
-each row as it was admitted, and the pair overlap count, a bracket engine
-of its own that the seed columns are checked against.
+each row as it was admitted, the pair overlap count, a bracket engine of
+its own that the seed columns are checked against, and the rank of the
+rows' per-sector traces, which trace_rank is checked against.
 """
 
 from collections import deque
@@ -17,9 +18,10 @@ from functools import lru_cache
 from importlib import resources
 from math import comb, factorial
 
-from permlie import ambient_dims, make_C
+from permlie import ambient_dims, isotypic_table, make_C, sector_block
 from permlie.closure import Verdicts
-from permlie.linalg import SparseEchelon
+from permlie.linalg import SparseEchelon, rank_of
+from permlie.schur import _scales
 from permlie.structure import _orbit_average
 from permlie.symops import (
     ConstraintError,
@@ -28,6 +30,7 @@ from permlie.symops import (
     SymOpVector,
     by_rank,
     orbit_size,
+    triple_rank,
 )
 
 
@@ -130,6 +133,38 @@ def trace_pairing_verdicts(n: int, basis: SparseEchelon) -> Verdicts:
     else:
         universal = False
     return Verdicts(universal, semi)
+
+
+@lru_cache(maxsize=None)
+def _sector_traces(n: int) -> tuple[tuple[int, dict[int, int]], ...]:
+    """(mu, {triple rank: 2^mu L tr A_mu(P_t)}) for every sector at n, the
+    nonzero traces only; see schur._scales for L."""
+    out = []
+    for b in isotypic_table(n):
+        m = b.m
+        _, inv = _scales(b)
+        tr = {}
+        for t, g in sector_block(n, b.mu).items():
+            s1 = sum(g.get(w * (m + 1), 0) * inv[w] for w in range(m))
+            if s1 and not t.ky & 1:  # tr A_mu = i^ky tr(D^-2 G): zero for odd ky
+                tr[triple_rank(t)] = -s1 if t.ky & 2 else s1
+        out.append((b.mu, tr))
+    return tuple(out)
+
+
+def sector_trace_rank(n: int, basis: SparseEchelon) -> int:
+    """Rank of the rows' per-sector trace vectors (tr A_mu(row))_mu, each
+    ranked as the integers 2^mu L tr A_mu(row): scaling column mu by 2^mu L
+    leaves the rank as it is.  It reaches certify_subspace_control's
+    trace_rank, which reads closure.central_rank, through the sector tables."""
+    rows = basis.rows()
+    traces = [{} for _ in rows]
+    for mu, tr in _sector_traces(n):
+        for row, row_tr in zip(rows, traces):
+            s = sum(c * tr.get(r, 0) for r, c in row.items())
+            if s:
+                row_tr[mu] = s
+    return rank_of(traces)
 
 
 def snapshot_closure(seeds, bracket, ech: SparseEchelon) -> int:

@@ -3,13 +3,11 @@
 import json
 import random
 from collections import deque
-from datetime import timedelta
 from fractions import Fraction
 from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from permlie import (
     ClosureRun,
@@ -27,10 +25,24 @@ from permlie import (
     preset_generators,
 )
 from permlie.center import make_C
-from permlie.closure import MAX_OFFENDERS, Verdicts, central_residuals, family_exempt_mus
+from permlie.closure import (
+    MAX_OFFENDERS,
+    Verdicts,
+    central_rank,
+    central_residuals,
+    family_exempt_mus,
+)
 from permlie.linalg import SparseEchelon, generator_closure, integer_row, rank_of
 from permlie.oracle import DenseOp, dense_bracket, dense_closure, densify
 from permlie.symops import by_rank, parse_generator_spec, rank_triple
+from conftest import (
+    ENGINE_DEADLINE,
+    ORACLE_DEADLINE,
+    WIDE_DEADLINE,
+    case_ids,
+    custom_generator_sets,
+    preset_cases,
+)
 from reference import (
     bracket_vectors,
     membership_residual,
@@ -40,26 +52,6 @@ from reference import (
     trace_inner,
     trace_pairing_verdicts,
 )
-
-
-# Per-example deadlines of the custom_generator_sets tests.  In 1,500
-# examples of each, the slowest took 4.8 s in the test that also runs the
-# word oracle and 0.22 s in the others (medians 0.1 to 0.7 ms), so these
-# fail a slowdown of an order of magnitude or more on the heaviest examples.
-# Hypothesis checks a deadline once an example has ended: a runaway example
-# still runs to its end before it fails.
-ORACLE_DEADLINE = timedelta(seconds=30)
-ENGINE_DEADLINE = timedelta(seconds=3)
-
-
-@st.composite
-def custom_generator_sets(draw):
-    """1-3 vectors with small integer coefficients on random triples, 2 <= n <= 5."""
-    n = draw(st.integers(2, 5))
-    coeffs = st.integers(-3, 3).filter(bool)
-    vector = st.dictionaries(st.sampled_from(all_triples(n)), coeffs, min_size=1, max_size=2)
-    members = draw(st.lists(vector, min_size=1, max_size=3))
-    return GeneratorSet(n, tuple(SymOpVector(n, m) for m in members), "custom")
 
 
 def all_pairs_closure(gens, table):
@@ -179,22 +171,6 @@ class TestClosureInvariance:
         reference = all_pairs_closure(gens, tables(gens.n))
         assert tuple(row_vectors(gens.n, run.basis)) == reference
         assert dense_closure(densify(g) for g in gens.members).dim == run.dim
-
-
-def preset_cases(max_n):
-    """(label, n, k) of every preset generator set at n <= max_n: G1,
-    G1prime, G2 and every Gk:k."""
-    cases = []
-    for n in range(1, max_n + 1):
-        cases += [("G1", n, None), ("G1prime", n, None)]
-        if n >= 2:
-            cases.append(("G2", n, None))
-        cases += [("Gk", n, k) for k in range(2, n + 1)]
-    return cases
-
-
-def case_ids(cases):
-    return [f"{label}{'' if k is None else f':{k}'}-n{n}" for label, n, k in cases]
 
 
 PRESETS_TO_12 = preset_cases(12)
@@ -361,6 +337,10 @@ def identity_closures(ctx, n):
     return runs, customs
 
 
+def rows_central_rank(rows, n):
+    return central_rank(central_residuals(rows, n))
+
+
 class TestResidualTraceIdentity:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_trace_equals_scaled_residual(self, ctx, n):
@@ -395,6 +375,21 @@ class TestResidualTraceIdentity:
     def test_verdicts_match_trace_pairing_reference_on_custom_sets(self, gens):
         run = lie_closure(gens)
         assert build_report(gens, run).verdicts == trace_pairing_verdicts(gens.n, run.basis)
+
+    # tr([a, b] C) = tr(a [b, C]) = 0 for central C, so brackets add nothing
+    # to the pairing with the center: a closure's central rank is its
+    # generators'.
+    @pytest.mark.parametrize("label,n,k", PRESETS_TO_12, ids=case_ids(PRESETS_TO_12))
+    def test_closure_keeps_generators_central_rank(self, ctx, label, n, k):
+        seeds = seed_rows(preset_generators(label, n, k=k))
+        rows = ctx.closure(label, n, k).basis.rows()
+        assert rows_central_rank(rows, n) == rows_central_rank(seeds, n)
+
+    @settings(max_examples=40, deadline=WIDE_DEADLINE)
+    @given(custom_generator_sets(max_n=7))
+    def test_closure_keeps_custom_generators_central_rank(self, gens):
+        rows = lie_closure(gens).basis.rows()
+        assert rows_central_rank(rows, gens.n) == rows_central_rank(seed_rows(gens), gens.n)
 
 
 def pivot_one_rows(n, basis):

@@ -9,6 +9,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import coupled_basis
 from coupled_basis import (
@@ -42,9 +43,11 @@ from permlie import (
 from permlie import schur
 from permlie.schur import SECTOR_CAP
 from permlie.linalg import integer_row
-from reference import row_vectors, trace_inner, word_text
+from reference import row_vectors, sector_trace_rank, trace_inner, word_text
 
-from conftest import kron_word
+from conftest import WIDE_DEADLINE, case_ids, custom_generator_sets, kron_word, preset_cases
+
+PRESETS_TO_12 = preset_cases(12)
 
 
 class TestIsotypicTable:
@@ -325,6 +328,17 @@ class TestSubspaceControl:
         report = certify_subspace_control(n, basis)
         assert report.controllable and report.consistent
         assert report.trace_rank == 0
+
+    @pytest.mark.parametrize("label,n,k", PRESETS_TO_12, ids=case_ids(PRESETS_TO_12))
+    def test_trace_rank_matches_sector_traces(self, ctx, label, n, k):
+        basis = ctx.closure(label, n, k).basis
+        assert certify_subspace_control(n, basis).trace_rank == sector_trace_rank(n, basis)
+
+    @settings(max_examples=40, deadline=WIDE_DEADLINE)
+    @given(custom_generator_sets(max_n=7))
+    def test_trace_rank_matches_sector_traces_on_custom_sets(self, gens):
+        n, basis = gens.n, lie_closure(gens).basis
+        assert certify_subspace_control(n, basis).trace_rank == sector_trace_rank(n, basis)
 
     def test_analysis_cap(self):
         basis = SparseEchelon()
