@@ -25,6 +25,7 @@ from .closure import (
     ClosureRun,
     Verdicts,
     build_report,
+    extend_closure,
     is_universal_pair,
     lie_closure,
     predicted_dim,

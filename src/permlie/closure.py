@@ -6,10 +6,15 @@ bracketed with the generators only, as the echelon stores it when the
 worklist pops it (by then mostly shortened by back-substitution) unless the
 row as admitted has fewer coefficient bits.  Results go through a reduced
 echelon basis until nothing new appears.  There is no other pairing
-strategy.  Everything is exact: the resulting dimension is a theorem about
-the generated algebra, not a numerical estimate.  The module also carries
-the closed-form dimension predictions for the preset generator families,
-the central residuals, and the universality verdicts read off from them.
+strategy.  When the generators of level <= 2 are a nonempty proper subset,
+lie_closure closes them first, and extend_closure inserts the rest with no
+further bracket once it has checked that their closure is semi-universal:
+such a closure contains the derived algebra D = [A, A] of the whole
+equivariant algebra A, and every subspace that contains D is a Lie algebra.
+Everything is exact: the resulting dimension is a theorem about the
+generated algebra, not a numerical estimate.  The module also carries the
+closed-form dimension predictions for the preset generator families, the
+central residuals, and the universality verdicts read off from them.
 
 A closure is its echelon: the run holds the SparseEchelon the worklist
 grew, and every reader takes its rows as they are stored, keyed by
@@ -58,23 +63,77 @@ class ClosureRun(NamedTuple):
         return self.basis.rank
 
 
-def lie_closure(gens: GeneratorSet) -> ClosureRun:
-    """Smallest Lie algebra containing the generators, as an exact basis.
-
-    Runs linalg.generator_closure with the seed columns of
-    StructureTable.bracket_coeffs, which store nothing, on rank-keyed rows:
-    each new row, as stored when it is popped unless the row as admitted is
-    narrower, is bracketed with the generators only.
-    FIFO order and the canonical triple order make runs deterministic.
-    """
-    t0 = time.perf_counter()
+def _worklist(gens: GeneratorSet) -> tuple[SparseEchelon, int]:
+    """The one-stage closure of gens: linalg.generator_closure with the seed
+    columns of StructureTable.bracket_coeffs, which store nothing, on
+    rank-keyed rows.  Returns the echelon and the bracket count."""
     ech = SparseEchelon()
-    iterations = generator_closure(
+    steps = generator_closure(
         (integer_row(by_rank(g.coeffs)) for g in gens.members),
         StructureTable(gens.n).bracket_coeffs,
         ech,
     )
-    return ClosureRun(gens.n, ech, iterations, time.perf_counter() - t0)
+    return ech, steps
+
+
+def lie_closure(gens: GeneratorSet) -> ClosureRun:
+    """Smallest Lie algebra containing the generators, as an exact basis.
+
+    When the members of level <= 2 are a nonempty proper subset S0, S0 is
+    closed first and extend_closure inserts the rest; iterations counts the
+    brackets of S0's closure.  If extend_closure declines (S0's closure is
+    not semi-universal), the one-stage worklist closes every member and
+    iterations adds its brackets.  Any other set goes straight to the
+    one-stage worklist.  Either path ends on the same reduced echelon, the
+    one its span determines; FIFO order and the canonical triple order make
+    each run deterministic.
+    """
+    t0 = time.perf_counter()
+    two_body = [g for g in gens.members if max(t.level for t in g.coeffs) <= 2]
+    steps = 0
+    if 0 < len(two_body) < len(gens.members):
+        base = GeneratorSet(gens.n, two_body)
+        ech, steps = _worklist(base)
+        run = extend_closure(gens, base, ClosureRun(gens.n, ech, steps, 0.0))
+        if run is not None:
+            return run._replace(wall_time=time.perf_counter() - t0)
+    ech, more = _worklist(gens)
+    return ClosureRun(gens.n, ech, steps + more, time.perf_counter() - t0)
+
+
+def extend_closure(gens: GeneratorSet, base: GeneratorSet, run: ClosureRun) -> ClosureRun | None:
+    """Closure of gens from run, the closure of base, with no bracket; None
+    unless base's members are among gens' and run is semi-universal.
+
+    Let A be the whole equivariant algebra, the direct sum of the gl(m_mu),
+    Z its center and D = [A, A] its derived algebra, the sum of the
+    sl(m_mu).  The trace pairing is definite on A and D is the pairing
+    complement of Z.  A semi-universal V = L(base) has an entirely central
+    pairing complement, so V contains D.  Any subspace W with D in W is a
+    Lie algebra, since [W, W] lies in [A, A] = D.  So V + span(gens) is a
+    Lie algebra that contains gens and lies in L(gens): it is L(gens).  It
+    is reached by inserting the members outside base into a copy of V's
+    echelon, and since a span has one reduced primitive echelon, the rows
+    are the ones the one-stage worklist stores.  run is left as it is.  The
+    result keeps run's iterations and adds this step's time to its
+    wall_time.
+
+    The rank gate dim V >= dim_u - dim_center turns most other bases away
+    before their residuals are read: a complement wider than the center
+    cannot be central.
+    """
+    t0 = time.perf_counter()
+    n = gens.n
+    if base.n != n or run.n != n or any(g not in gens.members for g in base.members):
+        return None
+    dims = ambient_dims(n)
+    if run.dim < dims.dim_u - dims.dim_center:
+        return None
+    if not _verdicts(n, run.dim, central_residuals(run.basis.rows(), n)).semi_universal:
+        return None
+    ech = run.basis.copy()
+    ech.extend(integer_row(by_rank(g.coeffs)) for g in gens.members if g not in base.members)
+    return ClosureRun(n, ech, run.iterations, run.wall_time + time.perf_counter() - t0)
 
 
 def predicted_dim(label: str, n: int, k: int | None = None) -> int:
@@ -136,7 +195,7 @@ def central_rank(residuals: Iterable[Sequence[int]]) -> int:
     """Rank of the rows' trace pairing with the C_mu, read off their central
     residuals: residual[mu] is tr(row C_mu) times a nonzero factor that
     depends on mu alone, which leaves the rank as it is."""
-    return rank_of({mu: r for mu, r in enumerate(res) if r} for res in residuals)
+    return rank_of({mu: r for mu, r in enumerate(res) if r} for res in residuals if any(res))
 
 
 class Verdicts(NamedTuple):

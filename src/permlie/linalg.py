@@ -22,6 +22,17 @@ Back-substitution of a new row with pivot p then touches exactly the rows
 the index lists under p, and updates the index for the columns each of
 those rows gains or loses.  Elimination and membership read only the
 rows.
+
+A stored row of length 1 is {p: 1}, and most rows of a large closure are
+such rows.  Eliminating against one deletes column p from the input, and
+inserting one drops column p from each row the index lists under p and
+re-primitivises that row.  Both are the general integer step with unit
+multipliers, so they give the same rows bit for bit.  No stored row is
+changed in place: a changed row is a new dict, so copy() shares the rows.
+
+generator_closure's docstring proves its span is the generated algebra (by
+Jacobi) and why a closure that contains the derived algebra D of the whole
+equivariant algebra takes further generators with no bracket (D in V).
 """
 
 from __future__ import annotations
@@ -79,6 +90,9 @@ class SparseEchelon:
             if not c:
                 continue
             row = self._rows[p]
+            if len(row) == 1:  # {p: 1}: the general step would only zero p
+                del work[p]
+                continue
             piv = row[p]
             g = gcd(c, piv)
             mul_w = piv // g  # > 0: stored pivots are positive
@@ -106,10 +120,20 @@ class SparseEchelon:
             return None
         pivot = min(work)
         new = _make_primitive(work, pivot)
+        rows, cols = self._rows, self._cols
+        hits = cols.pop(pivot, ())
+        if len(new) == 1:
+            # new is {pivot: 1}: back-substitution only drops the column,
+            # which may leave a row whose content is above 1.
+            for q in hits:
+                row = dict(rows[q])
+                del row[pivot]
+                rows[q] = _make_primitive(row, q)
+            rows[pivot] = new
+            return new
         npiv = new[pivot]
-        cols = self._cols
-        for q in cols.pop(pivot, ()):
-            row = self._rows[q]
+        for q in hits:
+            row = rows[q]
             c = row[pivot]
             g = gcd(c, npiv)
             mul_o = npiv // g
@@ -128,12 +152,21 @@ class SparseEchelon:
                         hit.discard(q)
                         if not hit:
                             del cols[k]
-            self._rows[q] = _make_primitive(merged, q)
+            rows[q] = _make_primitive(merged, q)
         for k in new:
             if k != pivot:
                 cols.setdefault(k, set()).add(pivot)
-        self._rows[pivot] = new
+        rows[pivot] = new
         return new
+
+    def copy(self) -> "SparseEchelon":
+        """An echelon with the same rows, which it grows on its own.  No
+        stored row is ever changed in place (a changed row is a new dict),
+        so the two share the row dicts and copy only their indexes."""
+        out = SparseEchelon()
+        out._rows = dict(self._rows)
+        out._cols = {k: set(qs) for k, qs in self._cols.items()}
+        return out
 
     def extend(self, vecs: Iterable[Mapping]) -> int:
         added = 0
@@ -179,6 +212,12 @@ def generator_closure(
 
     Every admitted row is popped once, so exactly rank * len(seed rows)
     brackets are evaluated and the loop always ends.
+
+    Further seeds S' need no worklist once V contains the derived algebra
+    D = [A, A] of the whole equivariant algebra A (V is semi-universal):
+    W = V + span(S') contains D, so [W, W] lies in [A, A] = D, inside W,
+    and W is the Lie algebra that V and S' generate.
+    closure.extend_closure checks that V contains D, then only inserts S'.
     """
     gens = [row for row in map(ech.insert, seeds) if row is not None]
     rows = ech._rows

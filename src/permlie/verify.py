@@ -9,9 +9,11 @@ exposes these as `permlie verify <selector>`; the test suite calls them
 directly.
 
 The six ladder suites (thm1, thm3, thm4, thm5, thm6, cor1) share one walk,
-_closures, which builds the closure of G2 at each n, or of Gk at every
+_closures, which yields the closure of G2 at each n, or of Gk at every
 2 <= k <= n, one at a time; each suite is a case function that reads one
-closure.  thm3 and thm6 share theirs: G2 is Gk at k = 2.
+closure.  G2 is closed once per n, and each Gk is derived from it by
+insertion alone (closure.extend_closure).  thm3 and thm6 share theirs: G2
+is Gk at k = 2.
 
 Every case is a CaseResult and every report a SuiteReport; the `center`
 and `schur` verbs build theirs with the same case builders as the prop1
@@ -32,7 +34,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .center import CENTER_CAP, make_C, make_L, make_L_direct, verify_center
-from .closure import build_report, is_universal_pair, lie_closure, predicted_dim
+from .closure import build_report, extend_closure, is_universal_pair, lie_closure, predicted_dim
 from .erratum import build_abc, verify_printed_commutators
 from .linalg import SparseEchelon, integer_row, rank_of
 from .oracle import WORD_QUBIT_CAP, class_sum, dense_closure, densify
@@ -85,11 +87,20 @@ class SuiteReport(NamedTuple):
 
 def _closures(label: str, lo: int, hi: int):
     """The ladder walk: (n, k, gens, run) for G2 at each n in lo..hi (k is
-    None), or for Gk at every 2 <= k <= n, one closure at a time."""
+    None), or for Gk at every 2 <= k <= n, one closure at a time.  G2 is
+    closed once per n and each Gk is derived from it by extend_closure,
+    which checks that G2's closure is semi-universal; should it decline,
+    Gk gets a closure of its own."""
     for n in range(lo, hi + 1):
-        for k in (None,) if label == "G2" else range(2, n + 1):
+        g2 = preset_generators("G2", n)
+        base = lie_closure(g2)
+        if label == "G2":
+            yield n, None, g2, base
+            continue
+        for k in range(2, n + 1):
             gens = preset_generators(label, n, k=k)
-            yield n, k, gens, lie_closure(gens)
+            run = extend_closure(gens, g2, base)
+            yield n, k, gens, lie_closure(gens) if run is None else run
 
 
 def _dimension(gens, run) -> tuple[bool, dict]:

@@ -1,6 +1,6 @@
 """Shared fixtures: ctx.closure(label, n, k), which builds each preset
 closure once per test session (the package keeps no closure between
-calls), and one structure table per qubit count; and the generator sets
+calls) and derives every Gk from G2's, and one structure table per qubit count; and the generator sets
 the closure and sector tests share: every preset to a given n and the
 hypothesis strategy of custom sets."""
 
@@ -17,6 +17,7 @@ from permlie import (
     StructureTable,
     SymOpVector,
     all_triples,
+    extend_closure,
     lie_closure,
     preset_generators,
     schur,
@@ -38,14 +39,19 @@ ENGINE_DEADLINE = timedelta(seconds=3)
 WIDE_DEADLINE = timedelta(seconds=30)
 
 
-@st.composite
-def custom_generator_sets(draw, max_n=5):
-    """1-3 vectors with small integer coefficients on random triples, 2 <= n <= max_n."""
-    n = draw(st.integers(2, max_n))
+def custom_vectors(n):
+    """Vectors at n with 1-2 small nonzero integer coefficients on random triples."""
     coeffs = st.integers(-3, 3).filter(bool)
     vector = st.dictionaries(st.sampled_from(all_triples(n)), coeffs, min_size=1, max_size=2)
-    members = draw(st.lists(vector, min_size=1, max_size=3))
-    return GeneratorSet(n, tuple(SymOpVector(n, m) for m in members), "custom")
+    return vector.map(lambda m: SymOpVector(n, m))
+
+
+@st.composite
+def custom_generator_sets(draw, max_n=5):
+    """1-3 custom_vectors, 2 <= n <= max_n."""
+    n = draw(st.integers(2, max_n))
+    members = draw(st.lists(custom_vectors(n), min_size=1, max_size=3))
+    return GeneratorSet(n, tuple(members), "custom")
 
 
 def preset_cases(max_n):
@@ -66,9 +72,18 @@ def case_ids(cases):
 
 @pytest.fixture(scope="session")
 def ctx():
-    """ctx.closure(label, n, k=None): the closure of a preset family."""
-    built = lru_cache(maxsize=None)(
-        lambda label, n, k: lie_closure(preset_generators(label, n, k=k)))
+    """ctx.closure(label, n, k=None): the closure of a preset family.  Gk
+    is derived from the cached G2 closure at the same n by extend_closure,
+    as verify's ladder walk derives it; a declined derivation fails."""
+    @lru_cache(maxsize=None)
+    def built(label, n, k):
+        gens = preset_generators(label, n, k=k)
+        if label != "Gk":
+            return lie_closure(gens)
+        run = extend_closure(gens, preset_generators("G2", n), built("G2", n, None))
+        assert run is not None, f"G2 closure at n={n} not extended"
+        return run
+
     return SimpleNamespace(closure=lambda label, n, k=None: built(label, n, k))
 
 

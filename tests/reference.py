@@ -6,7 +6,8 @@ central-membership functional, the bracket of coordinate vectors, the word
 text of the dense oracle, the paths of the bundled report schemas, the
 universality verdicts read off an explicit nullspace of the trace pairings,
 the view of an echelon's rank-keyed rows as SymOpVectors that lets these
-triple-keyed oracles check the engine, the closure worklist that brackets
+triple-keyed oracles check the engine, the one-stage closure that staged
+and derived runs are checked against, the closure worklist that brackets
 each row as it was admitted, the pair overlap count, a bracket engine of
 its own that the seed columns are checked against, and the rank of the
 rows' per-sector traces, which trace_rank is checked against.
@@ -18,9 +19,9 @@ from functools import lru_cache
 from importlib import resources
 from math import comb, factorial
 
-from permlie import ambient_dims, isotypic_table, make_C, sector_block
+from permlie import StructureTable, ambient_dims, isotypic_table, make_C, sector_block
 from permlie.closure import Verdicts
-from permlie.linalg import SparseEchelon, rank_of
+from permlie.linalg import SparseEchelon, generator_closure, integer_row, rank_of
 from permlie.schur import _scales
 from permlie.structure import _orbit_average
 from permlie.symops import (
@@ -165,6 +166,20 @@ def sector_trace_rank(n: int, basis: SparseEchelon) -> int:
             if s:
                 row_tr[mu] = s
     return rank_of(traces)
+
+
+def one_stage_closure(gens) -> tuple[SparseEchelon, int]:
+    """The closure of gens by the one-stage worklist alone: every member is
+    a seed from the start, with no two-body stage and no insertion.  The
+    oracle of staged and derived runs.  Returns the echelon and the bracket
+    count."""
+    ech = SparseEchelon()
+    steps = generator_closure(
+        (integer_row(by_rank(g.coeffs)) for g in gens.members),
+        StructureTable(gens.n).bracket_coeffs,
+        ech,
+    )
+    return ech, steps
 
 
 def snapshot_closure(seeds, bracket, ech: SparseEchelon) -> int:

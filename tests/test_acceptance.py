@@ -59,9 +59,9 @@ def test_criterion_01_two_body_closure_dimension(ctx):
 
 
 def test_criterion_02_k_body_universality_threshold(ctx):
-    """closure(Gk) hits dim su exactly at (n even, k=n) or (n odd, k>=n-1), n <= 12."""
+    """closure(Gk) hits dim su exactly at (n even, k=n) or (n odd, k>=n-1), n <= 32."""
     checked = 0
-    for n in range(2, 13):
+    for n in range(2, 33):
         su = ambient_dims(n).dim_su
         for k in range(2, n + 1):
             run = ctx.closure("Gk", n, k=k)

@@ -4,10 +4,12 @@ import json
 import random
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permlie import (
     ClosureRun,
@@ -19,15 +21,19 @@ from permlie import (
     all_triples,
     ambient_dims,
     build_report,
+    extend_closure,
     is_universal_pair,
     lie_closure,
     predicted_dim,
     preset_generators,
+    verify,
 )
+from permlie import closure
 from permlie.center import make_C
 from permlie.closure import (
     MAX_OFFENDERS,
     Verdicts,
+    _verdicts,
     central_rank,
     central_residuals,
     family_exempt_mus,
@@ -41,11 +47,13 @@ from conftest import (
     WIDE_DEADLINE,
     case_ids,
     custom_generator_sets,
+    custom_vectors,
     preset_cases,
 )
 from reference import (
     bracket_vectors,
     membership_residual,
+    one_stage_closure,
     row_vectors,
     schema_path,
     snapshot_closure,
@@ -181,6 +189,26 @@ def seed_rows(gens):
     return [integer_row(by_rank(g.coeffs)) for g in gens.members]
 
 
+def expected_brackets(gens):
+    """The brackets lie_closure makes.  With S0 the members of level <= 2,
+    a nonempty proper subset: dim L(S0) x rank(S0) when L(S0) is
+    semi-universal (staged), and those plus dim L(S) x rank(S) when it is
+    not (fallback).  Otherwise dim L(S) x rank(S).  Dimensions and verdicts
+    come from the one-stage worklist and the trace-pairing reference."""
+    def one_stage_count(s):
+        ech = one_stage_closure(s)[0]
+        return ech, ech.rank * rank_of(seed_rows(s))
+
+    two_body = [g for g in gens.members if max(t.level for t in g.coeffs) <= 2]
+    if not 0 < len(two_body) < len(gens.members):
+        return one_stage_count(gens)[1]
+    base = GeneratorSet(gens.n, two_body)
+    ech, steps = one_stage_count(base)
+    if trace_pairing_verdicts(gens.n, ech).semi_universal:
+        return steps
+    return steps + one_stage_count(gens)[1]
+
+
 def assert_worklists_agree(seeds, bracket):
     """The pivot worklist and the admission-snapshot worklist end on the
     same echelon after the same number of brackets."""
@@ -240,21 +268,133 @@ class TestWorklist:
         assert widest(generator_closure) <= widest(snapshot_closure)
 
     @pytest.mark.parametrize("label,n,k", PRESETS_TO_12, ids=case_ids(PRESETS_TO_12))
-    def test_preset_bracket_count_is_exact(self, ctx, label, n, k):
-        run = ctx.closure(label, n, k)
-        assert run.iterations == run.dim * rank_of(seed_rows(preset_generators(label, n, k=k)))
+    def test_preset_bracket_count_is_exact(self, label, n, k):
+        gens = preset_generators(label, n, k=k)
+        assert lie_closure(gens).iterations == expected_brackets(gens)
 
     @settings(max_examples=30, deadline=ENGINE_DEADLINE)
     @given(custom_generator_sets())
     def test_custom_bracket_count_is_exact(self, gens):
-        run = lie_closure(gens)
-        assert run.iterations == run.dim * rank_of(seed_rows(gens))
+        assert lie_closure(gens).iterations == expected_brackets(gens)
 
     @pytest.mark.parametrize("label,n,k", WORD_PRESETS, ids=case_ids(WORD_PRESETS))
     def test_word_bracket_count_is_exact(self, label, n, k):
         seeds = [densify(g) for g in preset_generators(label, n, k=k).members]
         run = dense_closure(seeds)
         assert run.iterations == run.dim * rank_of(integer_row(s.coeffs) for s in seeds)
+
+
+GK_TO_12 = [("Gk", n, k) for n in range(2, 13) for k in range(2, n + 1)]
+
+
+@lru_cache(maxsize=None)
+def one_stage_rows(label, n, k=None):
+    """(pivots, rows) of a preset's one-stage closure."""
+    ech, _ = one_stage_closure(preset_generators(label, n, k=k))
+    return ech.pivots(), ech.rows()
+
+
+def echelon(run):
+    return run.basis.pivots(), run.basis.rows()
+
+
+@st.composite
+def nested_custom_sets(draw, base=None):
+    """(S, S'): S' is S plus 1-2 custom vectors, where S is G2 when base
+    is "G2" and otherwise a custom set."""
+    if base == "G2":
+        n = draw(st.integers(2, 5))
+        small = preset_generators("G2", n)
+    else:
+        small = draw(custom_generator_sets())
+        n = small.n
+    extra = draw(st.lists(custom_vectors(n), min_size=1, max_size=2))
+    return small, GeneratorSet(n, small.members + tuple(extra), "custom")
+
+
+class TestStagedClosure:
+    """lie_closure closes the members of level <= 2 first and
+    extend_closure inserts the rest; verify's walk derives every Gk from G2.
+    The one-stage worklist of tests/reference.py is the oracle of both."""
+
+    @pytest.mark.parametrize("label,n,k", GK_TO_12, ids=case_ids(GK_TO_12))
+    def test_gk_matches_one_stage_worklist(self, label, n, k):
+        assert echelon(lie_closure(preset_generators(label, n, k=k))) == one_stage_rows(label, n, k)
+
+    def test_verify_walk_derives_the_one_stage_rows(self):
+        cases = [(n, k) for n, k, _, run in verify._closures("Gk", 2, 12)
+                 if echelon(run) == one_stage_rows("Gk", n, k)]
+        assert cases == [(n, k) for _, n, k in GK_TO_12]
+
+    def test_every_derived_run_checks_semi_universality(self, monkeypatch):
+        checked = []
+
+        def recording(n, dim, residuals):
+            checked.append(n)
+            return _verdicts(n, dim, residuals)
+
+        monkeypatch.setattr(closure, "_verdicts", recording)
+        walked = [n for n, _, _, _ in verify._closures("Gk", 2, 8)]
+        assert checked == walked
+
+    def test_declined_derivations_fall_back(self, monkeypatch):
+        monkeypatch.setattr(closure, "_verdicts", lambda n, dim, residuals: Verdicts(False, False))
+        for n, k, gens, run in verify._closures("Gk", 2, 6):
+            assert echelon(run) == one_stage_rows("Gk", n, k)
+            if k > 2:  # lie_closure staged G2, was declined, and closed Gk
+                g2 = one_stage_rows("G2", n)
+                assert run.iterations == 3 * len(g2[0]) + (k + 1) * run.dim
+
+    @settings(max_examples=30, deadline=ENGINE_DEADLINE)
+    @given(nested_custom_sets("G2"))
+    def test_semi_universal_base_extends(self, pair):
+        small, big = pair
+        want = one_stage_closure(big)[0]
+        run = extend_closure(big, small, lie_closure(small))
+        assert run is not None
+        assert echelon(run) == (want.pivots(), want.rows())
+        assert echelon(lie_closure(big)) == (want.pivots(), want.rows())
+
+    @settings(max_examples=40, deadline=ENGINE_DEADLINE)
+    @given(nested_custom_sets())
+    def test_custom_base_extends_only_when_semi_universal(self, pair):
+        small, big = pair
+        base = lie_closure(small)
+        want = one_stage_closure(big)[0]
+        run = extend_closure(big, small, base)
+        semi = trace_pairing_verdicts(small.n, base.basis).semi_universal
+        assert (run is not None) == semi
+        if run is not None:
+            assert echelon(run) == (want.pivots(), want.rows())
+        assert echelon(lie_closure(big)) == (want.pivots(), want.rows())
+
+    def test_declines_a_base_that_is_not_semi_universal(self):
+        for n in (2, 3, 4, 5):
+            g1p = preset_generators("G1prime", n)
+            assert extend_closure(preset_generators("G2", n), g1p, lie_closure(g1p)) is None
+
+    def test_declines_a_base_outside_the_set(self):
+        g2 = preset_generators("G2", 4)
+        run = lie_closure(g2)
+        zzz = SymOpVector.unit((0, 0, 3), 4)
+        without_zz = GeneratorSet(4, preset_generators("G1prime", 4).members + (zzz,))
+        assert extend_closure(without_zz, g2, run) is None
+        # base and gens at n = 5, run at n = 4
+        assert extend_closure(preset_generators("Gk", 5, k=3), preset_generators("G2", 5), run) is None
+        assert extend_closure(preset_generators("Gk", 4, k=3), g2, run) is not None
+
+    def test_two_body_part_below_the_rank_gate_falls_back(self, monkeypatch):
+        """{X, Y} closes on su(2), far below the rank gate, so the verdicts
+        are never read and the one-stage worklist runs after it."""
+        def unread(*args):
+            raise AssertionError("verdicts read below the rank gate")
+
+        monkeypatch.setattr(closure, "_verdicts", unread)
+        gens = parse_generator_spec("1,0,0;0,1,0;1,1,1", 4)
+        run = lie_closure(gens)
+        want, steps = one_stage_closure(gens)
+        assert echelon(run) == (want.pivots(), want.rows())
+        assert run.iterations == 3 * 2 + steps
 
 
 class TestComplementIsCentral:

@@ -62,6 +62,18 @@ class TestInsertAndRank:
         added = ech.extend([{0: 1}, {0: 2}, {1: 5}, {0: 1, 1: 5}])
         assert added == 2
 
+    def test_copy_grows_on_its_own(self):
+        ech = SparseEchelon()
+        ech.extend([{0: 1, 2: 3}, {1: 2, 2: 1, 3: 1}])
+        rows, cols = ech.rows(), {k: set(v) for k, v in ech._cols.items()}
+        twin = ech.copy()
+        assert twin.rows() == rows and twin._cols == cols
+        twin.extend([{2: 5}, {4: 1}])
+        assert ech.rows() == rows and ech._cols == cols
+        ref = SparseEchelon()
+        ref.extend([{0: 1, 2: 3}, {1: 2, 2: 1, 3: 1}, {2: 5}, {4: 1}])
+        assert twin.rows() == ref.rows() and twin._cols == ref._cols
+
     def test_rank_of_helper(self):
         assert rank_of([{0: 1, 1: 1}, {1: 1}, {0: 1}]) == 2
 
@@ -208,8 +220,28 @@ class TestAgainstDenseOracle:
 
 
 class FullScanEchelon(SparseEchelon):
-    """Reference back-substitution: every stored row is scanned for the new
-    pivot, with no column index."""
+    """Reference echelon: every stored row is scanned for the new pivot,
+    with no column index, and every row, single-entry ones included, is
+    eliminated and back-substituted by the general integer step."""
+
+    def _eliminate(self, vec):
+        work = {k: v for k, v in vec.items() if v}
+        for p in [k for k in work if k in self._rows]:
+            c = work.get(p)
+            if not c:
+                continue
+            row = self._rows[p]
+            g = gcd(c, row[p])
+            for k, rv in row.items():
+                nv = row[p] // g * work.get(k, 0) - c // g * rv
+                if nv:
+                    work[k] = nv
+                else:
+                    work.pop(k, None)
+            for k in work:
+                if k not in row:
+                    work[k] *= row[p] // g
+        return work
 
     def insert(self, vec):
         work = self._eliminate(vec)
@@ -253,12 +285,71 @@ class TestColumnIndex:
         for vec in ({order[k]: v for k, v in row.items()} for row in vecs):
             assert ech.insert(vec) == ref.insert(vec)
             assert ech._rows == ref._rows
-            support: dict = {}
-            for p, row in ech._rows.items():
-                for k in row:
-                    if k != p:
-                        support.setdefault(k, set()).add(p)
-            assert ech._cols == support
+            assert ech._cols == column_support(ech)
+
+
+def column_support(ech):
+    """The column index an echelon's rows imply."""
+    support: dict = {}
+    for p, row in ech._rows.items():
+        for k in row:
+            if k != p:
+                support.setdefault(k, set()).add(p)
+    return support
+
+
+def assert_matches_full_scan(vecs):
+    """Insert vecs into both echelons; after each, the rows agree and the
+    column index matches them.  At the end every row is primitive."""
+    ech, ref = SparseEchelon(), FullScanEchelon()
+    for vec in vecs:
+        assert ech.insert(vec) == ref.insert(vec)
+        assert ech._rows == ref._rows
+        assert ech._cols == column_support(ech)
+    for p, row in ech._rows.items():
+        assert row[p] > 0 and gcd(*row.values()) == 1
+    return ech, ref
+
+
+single_heavy_rows = st.lists(
+    st.one_of(
+        st.tuples(st.integers(0, COLUMNS - 1), st.integers(-6, 6).filter(bool)).map(lambda kv: dict([kv])),
+        st.dictionaries(st.integers(0, COLUMNS - 1), st.integers(-6, 6).filter(bool), max_size=4),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+class TestSingleEntryRows:
+    """A stored row of length 1 is {p: 1}: eliminating against it deletes
+    column p, and inserting it drops column p from the rows that hold it.
+    Both agree with the general step of FullScanEchelon."""
+
+    def test_inserted_unit_row_leaves_the_rows_it_cuts_primitive(self):
+        ech, _ = assert_matches_full_scan([{0: 2, 3: 1}, {1: 6, 2: 4, 3: 1}, {3: -7}])
+        assert ech.rows() == [{0: 1}, {1: 3, 2: 2}, {3: 1}]
+        assert ech._cols == {2: {1}}
+
+    def test_inserted_unit_row_keeps_other_columns_indexed(self):
+        ech, _ = assert_matches_full_scan([{0: 4, 2: 2, 5: 1}, {1: 1, 2: 3, 5: -1}, {5: 2}])
+        assert ech.rows() == [{0: 2, 2: 1}, {1: 1, 2: 3}, {5: 1}]
+        assert ech._cols == {2: {0, 1}}
+
+    def test_elimination_against_unit_rows(self):
+        rows = [{2: 3}, {4: -1}, {0: 1, 1: 3}]
+        ech, ref = assert_matches_full_scan(rows)
+        for vec in ({0: 2, 2: 7, 4: 5}, {2: 1, 4: 1}, {1: 2, 2: -4, 3: 6}, {3: 9, 4: 2}):
+            assert ech._eliminate(vec) == ref._eliminate(vec)
+        assert ech._eliminate({2: 1, 4: 1}) == {}
+        assert ech._eliminate({3: 9, 4: 2}) == {3: 9}
+
+    @settings(max_examples=150, deadline=None)
+    @given(single_heavy_rows, sparse_rows)
+    def test_random_rows_match_full_scan(self, vecs, probes):
+        ech, ref = assert_matches_full_scan(vecs)
+        for vec in probes:
+            assert ech._eliminate(vec) == ref._eliminate(vec)
 
 
 # Verbs whose echelons see closure rows, L_mu rows, verdict residuals,
