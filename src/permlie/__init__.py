@@ -6,8 +6,8 @@ exact integer structure constants, takes Lie closures of generator sets,
 verifies the centralizer and class-sum identities, certifies universality
 verdicts, and cross-checks everything against an independent word-level
 oracle.  A closure is the SparseEchelon its worklist grew
-(ClosureRun.basis); build_report reads its verdicts and central residuals
-off the echelon's rank-keyed integer rows.  Spin sectors are exact too: the
+(ClosureRun.basis); build_report checks its rows' central residuals, and
+its verdicts are read off its generators.  Spin sectors are exact too: the
 block of every P_t on each sector is an integer matrix read off one
 generating polynomial (permlie.schur), so the sector-control certificate is
 a rank over the rationals.  The package uses the standard library only.

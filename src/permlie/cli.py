@@ -143,7 +143,7 @@ def cmd_close(args) -> int:
     if args.method == "dense":
         check_qubits(args.n, WORD_QUBIT_CAP, "word-level engine")
     run = lie_closure(gens)
-    report = build_report(gens, run)
+    report = build_report(run)
     payload = {"command": "close", **report.to_jsonable()}
     ok = report.ok
     if args.method == "dense":

@@ -14,15 +14,15 @@ equivariant algebra A, and every subspace that contains D is a Lie algebra.
 Everything is exact: the resulting dimension is a theorem about the
 generated algebra, not a numerical estimate.  The module also carries the
 closed-form dimension predictions for the preset generator families, the
-central residuals, and the universality verdicts read off from them.
+central residuals, and the universality verdicts read off the generators'.
 
-A closure is its echelon: the run holds the SparseEchelon the worklist
-grew, and every reader takes its rows as they are stored, keyed by
-triple_rank (whose int order is the canonical triple order) and primitive
-over the integers.  PauliTriple and Fraction appear only at the boundary:
-generators enter through integer_row once, and build_report turns pivots
-into triple text and divides a residual by its row's pivot coefficient only
-for the offenders it prints.
+A closure is its echelon: the run holds its generators and the
+SparseEchelon the worklist grew, and every reader takes its rows as they
+are stored, keyed by triple_rank (whose int order is the canonical triple
+order) and primitive over the integers.  PauliTriple and Fraction appear
+only at the boundary: generators enter through integer_row once,
+build_report divides a residual by its row's pivot coefficient only for
+the offenders it prints, and to_jsonable turns pivot ranks into text.
 """
 
 from __future__ import annotations
@@ -49,18 +49,29 @@ MAX_OFFENDERS = 8
 
 
 class ClosureRun(NamedTuple):
-    """A finished closure at n qubits.  basis is the reduced echelon the
+    """A finished closure of gens.  basis is the reduced echelon the
     worklist grew: its rows are the closure's primitive integer rows, keyed
     by triple_rank."""
 
-    n: int
+    gens: GeneratorSet
     basis: SparseEchelon
     iterations: int
     wall_time: float
 
     @property
+    def n(self) -> int:
+        return self.gens.n
+
+    @property
     def dim(self) -> int:
         return self.basis.rank
+
+    @property
+    def verdicts(self) -> Verdicts:
+        """Universality flags, read off the generators' central residuals
+        (see _verdicts); no closure row is read."""
+        seeds = (integer_row(by_rank(g.coeffs)) for g in self.gens.members)
+        return _verdicts(self.n, self.dim, central_residuals(seeds, self.n))
 
 
 def _worklist(gens: GeneratorSet) -> tuple[SparseEchelon, int]:
@@ -94,46 +105,37 @@ def lie_closure(gens: GeneratorSet) -> ClosureRun:
     if 0 < len(two_body) < len(gens.members):
         base = GeneratorSet(gens.n, two_body)
         ech, steps = _worklist(base)
-        run = extend_closure(gens, base, ClosureRun(gens.n, ech, steps, 0.0))
+        run = extend_closure(gens, ClosureRun(base, ech, steps, 0.0))
         if run is not None:
             return run._replace(wall_time=time.perf_counter() - t0)
     ech, more = _worklist(gens)
-    return ClosureRun(gens.n, ech, steps + more, time.perf_counter() - t0)
+    return ClosureRun(gens, ech, steps + more, time.perf_counter() - t0)
 
 
-def extend_closure(gens: GeneratorSet, base: GeneratorSet, run: ClosureRun) -> ClosureRun | None:
-    """Closure of gens from run, the closure of base, with no bracket; None
-    unless base's members are among gens' and run is semi-universal.
+def extend_closure(gens: GeneratorSet, run: ClosureRun) -> ClosureRun | None:
+    """Closure of gens from run, the closure of some of them, with no bracket;
+    None unless run's generators are among gens' and run is semi-universal.
 
     Let A be the whole equivariant algebra, the direct sum of the gl(m_mu),
     Z its center and D = [A, A] its derived algebra, the sum of the
     sl(m_mu).  The trace pairing is definite on A and D is the pairing
-    complement of Z.  A semi-universal V = L(base) has an entirely central
-    pairing complement, so V contains D.  Any subspace W with D in W is a
-    Lie algebra, since [W, W] lies in [A, A] = D.  So V + span(gens) is a
-    Lie algebra that contains gens and lies in L(gens): it is L(gens).  It
-    is reached by inserting the members outside base into a copy of V's
-    echelon, and since a span has one reduced primitive echelon, the rows
-    are the ones the one-stage worklist stores.  run is left as it is.  The
-    result keeps run's iterations and adds this step's time to its
+    complement of Z.  A semi-universal V = L(run.gens) has an entirely
+    central pairing complement, so V contains D.  Any subspace W with D in
+    W is a Lie algebra, since [W, W] lies in [A, A] = D.  So V + span(gens)
+    is a Lie algebra that contains gens and lies in L(gens): it is
+    L(gens).  It is reached by inserting the other members into a copy of
+    V's echelon, and since a span has one reduced primitive echelon, the
+    rows are the ones the one-stage worklist stores.  run is left as it is.
+    The result keeps run's iterations and adds this step's time to its
     wall_time.
-
-    The rank gate dim V >= dim_u - dim_center turns most other bases away
-    before their residuals are read: a complement wider than the center
-    cannot be central.
     """
     t0 = time.perf_counter()
-    n = gens.n
-    if base.n != n or run.n != n or any(g not in gens.members for g in base.members):
-        return None
-    dims = ambient_dims(n)
-    if run.dim < dims.dim_u - dims.dim_center:
-        return None
-    if not _verdicts(n, run.dim, central_residuals(run.basis.rows(), n)).semi_universal:
+    base = run.gens.members
+    if any(g not in gens.members for g in base) or not run.verdicts.semi_universal:
         return None
     ech = run.basis.copy()
-    ech.extend(integer_row(by_rank(g.coeffs)) for g in gens.members if g not in base.members)
-    return ClosureRun(n, ech, run.iterations, run.wall_time + time.perf_counter() - t0)
+    ech.extend(integer_row(by_rank(g.coeffs)) for g in gens.members if g not in base)
+    return ClosureRun(gens, ech, run.iterations, run.wall_time + time.perf_counter() - t0)
 
 
 def predicted_dim(label: str, n: int, k: int | None = None) -> int:
@@ -205,16 +207,19 @@ class Verdicts(NamedTuple):
 
 def _verdicts(n: int, dim: int, residuals: Sequence[Sequence[int]]) -> Verdicts:
     """Universality flags of a closure of dimension dim, read off exactly
-    from the central residuals of its rows.
+    from the central residuals of its generators.
 
     The central elements orthogonal to every row span the trace-pairing
     complement of the algebra.  Semi-universality means that complement is
     entirely central; universality additionally means it is at most the
     identity direction.
 
-    The central elements trace-orthogonal to every row form a space of
+    For central C, tr([a, b] C) = tr(a [b, C]) = 0, so a closure, its
+    generators' span plus brackets, pairs with the C_mu as its generators
+    do.  The central elements trace-orthogonal to it form a space of
     dimension dim_center minus central_rank, and the identity C_0 spans it
-    exactly when it is one-dimensional and no row has a residual at mu = 0.
+    exactly when it is one-dimensional and no generator has a residual at
+    mu = 0.
     """
     dims = ambient_dims(n)
     nullity = dims.dim_center - central_rank(residuals)
@@ -241,7 +246,7 @@ class ClosureReport(NamedTuple):
     residual_mus: tuple[int, ...]
     residuals_nonzero: int
     residual_offenders: tuple[tuple[int, int, Fraction], ...]
-    pivots: tuple[str, ...]
+    pivots: tuple[int, ...]
     iterations: int
     wall_time: float
 
@@ -276,7 +281,7 @@ class ClosureReport(NamedTuple):
                 {"row": i, "mu": mu, "value": frac_text(r)}
                 for i, mu, r in self.residual_offenders
             ],
-            "pivots": list(self.pivots),
+            "pivots": [rank_triple(p).text() for p in self.pivots],
             "iterations": self.iterations,
             "wall_time": self.wall_time,
         }
@@ -295,16 +300,12 @@ def family_exempt_mus(gens: GeneratorSet) -> frozenset[int]:
     )
 
 
-def build_report(
-    gens: GeneratorSet,
-    run: ClosureRun,
-    *,
-    exempt: Iterable[int] | None = None,
-) -> ClosureReport:
+def build_report(run: ClosureRun, *, exempt: Iterable[int] | None = None) -> ClosureReport:
     """Report of a closure run.  Every non-exempt membership residual of
     every basis row is checked; the report keeps how many are nonzero and
     the first MAX_OFFENDERS of those, row-major, each as the residual of its
     row scaled to pivot coefficient 1."""
+    gens = run.gens
     n = gens.n
     label = gens.label
     try:
@@ -331,12 +332,12 @@ def build_report(
         predicted=predicted,
         matched=matched,
         ambient=ambient_dims(n),
-        verdicts=_verdicts(n, run.dim, residuals),
+        verdicts=run.verdicts,
         exempt=tuple(sorted(ex)),
         residual_mus=mus,
         residuals_nonzero=len(nonzero),
         residual_offenders=offenders,
-        pivots=tuple(rank_triple(p).text() for p in pivots),
+        pivots=tuple(pivots),
         iterations=run.iterations,
         wall_time=run.wall_time,
     )

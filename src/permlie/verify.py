@@ -9,11 +9,11 @@ exposes these as `permlie verify <selector>`; the test suite calls them
 directly.
 
 The six ladder suites (thm1, thm3, thm4, thm5, thm6, cor1) share one walk,
-_closures, which yields the closure of G2 at each n, or of Gk at every
+_closures, which yields the closure run of G2 at each n, or of Gk at every
 2 <= k <= n, one at a time; each suite is a case function that reads one
-closure.  G2 is closed once per n, and each Gk is derived from it by
-insertion alone (closure.extend_closure).  thm3 and thm6 share theirs: G2
-is Gk at k = 2.
+run, which carries the generators it closed.  G2 is closed once per n, and
+each Gk is derived from it by insertion alone (closure.extend_closure).
+thm3 and thm6 share theirs: G2 is Gk at k = 2.
 
 Every case is a CaseResult and every report a SuiteReport; the `center`
 and `schur` verbs build theirs with the same case builders as the prop1
@@ -86,59 +86,57 @@ class SuiteReport(NamedTuple):
 
 
 def _closures(label: str, lo: int, hi: int):
-    """The ladder walk: (n, k, gens, run) for G2 at each n in lo..hi (k is
-    None), or for Gk at every 2 <= k <= n, one closure at a time.  G2 is
-    closed once per n and each Gk is derived from it by extend_closure,
-    which checks that G2's closure is semi-universal; should it decline,
-    Gk gets a closure of its own."""
+    """The ladder walk: the closure run of G2 at each n in lo..hi, or of Gk
+    at every 2 <= k <= n, one at a time.  G2 is closed once per n and each
+    Gk is derived from it by extend_closure, which checks that G2's closure
+    is semi-universal; should it decline, Gk gets a closure of its own."""
     for n in range(lo, hi + 1):
-        g2 = preset_generators("G2", n)
-        base = lie_closure(g2)
+        base = lie_closure(preset_generators("G2", n))
         if label == "G2":
-            yield n, None, g2, base
+            yield base
             continue
         for k in range(2, n + 1):
             gens = preset_generators(label, n, k=k)
-            run = extend_closure(gens, g2, base)
-            yield n, k, gens, lie_closure(gens) if run is None else run
+            run = extend_closure(gens, base)
+            yield lie_closure(gens) if run is None else run
 
 
-def _dimension(gens, run) -> tuple[bool, dict]:
-    want = predicted_dim("Gk", gens.n, gens.k)
+def _dimension(run) -> tuple[bool, dict]:
+    want = predicted_dim("Gk", run.n, run.gens.k)
     return run.dim == want, {"dim": run.dim, "predicted": want}
 
 
-def _g2_dimension(gens, run) -> tuple[bool, dict]:
-    ok, details = _dimension(gens, run)
+def _g2_dimension(run) -> tuple[bool, dict]:
+    ok, details = _dimension(run)
     return ok, {**details, "iterations": run.iterations, "wall_time": run.wall_time}
 
 
-def _central_projections(gens, run) -> tuple[bool, dict]:
+def _central_projections(run) -> tuple[bool, dict]:
     """Exactly the levels 1..k//2 are touched (only mu = 1 for G2), and the
     closure conserves every other central projection."""
-    rep = build_report(gens, run)
-    mus = range(gens.n // 2 + 1)
+    rep = build_report(run)
+    mus = range(run.n // 2 + 1)
     pattern = {mu: mu not in rep.exempt for mu in mus}
     conserved = rep.residuals_nonzero == 0
-    expected = {mu: not 1 <= mu <= gens.k // 2 for mu in mus}
+    expected = {mu: not 1 <= mu <= run.gens.k // 2 for mu in mus}
     return pattern == expected and conserved, {
         "pattern": {str(mu): v for mu, v in pattern.items()}, "conserved": conserved}
 
 
-def _membership(gens, run) -> tuple[bool, dict]:
-    rep = build_report(gens, run)
+def _membership(run) -> tuple[bool, dict]:
+    rep = build_report(run)
     clean = rep.residuals_nonzero == 0
-    c1_inside = run.basis.contains(by_rank(make_C(1, gens.n).coeffs))
+    c1_inside = run.basis.contains(by_rank(make_C(1, run.n).coeffs))
     return clean and c1_inside, {
         "residuals_checked": rep.dim * len(rep.residual_mus), "all_zero": clean,
         "c1_reachable": c1_inside}
 
 
-def _threshold(gens, run) -> tuple[bool, dict]:
-    matched, details = _dimension(gens, run)
-    dim_su = ambient_dims(gens.n).dim_su
-    vd = build_report(gens, run).verdicts
-    threshold = is_universal_pair(gens.n, gens.k)
+def _threshold(run) -> tuple[bool, dict]:
+    matched, details = _dimension(run)
+    dim_su = ambient_dims(run.n).dim_su
+    vd = run.verdicts
+    threshold = is_universal_pair(run.n, run.gens.k)
     ok = (
         matched
         and (run.dim == dim_su) == threshold
@@ -150,10 +148,11 @@ def _threshold(gens, run) -> tuple[bool, dict]:
 
 
 def _ladder(name: str, label: str, case: Callable) -> Callable:
-    """A ladder suite: one case per closure of the walk over label."""
+    """A ladder suite: one case per closure run of the walk over label."""
     def suite(lo: int, hi: int) -> list[CaseResult]:
-        return [CaseResult(name, {"n": n} if k is None else {"n": n, "k": k}, *case(gens, run))
-                for n, k, gens, run in _closures(label, lo, hi)]
+        return [CaseResult(name, {"n": run.n} if label == "G2" else {"n": run.n, "k": run.gens.k},
+                           *case(run))
+                for run in _closures(label, lo, hi)]
     return suite
 
 

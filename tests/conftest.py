@@ -80,7 +80,7 @@ def ctx():
         gens = preset_generators(label, n, k=k)
         if label != "Gk":
             return lie_closure(gens)
-        run = extend_closure(gens, preset_generators("G2", n), built("G2", n, None))
+        run = extend_closure(gens, built("G2", n, None))
         assert run is not None, f"G2 closure at n={n} not extended"
         return run
 

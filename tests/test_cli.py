@@ -527,11 +527,16 @@ class TestWrongDataDetection:
         assert payload["matched"] is False
 
 
+def readme_blocks(lang: str) -> list[str]:
+    """The fenced blocks of README.md in language lang, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.findall(rf"^```{lang}\n(.*?)^```", text, flags=re.S | re.M)
+
+
 def readme_commands() -> list[list[str]]:
     """Every `permlie ...` line of README.md's sh blocks, shell-split."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     out = []
-    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.S | re.M):
+    for block in readme_blocks("sh"):
         for line in block.splitlines():
             argv = shlex.split(line, comments=True)
             if argv[:1] == ["permlie"]:
@@ -548,6 +553,17 @@ class TestReadmeExamples:
     @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
     def test_example_parses(self, argv):
         build_parser().parse_args(argv)  # raises UsageError on a stale flag
+
+    def test_python_blocks_run(self):
+        """Each python block runs in a fresh interpreter on the source tree,
+        so a library example that goes stale fails here."""
+        blocks = readme_blocks("python")
+        assert blocks
+        src = str(Path(permlie.__file__).resolve().parent.parent)
+        for block in blocks:
+            proc = subprocess.run([sys.executable, "-c", block], env=dict(os.environ, PYTHONPATH=src),
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
 
 
 class TestSchemaResources:

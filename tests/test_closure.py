@@ -322,8 +322,8 @@ class TestStagedClosure:
         assert echelon(lie_closure(preset_generators(label, n, k=k))) == one_stage_rows(label, n, k)
 
     def test_verify_walk_derives_the_one_stage_rows(self):
-        cases = [(n, k) for n, k, _, run in verify._closures("Gk", 2, 12)
-                 if echelon(run) == one_stage_rows("Gk", n, k)]
+        cases = [(run.n, run.gens.k) for run in verify._closures("Gk", 2, 12)
+                 if echelon(run) == one_stage_rows("Gk", run.n, run.gens.k)]
         assert cases == [(n, k) for _, n, k in GK_TO_12]
 
     def test_every_derived_run_checks_semi_universality(self, monkeypatch):
@@ -334,12 +334,13 @@ class TestStagedClosure:
             return _verdicts(n, dim, residuals)
 
         monkeypatch.setattr(closure, "_verdicts", recording)
-        walked = [n for n, _, _, _ in verify._closures("Gk", 2, 8)]
+        walked = [run.n for run in verify._closures("Gk", 2, 8)]
         assert checked == walked
 
     def test_declined_derivations_fall_back(self, monkeypatch):
         monkeypatch.setattr(closure, "_verdicts", lambda n, dim, residuals: Verdicts(False, False))
-        for n, k, gens, run in verify._closures("Gk", 2, 6):
+        for run in verify._closures("Gk", 2, 6):
+            n, k = run.n, run.gens.k
             assert echelon(run) == one_stage_rows("Gk", n, k)
             if k > 2:  # lie_closure staged G2, was declined, and closed Gk
                 g2 = one_stage_rows("G2", n)
@@ -350,7 +351,7 @@ class TestStagedClosure:
     def test_semi_universal_base_extends(self, pair):
         small, big = pair
         want = one_stage_closure(big)[0]
-        run = extend_closure(big, small, lie_closure(small))
+        run = extend_closure(big, lie_closure(small))
         assert run is not None
         assert echelon(run) == (want.pivots(), want.rows())
         assert echelon(lie_closure(big)) == (want.pivots(), want.rows())
@@ -361,7 +362,7 @@ class TestStagedClosure:
         small, big = pair
         base = lie_closure(small)
         want = one_stage_closure(big)[0]
-        run = extend_closure(big, small, base)
+        run = extend_closure(big, base)
         semi = trace_pairing_verdicts(small.n, base.basis).semi_universal
         assert (run is not None) == semi
         if run is not None:
@@ -371,30 +372,99 @@ class TestStagedClosure:
     def test_declines_a_base_that_is_not_semi_universal(self):
         for n in (2, 3, 4, 5):
             g1p = preset_generators("G1prime", n)
-            assert extend_closure(preset_generators("G2", n), g1p, lie_closure(g1p)) is None
+            assert extend_closure(preset_generators("G2", n), lie_closure(g1p)) is None
 
     def test_declines_a_base_outside_the_set(self):
         g2 = preset_generators("G2", 4)
         run = lie_closure(g2)
         zzz = SymOpVector.unit((0, 0, 3), 4)
         without_zz = GeneratorSet(4, preset_generators("G1prime", 4).members + (zzz,))
-        assert extend_closure(without_zz, g2, run) is None
-        # base and gens at n = 5, run at n = 4
-        assert extend_closure(preset_generators("Gk", 5, k=3), preset_generators("G2", 5), run) is None
-        assert extend_closure(preset_generators("Gk", 4, k=3), g2, run) is not None
+        assert extend_closure(without_zz, run) is None
+        # gens at n = 5, run at n = 4
+        assert extend_closure(preset_generators("Gk", 5, k=3), run) is None
+        assert extend_closure(preset_generators("Gk", 4, k=3), run) is not None
 
-    def test_two_body_part_below_the_rank_gate_falls_back(self, monkeypatch):
-        """{X, Y} closes on su(2), far below the rank gate, so the verdicts
-        are never read and the one-stage worklist runs after it."""
-        def unread(*args):
-            raise AssertionError("verdicts read below the rank gate")
+    def test_two_body_part_that_is_not_semi_universal_falls_back(self, monkeypatch):
+        """{X, Y} closes on su(2), which is not semi-universal: the verdict
+        is read off its 2 generators' residuals alone, and the one-stage
+        worklist runs after it."""
+        read = []
 
-        monkeypatch.setattr(closure, "_verdicts", unread)
+        def recording(n, dim, residuals):
+            verdicts = _verdicts(n, dim, residuals)
+            read.append((len(residuals), verdicts.semi_universal))
+            return verdicts
+
+        monkeypatch.setattr(closure, "_verdicts", recording)
         gens = parse_generator_spec("1,0,0;0,1,0;1,1,1", 4)
         run = lie_closure(gens)
         want, steps = one_stage_closure(gens)
+        assert read == [(2, False)]
         assert echelon(run) == (want.pivots(), want.rows())
         assert run.iterations == 3 * 2 + steps
+
+    def test_fraction_members_stage_as_their_integer_multiple(self):
+        """X/2, 3Y/4, 2ZZ/3 + I/5 and 5ZZZ/7 at n = 5 take the staged path
+        (ZZZ is inserted) and give the rows, bracket count, verdicts and
+        exempt levels of the same set times 420, the lcm of the
+        denominators."""
+        n = 5
+        members = [{(1, 0, 0): Fraction(1, 2)}, {(0, 1, 0): Fraction(3, 4)},
+                   {(0, 0, 2): Fraction(2, 3), (0, 0, 0): Fraction(1, 5)},
+                   {(0, 0, 3): Fraction(5, 7)}]
+
+        def closed(scale):
+            vectors = tuple(SymOpVector(n, {t: c * scale for t, c in m.items()}) for m in members)
+            run = lie_closure(GeneratorSet(n, vectors, "custom"))
+            return echelon(run), run.iterations, run.verdicts, build_report(run).exempt
+
+        rational = closed(1)
+        assert rational == closed(420)
+        (pivots, _), iterations, verdicts, _ = rational
+        assert (len(pivots), iterations) == (54, 54 * 3)
+        assert verdicts.semi_universal
+
+
+class TestOneRowReader:
+    """Verdicts are read off the generators' central residuals: only a
+    report's membership check passes a closure's rows to
+    central_residuals."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """(n, number of rows) of every central_residuals call in closure."""
+        calls = []
+
+        def recording(rows, n):
+            rows = list(rows)
+            calls.append((n, len(rows)))
+            return central_residuals(rows, n)
+
+        monkeypatch.setattr(closure, "central_residuals", recording)
+        return calls
+
+    def test_threshold_reads_generators_only(self, seen):
+        """cor1 reads G2's 3 residuals to derive each Gk and Gk's k + 1 to
+        read its verdicts."""
+        cases = verify.run_selector("cor1", 2, 8).cases
+        assert all(c.ok for c in cases)
+        assert seen == [(c.params["n"], m) for c in cases for m in (3, c.params["k"] + 1)]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_staged_closure_reads_generators_only(self, seen, n):
+        for k in range(2, n + 1):
+            gens = preset_generators("Gk", n, k=k)
+            del seen[:]
+            lie_closure(gens)
+            assert all(m <= len(gens.members) for _, m in seen)
+
+    def test_central_projections_read_each_closure_once(self, seen):
+        """A Gk set at n has at most n + 1 members, so a call with more rows
+        reads a closure's; thm6 makes one such call per case."""
+        cases = verify.run_selector("thm6", 2, 8).cases
+        closures = [(n, m) for n, m in seen if m > n + 1]
+        assert closures == [(c.params["n"], predicted_dim("Gk", c.params["n"], c.params["k"]))
+                            for c in cases]
 
 
 class TestComplementIsCentral:
@@ -514,7 +584,7 @@ class TestResidualTraceIdentity:
     @given(custom_generator_sets())
     def test_verdicts_match_trace_pairing_reference_on_custom_sets(self, gens):
         run = lie_closure(gens)
-        assert build_report(gens, run).verdicts == trace_pairing_verdicts(gens.n, run.basis)
+        assert build_report(run).verdicts == trace_pairing_verdicts(gens.n, run.basis)
 
     # tr([a, b] C) = tr(a [b, C]) = 0 for central C, so brackets add nothing
     # to the pairing with the center: a closure's central rank is its
@@ -549,7 +619,7 @@ def basis_verdicts(n, basis):
     """The verdicts build_report reads off the span of basis at n, taken as
     a finished closure of its own rows."""
     gens = GeneratorSet(n, tuple(row_vectors(n, basis)), "custom")
-    return build_report(gens, ClosureRun(n, basis, 0, 0.0)).verdicts
+    return build_report(ClosureRun(gens, basis, 0, 0.0)).verdicts
 
 
 class TestVerdicts:
@@ -571,7 +641,7 @@ class TestVerdicts:
         gens = GeneratorSet(n, preset_generators("G2", n).members + extra, "custom")
         run = lie_closure(gens)
         assert run.dim == ambient_dims(n).dim_u
-        assert build_report(gens, run).verdicts.universal
+        assert build_report(run).verdicts.universal
 
     def test_traceless_algebra_via_adjoined_center(self):
         n = 4
@@ -580,7 +650,7 @@ class TestVerdicts:
         )
         run = lie_closure(gens)
         assert run.dim == ambient_dims(n).dim_su
-        assert build_report(gens, run).verdicts.universal
+        assert build_report(run).verdicts.universal
 
     def test_traceless_complement_blocks_universality(self):
         # dimension dim_su alone is not enough: the missing direction must be
@@ -607,9 +677,8 @@ class TestVerdicts:
 
 class TestReports:
     def test_preset_report_fields(self, ctx):
-        gens = preset_generators("G2", 4)
         run = ctx.closure("G2", 4)
-        report = build_report(gens, run)
+        report = build_report(run)
         assert report.dim == report.predicted == 33
         assert report.matched is True and report.ok
         assert report.exempt == (1,)
@@ -630,7 +699,7 @@ class TestReports:
         else:
             gens = preset_generators(spec, n)
         run = lie_closure(gens)
-        report = build_report(gens, run, exempt=())
+        report = build_report(run, exempt=())
         assert not report.ok
         rows = pivot_one_rows(n, run.basis)
         assert report.residual_mus == (0, 1, 2) and report.dim == len(rows)
@@ -663,7 +732,7 @@ class TestReports:
         else:
             gens = parse_generator_spec(spec, n)
         run = lie_closure(gens)
-        report = build_report(gens, run, exempt=())
+        report = build_report(run, exempt=())
         assert report.residual_offenders
         normalized = pivot_one_rows(n, run.basis)
         for i, mu, value in report.residual_offenders:
@@ -678,7 +747,7 @@ class TestReports:
         """Every offender, whatever its row's pivot coefficient, is the
         rational membership residual of its row scaled to pivot 1."""
         run = lie_closure(gens)
-        report = build_report(gens, run, exempt=())
+        report = build_report(run, exempt=())
         nonzero = [
             (i, mu, value)
             for i, row in enumerate(pivot_one_rows(gens.n, run.basis))
@@ -691,24 +760,23 @@ class TestReports:
     def test_custom_report_has_no_prediction(self):
         gens = GeneratorSet(3, (SymOpVector.unit((1, 0, 0), 3),), "custom")
         run = lie_closure(gens)
-        report = build_report(gens, run)
+        report = build_report(run)
         assert report.predicted is None and report.matched is None
         assert report.ok
 
     def test_report_json_matches_schema(self, ctx):
         import jsonschema
 
-        gens = preset_generators("Gk", 5, k=3)
         run = ctx.closure("Gk", 5, 3)
-        payload = build_report(gens, run).to_jsonable()
+        payload = build_report(run).to_jsonable()
         payload["command"] = "close"
         schema = json.loads(open(schema_path("closure_report")).read())
         jsonschema.validate(payload, schema)
 
     def test_reports_deterministic_apart_from_timing(self):
         gens = preset_generators("G2", 3)
-        a = build_report(gens, lie_closure(gens)).to_jsonable()
-        b = build_report(gens, lie_closure(gens)).to_jsonable()
+        a = build_report(lie_closure(gens)).to_jsonable()
+        b = build_report(lie_closure(gens)).to_jsonable()
         a.pop("wall_time")
         b.pop("wall_time")
         assert a == b

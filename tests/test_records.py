@@ -30,14 +30,14 @@ from permlie.verify import CaseResult, SuiteReport
 
 
 def g2_closure(n):
-    gens = preset_generators("G2", n)
-    return gens, lie_closure(gens)
+    return lie_closure(preset_generators("G2", n))
 
 
 def immutable_instances():
     """(instance, one of its fields) for every immutable type."""
-    gens, run = g2_closure(3)
-    report = build_report(gens, run)
+    run = g2_closure(3)
+    gens = run.gens
+    report = build_report(run)
     return [
         (SymOpVector(3, {(1, 0, 0): 2}), "coeffs"),
         (gens, "members"),
@@ -141,8 +141,8 @@ class TestRecords:
         assert CaseResult("a", {"n": 2}, False, details=details).details is details
 
     def test_closure_report_payload(self):
-        gens, run = g2_closure(3)
-        payload = build_report(gens, run, exempt=()).to_jsonable()
+        run = g2_closure(3)
+        payload = build_report(run, exempt=()).to_jsonable()
         assert isinstance(payload.pop("wall_time"), float)
         assert payload == {
             "ambient": {"dim_center": 2, "dim_su": 19, "dim_su_cless": 18, "dim_u": 20},

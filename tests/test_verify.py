@@ -19,9 +19,9 @@ def test_one_closure_per_case(monkeypatch, selector):
         built.append((gens.label, gens.n, gens.k))
         return lie_closure(gens, *args, **kwargs)
 
-    def counted_extend(gens, base, run):
+    def counted_extend(gens, run):
         derived.append((gens.label, gens.n, gens.k))
-        return extend_closure(gens, base, run)
+        return extend_closure(gens, run)
 
     monkeypatch.setattr(verify, "lie_closure", counted)
     monkeypatch.setattr(verify, "extend_closure", counted_extend)
