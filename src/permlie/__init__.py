@@ -5,12 +5,13 @@ Pauli strings P_(kx,ky,kz); this package computes their commutators with
 exact integer structure constants, takes Lie closures of generator sets,
 verifies the centralizer and class-sum identities, certifies universality
 verdicts, and cross-checks everything against an independent word-level
-oracle.  A closure is the SparseEchelon its worklist grew
-(ClosureRun.basis); build_report checks its rows' central residuals, and
-its verdicts are read off its generators.  Spin sectors are exact too: the
-block of every P_t on each sector is an integer matrix read off one
-generating polynomial (permlie.schur), so the sector-control certificate is
-a rank over the rationals.  The package uses the standard library only.
+oracle.  A closure is its echelon (ClosureRun.basis): the one its worklist
+grew, or, when the sector ledger proves the generators semi-universal, the
+closed form semi_universal_basis writes with no bracket; build_report
+checks its rows' central residuals, and its verdicts are read off its
+generators.  Spin sectors are exact too: the block of every P_t on each
+sector is an integer matrix read off one generating polynomial
+(permlie.schur), so the sector certificates are exact.  The package uses the standard library only.
 """
 
 from .center import (
@@ -25,10 +26,10 @@ from .closure import (
     ClosureRun,
     Verdicts,
     build_report,
-    extend_closure,
     is_universal_pair,
     lie_closure,
     predicted_dim,
+    semi_universal_basis,
 )
 from .erratum import (
     ErratumCase,
@@ -56,6 +57,8 @@ from .schur import (
     isotypic_table,
     sector_block,
     sector_check,
+    sector_ledger,
+    triple_block,
 )
 from .structure import StructureTable, compare_tables, orbit_bracket
 from .symops import (

@@ -1,25 +1,28 @@
 """Lie closures of equivariant generator sets, with exact dimension proofs.
 
-lie_closure runs the one worklist, linalg.generator_closure, with the seed
-columns of StructureTable.bracket_coeffs: each newly independent row is
-bracketed with the generators only, as the echelon stores it when the
-worklist pops it (by then mostly shortened by back-substitution) unless the
-row as admitted has fewer coefficient bits.  Results go through a reduced
-echelon basis until nothing new appears.  There is no other pairing
-strategy.  When the generators of level <= 2 are a nonempty proper subset,
-lie_closure closes them first, and extend_closure inserts the rest with no
-further bracket once it has checked that their closure is semi-universal:
-such a closure contains the derived algebra D = [A, A] of the whole
-equivariant algebra A, and every subspace that contains D is a Lie algebra.
+lie_closure first reads schur.sector_ledger of the generators.  When it
+shows every sector full, the closure contains the derived algebra
+D = [A, A] of the whole equivariant algebra A, and semi_universal_basis
+writes its reduced echelon in closed form, with no bracket.  Otherwise it
+runs the one worklist, linalg.generator_closure, with the seed columns of
+StructureTable.bracket_coeffs: each newly independent row is bracketed
+with the generators only, as the echelon stores it when the worklist pops
+it (by then mostly shortened by back-substitution) unless the row as
+admitted has fewer coefficient bits.  Results go through a reduced echelon
+basis until nothing new appears.  There is no other pairing strategy.
+When the generators of level <= 2 are a nonempty proper subset,
+lie_closure closes them first; if their closure is semi-universal it
+contains D, so the whole closure does too and gets the closed form.
 Everything is exact: the resulting dimension is a theorem about the
 generated algebra, not a numerical estimate.  The module also carries the
-closed-form dimension predictions for the preset generator families, the
-central residuals, and the universality verdicts read off the generators'.
+closed-form dimension predictions for the preset generator families and
+the universality verdicts read off the generators' central residuals
+(schur.central_residuals).
 
 A closure is its echelon: the run holds its generators and the
-SparseEchelon the worklist grew, and every reader takes its rows as they
-are stored, keyed by triple_rank (whose int order is the canonical triple
-order) and primitive over the integers.  PauliTriple and Fraction appear
+SparseEchelon the worklist grew or the closed form wrote, and every reader
+takes its rows as they are stored, keyed by triple_rank (whose int order
+is the canonical triple order) and primitive over the integers.  PauliTriple and Fraction appear
 only at the boundary: generators enter through integer_row once,
 build_report divides a residual by its row's pivot coefficient only for
 the offenders it prints, and to_jsonable turns pivot ranks into text.
@@ -29,10 +32,11 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from math import comb, factorial
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from math import comb, factorial, gcd, lcm
+from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import SparseEchelon, generator_closure, integer_row, rank_of
+from .linalg import SparseEchelon, generator_closure, integer_row
+from .schur import central_rank, central_residuals, sector_ledger
 from .structure import StructureTable
 from .symops import (
     AmbientDims,
@@ -42,6 +46,7 @@ from .symops import (
     by_rank,
     frac_text,
     rank_triple,
+    triple_rank,
 )
 
 # Nonzero membership residuals a closure report lists by value.
@@ -49,9 +54,10 @@ MAX_OFFENDERS = 8
 
 
 class ClosureRun(NamedTuple):
-    """A finished closure of gens.  basis is the reduced echelon the
-    worklist grew: its rows are the closure's primitive integer rows, keyed
-    by triple_rank."""
+    """A finished closure of gens.  basis is its reduced echelon, as the
+    worklist grew it or semi_universal_basis wrote it: its rows are the
+    closure's primitive integer rows, keyed by triple_rank.  iterations
+    counts the brackets evaluated, 0 when the sector ledger proved it."""
 
     gens: GeneratorSet
     basis: SparseEchelon
@@ -90,52 +96,96 @@ def _worklist(gens: GeneratorSet) -> tuple[SparseEchelon, int]:
 def lie_closure(gens: GeneratorSet) -> ClosureRun:
     """Smallest Lie algebra containing the generators, as an exact basis.
 
-    When the members of level <= 2 are a nonempty proper subset S0, S0 is
-    closed first and extend_closure inserts the rest; iterations counts the
-    brackets of S0's closure.  If extend_closure declines (S0's closure is
-    not semi-universal), the one-stage worklist closes every member and
-    iterations adds its brackets.  Any other set goes straight to the
-    one-stage worklist.  Either path ends on the same reduced echelon, the
-    one its span determines; FIFO order and the canonical triple order make
-    each run deterministic.
+    When schur.sector_ledger shows every sector full, the closure is
+    semi-universal and its rows are written in closed form
+    (semi_universal_basis), with no bracket: iterations is 0.  Otherwise,
+    when the members of level <= 2 are a nonempty proper subset S0, the
+    worklist closes S0 first; if that closure is semi-universal (read off
+    S0's generators) so is the whole one, whose rows are again the closed
+    form, and iterations counts S0's brackets.  If not, or for any other
+    set, the one-stage worklist closes every member and iterations adds its
+    brackets.  Every path ends on the same reduced echelon, the one its
+    span determines; FIFO order and the canonical triple order make each
+    run deterministic.
     """
     t0 = time.perf_counter()
+    if sector_ledger(gens).full:
+        return ClosureRun(gens, semi_universal_basis(gens), 0, time.perf_counter() - t0)
     two_body = [g for g in gens.members if max(t.level for t in g.coeffs) <= 2]
     steps = 0
     if 0 < len(two_body) < len(gens.members):
         base = GeneratorSet(gens.n, two_body)
         ech, steps = _worklist(base)
-        run = extend_closure(gens, ClosureRun(base, ech, steps, 0.0))
-        if run is not None:
-            return run._replace(wall_time=time.perf_counter() - t0)
+        if ClosureRun(base, ech, steps, 0.0).verdicts.semi_universal:
+            return ClosureRun(gens, semi_universal_basis(gens), steps, time.perf_counter() - t0)
     ech, more = _worklist(gens)
     return ClosureRun(gens, ech, steps + more, time.perf_counter() - t0)
 
 
-def extend_closure(gens: GeneratorSet, run: ClosureRun) -> ClosureRun | None:
-    """Closure of gens from run, the closure of some of them, with no bracket;
-    None unless run's generators are among gens' and run is semi-universal.
+def semi_universal_basis(gens: GeneratorSet) -> SparseEchelon:
+    """The reduced echelon of L(gens) when L(gens) is semi-universal, with
+    no bracket.
 
     Let A be the whole equivariant algebra, the direct sum of the gl(m_mu),
     Z its center and D = [A, A] its derived algebra, the sum of the
     sl(m_mu).  The trace pairing is definite on A and D is the pairing
-    complement of Z.  A semi-universal V = L(run.gens) has an entirely
-    central pairing complement, so V contains D.  Any subspace W with D in
-    W is a Lie algebra, since [W, W] lies in [A, A] = D.  So V + span(gens)
-    is a Lie algebra that contains gens and lies in L(gens): it is
-    L(gens).  It is reached by inserting the other members into a copy of
-    V's echelon, and since a span has one reduced primitive echelon, the
-    rows are the ones the one-stage worklist stores.  run is left as it is.
-    The result keeps run's iterations and adds this step's time to its
-    wall_time.
+    complement of Z.  A semi-universal L contains D, so its pairing
+    complement is central: it is Z0, the central elements trace-orthogonal
+    to every generator (for central C, tr([a, b] C) = 0, so a central
+    element orthogonal to the generators is orthogonal to L).  So L is the
+    pairing complement of Z0: the rows whose central residuals lie in the
+    span of the generators'.
+
+    Each y in the null space of the generators' residual matrix gives one
+    constraint sum_mu y_mu res_mu(row) = 0, on the even triples of the
+    levels 2 mu where y_mu != 0 (_free_row gives one y per free mu).  The
+    constraints are reduced with their largest triple as pivot (keys
+    -rank), which puts them in the form x_j = -sum_f c_jf x_f over their
+    non-pivot triples f.  So the echelon of L holds {t: 1} for every
+    triple no constraint touches, and for each other triple f but the
+    constraints' pivots j the row e_f - sum_j c_jf e_j (_free_row again),
+    whose smallest triple is f and which no other row shares: the reduced
+    rows, made primitive, are the ones the worklist stores.
     """
-    t0 = time.perf_counter()
-    base = run.gens.members
-    if any(g not in gens.members for g in base) or not run.verdicts.semi_universal:
-        return None
-    ech = run.basis.copy()
-    ech.extend(integer_row(by_rank(g.coeffs)) for g in gens.members if g not in base)
-    return ClosureRun(gens, ech, run.iterations, run.wall_time + time.perf_counter() - t0)
+    n = gens.n
+    pairing = SparseEchelon()
+    seeds = (integer_row(by_rank(g.coeffs)) for g in gens.members)
+    pairing.extend({mu: r for mu, r in enumerate(res) if r} for res in central_residuals(seeds, n))
+    held = dict(zip(pairing.pivots(), pairing.rows()))
+    constraints = SparseEchelon()  # keyed by -rank: a row's pivot is its largest triple
+    for f in range(n // 2 + 1):
+        if f in held:
+            continue
+        phi = {}
+        for mu, ym in _free_row(f, [(p, row) for p, row in held.items() if f in row]).items():
+            for a in range(mu + 1):
+                for b in range(mu - a + 1):
+                    w = comb(mu, a) * comb(mu - a, b)  # mu!/(a!b!c!)
+                    phi[-triple_rank((2 * a, 2 * b, 2 * (mu - a - b)))] = ym * w
+        constraints.insert(phi)
+    touched: dict[int, list[tuple[int, dict]]] = {}  # triple -> (pivot, row) that hold it
+    for p, row in zip(constraints.pivots(), constraints.rows()):
+        row = {-k: v for k, v in row.items()}
+        for r in row:
+            if r != -p:
+                touched.setdefault(r, []).append((-p, row))
+    rows = {r: {r: 1} for r in range(comb(n + 3, 3))}
+    for p in constraints.pivots():
+        del rows[-p]
+    for r, hits in touched.items():
+        rows[r] = _free_row(r, hits)
+    return SparseEchelon.from_reduced(rows)
+
+
+def _free_row(f: int, hits: Sequence[tuple[int, dict]]) -> dict:
+    """The null vector of a reduced echelon at its free column f: the
+    primitive integer multiple of e_f - sum_p (row[f] / row[p]) e_p over the
+    rows (p, row) that hold f, positive at f."""
+    scale = lcm(*[row[p] for p, row in hits])
+    vec = {p: -row[f] * (scale // row[p]) for p, row in hits}
+    vec[f] = scale
+    g = gcd(*vec.values())
+    return vec if g == 1 else {k: v // g for k, v in vec.items()}
 
 
 def predicted_dim(label: str, n: int, k: int | None = None) -> int:
@@ -167,37 +217,6 @@ def is_universal_pair(n: int, k: int) -> bool:
     if n % 2 == 0:
         return k == n
     return k >= n - 1
-
-
-def central_residuals(rows: Iterable[Mapping[int, int]], n: int) -> list[list]:
-    """Central residual res[mu] of every rank-keyed row, for 0 <= mu <= n/2.
-
-    A triple (2a, 2b, 2c) with every letter count even adds
-    coeff * mu!/(a!b!c!) to res[mu], mu = a+b+c; no other triple adds anything,
-    so one pass over each row's support finds them all, and an integer row
-    gets integer residuals.  Since C_mu weighs (2a, 2b, 2c) by
-    (2a)!(2b)!(2c)!/(a!b!c!) and orbit_size cancels the numerator,
-    tr(row C_mu) = 2^n n!/(mu! (n - 2mu)!) * res[mu]: a residual vanishes
-    exactly when the row is trace-orthogonal to C_mu.
-    """
-    out = []
-    for row in rows:
-        res = [0] * (n // 2 + 1)
-        for r, coeff in row.items():
-            kx, ky, kz = rank_triple(r)
-            if not (kx | ky | kz) & 1:
-                a, b, c = kx // 2, ky // 2, kz // 2
-                w = factorial(a + b + c) // (factorial(a) * factorial(b) * factorial(c))
-                res[a + b + c] += coeff * w
-        out.append(res)
-    return out
-
-
-def central_rank(residuals: Iterable[Sequence[int]]) -> int:
-    """Rank of the rows' trace pairing with the C_mu, read off their central
-    residuals: residual[mu] is tr(row C_mu) times a nonzero factor that
-    depends on mu alone, which leaves the rank as it is."""
-    return rank_of({mu: r for mu, r in enumerate(res) if r} for res in residuals if any(res))
 
 
 class Verdicts(NamedTuple):

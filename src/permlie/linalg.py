@@ -27,12 +27,13 @@ A stored row of length 1 is {p: 1}, and most rows of a large closure are
 such rows.  Eliminating against one deletes column p from the input, and
 inserting one drops column p from each row the index lists under p and
 re-primitivises that row.  Both are the general integer step with unit
-multipliers, so they give the same rows bit for bit.  No stored row is
-changed in place: a changed row is a new dict, so copy() shares the rows.
+multipliers, so they give the same rows bit for bit.  from_reduced takes
+rows that are already reduced, such as a closed-form closure's, and builds
+the column index from them with no elimination.
 
 generator_closure's docstring proves its span is the generated algebra (by
 Jacobi) and why a closure that contains the derived algebra D of the whole
-equivariant algebra takes further generators with no bracket (D in V).
+equivariant algebra needs no bracket at all (D in V).
 """
 
 from __future__ import annotations
@@ -159,13 +160,19 @@ class SparseEchelon:
         rows[pivot] = new
         return new
 
-    def copy(self) -> "SparseEchelon":
-        """An echelon with the same rows, which it grows on its own.  No
-        stored row is ever changed in place (a changed row is a new dict),
-        so the two share the row dicts and copy only their indexes."""
-        out = SparseEchelon()
-        out._rows = dict(self._rows)
-        out._cols = {k: set(qs) for k, qs in self._cols.items()}
+    @classmethod
+    def from_reduced(cls, rows: dict[Key, IntRow]) -> "SparseEchelon":
+        """The echelon that stores rows, pivot -> row, as they are: each must
+        be primitive, with its pivot as smallest key and positive entry
+        there, and no pivot may occur in another row.  Nothing is
+        eliminated; the column index is read off the rows."""
+        out = cls()
+        out._rows = rows
+        for p, row in rows.items():
+            if len(row) > 1:
+                for k in row:
+                    if k != p:
+                        out._cols.setdefault(k, set()).add(p)
         return out
 
     def extend(self, vecs: Iterable[Mapping]) -> int:
@@ -213,11 +220,13 @@ def generator_closure(
     Every admitted row is popped once, so exactly rank * len(seed rows)
     brackets are evaluated and the loop always ends.
 
-    Further seeds S' need no worklist once V contains the derived algebra
-    D = [A, A] of the whole equivariant algebra A (V is semi-universal):
-    W = V + span(S') contains D, so [W, W] lies in [A, A] = D, inside W,
-    and W is the Lie algebra that V and S' generate.
-    closure.extend_closure checks that V contains D, then only inserts S'.
+    No worklist is needed once the closure is known to contain the derived
+    algebra D = [A, A] of the whole equivariant algebra A (it is
+    semi-universal): any W that contains D has [W, W] inside [A, A] = D,
+    inside W, so W = D + span(seeds) is the generated algebra.
+    closure.lie_closure learns that from the sector ledger or from the
+    closure of the two-body seeds, and closure.semi_universal_basis writes
+    W's echelon in closed form.
     """
     gens = [row for row in map(ech.insert, seeds) if row is not None]
     rows = ech._rows

@@ -26,28 +26,45 @@ coefficient is K(a,b,ky) K(c,e,kz) when kx+ky = a+b, with the Krawtchouk
 numbers K(a,b,k) = [y^k] (1+y)^a (1-y)^b.  So the triple fixes r, and each
 entry of G_mu(t) is one product W_mu(w',w,r) K(a,b,ky) K(c,e,kz).
 
-One pass.  certify_subspace_control walks the sectors once, building,
-checking and ranking one sector's table (sector_block) at a time, and
-takes the rank the blocks leave out from closure.central_rank.
-sector_check turns the result, or the violation, into report details.
+One triple.  triple_block reads G_mu(t) D^-2 for one triple off the same
+closed form, the D-conjugate of its block up to i^ky, whose entries are
+the products above divided by 2^mu C(q,w): integers.  kx + ky = a + b
+confines it to the band |w' - w| <= kx + ky, so a Z-type triple is
+diagonal and costs m entries.
+
+Ledger.  sector_ledger reads the generators' blocks, one triple at a time,
+and certifies per sector that their closure L maps onto a Lie algebra that
+contains su(m); if every sector is full, L contains [A, A] and its
+dimension and echelon follow in closed form (closure.lie_closure).  No
+closure row is read.
+
+One pass.  certify_subspace_control walks the sectors of a finished
+closure once, building, checking and ranking one sector's table
+(sector_block) at a time, and takes the rank the blocks leave out from
+central_rank.  sector_check turns the result, or the violation, into
+report details.  The central residuals and their rank live here, the
+pairing of rows with the center that both the ledger and the sector pass
+read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, lcm
-from typing import NamedTuple
+from math import comb, factorial, lcm
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .closure import central_rank, central_residuals
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, integer_row, rank_of
 from .symops import (
     ConstraintError,
+    GeneratorSet,
     PauliTriple,
     VerificationError,
     all_triples,
+    by_rank,
     check_qubits,
     orbit_size,
+    rank_triple,
 )
 
 # The largest n for which `schur --n n --check-blocks --json -` finished as a
@@ -86,16 +103,50 @@ def isotypic_table(n: int) -> tuple[IsotypicBlock, ...]:
     return tuple(blocks)
 
 
+def central_residuals(rows: Iterable[Mapping[int, int]], n: int) -> list[list]:
+    """Central residual res[mu] of every rank-keyed row, for 0 <= mu <= n/2.
+
+    A triple (2a, 2b, 2c) with every letter count even adds
+    coeff * mu!/(a!b!c!) to res[mu], mu = a+b+c; no other triple adds anything,
+    so one pass over each row's support finds them all, and an integer row
+    gets integer residuals.  Since C_mu weighs (2a, 2b, 2c) by
+    (2a)!(2b)!(2c)!/(a!b!c!) and orbit_size cancels the numerator,
+    tr(row C_mu) = 2^n n!/(mu! (n - 2mu)!) * res[mu]: a residual vanishes
+    exactly when the row is trace-orthogonal to C_mu.
+    """
+    out = []
+    for row in rows:
+        res = [0] * (n // 2 + 1)
+        for r, coeff in row.items():
+            kx, ky, kz = rank_triple(r)
+            if not (kx | ky | kz) & 1:
+                a, b, c = kx // 2, ky // 2, kz // 2
+                w = factorial(a + b + c) // (factorial(a) * factorial(b) * factorial(c))
+                res[a + b + c] += coeff * w
+        out.append(res)
+    return out
+
+
+def central_rank(residuals: Iterable[Sequence[int]]) -> int:
+    """Rank of the rows' trace pairing with the C_mu, read off their central
+    residuals: residual[mu] is tr(row C_mu) times a nonzero factor that
+    depends on mu alone, which leaves the rank as it is."""
+    return rank_of({mu: r for mu, r in enumerate(res) if r} for res in residuals if any(res))
+
+
+def _kraw(a: int, b: int, k: int) -> int:
+    """K(a, b, k) = [y^k] (1+y)^a (1-y)^b."""
+    out = 0
+    for i in range(max(0, k - b), min(a, k) + 1):
+        term = comb(a, i) * comb(b, k - i)
+        out += -term if (k - i) & 1 else term
+    return out
+
+
 @cache  # shared by every sector; a, b <= n keeps it small (496 entries at n = 30)
 def _krawtchouk(a: int, b: int) -> tuple[tuple[int, int], ...]:
-    """Nonzero (k, [y^k] (1+y)^a (1-y)^b)."""
-    out = []
-    for k in range(a + b + 1):
-        v = sum(comb(a, i) * comb(b, k - i) * (-1) ** (k - i)
-                for i in range(max(0, k - b), min(a, k) + 1))
-        if v:
-            out.append((k, v))
-    return tuple(out)
+    """Nonzero (k, K(a, b, k))."""
+    return tuple((k, v) for k in range(a + b + 1) if (v := _kraw(a, b, k)))
 
 
 def sector_block(n: int, mu: int) -> dict[PauliTriple, Block]:
@@ -134,11 +185,202 @@ def sector_block(n: int, mu: int) -> dict[PauliTriple, Block]:
     return table
 
 
+def triple_block(n: int, mu: int, t: PauliTriple) -> Block:
+    """G_mu(t) D^-2 of one triple: the block of P_t conjugated by D,
+    D A_mu(P_t) D^-1, up to the factor i^ky, keyed as sector_block's tables
+    are; G_mu(t) is it times D^2[w] = 2^mu C(q,w) on column w.  Each entry
+    is one product W_mu(w',w,r) K(a,b,ky) K(c,e,kz) of the module
+    docstring divided by 2^mu C(q,w), an integer.  kx + ky = a + b and
+    w' - w = a - b confine it to the band |w' - w| <= kx + ky, with
+    w' + w + kx + ky even, and fix r = (kx + ky - w - w') / 2, so a Z-type
+    triple is diagonal and costs m entries.  No cap applies."""
+    q = n - 2 * mu
+    m = q + 1
+    kx, ky, kz = t
+    s = kx + ky
+    out: Block = {}
+    for w in range(m):
+        lo = max(0, w - s)
+        for wp in range(lo + ((lo + w + s) & 1), min(q, w + s) + 1, 2):
+            r = (s - w - wp) // 2
+            a, b, e = wp + r, w + r, mu - r
+            c = q - w - wp + e
+            if min(a, b, c, e) < 0:
+                continue
+            # W(r) / (2^mu C(q,w)) = sum_j C(mu, r+j) (-1)^(r+j) C(w,j) C(q-w,w'-j)
+            weight = 0
+            for j in range(max(0, -r), min(w, wp, mu - r) + 1):
+                term = comb(mu, r + j) * comb(w, j) * comb(q - w, wp - j)
+                weight += -term if (r + j) & 1 else term
+            v = weight * _kraw(a, b, ky) * _kraw(c, e, kz)
+            if v:
+                out[wp * m + w] = v
+    return out
+
+
 def _scales(b: IsotypicBlock) -> tuple[int, list[int]]:
     """(L, [L / C(q,w)]) with L the lcm of the C(q,w): integer D^-2 up to 2^mu L."""
     binoms = [comb(b.m - 1, w) for w in range(b.m)]
     big = lcm(*binoms)
     return big, [big // c for c in binoms]
+
+
+class LedgerSector(NamedTuple):
+    """One sector of a ledger: full when the certificate showed that the
+    closure's block algebra contains su(m)."""
+
+    mu: int
+    m: int
+    full: bool
+
+
+class SectorLedger(NamedTuple):
+    """What the generators' sector blocks prove about their closure L.
+    sectors lists the sectors checked, smallest m first, each with whether
+    pi_mu(L) contains su(m_mu); the walk stops at the first one the
+    certificate leaves open, since then the ledger proves nothing of L.
+    phase_rank is the central_rank of the generators, which is L's."""
+
+    n: int
+    sectors: tuple[LedgerSector, ...]
+    phase_rank: int
+
+    @property
+    def full(self) -> bool:
+        """Every sector full: L contains D = [A, A] (see sector_ledger)."""
+        return len(self.sectors) == self.n // 2 + 1 and self.sectors[-1].full
+
+
+def sector_ledger(gens: GeneratorSet) -> SectorLedger:
+    """Read off the generators' sector blocks, with no closure, which
+    sectors their closure L fills.
+
+    The block map pi_mu of a sector is an associative homomorphism, so
+    pi_mu(L) is the Lie algebra the generators' blocks generate.  If every
+    pi_mu(L) contains su(m_mu), then L contains D = [A, A], the sum of the
+    su(m_mu): [L, L] lies in D and maps onto every su(m_mu), and the m_mu
+    are distinct, so the simple factors are pairwise non-isomorphic and a
+    subalgebra that maps onto each is all of D (Goursat).  Then L is D plus
+    the span of the generators' central parts, of dimension
+    sum_mu (m_mu^2 - 1) + phase_rank, which is the bound that
+    closure._verdicts reads off the generators.  _sector_full is the
+    per-sector certificate; it is a sufficient condition only, so a set
+    that is not semi-universal stops at its first open sector, most often
+    a small one.
+    """
+    n = gens.n
+    z_type, others = [], []  # members whose triples are all Z-type, and the rest
+    for g in gens.members:
+        row = integer_row(g.coeffs)
+        (z_type if all(not t.kx and not t.ky for t in row) else others).append(row)
+    sectors = []
+    for b in reversed(isotypic_table(n)):
+        sectors.append(LedgerSector(b.mu, b.m, _sector_full(n, b, others, z_type)))
+        if not sectors[-1].full:
+            break
+    phase = central_rank(central_residuals((by_rank(g) for g in z_type + others), n))
+    return SectorLedger(n, tuple(sectors), phase)
+
+
+def _sector_full(n: int, b: IsotypicBlock, others: Sequence[Mapping[PauliTriple, int]],
+                 z_type: Sequence[Mapping[PauliTriple, int]]) -> bool:
+    """Root-space certificate that the blocks of the members, z_type those
+    whose triples are all Z-type and others the rest, generate a Lie
+    algebra that contains su(m) in sector b (Altafini, J. Math. Phys. 43,
+    2051 (2002); Schirmer, Fu & Solomon, PRA 63, 063410 (2001)).
+
+    Work in the complexification K of the block algebra, conjugated by D:
+    a member's block becomes sum_t c_t i^ky G_mu(t) D^-2 (_member_block),
+    an integer matrix up to a phase per entry.  Conjugation keeps spans and
+    brackets.  A Z-type member is diagonal, H = diag(d); each is tried in
+    turn (H = 0 if there is none), since the certificate holds for any H in
+    the algebra.  ad_H scales the unit E_w'w by the gap d_w' - d_w, so a
+    member X is the sum of its gap components X_g, and
+    ad_H^j X = sum_g g^j X_g: by Vandermonde over the distinct gaps each
+    X_g lies in K.  A unit in the complex span of one gap's components
+    therefore lies in K, and so does its transpose: K is closed under
+    X -> -D^2 X^+ D^-2, which sends E_w'w to a multiple of E_ww'.  If those
+    units connect all m states, brackets along paths give every E_ij with
+    i != j, and [E_ij, E_ji] the diagonal, so K holds sl(m) and the block
+    algebra holds su(m).  m = 1 is always full.
+    """
+    m = b.m
+    if m == 1:
+        return True
+    blocks = [_member_block(n, b.mu, g) for g in others]
+    # A diagonal block lies in gap 0, where it can only cancel the diagonal
+    # entries of the others: when they have none, a unit in a gap's span
+    # lies in the span of theirs alone, and no diagonal block is built but H.
+    if any((key >> 1) % (m + 1) == 0 for blk in blocks for key in blk):
+        blocks += [_member_block(n, b.mu, g) for g in z_type]
+    for h in z_type or [{}]:  # H = 0 when no member is Z-type
+        d = _member_block(n, b.mu, h)
+        if _units_connect(m, blocks, [d.get(2 * w * (m + 1), 0) for w in range(m)]):
+            return True
+    return False
+
+
+def _member_block(n: int, mu: int, g: Mapping[PauliTriple, int]) -> dict[int, int]:
+    """sum_t c_t i^ky G_mu(t) D^-2, the block of g in sector mu conjugated
+    by D, with the real part at key 2k and the imaginary part at 2k + 1 of
+    entry k = w' m + w."""
+    blk: dict[int, int] = {}
+    for t, c in g.items():
+        part = t.ky & 1  # i^ky: real for even ky, imaginary for odd
+        c = -c if t.ky & 2 else c
+        for k, v in triple_block(n, mu, t).items():
+            key = 2 * k + part
+            blk[key] = blk.get(key, 0) + c * v
+    return {k: v for k, v in blk.items() if v}
+
+
+def _units_connect(m: int, blocks: Sequence[Mapping[int, int]], d: Sequence[int]) -> bool:
+    """Whether the units that lie in one gap's complex span, gaps taken
+    against H = diag(d), connect all m states.  A gap's span is built only
+    once one of its units could join two states that are not yet joined."""
+    parts: dict[int, list[dict[int, int]]] = {}
+    for blk in blocks:
+        split: dict[int, dict[int, int]] = {}
+        for key, v in blk.items():
+            wp, w = divmod(key >> 1, m)
+            split.setdefault(d[wp] - d[w], {})[key] = v
+        for gap, comp in split.items():
+            parts.setdefault(gap, []).append(comp)
+    parent = list(range(m))  # union-find forest of the states
+    joined = 1
+    for comps in parts.values():
+        keys = sorted({key >> 1 for comp in comps for key in comp})
+        span = None
+        for k in keys:
+            x, y = (_root(parent, z) for z in divmod(k, m))
+            if x == y:
+                continue
+            if span is None:
+                # A component of one phase is a real vector times it; when
+                # all are, a real unit lies in their complex span exactly when
+                # it lies in the real span of those vectors.
+                real = all(len({key & 1 for key in comp}) == 1 for comp in comps)
+                span = SparseEchelon()
+                for comp in comps:
+                    if real:
+                        span.insert({key & ~1: v for key, v in comp.items()})
+                    else:
+                        span.insert(comp)
+                        span.insert({key ^ 1: -v if key & 1 else v for key, v in comp.items()})
+                whole = span.rank == (1 if real else 2) * len(keys)  # holds every unit here
+            if whole or span.contains({2 * k: 1}):
+                parent[x] = y
+                joined += 1
+                if joined == m:
+                    return True
+    return False
+
+
+def _root(parent: list[int], x: int) -> int:
+    """The root of x's tree in the union-find forest parent, halving its path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 class SectorSpan(NamedTuple):

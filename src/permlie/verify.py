@@ -11,9 +11,9 @@ directly.
 The six ladder suites (thm1, thm3, thm4, thm5, thm6, cor1) share one walk,
 _closures, which yields the closure run of G2 at each n, or of Gk at every
 2 <= k <= n, one at a time; each suite is a case function that reads one
-run, which carries the generators it closed.  G2 is closed once per n, and
-each Gk is derived from it by insertion alone (closure.extend_closure).
-thm3 and thm6 share theirs: G2 is Gk at k = 2.
+run, which carries the generators it closed.  Each case is one
+lie_closure, which the sector ledger proves with no bracket.  thm3 and
+thm6 share theirs: G2 is Gk at k = 2.
 
 Every case is a CaseResult and every report a SuiteReport; the `center`
 and `schur` verbs build theirs with the same case builders as the prop1
@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .center import CENTER_CAP, make_C, make_L, make_L_direct, verify_center
-from .closure import build_report, extend_closure, is_universal_pair, lie_closure, predicted_dim
+from .closure import build_report, is_universal_pair, lie_closure, predicted_dim
 from .erratum import build_abc, verify_printed_commutators
 from .linalg import SparseEchelon, integer_row, rank_of
 from .oracle import WORD_QUBIT_CAP, class_sum, dense_closure, densify
@@ -87,18 +87,13 @@ class SuiteReport(NamedTuple):
 
 def _closures(label: str, lo: int, hi: int):
     """The ladder walk: the closure run of G2 at each n in lo..hi, or of Gk
-    at every 2 <= k <= n, one at a time.  G2 is closed once per n and each
-    Gk is derived from it by extend_closure, which checks that G2's closure
-    is semi-universal; should it decline, Gk gets a closure of its own."""
+    at every 2 <= k <= n, one at a time, each by one lie_closure."""
     for n in range(lo, hi + 1):
-        base = lie_closure(preset_generators("G2", n))
         if label == "G2":
-            yield base
+            yield lie_closure(preset_generators("G2", n))
             continue
         for k in range(2, n + 1):
-            gens = preset_generators(label, n, k=k)
-            run = extend_closure(gens, base)
-            yield lie_closure(gens) if run is None else run
+            yield lie_closure(preset_generators(label, n, k=k))
 
 
 def _dimension(run) -> tuple[bool, dict]:

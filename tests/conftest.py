@@ -1,8 +1,9 @@
 """Shared fixtures: ctx.closure(label, n, k), which builds each preset
 closure once per test session (the package keeps no closure between
-calls) and derives every Gk from G2's, and one structure table per qubit count; and the generator sets
+calls), one_stage(label, n, k), its oracle by the one-stage worklist,
+and one structure table per qubit count; and the generator sets
 the closure and sector tests share: every preset to a given n and the
-hypothesis strategy of custom sets."""
+hypothesis strategies of custom sets."""
 
 from datetime import timedelta
 from functools import lru_cache
@@ -17,11 +18,11 @@ from permlie import (
     StructureTable,
     SymOpVector,
     all_triples,
-    extend_closure,
     lie_closure,
     preset_generators,
     schur,
 )
+from reference import one_stage_closure
 
 
 # Per-example deadlines of the custom_generator_sets tests.  In 1,500
@@ -54,6 +55,17 @@ def custom_generator_sets(draw, max_n=5):
     return GeneratorSet(n, tuple(members), "custom")
 
 
+@st.composite
+def g2_plus_custom_sets(draw, max_n=5):
+    """G2's members, each scaled by a small nonzero integer, plus 1-2
+    custom_vectors, 2 <= n <= max_n: sets that are mostly semi-universal."""
+    n = draw(st.integers(2, max_n))
+    scales = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=3, max_size=3))
+    g2 = tuple(g.scaled(c) for g, c in zip(preset_generators("G2", n).members, scales))
+    extra = draw(st.lists(custom_vectors(n), min_size=1, max_size=2))
+    return GeneratorSet(n, g2 + tuple(extra), "custom")
+
+
 def preset_cases(max_n):
     """(label, n, k) of every preset generator set at n <= max_n: G1,
     G1prime, G2 and every Gk:k."""
@@ -72,19 +84,25 @@ def case_ids(cases):
 
 @pytest.fixture(scope="session")
 def ctx():
-    """ctx.closure(label, n, k=None): the closure of a preset family.  Gk
-    is derived from the cached G2 closure at the same n by extend_closure,
-    as verify's ladder walk derives it; a declined derivation fails."""
+    """ctx.closure(label, n, k=None): the closure of a preset family, one
+    lie_closure per (label, n, k), as verify's ladder walk builds it."""
     @lru_cache(maxsize=None)
     def built(label, n, k):
-        gens = preset_generators(label, n, k=k)
-        if label != "Gk":
-            return lie_closure(gens)
-        run = extend_closure(gens, built("G2", n, None))
-        assert run is not None, f"G2 closure at n={n} not extended"
-        return run
+        return lie_closure(preset_generators(label, n, k=k))
 
     return SimpleNamespace(closure=lambda label, n, k=None: built(label, n, k))
+
+
+@pytest.fixture(scope="session")
+def one_stage():
+    """one_stage(label, n, k=None): (echelon, bracket count) of a preset's
+    closure by the one-stage worklist of tests/reference.py, the oracle of
+    lie_closure's closed form, built once per test session."""
+    @lru_cache(maxsize=None)
+    def built(label, n, k):
+        return one_stage_closure(preset_generators(label, n, k=k))
+
+    return lambda label, n, k=None: built(label, n, k)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,8 @@ text of the dense oracle, the paths of the bundled report schemas, the
 universality verdicts read off an explicit nullspace of the trace pairings,
 the view of an echelon's rank-keyed rows as SymOpVectors that lets these
 triple-keyed oracles check the engine, the one-stage closure that staged
-and derived runs are checked against, the closure worklist that brackets
+and closed-form runs are checked against, the closure of a superset of a
+semi-universal closure's generators by insertion, the closure worklist that brackets
 each row as it was admitted, the pair overlap count, a bracket engine of
 its own that the seed columns are checked against, and the rank of the
 rows' per-sector traces, which trace_rank is checked against.
@@ -20,7 +21,7 @@ from importlib import resources
 from math import comb, factorial
 
 from permlie import StructureTable, ambient_dims, isotypic_table, make_C, sector_block
-from permlie.closure import Verdicts
+from permlie.closure import ClosureRun, Verdicts
 from permlie.linalg import SparseEchelon, generator_closure, integer_row, rank_of
 from permlie.schur import _scales
 from permlie.structure import _orbit_average
@@ -180,6 +181,24 @@ def one_stage_closure(gens) -> tuple[SparseEchelon, int]:
         ech,
     )
     return ech, steps
+
+
+def extend_closure(gens, run):
+    """Closure of gens from run, the closure of some of them, by inserting
+    the other members into an echelon of run's rows, with no bracket; None
+    unless run's generators are among gens' and run is semi-universal.
+
+    A semi-universal V = L(run.gens) contains D = [A, A], and any subspace
+    that contains D is a Lie algebra, since [W, W] lies in [A, A] = D.  So
+    V + span(gens) is L(gens).  run is left as it is; the result keeps its
+    iterations and wall_time."""
+    base = run.gens.members
+    if any(g not in gens.members for g in base) or not run.verdicts.semi_universal:
+        return None
+    ech = SparseEchelon()
+    ech.extend(run.basis.rows())
+    ech.extend(integer_row(by_rank(g.coeffs)) for g in gens.members if g not in base)
+    return ClosureRun(gens, ech, run.iterations, run.wall_time)
 
 
 def snapshot_closure(seeds, bracket, ech: SparseEchelon) -> int:

@@ -519,11 +519,13 @@ class TestBrokenPipe:
 
 class TestWrongDataDetection:
     def test_silenced_brackets_fail_closure(self, capsys, monkeypatch):
-        """A bracket engine that returns zero everywhere is caught by the math."""
+        """A bracket engine that returns zero everywhere is caught by the
+        math.  G1prime is closed by the worklist (the sector ledger proves
+        G2's closure with no bracket)."""
         monkeypatch.setattr(structure, "_seed_column", lambda s: ())
-        rc, payload, _ = run_json(capsys, "close", "--n", "3", "--gens", "G2")
+        rc, payload, _ = run_json(capsys, "close", "--n", "3", "--gens", "G1prime")
         assert rc == 2
-        assert payload["dim"] == 3  # nothing commutes into existence any more
+        assert payload["dim"] == 2  # nothing commutes into existence any more
         assert payload["matched"] is False
 
 

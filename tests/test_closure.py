@@ -8,7 +8,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from permlie import (
@@ -21,11 +21,11 @@ from permlie import (
     all_triples,
     ambient_dims,
     build_report,
-    extend_closure,
     is_universal_pair,
     lie_closure,
     predicted_dim,
     preset_generators,
+    semi_universal_basis,
     verify,
 )
 from permlie import closure
@@ -40,6 +40,7 @@ from permlie.closure import (
 )
 from permlie.linalg import SparseEchelon, generator_closure, integer_row, rank_of
 from permlie.oracle import DenseOp, dense_bracket, dense_closure, densify
+from permlie.schur import LedgerSector, SectorLedger, sector_ledger
 from permlie.symops import by_rank, parse_generator_spec, rank_triple
 from conftest import (
     ENGINE_DEADLINE,
@@ -48,10 +49,12 @@ from conftest import (
     case_ids,
     custom_generator_sets,
     custom_vectors,
+    g2_plus_custom_sets,
     preset_cases,
 )
 from reference import (
     bracket_vectors,
+    extend_closure,
     membership_residual,
     one_stage_closure,
     row_vectors,
@@ -107,9 +110,13 @@ class TestClosureDimensions:
         assert ctx.closure("Gk", 4, 3).dim == 33
 
     def test_iterations_and_wall_time_recorded(self, ctx):
-        run = ctx.closure("G2", 3)
+        """The worklist counts its brackets; a closure the sector ledger
+        proves makes none."""
+        run = ctx.closure("G1prime", 3)
         assert run.iterations > 0
         assert run.wall_time >= 0.0
+        proven = ctx.closure("G2", 3)
+        assert proven.iterations == 0 and proven.wall_time >= 0.0
 
 
 class TestPredictedDim:
@@ -190,8 +197,9 @@ def seed_rows(gens):
 
 
 def expected_brackets(gens):
-    """The brackets lie_closure makes.  With S0 the members of level <= 2,
-    a nonempty proper subset: dim L(S0) x rank(S0) when L(S0) is
+    """The brackets lie_closure makes: none when the sector ledger shows
+    every sector full.  Else, with S0 the members of level <= 2, a
+    nonempty proper subset: dim L(S0) x rank(S0) when L(S0) is
     semi-universal (staged), and those plus dim L(S) x rank(S) when it is
     not (fallback).  Otherwise dim L(S) x rank(S).  Dimensions and verdicts
     come from the one-stage worklist and the trace-pairing reference."""
@@ -199,6 +207,8 @@ def expected_brackets(gens):
         ech = one_stage_closure(s)[0]
         return ech, ech.rank * rank_of(seed_rows(s))
 
+    if sector_ledger(gens).full:
+        return 0
     two_body = [g for g in gens.members if max(t.level for t in g.coeffs) <= 2]
     if not 0 < len(two_body) < len(gens.members):
         return one_stage_count(gens)[1]
@@ -269,12 +279,18 @@ class TestWorklist:
 
     @pytest.mark.parametrize("label,n,k", PRESETS_TO_12, ids=case_ids(PRESETS_TO_12))
     def test_preset_bracket_count_is_exact(self, label, n, k):
+        """The worklist makes dim x rank(seed rows) brackets; lie_closure
+        makes the ones expected_brackets counts."""
         gens = preset_generators(label, n, k=k)
+        ech, steps = one_stage_closure(gens)
+        assert steps == ech.rank * rank_of(seed_rows(gens))
         assert lie_closure(gens).iterations == expected_brackets(gens)
 
     @settings(max_examples=30, deadline=ENGINE_DEADLINE)
     @given(custom_generator_sets())
     def test_custom_bracket_count_is_exact(self, gens):
+        ech, steps = one_stage_closure(gens)
+        assert steps == ech.rank * rank_of(seed_rows(gens))
         assert lie_closure(gens).iterations == expected_brackets(gens)
 
     @pytest.mark.parametrize("label,n,k", WORD_PRESETS, ids=case_ids(WORD_PRESETS))
@@ -312,10 +328,19 @@ def nested_custom_sets(draw, base=None):
     return small, GeneratorSet(n, small.members + tuple(extra), "custom")
 
 
+def no_ledger(gens):
+    """A sector ledger that proves nothing, so that lie_closure takes the
+    worklist."""
+    return SectorLedger(gens.n, (LedgerSector(0, gens.n + 1, False),), 0)
+
+
 class TestStagedClosure:
-    """lie_closure closes the members of level <= 2 first and
-    extend_closure inserts the rest; verify's walk derives every Gk from G2.
-    The one-stage worklist of tests/reference.py is the oracle of both."""
+    """lie_closure writes the closed form when the sector ledger or the
+    closure of the members of level <= 2 shows the set semi-universal, and
+    runs the one-stage worklist otherwise; verify's walk makes one
+    lie_closure per case.  The one-stage worklist of tests/reference.py is
+    the oracle, and its extend_closure (insertion into a semi-universal
+    closure of some of the members) a second one."""
 
     @pytest.mark.parametrize("label,n,k", GK_TO_12, ids=case_ids(GK_TO_12))
     def test_gk_matches_one_stage_worklist(self, label, n, k):
@@ -327,17 +352,24 @@ class TestStagedClosure:
         assert cases == [(n, k) for _, n, k in GK_TO_12]
 
     def test_every_derived_run_checks_semi_universality(self, monkeypatch):
+        """Each run of the walk reads the sector ledger once, which shows
+        every sector full, and makes no bracket."""
         checked = []
 
-        def recording(n, dim, residuals):
-            checked.append(n)
-            return _verdicts(n, dim, residuals)
+        def recording(gens):
+            ledger = sector_ledger(gens)
+            checked.append((gens.n, gens.k, ledger.full))
+            return ledger
 
-        monkeypatch.setattr(closure, "_verdicts", recording)
-        walked = [run.n for run in verify._closures("Gk", 2, 8)]
-        assert checked == walked
+        monkeypatch.setattr(closure, "sector_ledger", recording)
+        walked = [(run.n, run.gens.k, True) for run in verify._closures("Gk", 2, 8)
+                  if run.iterations == 0]
+        assert checked == walked == [(n, k, True) for n in range(2, 9) for k in range(2, n + 1)]
 
     def test_declined_derivations_fall_back(self, monkeypatch):
+        """With the ledger and the verdicts both declining, G2 is staged,
+        declined, and every member closed by the one-stage worklist."""
+        monkeypatch.setattr(closure, "sector_ledger", no_ledger)
         monkeypatch.setattr(closure, "_verdicts", lambda n, dim, residuals: Verdicts(False, False))
         for run in verify._closures("Gk", 2, 6):
             n, k = run.n, run.gens.k
@@ -403,11 +435,12 @@ class TestStagedClosure:
         assert echelon(run) == (want.pivots(), want.rows())
         assert run.iterations == 3 * 2 + steps
 
-    def test_fraction_members_stage_as_their_integer_multiple(self):
-        """X/2, 3Y/4, 2ZZ/3 + I/5 and 5ZZZ/7 at n = 5 take the staged path
-        (ZZZ is inserted) and give the rows, bracket count, verdicts and
-        exempt levels of the same set times 420, the lcm of the
-        denominators."""
+    def test_fraction_members_stage_as_their_integer_multiple(self, monkeypatch):
+        """X/2, 3Y/4, 2ZZ/3 + I/5 and 5ZZZ/7 at n = 5, proven by the ledger
+        or, with the ledger declining, by their staged two-body closure, give
+        the rows, verdicts and exempt levels of the same set times 420, the
+        lcm of the denominators; the worklist makes 54 x 3 brackets on the
+        two-body part of both, and the staged run makes just those."""
         n = 5
         members = [{(1, 0, 0): Fraction(1, 2)}, {(0, 1, 0): Fraction(3, 4)},
                    {(0, 0, 2): Fraction(2, 3), (0, 0, 0): Fraction(1, 5)},
@@ -415,14 +448,94 @@ class TestStagedClosure:
 
         def closed(scale):
             vectors = tuple(SymOpVector(n, {t: c * scale for t, c in m.items()}) for m in members)
-            run = lie_closure(GeneratorSet(n, vectors, "custom"))
-            return echelon(run), run.iterations, run.verdicts, build_report(run).exempt
+            gens = GeneratorSet(n, vectors, "custom")
+            run = lie_closure(gens)
+            want = one_stage_closure(gens)[0]
+            assert echelon(run) == (want.pivots(), want.rows())
+            two_body = one_stage_closure(GeneratorSet(n, vectors[:3]))[1]
+            return echelon(run), run.iterations, two_body, run.verdicts, build_report(run).exempt
 
-        rational = closed(1)
-        assert rational == closed(420)
-        (pivots, _), iterations, verdicts, _ = rational
-        assert (len(pivots), iterations) == (54, 54 * 3)
-        assert verdicts.semi_universal
+        for ledger in (sector_ledger, no_ledger):
+            monkeypatch.setattr(closure, "sector_ledger", ledger)
+            rational = closed(1)
+            assert rational == closed(420)
+            (pivots, _), iterations, two_body, verdicts, _ = rational
+            assert (len(pivots), two_body) == (54, 54 * 3)
+            assert iterations == (0 if ledger is sector_ledger else two_body)
+            assert verdicts.semi_universal
+
+
+# The closures of the kbody_ladder benchmark: Gk:k for 2 <= k <= n <= 8 and
+# G2 at n = 16, 20 and 24.
+BENCH_LADDER = [("Gk", n, k) for n in range(2, 9) for k in range(2, n + 1)] + [
+    ("G2", n, None) for n in (16, 20, 24)]
+
+
+def semi_universal_one_stage(gens):
+    """The one-stage echelon of gens; the example is skipped unless it is
+    semi-universal."""
+    ech = one_stage_closure(gens)[0]
+    assume(trace_pairing_verdicts(gens.n, ech).semi_universal)
+    return ech
+
+
+class TestClosedForm:
+    """semi_universal_basis writes the reduced echelon of a semi-universal
+    closure with no bracket; the one-stage worklist is its oracle."""
+
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_g2_rows(self, one_stage, n):
+        want = one_stage("G2", n)[0]
+        got = semi_universal_basis(preset_generators("G2", n))
+        assert (got.pivots(), got.rows()) == (want.pivots(), want.rows())
+
+    @pytest.mark.parametrize("label,n,k", GK_TO_12, ids=case_ids(GK_TO_12))
+    def test_gk_rows(self, one_stage, label, n, k):
+        want = one_stage(label, n, k)[0]
+        got = semi_universal_basis(preset_generators(label, n, k=k))
+        assert (got.pivots(), got.rows()) == (want.pivots(), want.rows())
+
+    @pytest.mark.parametrize("spec, n", [("1,0,0;0,1,0;0,0,2;2,2,0", 8), ("1,0,0;0,1,0;0,0,4", 9)])
+    def test_custom_examples(self, spec, n):
+        gens = parse_generator_spec(spec, n)
+        want = one_stage_closure(gens)[0]
+        assert trace_pairing_verdicts(n, want).semi_universal
+        got = semi_universal_basis(gens)
+        assert (got.pivots(), got.rows()) == (want.pivots(), want.rows())
+
+    @settings(max_examples=40, deadline=ENGINE_DEADLINE)
+    @given(st.one_of(custom_generator_sets(), g2_plus_custom_sets()))
+    def test_semi_universal_custom_sets(self, gens):
+        want = semi_universal_one_stage(gens)
+        got = semi_universal_basis(gens)
+        assert (got.pivots(), got.rows()) == (want.pivots(), want.rows())
+
+    def test_rows_grow_like_the_worklist_echelon(self):
+        """The closed form's column index lets it take further rows: the C_mu
+        inserted into G2's closed form at n = 6 give the whole algebra, as
+        they do in the worklist's echelon (centralizer_case does this)."""
+        gens = preset_generators("G2", 6)
+        got, want = semi_universal_basis(gens), one_stage_closure(gens)[0]
+        for ech in (got, want):
+            ech.extend(by_rank(make_C(mu, 6).coeffs) for mu in range(4))
+        assert got.rank == want.rank == comb(9, 3)
+        assert got.rows() == want.rows() and got._cols == want._cols
+
+    @pytest.mark.parametrize("label,n,k", BENCH_LADDER, ids=case_ids(BENCH_LADDER))
+    def test_benchmark_ladder_runs_no_worklist(self, label, n, k):
+        """Route guard: a closure the sector ledger stops proving would fall
+        back to the worklist silently, and fail here."""
+        assert lie_closure(preset_generators(label, n, k=k)).iterations == 0
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_worklist_rows_pass_the_membership_check(self, one_stage, n):
+        """On closed-form rows the membership-residual pass of build_report
+        holds by construction; on the worklist's rows it still checks the
+        bracket engine's arithmetic, for G2 and every Gk."""
+        for label, k in [("G2", None)] + [("Gk", k) for k in range(2, n + 1)]:
+            ech, steps = one_stage(label, n, k)
+            report = build_report(ClosureRun(preset_generators(label, n, k=k), ech, steps, 0.0))
+            assert report.residuals_nonzero == 0 and report.matched, (label, n, k)
 
 
 class TestOneRowReader:
@@ -444,11 +557,11 @@ class TestOneRowReader:
         return calls
 
     def test_threshold_reads_generators_only(self, seen):
-        """cor1 reads G2's 3 residuals to derive each Gk and Gk's k + 1 to
-        read its verdicts."""
+        """cor1 reads Gk's k + 1 residuals to write each closed form and
+        again to read its verdicts."""
         cases = verify.run_selector("cor1", 2, 8).cases
         assert all(c.ok for c in cases)
-        assert seen == [(c.params["n"], m) for c in cases for m in (3, c.params["k"] + 1)]
+        assert seen == [(c.params["n"], c.params["k"] + 1) for c in cases for _ in range(2)]
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_staged_closure_reads_generators_only(self, seen, n):

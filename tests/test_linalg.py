@@ -62,17 +62,17 @@ class TestInsertAndRank:
         added = ech.extend([{0: 1}, {0: 2}, {1: 5}, {0: 1, 1: 5}])
         assert added == 2
 
-    def test_copy_grows_on_its_own(self):
-        ech = SparseEchelon()
-        ech.extend([{0: 1, 2: 3}, {1: 2, 2: 1, 3: 1}])
-        rows, cols = ech.rows(), {k: set(v) for k, v in ech._cols.items()}
-        twin = ech.copy()
-        assert twin.rows() == rows and twin._cols == cols
-        twin.extend([{2: 5}, {4: 1}])
-        assert ech.rows() == rows and ech._cols == cols
+    def test_reduced_rows_grow_like_inserted_ones(self):
+        """from_reduced stores reduced rows as they are and reads their
+        column index off them: it holds what inserting them builds, and
+        grows the same."""
         ref = SparseEchelon()
-        ref.extend([{0: 1, 2: 3}, {1: 2, 2: 1, 3: 1}, {2: 5}, {4: 1}])
-        assert twin.rows() == ref.rows() and twin._cols == ref._cols
+        ref.extend([{0: 1, 2: 3}, {1: 2, 2: 1, 3: 1}, {4: 1}])
+        built = SparseEchelon.from_reduced(dict(zip(ref.pivots(), ref.rows())))
+        assert built.rows() == ref.rows() and built._cols == ref._cols
+        for ech in (built, ref):
+            ech.extend([{2: 5}, {3: 1, 5: 2}])
+        assert built.rows() == ref.rows() and built._cols == ref._cols
 
     def test_rank_of_helper(self):
         assert rank_of([{0: 1, 1: 1}, {1: 1}, {0: 1}]) == 2

@@ -115,8 +115,8 @@ _PATTERN = {"pattern": {"0": True, "1": False}, "conserved": True}
 _NK = ({"n": 2, "k": 2}, {"n": 3, "k": 2}, {"n": 3, "k": 3})
 LADDER_PAYLOADS = {
     "thm1": ("g2-closure-dimension", [
-        ({"n": 2}, {"dim": 9, "predicted": 9, "iterations": 27}),
-        ({"n": 3}, {"dim": 19, "predicted": 19, "iterations": 57}),
+        ({"n": 2}, {"dim": 9, "predicted": 9, "iterations": 0}),
+        ({"n": 3}, {"dim": 19, "predicted": 19, "iterations": 0}),
     ]),
     "thm3": ("g2-central-projections", [({"n": 2}, _PATTERN), ({"n": 3}, _PATTERN)]),
     "thm4": ("g2-membership-residuals", [
@@ -149,7 +149,7 @@ class TestRecords:
             "dim": 19,
             "exempt": [],
             "generators": ["1*(1,0,0)", "1*(0,1,0)", "1*(0,0,2)"],
-            "iterations": 57,
+            "iterations": 0,
             "k": 2,
             "label": "G2",
             "matched": True,

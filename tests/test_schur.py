@@ -36,16 +36,35 @@ from permlie import (
     make_C,
     orbit_size,
     orbit_words,
+    parse_generator_spec,
     preset_generators,
     sector_block,
     sector_check,
+    sector_ledger,
+    triple_block,
 )
 from permlie import schur
-from permlie.schur import SECTOR_CAP
+from permlie.closure import _verdicts
+from permlie.schur import SECTOR_CAP, central_residuals
 from permlie.linalg import integer_row
-from reference import row_vectors, sector_trace_rank, trace_inner, word_text
+from reference import (
+    one_stage_closure,
+    row_vectors,
+    sector_trace_rank,
+    trace_inner,
+    trace_pairing_verdicts,
+    word_text,
+)
 
-from conftest import WIDE_DEADLINE, case_ids, custom_generator_sets, kron_word, preset_cases
+from conftest import (
+    ENGINE_DEADLINE,
+    WIDE_DEADLINE,
+    case_ids,
+    custom_generator_sets,
+    g2_plus_custom_sets,
+    kron_word,
+    preset_cases,
+)
 
 PRESETS_TO_12 = preset_cases(12)
 
@@ -510,3 +529,88 @@ class TestExactBlocks:
         monkeypatch.setattr(schur, "sector_block", tracked)
         rep = certify_subspace_control(6, ctx.closure("G2", 6).basis)
         assert len(built) == 4 and rep.controllable
+
+
+# Every preset to n = 12, and G1, G1prime and G2 on to n = 16.
+LEDGER_PRESETS = preset_cases(12) + [
+    (label, n, None) for n in range(13, 17) for label in ("G1", "G1prime", "G2")]
+
+
+def ledger_dim(ledger):
+    """The dimension a full ledger proves: sum_mu (m_mu^2 - 1) + phase rank."""
+    return sum(s.m * s.m - 1 for s in ledger.sectors) + ledger.phase_rank
+
+
+def ledger_verdicts(gens, ledger):
+    """The verdicts of a closure of dimension ledger_dim, read off gens."""
+    seeds = (integer_row(by_rank(g.coeffs)) for g in gens.members)
+    return _verdicts(gens.n, ledger_dim(ledger), central_residuals(seeds, gens.n))
+
+
+def assert_ledger_agrees(gens, ech):
+    """A full ledger proves the dimension and verdicts of ech, the one-stage
+    closure of gens; every sector it calls full is full in ech's sector
+    pass; and a ledger that is not full stops at its first open sector."""
+    n = gens.n
+    ledger = sector_ledger(gens)
+    spans = {s.mu: s.spans_su for s in certify_subspace_control(n, ech).sectors}
+    assert [s.mu for s in ledger.sectors] == list(range(n // 2, n // 2 - len(ledger.sectors), -1))
+    assert all(spans[s.mu] for s in ledger.sectors if s.full)
+    assert all(s.full for s in ledger.sectors[:-1])
+    assert [s.m for s in ledger.sectors] == [n - 2 * s.mu + 1 for s in ledger.sectors]
+    if ledger.full:
+        assert ledger_dim(ledger) == ech.rank
+        assert ledger_verdicts(gens, ledger) == trace_pairing_verdicts(n, ech)
+        assert trace_pairing_verdicts(n, ech).semi_universal
+    return ledger
+
+
+class TestSectorLedger:
+    """schur.sector_ledger against the one-stage closure of
+    tests/reference.py and its sector pass, certify_subspace_control."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_triple_block_matches_the_sector_table(self, n):
+        """triple_block is G_mu(t) D^-2: times D^2[w] = 2^mu C(q,w) on
+        column w it is sector_block's G_mu(t), for every triple."""
+        for b in isotypic_table(n):
+            q = b.m - 1
+            for t, g in sector_block(n, b.mu).items():
+                block = triple_block(n, b.mu, t)
+                assert {k: v * comb(q, k % b.m) << b.mu for k, v in block.items()} == g, (n, b.mu, t)
+
+    @pytest.mark.parametrize("label,n,k", LEDGER_PRESETS, ids=case_ids(LEDGER_PRESETS))
+    def test_presets_match_the_one_stage_closure(self, one_stage, label, n, k):
+        """Every G2 and Gk is proven; G1 and G1prime, which are not
+        semi-universal at n >= 2, are not."""
+        gens = preset_generators(label, n, k=k)
+        ech, _ = one_stage(label, n, k)
+        ledger = assert_ledger_agrees(gens, ech)
+        assert ledger.full == trace_pairing_verdicts(n, ech).semi_universal
+        assert ledger.full == (label in ("G2", "Gk") or (label, n) == ("G1prime", 1))
+
+    @settings(max_examples=40, deadline=ENGINE_DEADLINE)
+    @given(custom_generator_sets())
+    def test_custom_sets_match_the_one_stage_closure(self, gens):
+        assert_ledger_agrees(gens, one_stage_closure(gens)[0])
+
+    @settings(max_examples=40, deadline=WIDE_DEADLINE)
+    @given(g2_plus_custom_sets(max_n=7))
+    def test_g2_supersets_match_the_one_stage_closure(self, gens):
+        """G2, scaled, plus custom vectors: always semi-universal, and
+        always proven, since ZZ's gaps certify G2 and further members only
+        widen each gap's span."""
+        ledger = assert_ledger_agrees(gens, one_stage_closure(gens)[0])
+        assert ledger.full
+
+    def test_custom_examples_are_proven(self):
+        for spec, n in (("1,0,0;0,1,0;0,0,2;2,2,0", 8), ("1,0,0;0,1,0;0,0,4", 9)):
+            gens = parse_generator_spec(spec, n)
+            assert assert_ledger_agrees(gens, one_stage_closure(gens)[0]).full
+
+    def test_an_open_sector_stops_the_walk(self):
+        """{X, Y} fills the spin-1/2 sector only: at n = 9 the ledger checks
+        m = 2 (full) and m = 4 (open), and stops there."""
+        ledger = sector_ledger(preset_generators("G1prime", 9))
+        assert [(s.mu, s.m, s.full) for s in ledger.sectors] == [(4, 2, True), (3, 4, False)]
+        assert not ledger.full and ledger.phase_rank == 0

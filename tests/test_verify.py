@@ -1,36 +1,32 @@
 """The k-body ladder suites of `verify` (thm1, thm3, thm4, thm5, thm6,
-cor1): one G2 closure per n, each Gk case derived from it, and G2 as the
-k = 2 rung of Gk."""
+cor1): one closure per case, each proven by the sector ledger with no
+bracket, and G2 as the k = 2 rung of Gk."""
 
 import pytest
 
-from permlie import extend_closure, lie_closure, run_selector, verify
+from permlie import lie_closure, run_selector, verify
 
 LADDER = ("thm1", "thm3", "thm4", "thm5", "thm6", "cor1")
 
 
 @pytest.mark.parametrize("selector", LADDER)
 def test_one_closure_per_case(monkeypatch, selector):
-    """One lie_closure per n, of G2; a Gk suite derives each case from it
-    with one extend_closure call, with no (label, n, k) repeats."""
-    built, derived = [], []
+    """One lie_closure per case, of G2 at each n or of Gk:k at each (n, k),
+    with no (label, n, k) repeats and no bracket."""
+    built = []
 
     def counted(gens, *args, **kwargs):
-        built.append((gens.label, gens.n, gens.k))
-        return lie_closure(gens, *args, **kwargs)
-
-    def counted_extend(gens, run):
-        derived.append((gens.label, gens.n, gens.k))
-        return extend_closure(gens, run)
+        run = lie_closure(gens, *args, **kwargs)
+        built.append((gens.label, gens.n, gens.k, run.iterations))
+        return run
 
     monkeypatch.setattr(verify, "lie_closure", counted)
-    monkeypatch.setattr(verify, "extend_closure", counted_extend)
     cases = run_selector(selector, 2, 6).cases
-    assert built == [("G2", n, 2) for n in range(2, 7)]
     if "k" in cases[0].params:
-        assert derived == [(f"Gk:{c.params['k']}", c.params["n"], c.params["k"]) for c in cases]
+        want = [(f"Gk:{c.params['k']}", c.params["n"], c.params["k"], 0) for c in cases]
     else:
-        assert derived == [] and len(cases) == len(built)
+        want = [("G2", c.params["n"], 2, 0) for c in cases]
+    assert built == want
 
 
 def rung(selector, *keys):
