@@ -28,6 +28,7 @@ import csv
 import json
 import os
 import sys
+from functools import cache
 from math import comb
 
 from .center import make_C, make_L
@@ -61,6 +62,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--quiet", action="store_true", help="suppress per-case lines")
 
 
+@cache  # parsing leaves the parser as it was, so one serves every main() call
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="permlie", description="Exact Lie-algebra engine for permutation-equivariant qubit operators.")
     sub = p.add_subparsers(dest="command", required=True)

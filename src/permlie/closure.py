@@ -33,7 +33,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .linalg import SparseEchelon, generator_closure, integer_row
 from .schur import central_rank, central_residuals, sector_ledger
@@ -45,7 +45,7 @@ from .symops import (
     ambient_dims,
     by_rank,
     frac_text,
-    rank_triple,
+    rank_texts,
     triple_rank,
 )
 
@@ -77,7 +77,7 @@ class ClosureRun(NamedTuple):
         """Universality flags, read off the generators' central residuals
         (see _verdicts); no closure row is read."""
         seeds = (integer_row(by_rank(g.coeffs)) for g in self.gens.members)
-        return _verdicts(self.n, self.dim, central_residuals(seeds, self.n))
+        return _verdicts(self.n, self.dim, list(central_residuals(seeds)))
 
 
 def _worklist(gens: GeneratorSet) -> tuple[SparseEchelon, int]:
@@ -150,7 +150,7 @@ def semi_universal_basis(gens: GeneratorSet) -> SparseEchelon:
     n = gens.n
     pairing = SparseEchelon()
     seeds = (integer_row(by_rank(g.coeffs)) for g in gens.members)
-    pairing.extend({mu: r for mu, r in enumerate(res) if r} for res in central_residuals(seeds, n))
+    pairing.extend(central_residuals(seeds))
     held = dict(zip(pairing.pivots(), pairing.rows()))
     constraints = SparseEchelon()  # keyed by -rank: a row's pivot is its largest triple
     for f in range(n // 2 + 1):
@@ -224,7 +224,7 @@ class Verdicts(NamedTuple):
     semi_universal: bool
 
 
-def _verdicts(n: int, dim: int, residuals: Sequence[Sequence[int]]) -> Verdicts:
+def _verdicts(n: int, dim: int, residuals: Sequence[Mapping[int, int]]) -> Verdicts:
     """Universality flags of a closure of dimension dim, read off exactly
     from the central residuals of its generators.
 
@@ -244,7 +244,7 @@ def _verdicts(n: int, dim: int, residuals: Sequence[Sequence[int]]) -> Verdicts:
     nullity = dims.dim_center - central_rank(residuals)
     semi = nullity == dims.dim_u - dim
     universal = dim == dims.dim_u or (
-        dim == dims.dim_su and nullity == 1 and not any(res[0] for res in residuals)
+        dim == dims.dim_su and nullity == 1 and not any(0 in res for res in residuals)
     )
     return Verdicts(universal, semi)
 
@@ -300,7 +300,7 @@ class ClosureReport(NamedTuple):
                 {"row": i, "mu": mu, "value": frac_text(r)}
                 for i, mu, r in self.residual_offenders
             ],
-            "pivots": [rank_triple(p).text() for p in self.pivots],
+            "pivots": list(rank_texts(self.pivots)),
             "iterations": self.iterations,
             "wall_time": self.wall_time,
         }
@@ -311,19 +311,16 @@ def family_exempt_mus(gens: GeneratorSet) -> frozenset[int]:
     some generator has a nonzero central residual, that is, a nonzero trace
     pairing with C_mu.  For the k-body ladder these are mu = 1..floor(k/2).
     """
-    return frozenset(
-        mu
-        for res in central_residuals((by_rank(g.coeffs) for g in gens.members), gens.n)
-        for mu, r in enumerate(res)
-        if r
-    )
+    seeds = (by_rank(g.coeffs) for g in gens.members)
+    return frozenset(mu for res in central_residuals(seeds) for mu in res)
 
 
 def build_report(run: ClosureRun, *, exempt: Iterable[int] | None = None) -> ClosureReport:
     """Report of a closure run.  Every non-exempt membership residual of
-    every basis row is checked; the report keeps how many are nonzero and
-    the first MAX_OFFENDERS of those, row-major, each as the residual of its
-    row scaled to pivot coefficient 1."""
+    every basis row is checked, in one pass that holds one row's residuals
+    at a time; the report keeps how many are nonzero and the first
+    MAX_OFFENDERS of those, row-major, each as the residual of its row
+    scaled to pivot coefficient 1."""
     gens = run.gens
     n = gens.n
     label = gens.label
@@ -335,13 +332,12 @@ def build_report(run: ClosureRun, *, exempt: Iterable[int] | None = None) -> Clo
     ex = frozenset(exempt) if exempt is not None else family_exempt_mus(gens)
     rows = run.basis.rows()
     pivots = run.basis.pivots()
-    residuals = central_residuals(rows, n)
-    mus = tuple(mu for mu in range(n // 2 + 1) if mu not in ex)
-    nonzero = [(i, mu) for i, res in enumerate(residuals) for mu in mus if res[mu]]
-    offenders = tuple(
-        (i, mu, Fraction(residuals[i][mu], factorial(mu) * rows[i][pivots[i]]))
-        for i, mu in nonzero[:MAX_OFFENDERS]
-    )
+    nonzero, offenders = 0, []
+    for i, res in enumerate(central_residuals(rows)):
+        for mu in sorted(res.keys() - ex) if res else ():
+            nonzero += 1
+            if len(offenders) < MAX_OFFENDERS:
+                offenders.append((i, mu, Fraction(res[mu], factorial(mu) * rows[i][pivots[i]])))
     return ClosureReport(
         n=n,
         label=label,
@@ -353,9 +349,9 @@ def build_report(run: ClosureRun, *, exempt: Iterable[int] | None = None) -> Clo
         ambient=ambient_dims(n),
         verdicts=run.verdicts,
         exempt=tuple(sorted(ex)),
-        residual_mus=mus,
-        residuals_nonzero=len(nonzero),
-        residual_offenders=offenders,
+        residual_mus=tuple(mu for mu in range(n // 2 + 1) if mu not in ex),
+        residuals_nonzero=nonzero,
+        residual_offenders=tuple(offenders),
         pivots=tuple(pivots),
         iterations=run.iterations,
         wall_time=run.wall_time,

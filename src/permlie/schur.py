@@ -43,16 +43,16 @@ closure once, building, checking and ranking one sector's table
 (sector_block) at a time, and takes the rank the blocks leave out from
 central_rank.  sector_check turns the result, or the violation, into
 report details.  The central residuals and their rank live here, the
-pairing of rows with the center that both the ledger and the sector pass
-read.
+pairing of rows with the center that the closure's verdicts, closed form
+and report and the sector pass read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from math import comb, lcm
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .linalg import SparseEchelon, integer_row, rank_of
 from .symops import (
@@ -61,10 +61,8 @@ from .symops import (
     PauliTriple,
     VerificationError,
     all_triples,
-    by_rank,
     check_qubits,
     orbit_size,
-    rank_triple,
 )
 
 # The largest n for which `schur --n n --check-blocks --json -` finished as a
@@ -103,8 +101,9 @@ def isotypic_table(n: int) -> tuple[IsotypicBlock, ...]:
     return tuple(blocks)
 
 
-def central_residuals(rows: Iterable[Mapping[int, int]], n: int) -> list[list]:
-    """Central residual res[mu] of every rank-keyed row, for 0 <= mu <= n/2.
+def central_residuals(rows: Iterable[Mapping[int, int]]) -> Iterator[dict[int, int]]:
+    """The nonzero central residuals {mu: res[mu]} of each rank-keyed row,
+    yielded one row at a time.
 
     A triple (2a, 2b, 2c) with every letter count even adds
     coeff * mu!/(a!b!c!) to res[mu], mu = a+b+c; no other triple adds anything,
@@ -112,30 +111,41 @@ def central_residuals(rows: Iterable[Mapping[int, int]], n: int) -> list[list]:
     gets integer residuals.  Since C_mu weighs (2a, 2b, 2c) by
     (2a)!(2b)!(2c)!/(a!b!c!) and orbit_size cancels the numerator,
     tr(row C_mu) = 2^n n!/(mu! (n - 2mu)!) * res[mu]: a residual vanishes
-    exactly when the row is trace-orthogonal to C_mu.
+    exactly when the row is trace-orthogonal to C_mu.  The table of the
+    even triples' ranks grows level by level to the largest triple seen,
+    so its size is set by the rows, not by n.
     """
-    out = []
+    even: dict[int, tuple[int, int]] = {}  # rank of (2a, 2b, 2c) -> (mu, mu!/(a!b!c!))
+    level, bound = -1, 0  # even holds the even triples of every rank below bound
     for row in rows:
-        res = [0] * (n // 2 + 1)
+        res: dict[int, int] = {}
         for r, coeff in row.items():
-            kx, ky, kz = rank_triple(r)
-            if not (kx | ky | kz) & 1:
-                a, b, c = kx // 2, ky // 2, kz // 2
-                w = factorial(a + b + c) // (factorial(a) * factorial(b) * factorial(c))
-                res[a + b + c] += coeff * w
-        out.append(res)
-    return out
+            while r >= bound:
+                level, base, bound = level + 1, bound, comb(level + 4, 3)
+                mu = level // 2
+                for a in range(0 if level & 1 else mu + 1):  # triple_rank of (2a, 2b, 2c)
+                    start, wa = base + a * (2 * level + 3 - 2 * a), comb(mu, a)
+                    even.update((start + 2 * b, (mu, wa * comb(mu - a, b)))
+                                for b in range(mu - a + 1))
+            hit = even.get(r)
+            if hit:
+                res[hit[0]] = res.get(hit[0], 0) + coeff * hit[1]
+        if res and not all(res.values()):  # a sum that cancelled
+            res = {mu: v for mu, v in res.items() if v}
+        yield res
 
 
-def central_rank(residuals: Iterable[Sequence[int]]) -> int:
+def central_rank(residuals: Iterable[Mapping[int, int]]) -> int:
     """Rank of the rows' trace pairing with the C_mu, read off their central
     residuals: residual[mu] is tr(row C_mu) times a nonzero factor that
     depends on mu alone, which leaves the rank as it is."""
-    return rank_of({mu: r for mu, r in enumerate(res) if r} for res in residuals if any(res))
+    return rank_of(res for res in residuals if res)
 
 
 def _kraw(a: int, b: int, k: int) -> int:
     """K(a, b, k) = [y^k] (1+y)^a (1-y)^b."""
+    if k < 2:  # most ledger entries: K(a, b, 0) = 1, K(a, b, 1) = a - b
+        return a - b if k else 1
     out = 0
     for i in range(max(0, k - b), min(a, k) + 1):
         term = comb(a, i) * comb(b, k - i)
@@ -238,12 +248,10 @@ class SectorLedger(NamedTuple):
     """What the generators' sector blocks prove about their closure L.
     sectors lists the sectors checked, smallest m first, each with whether
     pi_mu(L) contains su(m_mu); the walk stops at the first one the
-    certificate leaves open, since then the ledger proves nothing of L.
-    phase_rank is the central_rank of the generators, which is L's."""
+    certificate leaves open, since then the ledger proves nothing of L."""
 
     n: int
     sectors: tuple[LedgerSector, ...]
-    phase_rank: int
 
     @property
     def full(self) -> bool:
@@ -262,8 +270,8 @@ def sector_ledger(gens: GeneratorSet) -> SectorLedger:
     are distinct, so the simple factors are pairwise non-isomorphic and a
     subalgebra that maps onto each is all of D (Goursat).  Then L is D plus
     the span of the generators' central parts, of dimension
-    sum_mu (m_mu^2 - 1) + phase_rank, which is the bound that
-    closure._verdicts reads off the generators.  _sector_full is the
+    sum_mu (m_mu^2 - 1) plus the central_rank of the generators, which is
+    the bound that closure._verdicts reads off them.  _sector_full is the
     per-sector certificate; it is a sufficient condition only, so a set
     that is not semi-universal stops at its first open sector, most often
     a small one.
@@ -278,8 +286,7 @@ def sector_ledger(gens: GeneratorSet) -> SectorLedger:
         sectors.append(LedgerSector(b.mu, b.m, _sector_full(n, b, others, z_type)))
         if not sectors[-1].full:
             break
-    phase = central_rank(central_residuals((by_rank(g) for g in z_type + others), n))
-    return SectorLedger(n, tuple(sectors), phase)
+    return SectorLedger(n, tuple(sectors))
 
 
 def _sector_full(n: int, b: IsotypicBlock, others: Sequence[Mapping[PauliTriple, int]],
@@ -512,7 +519,7 @@ def certify_subspace_control(n: int, basis: SparseEchelon) -> SubspaceControlRep
         n=n,
         closure_dim=basis.rank,
         sectors=tuple(sectors),
-        trace_rank=central_rank(central_residuals(basis.rows(), n)),
+        trace_rank=central_rank(central_residuals(basis.rows())),
     )
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 Coeff = Union[int, Fraction]
 
@@ -122,6 +122,20 @@ def rank_triple(r: int) -> PauliTriple:
         r -= level - kx + 1
         kx += 1
     return PauliTriple(kx, r, level - kx - r)
+
+
+def rank_texts(ranks: Iterable[int]) -> Iterator[str]:
+    """The text of rank_triple(r) for each r of an ascending sequence, read
+    off one walk of the canonical order that decodes and keeps no triple."""
+    level, bound, kx, start = 0, 1, 0, 0  # start: the rank of (kx, 0, level - kx)
+    for r in ranks:
+        while r >= bound:
+            level += 1
+            kx, start, bound = 0, bound, comb(level + 3, 3)
+        while r - start > level - kx:
+            start += level - kx + 1
+            kx += 1
+        yield f"{kx},{r - start},{level - kx - r + start}"
 
 
 def by_rank(coeffs: Mapping) -> dict:

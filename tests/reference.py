@@ -11,7 +11,8 @@ and closed-form runs are checked against, the closure of a superset of a
 semi-universal closure's generators by insertion, the closure worklist that brackets
 each row as it was admitted, the pair overlap count, a bracket engine of
 its own that the seed columns are checked against, and the rank of the
-rows' per-sector traces, which trace_rank is checked against.
+rows' per-sector traces, which trace_rank is checked against, and the
+list-based central residual pass that the streamed one is checked against.
 """
 
 from collections import deque
@@ -32,6 +33,7 @@ from permlie.symops import (
     SymOpVector,
     by_rank,
     orbit_size,
+    rank_triple,
     triple_rank,
 )
 
@@ -66,6 +68,45 @@ def membership_residual(v: SymOpVector, mu: int) -> Fraction:
             if coeff:
                 total += Fraction(coeff, factorial(a) * factorial(b) * factorial(c))
     return total
+
+
+def list_central_residuals(rows, n: int) -> list[list]:
+    """Central residuals res[mu] of every rank-keyed row, 0 <= mu <= n/2,
+    as one list per row with each triple decoded by rank_triple: the pass
+    schur.central_residuals streams, and its oracle."""
+    out = []
+    for row in rows:
+        res = [0] * (n // 2 + 1)
+        for r, coeff in row.items():
+            kx, ky, kz = rank_triple(r)
+            if not (kx | ky | kz) & 1:
+                a, b, c = kx // 2, ky // 2, kz // 2
+                res[a + b + c] += coeff * factorial(a + b + c) // (
+                    factorial(a) * factorial(b) * factorial(c))
+        out.append(res)
+    return out
+
+
+def list_membership_check(rows, n: int, exempt, max_offenders: int):
+    """(residuals_nonzero, residual_offenders) of build_report's membership
+    check, read off list_central_residuals: every nonzero residual at a
+    level outside exempt counts, and the first max_offenders, row-major,
+    are kept, each scaled to its row's pivot coefficient 1."""
+    residuals = list_central_residuals(rows, n)
+    mus = [mu for mu in range(n // 2 + 1) if mu not in exempt]
+    nonzero = [(i, mu) for i, res in enumerate(residuals) for mu in mus if res[mu]]
+    offenders = tuple(
+        (i, mu, Fraction(residuals[i][mu], factorial(mu) * rows[i][min(rows[i])]))
+        for i, mu in nonzero[:max_offenders])
+    return len(nonzero), offenders
+
+
+def phase_rank(gens) -> int:
+    """Rank of the generators' trace pairing with the C_mu, which is their
+    closure's: what a full sector ledger adds to sum_mu (m_mu^2 - 1)."""
+    rows = [integer_row(by_rank(g.coeffs)) for g in gens.members]
+    return rank_of({mu: r for mu, r in enumerate(res) if r}
+                   for res in list_central_residuals(rows, gens.n))
 
 
 def bracket_vectors(table, u: SymOpVector, v: SymOpVector) -> SymOpVector:

@@ -21,6 +21,7 @@ from permlie.cli import _CSV_DETAILS, build_parser, main
 from permlie.oracle import WORD_QUBIT_CAP
 from permlie.schur import SECTOR_CAP
 from permlie.structure import ORBIT_CAP
+from permlie.symops import rank_triple
 from reference import schema_path
 
 
@@ -141,6 +142,51 @@ class TestClose:
         assert time.perf_counter() - start < 10
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["dim"] == 1
+
+
+class TestCachedParser:
+    """main() builds its parser once per process: every call parses with the
+    same parser, and no call leaves state that changes the next one."""
+
+    GOOD = [("close", "--n", "4", "--gens", "G2"),
+            ("verify", "cor1", "--n-range", "2..4", "--json", "-"),
+            ("schur", "--n", "4", "--json", "-")]
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("argv", GOOD, ids=lambda a: a[0])
+    def test_repeated_calls_print_the_same_bytes(self, capsys, argv):
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        assert first == second and first[0] == 0 and first[1]
+
+    @pytest.mark.parametrize("bad", [("close", "--n", "x", "--gens", "G2"), ("close", "--gens", "G2"),
+                                     ("bogus",), ("verify", "cor1", "--n", "3", "--n-range", "2..4")])
+    def test_a_usage_error_between_good_calls_changes_neither(self, capsys, bad):
+        before = [run(capsys, *argv) for argv in self.GOOD]
+        rc, out, err = run(capsys, *bad)
+        assert rc == 1 and out == "" and err.startswith("permlie:")
+        assert [run(capsys, *argv) for argv in self.GOOD] == before
+
+    def test_help_exits_the_same_way_every_time(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["close", "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr())
+        assert texts[0] == texts[1] and "--gens" in texts[0].out and texts[0].err == ""
+        assert run(capsys, *self.GOOD[0])[0] == 0
+
+
+class TestReportFootprint:
+    def test_a_closed_form_close_decodes_no_triple(self, capsys):
+        """A G2 closure and its report read triple ranks without rank_triple,
+        whose unbounded cache would otherwise keep every triple of the run."""
+        before = rank_triple.cache_info().currsize
+        rc, payload, _ = run_json(capsys, "close", "--n", "32", "--gens", "G2")
+        assert rc == 0 and payload["residuals_nonzero"] == 0 and payload["iterations"] == 0
+        assert rank_triple.cache_info().currsize == before
 
 
 class TestVerify:

@@ -41,7 +41,7 @@ from permlie.closure import (
 from permlie.linalg import SparseEchelon, generator_closure, integer_row, rank_of
 from permlie.oracle import DenseOp, dense_bracket, dense_closure, densify
 from permlie.schur import LedgerSector, SectorLedger, sector_ledger
-from permlie.symops import by_rank, parse_generator_spec, rank_triple
+from permlie.symops import by_rank, parse_generator_spec, rank_triple, triple_rank
 from conftest import (
     ENGINE_DEADLINE,
     ORACLE_DEADLINE,
@@ -55,6 +55,8 @@ from conftest import (
 from reference import (
     bracket_vectors,
     extend_closure,
+    list_central_residuals,
+    list_membership_check,
     membership_residual,
     one_stage_closure,
     row_vectors,
@@ -331,7 +333,7 @@ def nested_custom_sets(draw, base=None):
 def no_ledger(gens):
     """A sector ledger that proves nothing, so that lie_closure takes the
     worklist."""
-    return SectorLedger(gens.n, (LedgerSector(0, gens.n + 1, False),), 0)
+    return SectorLedger(gens.n, (LedgerSector(0, gens.n + 1, False),))
 
 
 class TestStagedClosure:
@@ -545,13 +547,13 @@ class TestOneRowReader:
 
     @pytest.fixture
     def seen(self, monkeypatch):
-        """(n, number of rows) of every central_residuals call in closure."""
+        """The number of rows of every central_residuals call in closure."""
         calls = []
 
-        def recording(rows, n):
+        def recording(rows):
             rows = list(rows)
-            calls.append((n, len(rows)))
-            return central_residuals(rows, n)
+            calls.append(len(rows))
+            return central_residuals(rows)
 
         monkeypatch.setattr(closure, "central_residuals", recording)
         return calls
@@ -561,7 +563,7 @@ class TestOneRowReader:
         again to read its verdicts."""
         cases = verify.run_selector("cor1", 2, 8).cases
         assert all(c.ok for c in cases)
-        assert seen == [(c.params["n"], c.params["k"] + 1) for c in cases for _ in range(2)]
+        assert seen == [c.params["k"] + 1 for c in cases for _ in range(2)]
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_staged_closure_reads_generators_only(self, seen, n):
@@ -569,15 +571,16 @@ class TestOneRowReader:
             gens = preset_generators("Gk", n, k=k)
             del seen[:]
             lie_closure(gens)
-            assert all(m <= len(gens.members) for _, m in seen)
+            assert all(m <= len(gens.members) for m in seen)
 
     def test_central_projections_read_each_closure_once(self, seen):
         """A Gk set at n has at most n + 1 members, so a call with more rows
         reads a closure's; thm6 makes one such call per case."""
-        cases = verify.run_selector("thm6", 2, 8).cases
-        closures = [(n, m) for n, m in seen if m > n + 1]
-        assert closures == [(c.params["n"], predicted_dim("Gk", c.params["n"], c.params["k"]))
-                            for c in cases]
+        for n in range(2, 9):
+            del seen[:]
+            cases = verify.run_selector("thm6", n, n).cases
+            closures = [m for m in seen if m > n + 1]
+            assert closures == [predicted_dim("Gk", n, c.params["k"]) for c in cases]
 
 
 class TestComplementIsCentral:
@@ -616,8 +619,8 @@ class TestMembershipFunctional:
     def test_closure_rows_satisfy_all_nonexempt_constraints(self, ctx):
         n = 6
         rows = ctx.closure("G2", n).basis.rows()
-        for residuals in central_residuals(rows, n):
-            assert all(r == 0 for mu, r in enumerate(residuals) if mu != 1)
+        for residuals in central_residuals(rows):
+            assert all(r == 0 for mu, r in residuals.items() if mu != 1)
 
     def test_some_row_violates_the_exempt_constraint(self, ctx):
         n = 6
@@ -660,8 +663,8 @@ def identity_closures(ctx, n):
     return runs, customs
 
 
-def rows_central_rank(rows, n):
-    return central_rank(central_residuals(rows, n))
+def rows_central_rank(rows):
+    return central_rank(central_residuals(rows))
 
 
 class TestResidualTraceIdentity:
@@ -669,12 +672,12 @@ class TestResidualTraceIdentity:
     def test_trace_equals_scaled_residual(self, ctx, n):
         runs, _ = identity_closures(ctx, n)
         for run in runs:
-            residual_rows = central_residuals(run.basis.rows(), n)
+            residual_rows = central_residuals(run.basis.rows())
             for row, residuals in zip(row_vectors(n, run.basis), residual_rows):
                 for mu in range(n // 2 + 1):
                     residual = membership_residual(row, mu)
-                    assert type(residuals[mu]) is int
-                    assert residuals[mu] == factorial(mu) * residual, (n, mu, row.text())
+                    assert type(residuals.get(mu, 0)) is int
+                    assert residuals.get(mu, 0) == factorial(mu) * residual, (n, mu, row.text())
                     scale = 2**n * factorial(n) // factorial(n - 2 * mu)
                     assert trace_inner(row, make_C(mu, n)) == scale * residual, (
                         n, mu, row.text()
@@ -706,13 +709,13 @@ class TestResidualTraceIdentity:
     def test_closure_keeps_generators_central_rank(self, ctx, label, n, k):
         seeds = seed_rows(preset_generators(label, n, k=k))
         rows = ctx.closure(label, n, k).basis.rows()
-        assert rows_central_rank(rows, n) == rows_central_rank(seeds, n)
+        assert rows_central_rank(rows) == rows_central_rank(seeds)
 
     @settings(max_examples=40, deadline=WIDE_DEADLINE)
     @given(custom_generator_sets(max_n=7))
     def test_closure_keeps_custom_generators_central_rank(self, gens):
         rows = lie_closure(gens).basis.rows()
-        assert rows_central_rank(rows, gens.n) == rows_central_rank(seed_rows(gens), gens.n)
+        assert rows_central_rank(rows) == rows_central_rank(seed_rows(gens))
 
 
 def pivot_one_rows(n, basis):
@@ -893,6 +896,58 @@ class TestReports:
         a.pop("wall_time")
         b.pop("wall_time")
         assert a == b
+
+
+def corrupted_echelon(n, seed, count=40):
+    """The echelon of count random integer rows at n, whose rows, unlike a
+    closure's, have nonzero central residuals at several mu; their pivot
+    coefficients are not all 1."""
+    rng = random.Random(seed)
+    ech = SparseEchelon()
+    for _ in range(count):
+        ech.insert({rng.randrange(comb(n + 3, 3)): rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(4)})
+    return ech
+
+
+class TestStreamedResidualPass:
+    """build_report's one streamed pass over schur.central_residuals against
+    the list-based pass it replaced (tests/reference.py)."""
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_residuals_match_the_list_pass(self, n, seed):
+        rows = corrupted_echelon(n, seed).rows()
+        # (2,0,0) - (0,2,0) cancels at mu = 1, where the list pass keeps a 0.
+        rows.append({triple_rank((2, 0, 0)): 1, triple_rank((0, 2, 0)): -1, triple_rank((0, 0, 4)): 5})
+        want = [{mu: r for mu, r in enumerate(res) if r} for res in list_central_residuals(rows, n)]
+        assert list(central_residuals(rows)) == want
+        assert want[-1] == {2: 5}
+
+    # At n = 40 a row has residuals at levels that a set of them does not
+    # iterate in ascending order.
+    @pytest.mark.parametrize("n", [4, 8, 12, 40])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("exempt", [None, (), (0, 2)], ids=["family", "none", "0-2"])
+    def test_report_matches_the_list_pass(self, n, seed, exempt):
+        gens = preset_generators("G2", n)
+        ech = corrupted_echelon(n, seed)
+        report = build_report(ClosureRun(gens, ech, 0, 0.0), exempt=exempt)
+        ex = family_exempt_mus(gens) if exempt is None else frozenset(exempt)
+        want = list_membership_check(ech.rows(), n, ex, MAX_OFFENDERS)
+        assert (report.residuals_nonzero, report.residual_offenders) == want
+        if exempt == ():
+            assert report.residuals_nonzero > MAX_OFFENDERS
+            assert len({mu for _, mu, _ in report.residual_offenders}) > 1
+        assert all(type(value) is Fraction for _, _, value in report.residual_offenders)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_closed_forms_are_clean(self, n):
+        for label, k in [("G2", None)] + [("Gk", k) for k in range(2, n + 1)]:
+            gens = preset_generators(label, n, k=k)
+            run = lie_closure(gens)
+            report = build_report(run)
+            assert (report.residuals_nonzero, report.residual_offenders) == (0, ())
+            assert list_membership_check(run.basis.rows(), n, report.exempt, MAX_OFFENDERS) == (0, ())
 
 
 class TestLieBasis:

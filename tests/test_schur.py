@@ -49,6 +49,7 @@ from permlie.schur import SECTOR_CAP, central_residuals
 from permlie.linalg import integer_row
 from reference import (
     one_stage_closure,
+    phase_rank,
     row_vectors,
     sector_trace_rank,
     trace_inner,
@@ -536,15 +537,16 @@ LEDGER_PRESETS = preset_cases(12) + [
     (label, n, None) for n in range(13, 17) for label in ("G1", "G1prime", "G2")]
 
 
-def ledger_dim(ledger):
-    """The dimension a full ledger proves: sum_mu (m_mu^2 - 1) + phase rank."""
-    return sum(s.m * s.m - 1 for s in ledger.sectors) + ledger.phase_rank
+def ledger_dim(gens, ledger):
+    """The dimension a full ledger of gens proves: sum_mu (m_mu^2 - 1)
+    plus the generators' phase rank."""
+    return sum(s.m * s.m - 1 for s in ledger.sectors) + phase_rank(gens)
 
 
 def ledger_verdicts(gens, ledger):
     """The verdicts of a closure of dimension ledger_dim, read off gens."""
     seeds = (integer_row(by_rank(g.coeffs)) for g in gens.members)
-    return _verdicts(gens.n, ledger_dim(ledger), central_residuals(seeds, gens.n))
+    return _verdicts(gens.n, ledger_dim(gens, ledger), list(central_residuals(seeds)))
 
 
 def assert_ledger_agrees(gens, ech):
@@ -559,7 +561,7 @@ def assert_ledger_agrees(gens, ech):
     assert all(s.full for s in ledger.sectors[:-1])
     assert [s.m for s in ledger.sectors] == [n - 2 * s.mu + 1 for s in ledger.sectors]
     if ledger.full:
-        assert ledger_dim(ledger) == ech.rank
+        assert ledger_dim(gens, ledger) == ech.rank
         assert ledger_verdicts(gens, ledger) == trace_pairing_verdicts(n, ech)
         assert trace_pairing_verdicts(n, ech).semi_universal
     return ledger
@@ -568,6 +570,16 @@ def assert_ledger_agrees(gens, ech):
 class TestSectorLedger:
     """schur.sector_ledger against the one-stage closure of
     tests/reference.py and its sector pass, certify_subspace_control."""
+
+    def test_krawtchouk_numbers_are_the_polynomial_coefficients(self):
+        """_kraw(a, b, k) is [y^k] (1+y)^a (1-y)^b, read off the product of
+        the a + b linear factors; past degree a + b it is 0."""
+        for a in range(13):
+            for b in range(13):
+                poly = [1]
+                for sign in [1] * a + [-1] * b:
+                    poly = [x + sign * y for x, y in zip(poly + [0], [0] + poly)]
+                assert [schur._kraw(a, b, k) for k in range(a + b + 2)] == poly + [0], (a, b)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_triple_block_matches_the_sector_table(self, n):
@@ -613,4 +625,4 @@ class TestSectorLedger:
         m = 2 (full) and m = 4 (open), and stops there."""
         ledger = sector_ledger(preset_generators("G1prime", 9))
         assert [(s.mu, s.m, s.full) for s in ledger.sectors] == [(4, 2, True), (3, 4, False)]
-        assert not ledger.full and ledger.phase_rank == 0
+        assert not ledger.full and phase_rank(preset_generators("G1prime", 9)) == 0

@@ -28,6 +28,7 @@ from permlie import (
     rank_triple,
     triple_rank,
 )
+from permlie.symops import rank_texts
 from permlie.center import make_C
 
 from conftest import kron_word
@@ -103,6 +104,16 @@ class TestTriples:
         assert [rank_triple(r) for r in range(len(top))] == top
         for n in levels:
             assert all_triples.__wrapped__(n) == tuple(top[: comb(n + 3, 3)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, comb(2003, 3)), max_size=40))
+    def test_rank_texts_walk_matches_rank_triple(self, ranks):
+        """One ascending walk gives rank_triple's text for every rank, also
+        across long jumps in level (rank_triple's cache is left out)."""
+        ranks = sorted(ranks + [0, 1, 3, 4, comb(2003, 3) - 1])
+        assert list(rank_texts(ranks)) == [rank_triple.__wrapped__(r).text() for r in ranks]
+        every = range(comb(15, 3))
+        assert list(rank_texts(every)) == [rank_triple.__wrapped__(r).text() for r in every]
 
     def test_text_round_trip(self):
         t = PauliTriple(3, 0, 2)
