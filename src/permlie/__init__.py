@@ -7,11 +7,12 @@ verifies the centralizer and class-sum identities, certifies universality
 verdicts, and cross-checks everything against an independent word-level
 oracle.  A closure is its echelon (ClosureRun.basis): the one its worklist
 grew, or, when the sector ledger proves the generators semi-universal, the
-closed form semi_universal_basis writes with no bracket; build_report
-checks its rows' central residuals, and its verdicts are read off its
-generators.  Spin sectors are exact too: the block of every P_t on each
-sector is an integer matrix read off one generating polynomial
-(permlie.schur), so the sector certificates are exact.  The package uses the standard library only.
+closed form semi_universal_basis writes with no bracket; its verdicts and
+build_report's exempt levels are read off its generators, and verify's
+thm3, thm4 and thm6 suites check its rows' central residuals.  Spin
+sectors are exact too: the block of every P_t on each sector is an
+integer matrix read off one generating polynomial (permlie.schur), so the
+sector certificates are exact.  The package uses the standard library only.
 """
 
 from .center import (

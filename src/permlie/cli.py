@@ -1,13 +1,14 @@
 """Command line surface.
 
 Five verbs: `close` runs one exact Lie closure and reports dimensions,
-verdicts, and residuals; `verify` runs a named suite over a range of qubit
-counts; `center` verifies the centralizer and optionally emits coefficient
-tables; `schur` lists the spin sectors and, with --check-blocks, checks the
-exact sector blocks and certifies sector control of a closure; `table`
-reports the number of basis pairs and, with --compare, brackets each pair
-once and checks it against the orbit-expansion reference engine.  Every
-verb that brackets uses StructureTable's seed columns, which store nothing.
+verdicts, and the central levels its generators touch; `verify` runs a
+named suite over a range of qubit counts; `center` verifies the
+centralizer and optionally emits coefficient tables; `schur` lists the
+spin sectors and, with --check-blocks, checks the exact sector blocks and
+certifies sector control of a closure; `table` reports the number of
+basis pairs and, with --compare, brackets each pair once and checks it
+against the orbit-expansion reference engine.  Every verb that brackets
+uses StructureTable's seed columns, which store nothing.
 
 `close` reports one closure.  Every other verb builds verify.CaseResults
 and hands them to _report, the one function that turns cases into the JSON
@@ -159,7 +160,6 @@ def cmd_close(args) -> int:
         f" / ambient {report.ambient.dim_u}"
         + (f", predicted {report.predicted}" if report.predicted is not None else "")
         + f"; universal={report.verdicts.universal} semi={report.verdicts.semi_universal}"
-        + f"; membership residuals {'clean' if report.residuals_nonzero == 0 else 'NONZERO'}"
     )
     _emit(payload, args, [line])
     return 0 if ok else 2

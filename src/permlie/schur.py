@@ -44,7 +44,7 @@ closure once, building, checking and ranking one sector's table
 central_rank.  sector_check turns the result, or the violation, into
 report details.  The central residuals and their rank live here, the
 pairing of rows with the center that the closure's verdicts, closed form
-and report and the sector pass read.
+and exempt levels, the sector pass and verify's conservation check read.
 """
 
 from __future__ import annotations

@@ -339,6 +339,9 @@ def preset_generators(label: str, n: int, k: int | None = None) -> GeneratorSet:
     adds the 2-body ZZ sum, and Gk extends G2 with every uniform Z-type term
     up to k bodies (2 <= k <= n).
     """
+    if n < 1:
+        raise ConstraintError("qubit count must be positive")
+
     def units(*ts):
         return tuple(SymOpVector.unit(t, n) for t in ts)
 
@@ -366,6 +369,8 @@ def parse_generator_spec(text: str, n: int) -> GeneratorSet:
     Accepts a preset name ('G1', 'G1prime', 'G2', 'Gk:<k>') or a
     semicolon-separated list of triples 'kx,ky,kz; kx,ky,kz; ...'.
     """
+    if n < 1:
+        raise ConstraintError("qubit count must be positive")
     text = text.strip()
     if text in ("G1", "G1prime", "G2"):
         return preset_generators(text, n)

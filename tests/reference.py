@@ -12,7 +12,8 @@ semi-universal closure's generators by insertion, the closure worklist that brac
 each row as it was admitted, the pair overlap count, a bracket engine of
 its own that the seed columns are checked against, and the rank of the
 rows' per-sector traces, which trace_rank is checked against, and the
-list-based central residual pass that the streamed one is checked against.
+list-based central residual pass that the streamed one is checked against,
+with the membership check read off it.
 """
 
 from collections import deque
@@ -87,18 +88,14 @@ def list_central_residuals(rows, n: int) -> list[list]:
     return out
 
 
-def list_membership_check(rows, n: int, exempt, max_offenders: int):
-    """(residuals_nonzero, residual_offenders) of build_report's membership
-    check, read off list_central_residuals: every nonzero residual at a
-    level outside exempt counts, and the first max_offenders, row-major,
-    are kept, each scaled to its row's pivot coefficient 1."""
-    residuals = list_central_residuals(rows, n)
+def list_membership_check(rows, n: int, exempt) -> list[tuple[int, int]]:
+    """The (row, mu) of every nonzero central residual of rows at a level
+    outside exempt, row-major, read off list_central_residuals: empty
+    exactly when the rows conserve every central projection but exempt's,
+    which verify's thm3, thm4 and thm6 cases check with the streamed pass."""
     mus = [mu for mu in range(n // 2 + 1) if mu not in exempt]
-    nonzero = [(i, mu) for i, res in enumerate(residuals) for mu in mus if res[mu]]
-    offenders = tuple(
-        (i, mu, Fraction(residuals[i][mu], factorial(mu) * rows[i][min(rows[i])]))
-        for i, mu in nonzero[:max_offenders])
-    return len(nonzero), offenders
+    residuals = list_central_residuals(rows, n)
+    return [(i, mu) for i, res in enumerate(residuals) for mu in mus if res[mu]]
 
 
 def phase_rank(gens) -> int:

@@ -48,9 +48,8 @@ class TestClose:
         assert payload["command"] == "close"
         assert payload["dim"] == 33 and payload["predicted"] == 33
         assert payload["verdicts"] == {"universal": False, "semi_universal": True}
-        assert payload["dim"] * len(payload["residual_mus"]) == 2 * 33
-        assert payload["residuals_nonzero"] == 0 and payload["residual_offenders"] == []
-        assert "constraint_residuals" not in payload
+        assert payload["exempt"] == [1]
+        assert not {"constraint_residuals", "residuals_nonzero"} & payload.keys()
         jsonschema.validate(payload, load_schema("closure_report"))
 
     def test_single_field(self, capsys):
@@ -88,8 +87,8 @@ class TestClose:
     def test_human_line(self, capsys):
         rc, out, _ = run(capsys, "close", "--n", "4", "--gens", "G2")
         assert rc == 0
-        assert "dim 33" in out and "ambient 35" in out
-        assert "semi=True" in out and "residuals clean" in out
+        assert out == ("closure(G2) @ n=4: dim 33 / ambient 35, predicted 33;"
+                       " universal=False semi=True\n")
 
     def test_json_file_output(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -111,6 +110,13 @@ class TestClose:
             rc, _, err = run(capsys, "close", "--n", "4", "--gens", gens)
             assert rc == 1, gens
             assert err.startswith("permlie:")
+
+    @pytest.mark.parametrize("n, gens", [("0", "G1"), ("-1", "G1prime"), ("0", "G2"),
+                                         ("0", "Gk:2"), ("0", "1,0,0"), ("-3", "Gk:x")])
+    def test_nonpositive_qubit_count_is_a_usage_error(self, capsys, n, gens):
+        """n < 1 is refused before any generator is built, whatever --gens is."""
+        rc, out, err = run(capsys, "close", "--n", n, "--gens", gens, "--json", "-")
+        assert (rc, out, err) == (1, "", "permlie: qubit count must be positive\n")
 
     def test_missing_argument_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "close", "--gens", "G2")
@@ -185,7 +191,7 @@ class TestReportFootprint:
         whose unbounded cache would otherwise keep every triple of the run."""
         before = rank_triple.cache_info().currsize
         rc, payload, _ = run_json(capsys, "close", "--n", "32", "--gens", "G2")
-        assert rc == 0 and payload["residuals_nonzero"] == 0 and payload["iterations"] == 0
+        assert rc == 0 and payload["iterations"] == 0
         assert rank_triple.cache_info().currsize == before
 
 
@@ -620,6 +626,17 @@ class TestSchemaResources:
             assert os.path.exists(schema_path(name))
         bundled = os.listdir(os.path.dirname(schema_path("closure_report")))
         assert sorted(bundled) == ["closure_report.schema.json", "verify_report.schema.json"]
+
+    def test_closure_schema_lists_exactly_the_emitted_keys(self, capsys):
+        """additionalProperties: false catches a payload key the schema
+        lacks; this catches a schema entry no payload emits any more."""
+        schema = load_schema("closure_report")
+        rc, payload, _ = run_json(capsys, "close", "--n", "3", "--gens", "G2", "--method", "dense")
+        assert rc == 0
+        report = permlie.build_report(permlie.lie_closure(permlie.preset_generators("G2", 3)))
+        assert payload.keys() == report.to_jsonable().keys() | {"command", "dense_dim", "engines_agree"}
+        assert schema["properties"].keys() == payload.keys()
+        assert set(schema["required"]) <= payload.keys()
 
 
 STARTUP_PROBE = """

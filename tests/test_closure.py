@@ -31,7 +31,6 @@ from permlie import (
 from permlie import closure
 from permlie.center import make_C
 from permlie.closure import (
-    MAX_OFFENDERS,
     Verdicts,
     _verdicts,
     central_rank,
@@ -531,23 +530,25 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_worklist_rows_pass_the_membership_check(self, one_stage, n):
-        """On closed-form rows the membership-residual pass of build_report
-        holds by construction; on the worklist's rows it still checks the
-        bracket engine's arithmetic, for G2 and every Gk."""
+        """On closed-form rows the membership check holds by construction;
+        on the worklist's rows it still checks the bracket engine's
+        arithmetic, for G2 and every Gk."""
         for label, k in [("G2", None)] + [("Gk", k) for k in range(2, n + 1)]:
-            ech, steps = one_stage(label, n, k)
-            report = build_report(ClosureRun(preset_generators(label, n, k=k), ech, steps, 0.0))
-            assert report.residuals_nonzero == 0 and report.matched, (label, n, k)
+            ech = one_stage(label, n, k)[0]
+            touched = family_exempt_mus(preset_generators(label, n, k=k))
+            assert list_membership_check(ech.rows(), n, touched) == [], (label, n, k)
+            assert ech.rank == predicted_dim(label, n, k), (label, n, k)
 
 
 class TestOneRowReader:
-    """Verdicts are read off the generators' central residuals: only a
-    report's membership check passes a closure's rows to
-    central_residuals."""
+    """Verdicts and a report's exempt levels are read off the generators'
+    central residuals: only the conservation check of verify's thm3, thm4
+    and thm6 passes a closure's rows to central_residuals."""
 
     @pytest.fixture
     def seen(self, monkeypatch):
-        """The number of rows of every central_residuals call in closure."""
+        """The number of rows of every central_residuals call in closure
+        and verify."""
         calls = []
 
         def recording(rows):
@@ -556,7 +557,18 @@ class TestOneRowReader:
             return central_residuals(rows)
 
         monkeypatch.setattr(closure, "central_residuals", recording)
+        monkeypatch.setattr(verify, "central_residuals", recording)
         return calls
+
+    @pytest.mark.parametrize("label, n", [("G2", 8), ("G1prime", 5), ("1,0,0;0,1,0;1,1,1", 4)])
+    def test_close_report_reads_generators_only(self, seen, label, n):
+        """A report, on the closed form, the worklist or a staged run,
+        reads no closure row."""
+        gens = parse_generator_spec(label, n)
+        run = lie_closure(gens)
+        del seen[:]
+        build_report(run).to_jsonable()
+        assert seen and all(m <= len(gens.members) for m in seen)
 
     def test_threshold_reads_generators_only(self, seen):
         """cor1 reads Gk's k + 1 residuals to write each closed form and
@@ -718,12 +730,6 @@ class TestResidualTraceIdentity:
         assert rows_central_rank(rows) == rows_central_rank(seed_rows(gens))
 
 
-def pivot_one_rows(n, basis):
-    """The basis rows at n rescaled to pivot coefficient 1."""
-    vectors = row_vectors(n, basis)
-    return [v.scaled(Fraction(1, row[min(row)])) for v, row in zip(vectors, basis.rows())]
-
-
 def basis_from(vectors):
     """The echelon spanned by vectors."""
     basis = SparseEchelon()
@@ -798,80 +804,8 @@ class TestReports:
         assert report.dim == report.predicted == 33
         assert report.matched is True and report.ok
         assert report.exempt == (1,)
-        assert report.residual_mus == (0, 2)
-        assert report.residuals_nonzero == 0 and report.residual_offenders == ()
         assert report.verdicts.semi_universal and not report.verdicts.universal
         assert len(report.pivots) == 33
-
-    # all units at n = 4: 10 even triples touch some C_mu, past the cap of 8
-    @pytest.mark.parametrize("spec, count", [("G2", 3), ("all", 10)])
-    def test_residual_summary_on_failing_case(self, spec, count):
-        import jsonschema
-
-        n = 4
-        if spec == "all":
-            units = tuple(SymOpVector.unit(t, n) for t in all_triples(n))
-            gens = GeneratorSet(n, units, "custom")
-        else:
-            gens = preset_generators(spec, n)
-        run = lie_closure(gens)
-        report = build_report(run, exempt=())
-        assert not report.ok
-        rows = pivot_one_rows(n, run.basis)
-        assert report.residual_mus == (0, 1, 2) and report.dim == len(rows)
-        nonzero = [
-            (i, mu, membership_residual(row, mu))
-            for i, row in enumerate(rows)
-            for mu in report.residual_mus
-            if membership_residual(row, mu)
-        ]
-        assert report.residuals_nonzero == len(nonzero) == count
-        assert report.residual_offenders == tuple(nonzero[:8])
-        payload = report.to_jsonable()
-        for entry in payload["residual_offenders"]:
-            value = membership_residual(rows[entry["row"]], entry["mu"])
-            assert Fraction(entry["value"]) == value != 0
-        payload["command"] = "close"
-        schema = json.loads(open(schema_path("closure_report")).read())
-        jsonschema.validate(payload, schema)
-
-    # Gk:4 at n = 7 has offenders of value 1/2, where the division by mu!
-    # shows; spec None stands for X and 2 XX + 3 ZZ at n = 4, whose closure
-    # has its offenders on rows with primitive pivot coefficient 5, where the
-    # division by the pivot shows.  The ladder's offending rows have pivot 1.
-    @pytest.mark.parametrize("n, spec", [(7, "Gk:4"), (4, None)])
-    def test_offenders_are_residuals_of_pivot_one_rows(self, n, spec):
-        if spec is None:
-            members = (SymOpVector.unit((1, 0, 0), n),
-                       SymOpVector(n, {(2, 0, 0): 2, (0, 0, 2): 3}))
-            gens = GeneratorSet(n, members, "custom")
-        else:
-            gens = parse_generator_spec(spec, n)
-        run = lie_closure(gens)
-        report = build_report(run, exempt=())
-        assert report.residual_offenders
-        normalized = pivot_one_rows(n, run.basis)
-        for i, mu, value in report.residual_offenders:
-            assert value == membership_residual(normalized[i], mu) != 0
-        rows, pivots = run.basis.rows(), run.basis.pivots()
-        pivot_coeffs = {rows[i][pivots[i]] for i, _, _ in report.residual_offenders}
-        assert (pivot_coeffs != {1}) == (spec is None)
-
-    @settings(max_examples=40, deadline=ENGINE_DEADLINE)
-    @given(custom_generator_sets())
-    def test_offenders_match_membership_residual_on_custom_sets(self, gens):
-        """Every offender, whatever its row's pivot coefficient, is the
-        rational membership residual of its row scaled to pivot 1."""
-        run = lie_closure(gens)
-        report = build_report(run, exempt=())
-        nonzero = [
-            (i, mu, value)
-            for i, row in enumerate(pivot_one_rows(gens.n, run.basis))
-            for mu in report.residual_mus
-            if (value := membership_residual(row, mu))
-        ]
-        assert report.residuals_nonzero == len(nonzero)
-        assert report.residual_offenders == tuple(nonzero[:MAX_OFFENDERS])
 
     def test_custom_report_has_no_prediction(self):
         gens = GeneratorSet(3, (SymOpVector.unit((1, 0, 0), 3),), "custom")
@@ -910,8 +844,9 @@ def corrupted_echelon(n, seed, count=40):
 
 
 class TestStreamedResidualPass:
-    """build_report's one streamed pass over schur.central_residuals against
-    the list-based pass it replaced (tests/reference.py)."""
+    """The streamed pass of schur.central_residuals, which verify's
+    conservation check runs over closure rows, against the list-based pass
+    of tests/reference.py."""
 
     @pytest.mark.parametrize("n", [4, 8, 12])
     @pytest.mark.parametrize("seed", range(3))
@@ -923,31 +858,50 @@ class TestStreamedResidualPass:
         assert list(central_residuals(rows)) == want
         assert want[-1] == {2: 5}
 
-    # At n = 40 a row has residuals at levels that a set of them does not
-    # iterate in ascending order.
+    # At n = 40 the rows reach level 40, far past the generators' levels,
+    # so the streamed pass grows its even-triple table all the way.
     @pytest.mark.parametrize("n", [4, 8, 12, 40])
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("exempt", [None, (), (0, 2)], ids=["family", "none", "0-2"])
     def test_report_matches_the_list_pass(self, n, seed, exempt):
-        gens = preset_generators("G2", n)
-        ech = corrupted_echelon(n, seed)
-        report = build_report(ClosureRun(gens, ech, 0, 0.0), exempt=exempt)
-        ex = family_exempt_mus(gens) if exempt is None else frozenset(exempt)
-        want = list_membership_check(ech.rows(), n, ex, MAX_OFFENDERS)
-        assert (report.residuals_nonzero, report.residual_offenders) == want
+        """thm4's case report on each row of a corrupted echelon, as a
+        closure of generators that touch the levels exempt (G2's for None),
+        is clean exactly when the list pass finds no residual at another
+        level."""
+        if exempt is None:
+            gens = preset_generators("G2", n)
+        else:
+            units = [(1, 0, 0)] + [(0, 0, 2 * mu) for mu in exempt]
+            gens = GeneratorSet(n, tuple(SymOpVector.unit(t, n) for t in units), "custom")
+        touched = family_exempt_mus(gens)
+        assert touched == frozenset((1,) if exempt is None else exempt)
+        rows = corrupted_echelon(n, seed).rows()
+        nonzero = list_membership_check(rows, n, touched)
+        offenders = {i for i, _ in nonzero}
+        for i, row in enumerate(rows):
+            one = SparseEchelon()
+            one.insert(row)
+            _, details = verify._membership(ClosureRun(gens, one, 0, 0.0))
+            assert details["all_zero"] == (i not in offenders), (i, row)
+            assert details["residuals_checked"] == n // 2 + 1 - len(touched)
+        assert offenders
         if exempt == ():
-            assert report.residuals_nonzero > MAX_OFFENDERS
-            assert len({mu for _, mu, _ in report.residual_offenders}) > 1
-        assert all(type(value) is Fraction for _, _, value in report.residual_offenders)
+            assert len({mu for _, mu in nonzero}) > 1
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_closed_forms_are_clean(self, n):
         for label, k in [("G2", None)] + [("Gk", k) for k in range(2, n + 1)]:
             gens = preset_generators(label, n, k=k)
-            run = lie_closure(gens)
-            report = build_report(run)
-            assert (report.residuals_nonzero, report.residual_offenders) == (0, ())
-            assert list_membership_check(run.basis.rows(), n, report.exempt, MAX_OFFENDERS) == (0, ())
+            rows = lie_closure(gens).basis.rows()
+            assert list_membership_check(rows, n, family_exempt_mus(gens)) == [], (label, n, k)
+
+    @settings(max_examples=40, deadline=ENGINE_DEADLINE)
+    @given(st.one_of(custom_generator_sets(), g2_plus_custom_sets()))
+    def test_no_row_leaves_the_touched_levels(self, gens):
+        """The worklist, staged and closed-form routes all conserve every
+        central projection the generators leave untouched."""
+        rows = lie_closure(gens).basis.rows()
+        assert list_membership_check(rows, gens.n, family_exempt_mus(gens)) == []
 
 
 class TestLieBasis:
