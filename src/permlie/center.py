@@ -6,7 +6,9 @@ element C_mu per integer 0 <= mu <= n/2, supported on even triples at level
 transposition class sums L_mu of the symmetric group, and the exact linear
 recombination between the two families is implemented here in both
 directions: as a closed-form coefficient table and as a C-linear
-combination.
+combination.  verify_center proves the span exactly: the C_mu commute with
+generators whose sector ledger is full, and the common kernel of ad_X and
+ad_Y, solved with no C_mu, has their dimension.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple
 
-from .closure import lie_closure
 from .linalg import SparseEchelon, rank_of
+from .schur import sector_ledger
 from .structure import StructureTable
 from .symops import (
     ConstraintError,
@@ -29,12 +31,13 @@ from .symops import (
     triple_rank,
 )
 
-# The largest n verify_center accepts: the largest n for which
-# `center --n n --json -` finished as a process in under 60 s on each of
-# three runs on a 2-vCPU host (n = 144: 50.6, 52.9 and 54.1 s, 799 MB peak
-# RSS; n = 148 took 66.8 s).  The G2 closure of the commute certificate is
-# most of it: at n = 100 in process it took 9.3 s and the X/Y solve 4.0 s.
-CENTER_CAP = 144
+# The largest n verify_center accepts.  `center --n 200 --json -` finished
+# as a process in 32.1, 31.3 and 31.3 s on a 2-vCPU host, at 1.6 GB peak
+# RSS (n = 144: 11.2 s, 651 MB).  The X/Y solve is nearly all of it: at
+# n = 100 in process it took 3.0 s, the commute brackets 0.2 s and the
+# sector ledger 0.04 s.  Time and memory grow about as n^3, so larger n
+# was not run on a shared host.
+CENTER_CAP = 200
 
 # The uniform one-body fields X and Y (the members of G1prime).
 FIELDS = (PauliTriple(1, 0, 0), PauliTriple(0, 1, 0))
@@ -106,20 +109,15 @@ def make_L_direct(mu: int, n: int) -> SymOpVector:
 
 
 class CenterReport(NamedTuple):
-    """Outcome of the full centralizer verification at one n.
-
-    closure_dim is the rank of the spanning closure (G2, or G1prime at
-    n = 1) and span_rank the rank after the C_mu join it; the
-    certificate needs span_rank == C(n+3,3).
-    """
+    """Outcome of the full centralizer verification at one n: the commute
+    certificate, the independence of the C_mu and the dimension of the
+    X/Y solve (see verify_center)."""
 
     n: int
     expected_dim: int
     commute_ok: bool
     independent_ok: bool
     solved_dim: int
-    closure_dim: int
-    span_rank: int
 
     @property
     def ok(self) -> bool:
@@ -132,8 +130,6 @@ class CenterReport(NamedTuple):
             "commute_ok": self.commute_ok,
             "independent_ok": self.independent_ok,
             "solved_dim": self.solved_dim,
-            "closure_dim": self.closure_dim,
-            "span_rank": self.span_rank,
             "ok": self.ok,
         }
 
@@ -162,7 +158,8 @@ def _ad_kernel_system(
 
 
 def spanning_generators(n: int) -> GeneratorSet:
-    """Generators whose closure plus span{C_mu} is the whole algebra.
+    """Generators whose closure contains the derived algebra [A, A], as
+    their sector ledger proves (schur.sector_ledger).
 
     G2 from two qubits on (the semi-universality theorem); at n = 1, where
     G2 does not exist, G1prime, whose X and Y close on su(2).  Both contain
@@ -178,25 +175,16 @@ def verify_center(n: int) -> CenterReport:
     n = 1):
 
     * Commute certificate (commute_ok).  (1) Every C_mu brackets to zero
-      with each generator in G.  (2) The C_mu, inserted into the echelon of
-      a fresh lie_closure(G), raise its rank to C(n+3,3), the dimension of
-      the whole algebra.  The centralizer of one element is a Lie
-      subalgebra, so (1) makes each C_mu commute with all of closure(G), and
-      by (2) every P_t is a closure element plus a combination of the C_nu.
-      So [C_mu, P_t] is a combination of the [C_mu, C_nu], which vanish
-      by the next point.
-    * Why [C_mu, C_nu] = 0 with no bracket computed.  By Jacobi and (1),
-      [X, [C_mu, C_nu]] = [[X, C_mu], C_nu] + [C_mu, [X, C_nu]] = 0, and the
-      same for Y, so [C_mu, C_nu] lies in ker ad_X ∩ ker ad_Y.  The solve
-      below shows that kernel has dimension floor(n/2)+1; it contains the
-      floor(n/2)+1 independent C_lambda by (1), so it is span{C_lambda},
-      whose elements live on triples with every letter count even.
-      Transposition fixes X and Z and negates Y, so P_t^T = (-1)^ky(t) P_t;
-      applied to [P_a, P_b] it gives every structure constant of the
-      bracket the grading ky(u) = ky(a) + ky(b) + 1 (mod 2).  The C_nu have
-      even ky throughout, so [C_mu, C_nu] lives on odd ky only, and the two
-      supports are disjoint: [C_mu, C_nu] = 0.  This step holds exactly
-      when solved_dim == expected_dim and independent_ok, which ok requires.
+      with each generator in G.  (2) The sector ledger of G is full, so the
+      closure L(G) contains D = [A, A], A the whole algebra.  The
+      centralizer of one element is a Lie subalgebra, so by (1) it contains
+      L(G), and by (2) D.  A is the Lie algebra of a compact group, so
+      A = D + Z(A) with Z(A) its center, and C_mu commutes with all of A.
+      Soundness rests on the ledger's certificate and the exact sector
+      blocks it reads, as it did when the closure's echelon was the closed
+      form the ledger proves.  The certificate is sufficient only: a
+      ledger that proves nothing leaves commute_ok false, though the C_mu
+      may still commute.
     * Independence (independent_ok): the C_mu are linearly independent.
     * Solve (solved_dim): the common kernel of ad_X and ad_Y over the whole
       basis, where X = P_(1,0,0) and Y = P_(0,1,0) are the uniform one-body
@@ -216,29 +204,20 @@ def verify_center(n: int) -> CenterReport:
     check_qubits(n, CENTER_CAP, "centralizer verification")
     table = StructureTable(n)
     num_c = n // 2 + 1
-    size = comb(n + 3, 3)
     cs = [by_rank(make_C(mu, n).coeffs) for mu in range(num_c)]
 
     gens = spanning_generators(n)
     commute_ok = not any(
         table.bracket_coeffs(c, by_rank(g.coeffs)) for c in cs for g in gens.members
-    )
-    # a closure of its own: the C_mu are inserted into its echelon
-    basis = lie_closure(gens).basis
-    closure_dim = basis.rank
-    basis.extend(cs)
-    span_rank = basis.rank
-    commute_ok = commute_ok and span_rank == size
+    ) and sector_ledger(gens).full
 
     independent_ok = rank_of(cs) == num_c
 
-    solved_dim = size - _ad_kernel_system(table, FIELDS).rank
+    solved_dim = comb(n + 3, 3) - _ad_kernel_system(table, FIELDS).rank
     return CenterReport(
         n=n,
         expected_dim=num_c,
         commute_ok=commute_ok,
         independent_ok=independent_ok,
         solved_dim=solved_dim,
-        closure_dim=closure_dim,
-        span_rank=span_rank,
     )

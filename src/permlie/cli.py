@@ -221,8 +221,7 @@ def cmd_center(args) -> int:
         extra["emitted"] = {args.emit: {str(mu): maker(mu, args.n).to_jsonable() for mu in mus}}
     d = case.details
     summary = (
-        f"center @ n={args.n}: dim {d['expected_dim']}, solve dim {d['solved_dim']}, "
-        f"closure dim {d['closure_dim']}, span rank {d['span_rank']}"
+        f"center @ n={args.n}: dim {d['expected_dim']}, solve dim {d['solved_dim']}"
         + (", ok" if case.ok else ", FAIL")
     )
     return _report(args, "center", SuiteReport("prop1", (case,)), summary, **extra)

@@ -19,12 +19,13 @@ closed-form dimension predictions for the preset generator families and
 the universality verdicts read off the generators' central residuals
 (schur.central_residuals).
 
-A closure is its echelon: the run holds its generators and the
-SparseEchelon the worklist grew or the closed form wrote, and every reader
-takes its rows as they are stored, keyed by triple_rank (whose int order
-is the canonical triple order) and primitive over the integers.  PauliTriple and Fraction appear
-only at the boundary: generators enter through integer_row once, and
-to_jsonable turns pivot ranks into text.  build_report reads no row: a
+A closure is its echelon: the run holds its generators, their central
+residuals and the SparseEchelon the worklist grew or the closed form
+wrote, and every reader takes its rows as they are stored, keyed by
+triple_rank (whose int order is the canonical triple order) and primitive
+over the integers.  PauliTriple and Fraction appear only at the boundary:
+generators enter through integer_row once, their residuals are read once,
+and to_jsonable turns pivot ranks into text.  build_report reads no row: a
 closure pairs with the center as its generators do (see _verdicts), so the
 levels they touch, its exempt levels, are the only central projections it
 can move.  verify's thm3, thm4 and thm6 suites check that on the rows.
@@ -51,12 +52,16 @@ from .symops import (
 
 
 class ClosureRun(NamedTuple):
-    """A finished closure of gens.  basis is its reduced echelon, as the
-    worklist grew it or semi_universal_basis wrote it: its rows are the
-    closure's primitive integer rows, keyed by triple_rank.  iterations
-    counts the brackets evaluated, 0 when the sector ledger proved it."""
+    """A finished closure of gens.  residuals are the generators' central
+    residuals (schur.central_residuals), one dict per member, read once by
+    lie_closure (generator_residuals); every reader of the central pairing
+    takes them from here.  basis is its reduced echelon, as the worklist
+    grew it or semi_universal_basis wrote it: its rows are the closure's
+    primitive integer rows, keyed by triple_rank.  iterations counts the
+    brackets evaluated, 0 when the sector ledger proved it."""
 
     gens: GeneratorSet
+    residuals: tuple[dict[int, int], ...]
     basis: SparseEchelon
     iterations: int
     wall_time: float
@@ -73,8 +78,21 @@ class ClosureRun(NamedTuple):
     def verdicts(self) -> Verdicts:
         """Universality flags, read off the generators' central residuals
         (see _verdicts); no closure row is read."""
-        seeds = (integer_row(by_rank(g.coeffs)) for g in self.gens.members)
-        return _verdicts(self.n, self.dim, list(central_residuals(seeds)))
+        return _verdicts(self.n, self.dim, self.residuals)
+
+    @property
+    def exempt(self) -> frozenset[int]:
+        """Central levels the generators touch: the mu at which some
+        generator has a nonzero central residual, that is, a nonzero trace
+        pairing with C_mu.  The closure pairs with the center as they do,
+        so every other central projection is conserved.  For the k-body
+        ladder these are mu = 1..floor(k/2)."""
+        return frozenset(mu for res in self.residuals for mu in res)
+
+
+def generator_residuals(gens: GeneratorSet) -> tuple[dict[int, int], ...]:
+    """The central residuals of gens' members as integer rows, in order."""
+    return tuple(central_residuals(integer_row(by_rank(g.coeffs)) for g in gens.members))
 
 
 def _worklist(gens: GeneratorSet) -> tuple[SparseEchelon, int]:
@@ -98,30 +116,33 @@ def lie_closure(gens: GeneratorSet) -> ClosureRun:
     (semi_universal_basis), with no bracket: iterations is 0.  Otherwise,
     when the members of level <= 2 are a nonempty proper subset S0, the
     worklist closes S0 first; if that closure is semi-universal (read off
-    S0's generators) so is the whole one, whose rows are again the closed
+    S0's residuals) so is the whole one, whose rows are again the closed
     form, and iterations counts S0's brackets.  If not, or for any other
     set, the one-stage worklist closes every member and iterations adds its
     brackets.  Every path ends on the same reduced echelon, the one its
     span determines; FIFO order and the canonical triple order make each
-    run deterministic.
+    run deterministic.  The generators' central residuals are read once,
+    first, and the run carries them.
     """
     t0 = time.perf_counter()
+    residuals = generator_residuals(gens)
     if sector_ledger(gens).full:
-        return ClosureRun(gens, semi_universal_basis(gens), 0, time.perf_counter() - t0)
-    two_body = [g for g in gens.members if max(t.level for t in g.coeffs) <= 2]
+        return ClosureRun(gens, residuals, semi_universal_basis(gens.n, residuals), 0,
+                          time.perf_counter() - t0)
+    two_body = [i for i, g in enumerate(gens.members) if max(t.level for t in g.coeffs) <= 2]
     steps = 0
     if 0 < len(two_body) < len(gens.members):
-        base = GeneratorSet(gens.n, two_body)
-        ech, steps = _worklist(base)
-        if ClosureRun(base, ech, steps, 0.0).verdicts.semi_universal:
-            return ClosureRun(gens, semi_universal_basis(gens), steps, time.perf_counter() - t0)
+        ech, steps = _worklist(GeneratorSet(gens.n, [gens.members[i] for i in two_body]))
+        if _verdicts(gens.n, ech.rank, [residuals[i] for i in two_body]).semi_universal:
+            return ClosureRun(gens, residuals, semi_universal_basis(gens.n, residuals), steps,
+                              time.perf_counter() - t0)
     ech, more = _worklist(gens)
-    return ClosureRun(gens, ech, steps + more, time.perf_counter() - t0)
+    return ClosureRun(gens, residuals, ech, steps + more, time.perf_counter() - t0)
 
 
-def semi_universal_basis(gens: GeneratorSet) -> SparseEchelon:
-    """The reduced echelon of L(gens) when L(gens) is semi-universal, with
-    no bracket.
+def semi_universal_basis(n: int, residuals: Sequence[Mapping[int, int]]) -> SparseEchelon:
+    """The reduced echelon of L(gens) at n when L(gens) is semi-universal,
+    with no bracket, from the central residuals of gens' members.
 
     Let A be the whole equivariant algebra, the direct sum of the gl(m_mu),
     Z its center and D = [A, A] its derived algebra, the sum of the
@@ -144,10 +165,8 @@ def semi_universal_basis(gens: GeneratorSet) -> SparseEchelon:
     whose smallest triple is f and which no other row shares: the reduced
     rows, made primitive, are the ones the worklist stores.
     """
-    n = gens.n
     pairing = SparseEchelon()
-    seeds = (integer_row(by_rank(g.coeffs)) for g in gens.members)
-    pairing.extend(central_residuals(seeds))
+    pairing.extend(residuals)
     held = dict(zip(pairing.pivots(), pairing.rows()))
     constraints = SparseEchelon()  # keyed by -rank: a row's pivot is its largest triple
     for f in range(n // 2 + 1):
@@ -294,20 +313,9 @@ class ClosureReport(NamedTuple):
         }
 
 
-def family_exempt_mus(gens: GeneratorSet) -> frozenset[int]:
-    """Central levels a generator set touches: the mu at which some
-    generator has a nonzero central residual, that is, a nonzero trace
-    pairing with C_mu.  Its closure pairs with the center as it does, so
-    every other central projection is conserved.  For the k-body ladder
-    these are mu = 1..floor(k/2).
-    """
-    seeds = (by_rank(g.coeffs) for g in gens.members)
-    return frozenset(mu for res in central_residuals(seeds) for mu in res)
-
-
 def build_report(run: ClosureRun) -> ClosureReport:
     """Report of a closure run, read off its generators and its echelon's
-    pivots: exempt is the levels the generators touch (family_exempt_mus),
+    pivots: exempt is the levels the generators touch (ClosureRun.exempt),
     and every other central projection is conserved by the closure."""
     gens = run.gens
     n = gens.n
@@ -326,7 +334,7 @@ def build_report(run: ClosureRun) -> ClosureReport:
         matched=None if predicted is None else run.dim == predicted,
         ambient=ambient_dims(n),
         verdicts=run.verdicts,
-        exempt=tuple(sorted(family_exempt_mus(gens))),
+        exempt=tuple(sorted(run.exempt)),
         pivots=tuple(run.basis.pivots()),
         iterations=run.iterations,
         wall_time=run.wall_time,

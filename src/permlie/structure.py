@@ -273,6 +273,8 @@ class StructureTable:
             if keys and (min(keys) < 0 or max(keys) >= size):
                 bad = sorted(r for r in keys if not 0 <= r < size)
                 raise ConstraintError(f"ranks {bad} leave the {size} triples of n = {n}")
+        if u == v:  # [w, w] = 0; a one-member closure brackets its seed with itself
+            return {}
         rows = [(rank_triple(t), c) for t, c in u.items()]
         out: dict[int, object] = {}
         for s, cs in v.items():

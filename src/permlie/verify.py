@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .center import CENTER_CAP, make_C, make_L, make_L_direct, verify_center
-from .closure import family_exempt_mus, is_universal_pair, lie_closure, predicted_dim
+from .closure import is_universal_pair, lie_closure, predicted_dim
 from .erratum import build_abc, verify_printed_commutators
 from .linalg import SparseEchelon, integer_row, rank_of
 from .oracle import WORD_QUBIT_CAP, class_sum, dense_closure, densify
@@ -109,11 +109,11 @@ def _g2_dimension(run) -> tuple[bool, dict]:
 
 
 def _conservation(run) -> tuple[frozenset[int], bool]:
-    """The levels the generators touch (family_exempt_mus), and whether
+    """The levels the generators touch (ClosureRun.exempt), and whether
     every closure row has a zero central residual at every other level, in
     one streamed pass over the rows.  It holds in theory (tr([a, b] C) = 0
     for central C), so this checks the bracket engine's arithmetic."""
-    touched = family_exempt_mus(run.gens)
+    touched = run.exempt
     return touched, all(res.keys() <= touched for res in central_residuals(run.basis.rows()))
 
 

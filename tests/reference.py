@@ -7,7 +7,8 @@ text of the dense oracle, the paths of the bundled report schemas, the
 universality verdicts read off an explicit nullspace of the trace pairings,
 the view of an echelon's rank-keyed rows as SymOpVectors that lets these
 triple-keyed oracles check the engine, the one-stage closure that staged
-and closed-form runs are checked against, the closure of a superset of a
+and closed-form runs are checked against, that closure joined by the C_mu
+(the centralizer's old span certificate), the closure of a superset of a
 semi-universal closure's generators by insertion, the closure worklist that brackets
 each row as it was admitted, the pair overlap count, a bracket engine of
 its own that the seed columns are checked against, and the rank of the
@@ -23,7 +24,7 @@ from importlib import resources
 from math import comb, factorial
 
 from permlie import StructureTable, ambient_dims, isotypic_table, make_C, sector_block
-from permlie.closure import ClosureRun, Verdicts
+from permlie.closure import ClosureRun, Verdicts, generator_residuals
 from permlie.linalg import SparseEchelon, generator_closure, integer_row, rank_of
 from permlie.schur import _scales
 from permlie.structure import _orbit_average
@@ -236,7 +237,16 @@ def extend_closure(gens, run):
     ech = SparseEchelon()
     ech.extend(run.basis.rows())
     ech.extend(integer_row(by_rank(g.coeffs)) for g in gens.members if g not in base)
-    return ClosureRun(gens, ech, run.iterations, run.wall_time)
+    return ClosureRun(gens, generator_residuals(gens), ech, run.iterations, run.wall_time)
+
+
+def closure_span_rank(gens) -> int:
+    """Rank of the one-stage closure of gens joined by every C_mu: the old
+    commute certificate of center.verify_center, which needed
+    C(n+3,3) to conclude that the C_mu commute with every P_t."""
+    ech = one_stage_closure(gens)[0]
+    ech.extend(by_rank(make_C(mu, gens.n).coeffs) for mu in range(gens.n // 2 + 1))
+    return ech.rank
 
 
 def snapshot_closure(seeds, bracket, ech: SparseEchelon) -> int:

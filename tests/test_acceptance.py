@@ -35,7 +35,6 @@ from permlie import (
     verify_center,
     verify_printed_commutators,
 )
-from permlie.closure import family_exempt_mus
 from permlie.linalg import integer_row
 from reference import bracket_vectors, membership_residual, row_vectors, trace_inner
 
@@ -91,7 +90,7 @@ def test_criterion_04_central_projection_pattern(ctx):
         families = [("G2", None)] + [("Gk", k) for k in range(2, n + 1)]
         for label, k in families:
             gens = preset_generators(label, n, k=k)
-            exempt = family_exempt_mus(gens)
+            exempt = ctx.closure(label, n, k=k).exempt
             pattern = {mu: mu not in exempt for mu in center}
             touched = set(range(1, (k or 2) // 2 + 1))
             assert pattern == {mu: mu not in touched for mu in center}, gens.label

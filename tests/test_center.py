@@ -14,6 +14,7 @@ from permlie import (
     SparseEchelon,
     SymOpVector,
     all_triples,
+    lie_closure,
     make_C,
     make_L,
     make_L_direct,
@@ -29,11 +30,11 @@ from permlie.center import (
     _ad_kernel_system,
     spanning_generators,
 )
-from permlie.closure import family_exempt_mus
 from permlie.linalg import integer_row
 from permlie.oracle import class_sum, dense_bracket, densify
+from permlie.schur import SectorLedger, sector_ledger
 from permlie.symops import GeneratorSet, rank_triple, triple_rank
-from reference import bracket_vectors, nullspace, row_vectors, trace_inner
+from reference import bracket_vectors, closure_span_rank, nullspace, row_vectors, trace_inner
 
 
 class TestCenterElements:
@@ -129,23 +130,24 @@ class TestClassSums:
 
 
 class TestProjectionPattern:
-    """family_exempt_mus lists the C_mu some generator pairs with; every
-    other C_mu is trace-orthogonal to the generators."""
+    """A closure run's exempt levels are the C_mu some generator pairs
+    with; every other C_mu is trace-orthogonal to the generators."""
 
-    def test_two_body_set_touches_only_mu_one(self):
-        assert family_exempt_mus(preset_generators("G2", 6)) == {1}
+    def test_two_body_set_touches_only_mu_one(self, ctx):
+        assert ctx.closure("G2", 6).exempt == {1}
 
-    def test_four_body_set_touches_mu_one_and_two(self):
-        assert family_exempt_mus(preset_generators("Gk", 6, k=4)) == {1, 2}
+    def test_four_body_set_touches_mu_one_and_two(self, ctx):
+        assert ctx.closure("Gk", 6, 4).exempt == {1, 2}
 
     def test_odd_letter_generator_orthogonal_everywhere(self):
         gens = GeneratorSet(4, (SymOpVector.unit((1, 1, 1), 4),), "custom")
-        assert family_exempt_mus(gens) == frozenset()
+        assert lie_closure(gens).exempt == frozenset()
 
     def test_pattern_is_conserved_by_the_closure(self, ctx):
         n, k = 5, 3
-        exempt = family_exempt_mus(preset_generators("Gk", n, k=k))
-        rows = row_vectors(n, ctx.closure("Gk", n, k).basis)
+        run = ctx.closure("Gk", n, k)
+        exempt = run.exempt
+        rows = row_vectors(n, run.basis)
         for mu in range(n // 2 + 1):
             cv = make_C(mu, n)
             if mu not in exempt:
@@ -209,19 +211,23 @@ class TestCentralizerVerification:
     def test_single_qubit_center_is_identity_line(self):
         report = verify_center(1)
         assert report.expected_dim == 1 and report.ok
-        assert spanning_generators(1).members == tuple(
-            SymOpVector.unit(t, 1) for t in ((1, 0, 0), (0, 1, 0))
-        )
-        assert (report.closure_dim, report.span_rank) == (3, 4)
+        gens = spanning_generators(1)
+        assert gens.members == tuple(SymOpVector.unit(t, 1) for t in ((1, 0, 0), (0, 1, 0)))
+        assert sector_ledger(gens).full and closure_span_rank(gens) == 4
 
     def test_jsonable_fields(self):
         data = verify_center(2).to_jsonable()
         assert data["n"] == 2 and data["ok"] is True
         assert set(data) == {
-            "n", "expected_dim", "commute_ok", "independent_ok", "solved_dim",
-            "closure_dim", "span_rank", "ok",
+            "n", "expected_dim", "commute_ok", "independent_ok", "solved_dim", "ok",
         }
-        assert (data["closure_dim"], data["span_rank"]) == (9, 10)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_certificate_agrees_with_the_closure_span_rank(self, n):
+        """The ledger certificate holds wherever the old one did: the
+        spanning closure joined by the C_mu is the whole algebra."""
+        assert verify_center(n).commute_ok
+        assert closure_span_rank(spanning_generators(n)) == comb(n + 3, 3)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_certificate_agrees_with_commute_scan(self, tables, n):
@@ -229,15 +235,25 @@ class TestCentralizerVerification:
         report = verify_center(n)
         cs = [make_C(mu, n) for mu in range(n // 2 + 1)]
         assert commute_scan(table, cs) is report.commute_ok is True
-        assert report.span_rank == comb(n + 3, 3)
-        if n >= 2:
-            assert report.closure_dim == comb(n + 3, 3) - n // 2
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_ledger_that_proves_nothing_fails_the_certificate(self, tables, monkeypatch, n):
+        """The certificate is sufficient only: without the ledger's proof
+        commute_ok is false, though the C_mu do commute with everything."""
+        monkeypatch.setattr(center_mod, "sector_ledger", lambda gens: SectorLedger(gens.n, ()))
+        report = verify_center(n)
+        assert commute_scan(tables(n), [make_C(mu, n) for mu in range(n // 2 + 1)])
+        assert not report.commute_ok and not report.ok
+        assert report.independent_ok and report.solved_dim == report.expected_dim
 
     @pytest.mark.parametrize("engine", ["overlap", "orbit"])
     @pytest.mark.parametrize("n", range(1, 8))
     def test_bracket_flips_y_parity(self, tables, n, engine):
-        """ky(u) = ky(a) + ky(b) + 1 (mod 2) on every structure constant:
-        the grading that rules out a nonzero [C_mu, C_nu]."""
+        """ky(u) = ky(a) + ky(b) + 1 (mod 2) on every structure constant.
+        Transposition fixes X and Z and negates Y, so P_t^T = (-1)^ky(t) P_t,
+        and a bracket is odd under it.  So the bracket of two even-ky
+        elements, such as two C_mu, has odd ky only; no certificate rests
+        on it."""
         table = tables(n)
         for a, b in combinations(all_triples(n), 2):
             ab = table.bracket(a, b) if engine == "overlap" else orbit_bracket(a, b, n)
@@ -257,8 +273,9 @@ class TestCentralizerVerification:
             center_mod, "spanning_generators", lambda m: preset_generators("G1prime", m)
         )
         report = verify_center(n)
-        assert report.closure_dim == 3
-        assert report.span_rank < comb(n + 3, 3)
+        g1prime = preset_generators("G1prime", n)
+        assert not sector_ledger(g1prime).full
+        assert closure_span_rank(g1prime) < comb(n + 3, 3)
         assert not report.commute_ok
         assert report.independent_ok and report.solved_dim == report.expected_dim
         assert not report.ok

@@ -105,6 +105,24 @@ class TestClose:
         second.pop("wall_time")
         assert first == second
 
+    def test_one_member_closure_brackets_nothing_with_itself(self, capsys, monkeypatch):
+        """The worklist brackets a lone seed with itself; that bracket is
+        zero and builds no seed column, so n = 200 closes at once."""
+        def no_column(s):
+            raise AssertionError("seed column built")
+
+        monkeypatch.setattr(structure, "_seed_column", no_column)
+        rc, payload, _ = run_json(capsys, "close", "--n", "200", "--gens", "0,0,200")
+        assert rc == 0 and payload.pop("wall_time") >= 0
+        assert payload == {
+            "ambient": {"dim_center": 101, "dim_su": 1373700, "dim_su_cless": 1373600,
+                        "dim_u": 1373701},
+            "command": "close", "dim": 1, "exempt": [100], "generators": ["1*(0,0,200)"],
+            "iterations": 1, "k": None, "label": "custom", "matched": None, "n": 200,
+            "pivots": ["0,0,200"], "predicted": None,
+            "verdicts": {"semi_universal": False, "universal": False},
+        }
+
     def test_bad_generator_specs(self, capsys):
         for gens in ("Gk:9", "potato", "1,2", "Gk:x"):
             rc, _, err = run(capsys, "close", "--n", "4", "--gens", gens)
@@ -358,7 +376,7 @@ class TestCenter:
     def test_human_line(self, capsys):
         rc, out, _ = run(capsys, "center", "--n", "4")
         assert rc == 0
-        assert "center @ n=4: dim 3, solve dim 3, closure dim 33, span rank 35, ok" in out
+        assert "center @ n=4: dim 3, solve dim 3, ok" in out
 
     @pytest.mark.parametrize("emit", ["C", "L"])
     @pytest.mark.parametrize("mu", [-1, 40 // 2 + 1])
@@ -371,7 +389,7 @@ class TestCenter:
         assert rc == 1 and out == ""
         assert f"got mu={mu}, n=40" in err
 
-    @pytest.mark.parametrize("n", [CENTER_CAP + 1, 200])
+    @pytest.mark.parametrize("n", [CENTER_CAP + 1, 400])
     def test_resource_cap_exit_code(self, capsys, n):
         rc, out, err = run(capsys, "center", "--n", str(n), "--json", "-")
         assert rc == 3 and out == ""

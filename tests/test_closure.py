@@ -35,7 +35,7 @@ from permlie.closure import (
     _verdicts,
     central_rank,
     central_residuals,
-    family_exempt_mus,
+    generator_residuals,
 )
 from permlie.linalg import SparseEchelon, generator_closure, integer_row, rank_of
 from permlie.oracle import DenseOp, dense_bracket, dense_closure, densify
@@ -472,6 +472,11 @@ BENCH_LADDER = [("Gk", n, k) for n in range(2, 9) for k in range(2, n + 1)] + [
     ("G2", n, None) for n in (16, 20, 24)]
 
 
+def closed_form(gens):
+    """semi_universal_basis of gens, read off their central residuals."""
+    return semi_universal_basis(gens.n, generator_residuals(gens))
+
+
 def semi_universal_one_stage(gens):
     """The one-stage echelon of gens; the example is skipped unless it is
     semi-universal."""
@@ -487,13 +492,13 @@ class TestClosedForm:
     @pytest.mark.parametrize("n", range(2, 33))
     def test_g2_rows(self, one_stage, n):
         want = one_stage("G2", n)[0]
-        got = semi_universal_basis(preset_generators("G2", n))
+        got = closed_form(preset_generators("G2", n))
         assert (got.pivots(), got.rows()) == (want.pivots(), want.rows())
 
     @pytest.mark.parametrize("label,n,k", GK_TO_12, ids=case_ids(GK_TO_12))
     def test_gk_rows(self, one_stage, label, n, k):
         want = one_stage(label, n, k)[0]
-        got = semi_universal_basis(preset_generators(label, n, k=k))
+        got = closed_form(preset_generators(label, n, k=k))
         assert (got.pivots(), got.rows()) == (want.pivots(), want.rows())
 
     @pytest.mark.parametrize("spec, n", [("1,0,0;0,1,0;0,0,2;2,2,0", 8), ("1,0,0;0,1,0;0,0,4", 9)])
@@ -501,14 +506,14 @@ class TestClosedForm:
         gens = parse_generator_spec(spec, n)
         want = one_stage_closure(gens)[0]
         assert trace_pairing_verdicts(n, want).semi_universal
-        got = semi_universal_basis(gens)
+        got = closed_form(gens)
         assert (got.pivots(), got.rows()) == (want.pivots(), want.rows())
 
     @settings(max_examples=40, deadline=ENGINE_DEADLINE)
     @given(st.one_of(custom_generator_sets(), g2_plus_custom_sets()))
     def test_semi_universal_custom_sets(self, gens):
         want = semi_universal_one_stage(gens)
-        got = semi_universal_basis(gens)
+        got = closed_form(gens)
         assert (got.pivots(), got.rows()) == (want.pivots(), want.rows())
 
     def test_rows_grow_like_the_worklist_echelon(self):
@@ -516,7 +521,7 @@ class TestClosedForm:
         inserted into G2's closed form at n = 6 give the whole algebra, as
         they do in the worklist's echelon (centralizer_case does this)."""
         gens = preset_generators("G2", 6)
-        got, want = semi_universal_basis(gens), one_stage_closure(gens)[0]
+        got, want = closed_form(gens), one_stage_closure(gens)[0]
         for ech in (got, want):
             ech.extend(by_rank(make_C(mu, 6).coeffs) for mu in range(4))
         assert got.rank == want.rank == comb(9, 3)
@@ -535,15 +540,16 @@ class TestClosedForm:
         arithmetic, for G2 and every Gk."""
         for label, k in [("G2", None)] + [("Gk", k) for k in range(2, n + 1)]:
             ech = one_stage(label, n, k)[0]
-            touched = family_exempt_mus(preset_generators(label, n, k=k))
+            touched = lie_closure(preset_generators(label, n, k=k)).exempt
             assert list_membership_check(ech.rows(), n, touched) == [], (label, n, k)
             assert ech.rank == predicted_dim(label, n, k), (label, n, k)
 
 
 class TestOneRowReader:
     """Verdicts and a report's exempt levels are read off the generators'
-    central residuals: only the conservation check of verify's thm3, thm4
-    and thm6 passes a closure's rows to central_residuals."""
+    central residuals, which lie_closure reads once and the run carries:
+    only the conservation check of verify's thm3, thm4 and thm6 passes a
+    closure's rows to central_residuals."""
 
     @pytest.fixture
     def seen(self, monkeypatch):
@@ -562,20 +568,22 @@ class TestOneRowReader:
 
     @pytest.mark.parametrize("label, n", [("G2", 8), ("G1prime", 5), ("1,0,0;0,1,0;1,1,1", 4)])
     def test_close_report_reads_generators_only(self, seen, label, n):
-        """A report, on the closed form, the worklist or a staged run,
-        reads no closure row."""
+        """The closure, on the closed form, the worklist or a staged run,
+        reads its generators' residuals once and no closure row; the report
+        reads none."""
         gens = parse_generator_spec(label, n)
         run = lie_closure(gens)
+        assert seen == [len(gens.members)]
         del seen[:]
         build_report(run).to_jsonable()
-        assert seen and all(m <= len(gens.members) for m in seen)
+        assert seen == []
 
     def test_threshold_reads_generators_only(self, seen):
-        """cor1 reads Gk's k + 1 residuals to write each closed form and
-        again to read its verdicts."""
+        """cor1 reads Gk's k + 1 residuals once per closure: the closed form
+        and the verdicts take them from the run."""
         cases = verify.run_selector("cor1", 2, 8).cases
         assert all(c.ok for c in cases)
-        assert seen == [c.params["k"] + 1 for c in cases for _ in range(2)]
+        assert seen == [c.params["k"] + 1 for c in cases]
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_staged_closure_reads_generators_only(self, seen, n):
@@ -652,15 +660,15 @@ class TestMembershipFunctional:
 
 class TestExemptLevels:
     def test_k_body_families(self, ctx):
-        assert family_exempt_mus(preset_generators("G2", 6)) == frozenset({1})
-        assert family_exempt_mus(preset_generators("Gk", 6, k=4)) == frozenset({1, 2})
-        assert family_exempt_mus(preset_generators("Gk", 8, k=7)) == frozenset({1, 2, 3})
+        assert ctx.closure("G2", 6).exempt == frozenset({1})
+        assert ctx.closure("Gk", 6, 4).exempt == frozenset({1, 2})
+        assert ctx.closure("Gk", 8, 7).exempt == frozenset({1, 2, 3})
 
     def test_custom_sets_use_trace_pattern(self):
         gens = GeneratorSet(4, (make_C(2, 4),), "custom")
-        assert family_exempt_mus(gens) == frozenset({2})
+        assert lie_closure(gens).exempt == frozenset({2})
         odd = GeneratorSet(4, (SymOpVector.unit((1, 1, 1), 4),), "custom")
-        assert family_exempt_mus(odd) == frozenset()
+        assert lie_closure(odd).exempt == frozenset()
 
 
 CUSTOM_SPECS = ("1,0,0;1,1,0", "2,0,0;0,1,1;1,0,0")
@@ -700,13 +708,13 @@ class TestResidualTraceIdentity:
         runs, customs = identity_closures(ctx, n)
         for run in runs:
             assert basis_verdicts(n, run.basis) == trace_pairing_verdicts(n, run.basis)
-        for gens in customs:
+        for run, gens in zip(runs[-len(customs):], customs):
             touched = {
                 mu
                 for mu in range(n // 2 + 1)
                 if any(trace_inner(g, make_C(mu, n)) for g in gens.members)
             }
-            assert family_exempt_mus(gens) == touched
+            assert run.exempt == touched
 
     @settings(max_examples=40, deadline=ENGINE_DEADLINE)
     @given(custom_generator_sets())
@@ -741,7 +749,7 @@ def basis_verdicts(n, basis):
     """The verdicts build_report reads off the span of basis at n, taken as
     a finished closure of its own rows."""
     gens = GeneratorSet(n, tuple(row_vectors(n, basis)), "custom")
-    return build_report(ClosureRun(gens, basis, 0, 0.0)).verdicts
+    return build_report(ClosureRun(gens, generator_residuals(gens), basis, 0, 0.0)).verdicts
 
 
 class TestVerdicts:
@@ -873,7 +881,8 @@ class TestStreamedResidualPass:
         else:
             units = [(1, 0, 0)] + [(0, 0, 2 * mu) for mu in exempt]
             gens = GeneratorSet(n, tuple(SymOpVector.unit(t, n) for t in units), "custom")
-        touched = family_exempt_mus(gens)
+        residuals = generator_residuals(gens)
+        touched = frozenset(mu for res in residuals for mu in res)
         assert touched == frozenset((1,) if exempt is None else exempt)
         rows = corrupted_echelon(n, seed).rows()
         nonzero = list_membership_check(rows, n, touched)
@@ -881,7 +890,7 @@ class TestStreamedResidualPass:
         for i, row in enumerate(rows):
             one = SparseEchelon()
             one.insert(row)
-            _, details = verify._membership(ClosureRun(gens, one, 0, 0.0))
+            _, details = verify._membership(ClosureRun(gens, residuals, one, 0, 0.0))
             assert details["all_zero"] == (i not in offenders), (i, row)
             assert details["residuals_checked"] == n // 2 + 1 - len(touched)
         assert offenders
@@ -891,17 +900,16 @@ class TestStreamedResidualPass:
     @pytest.mark.parametrize("n", range(2, 17))
     def test_closed_forms_are_clean(self, n):
         for label, k in [("G2", None)] + [("Gk", k) for k in range(2, n + 1)]:
-            gens = preset_generators(label, n, k=k)
-            rows = lie_closure(gens).basis.rows()
-            assert list_membership_check(rows, n, family_exempt_mus(gens)) == [], (label, n, k)
+            run = lie_closure(preset_generators(label, n, k=k))
+            assert list_membership_check(run.basis.rows(), n, run.exempt) == [], (label, n, k)
 
     @settings(max_examples=40, deadline=ENGINE_DEADLINE)
     @given(st.one_of(custom_generator_sets(), g2_plus_custom_sets()))
     def test_no_row_leaves_the_touched_levels(self, gens):
         """The worklist, staged and closed-form routes all conserve every
         central projection the generators leave untouched."""
-        rows = lie_closure(gens).basis.rows()
-        assert list_membership_check(rows, gens.n, family_exempt_mus(gens)) == []
+        run = lie_closure(gens)
+        assert list_membership_check(run.basis.rows(), gens.n, run.exempt) == []
 
 
 class TestLieBasis:

@@ -283,6 +283,19 @@ class TestSeedColumns:
         assert table.bracket_coeffs(u, v) == {w: c for w, c in want.items() if c}
         assert table.bracket_coeffs(u, {}) == table.bracket_coeffs({}, v) == {}
 
+    def test_self_bracket_builds_no_column(self, monkeypatch):
+        """[w, w] = 0 is returned before any seed column is built, and after
+        the rank check."""
+        def no_column(s):
+            raise AssertionError("seed column built")
+
+        monkeypatch.setattr("permlie.structure._seed_column", no_column)
+        table = StructureTable(7)
+        w = {triple_rank(PauliTriple(2, 1, 3)): 3, triple_rank(PauliTriple(0, 0, 7)): -5}
+        assert table.bracket_coeffs(w, dict(w)) == {}
+        with pytest.raises(ConstraintError, match="leave the"):
+            table.bracket_coeffs({comb(10, 3): 1}, {comb(10, 3): 1})
+
 
 class TestTableBasics:
     def test_bracket_accepts_text_and_tuples(self, tables):
