@@ -5,11 +5,12 @@ Pauli strings P_(kx,ky,kz); this package computes their commutators with
 exact integer structure constants, takes Lie closures of generator sets,
 verifies the centralizer and class-sum identities, certifies universality
 verdicts, and cross-checks everything against an independent word-level
-oracle.  A closure is its echelon (ClosureRun.basis): the one its worklist
-grew, or, when the sector ledger proves the generators semi-universal, the
-closed form semi_universal_basis writes with no bracket; its verdicts and
-build_report's exempt levels are read off its generators, and verify's
-thm3, thm4 and thm6 suites check its rows' central residuals.  Spin
+oracle.  A worklist closure holds the echelon it grew (ClosureRun.basis).
+A closure the sector ledger proves semi-universal holds none: its
+dimension, verdicts, exempt levels and left-out triples are read off its
+generators, and semi_universal_basis writes its rows in closed form, with
+no bracket, only when a reader asks for them.  verify's thm3, thm4 and
+thm6 suites check the rows' central residuals.  Spin
 sectors are exact too: the block of every P_t on each sector is an
 integer matrix read off one generating polynomial (permlie.schur), so the
 sector certificates are exact.  The package uses the standard library only.

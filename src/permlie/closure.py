@@ -3,7 +3,7 @@
 lie_closure first reads schur.sector_ledger of the generators.  When it
 shows every sector full, the closure contains the derived algebra
 D = [A, A] of the whole equivariant algebra A, and semi_universal_basis
-writes its reduced echelon in closed form, with no bracket.  Otherwise it
+can write its reduced echelon in closed form, with no bracket.  Otherwise it
 runs the one worklist, linalg.generator_closure, with the seed columns of
 StructureTable.bracket_coeffs: each newly independent row is bracketed
 with the generators only, as the echelon stores it when the worklist pops
@@ -19,16 +19,19 @@ closed-form dimension predictions for the preset generator families and
 the universality verdicts read off the generators' central residuals
 (schur.central_residuals).
 
-A closure is its echelon: the run holds its generators, their central
-residuals and the SparseEchelon the worklist grew or the closed form
-wrote, and every reader takes its rows as they are stored, keyed by
-triple_rank (whose int order is the canonical triple order) and primitive
-over the integers.  PauliTriple and Fraction appear only at the boundary:
-generators enter through integer_row once, their residuals are read once,
-and to_jsonable turns pivot ranks into text.  build_report reads no row: a
-closure pairs with the center as its generators do (see _verdicts), so the
-levels they touch, its exempt levels, are the only central projections it
-can move.  verify's thm3, thm4 and thm6 suites check that on the rows.
+A proven closure holds no echelon.  The run holds its generators and
+their central residuals, and a semi-universal closure's dimension,
+verdicts, exempt levels and the triples its echelon leaves out are read
+off them (_left_out); its rows are written only when a reader asks for
+them (ClosureRun.basis).  A worklist run holds the SparseEchelon it grew.  Every
+reader of rows takes them as they are stored, keyed by triple_rank (whose
+int order is the canonical triple order) and primitive over the integers.
+PauliTriple and Fraction appear only at the boundary: generators enter
+through integer_row once, their residuals are read once, and to_jsonable
+turns ranks into text.  build_report reads no row: a closure pairs with the
+center as its generators do (see _verdicts), so the levels they touch, its
+exempt levels, are the only central projections it can move.  verify's
+thm3, thm4 and thm6 suites check that on the rows.
 """
 
 from __future__ import annotations
@@ -51,28 +54,42 @@ from .symops import (
 )
 
 
-class ClosureRun(NamedTuple):
+class ClosureRun:
     """A finished closure of gens.  residuals are the generators' central
     residuals (schur.central_residuals), one dict per member, read once by
     lie_closure (generator_residuals); every reader of the central pairing
-    takes them from here.  basis is its reduced echelon, as the worklist
-    grew it or semi_universal_basis wrote it: its rows are the closure's
-    primitive integer rows, keyed by triple_rank.  iterations counts the
-    brackets evaluated, 0 when the sector ledger proved it."""
+    takes them from here.  basis is its reduced echelon: its rows are the
+    closure's primitive integer rows, keyed by triple_rank.  A worklist run
+    is given the echelon it grew.  A run proven semi-universal is given
+    None, and basis writes semi_universal_basis on its first read, once;
+    dim, verdicts, exempt and build_report never read it.  iterations
+    counts the brackets evaluated, 0 when the sector ledger proved it.  The
+    run is immutable apart from that one write."""
 
-    gens: GeneratorSet
-    residuals: tuple[dict[int, int], ...]
-    basis: SparseEchelon
-    iterations: int
-    wall_time: float
+    __slots__ = ("gens", "residuals", "_basis", "iterations", "wall_time", "dim")
+
+    def __init__(self, gens: GeneratorSet, residuals: tuple[dict[int, int], ...],
+                 basis: SparseEchelon | None, iterations: int, wall_time: float) -> None:
+        if basis is None:  # the pairing complement of Z0 (see semi_universal_basis)
+            dims = ambient_dims(gens.n)
+            dim = dims.dim_u - dims.dim_center + central_rank(residuals)
+        else:
+            dim = basis.rank
+        for name, value in zip(self.__slots__, (gens, residuals, basis, iterations, wall_time, dim)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign {name!r}: ClosureRun is immutable")
+
+    @property
+    def basis(self) -> SparseEchelon:
+        if self._basis is None:
+            object.__setattr__(self, "_basis", semi_universal_basis(self.n, self.residuals))
+        return self._basis
 
     @property
     def n(self) -> int:
         return self.gens.n
-
-    @property
-    def dim(self) -> int:
-        return self.basis.rank
 
     @property
     def verdicts(self) -> Verdicts:
@@ -112,30 +129,28 @@ def lie_closure(gens: GeneratorSet) -> ClosureRun:
     """Smallest Lie algebra containing the generators, as an exact basis.
 
     When schur.sector_ledger shows every sector full, the closure is
-    semi-universal and its rows are written in closed form
-    (semi_universal_basis), with no bracket: iterations is 0.  Otherwise,
-    when the members of level <= 2 are a nonempty proper subset S0, the
-    worklist closes S0 first; if that closure is semi-universal (read off
-    S0's residuals) so is the whole one, whose rows are again the closed
-    form, and iterations counts S0's brackets.  If not, or for any other
-    set, the one-stage worklist closes every member and iterations adds its
-    brackets.  Every path ends on the same reduced echelon, the one its
-    span determines; FIFO order and the canonical triple order make each
-    run deterministic.  The generators' central residuals are read once,
-    first, and the run carries them.
+    semi-universal: the run holds no echelon, its rows are the closed form
+    (semi_universal_basis) written when first read, and iterations is 0.
+    Otherwise, when the members of level <= 2 are a nonempty proper subset
+    S0, the worklist closes S0 first; if that closure is semi-universal
+    (read off S0's residuals) so is the whole one, whose rows are again the
+    closed form, and iterations counts S0's brackets.  If not, or for any
+    other set, the one-stage worklist closes every member and iterations
+    adds its brackets.  Every path ends on the same reduced echelon, the one
+    its span determines; FIFO order and the canonical triple order make
+    each run deterministic.  The generators' central residuals are read
+    once, first, and the run carries them.
     """
     t0 = time.perf_counter()
     residuals = generator_residuals(gens)
     if sector_ledger(gens).full:
-        return ClosureRun(gens, residuals, semi_universal_basis(gens.n, residuals), 0,
-                          time.perf_counter() - t0)
+        return ClosureRun(gens, residuals, None, 0, time.perf_counter() - t0)
     two_body = [i for i, g in enumerate(gens.members) if max(t.level for t in g.coeffs) <= 2]
     steps = 0
     if 0 < len(two_body) < len(gens.members):
         ech, steps = _worklist(GeneratorSet(gens.n, [gens.members[i] for i in two_body]))
         if _verdicts(gens.n, ech.rank, [residuals[i] for i in two_body]).semi_universal:
-            return ClosureRun(gens, residuals, semi_universal_basis(gens.n, residuals), steps,
-                              time.perf_counter() - t0)
+            return ClosureRun(gens, residuals, None, steps, time.perf_counter() - t0)
     ech, more = _worklist(gens)
     return ClosureRun(gens, residuals, ech, steps + more, time.perf_counter() - t0)
 
@@ -191,6 +206,24 @@ def semi_universal_basis(n: int, residuals: Sequence[Mapping[int, int]]) -> Spar
     for r, hits in touched.items():
         rows[r] = _free_row(r, hits)
     return SparseEchelon.from_reduced(rows)
+
+
+def _left_out(n: int, residuals: Sequence[Mapping[int, int]]) -> tuple[int, ...]:
+    """The ranks of the triples that are not pivots of a semi-universal
+    closure's reduced echelon, ascending: the pivots of the constraints of
+    semi_universal_basis, read off the generators' residual columns with no
+    constraint row.
+
+    A constraint, y in the null space of the residual matrix, weighs every
+    even triple of each level 2 mu with y_mu != 0 by y_mu times a nonzero
+    weight, so its largest triple is (2 mu, 0, 0) for the largest such mu.
+    So the pivots are (2 mu, 0, 0) for the mu at which some null vector
+    ends: the mu whose residual column lies in the span of the columns
+    below it, dim_center - central_rank of them.
+    """
+    cols = SparseEchelon()  # residual columns, keyed by generator
+    return tuple(triple_rank((2 * mu, 0, 0)) for mu in range(n // 2 + 1)
+                 if cols.insert({i: res[mu] for i, res in enumerate(residuals) if mu in res}) is None)
 
 
 def _free_row(f: int, hits: Sequence[tuple[int, dict]]) -> dict:
@@ -278,7 +311,8 @@ class ClosureReport(NamedTuple):
     ambient: AmbientDims
     verdicts: Verdicts
     exempt: tuple[int, ...]
-    pivots: tuple[int, ...]
+    pivots: tuple[int, ...] | None
+    left_out: tuple[int, ...] | None
     iterations: int
     wall_time: float
 
@@ -288,6 +322,9 @@ class ClosureReport(NamedTuple):
         return self.matched is not False
 
     def to_jsonable(self) -> dict:
+        """The payload; it lists pivots, or, for a semi-universal closure,
+        the left_out triples instead."""
+        key, ranks = ("pivots", self.pivots) if self.left_out is None else ("left_out", self.left_out)
         return {
             "n": self.n,
             "label": self.label,
@@ -307,19 +344,26 @@ class ClosureReport(NamedTuple):
                 "semi_universal": self.verdicts.semi_universal,
             },
             "exempt": list(self.exempt),
-            "pivots": list(rank_texts(self.pivots)),
+            key: list(rank_texts(ranks)),
             "iterations": self.iterations,
             "wall_time": self.wall_time,
         }
 
 
 def build_report(run: ClosureRun) -> ClosureReport:
-    """Report of a closure run, read off its generators and its echelon's
-    pivots: exempt is the levels the generators touch (ClosureRun.exempt),
-    and every other central projection is conserved by the closure."""
+    """Report of a closure run, read off its generators: exempt is the
+    levels they touch (ClosureRun.exempt), and every other central
+    projection is conserved by the closure.  A semi-universal closure lists
+    left_out, the triples that are not pivots of its echelon (_left_out),
+    and reads no row; any other lists its echelon's pivots."""
     gens = run.gens
     n = gens.n
     label = gens.label
+    verdicts = run.verdicts
+    if verdicts.semi_universal:
+        pivots, left_out = None, _left_out(n, run.residuals)
+    else:
+        pivots, left_out = tuple(run.basis.pivots()), None
     try:
         predicted = predicted_dim(label, n, gens.k)
     except ConstraintError:
@@ -333,9 +377,10 @@ def build_report(run: ClosureRun) -> ClosureReport:
         predicted=predicted,
         matched=None if predicted is None else run.dim == predicted,
         ambient=ambient_dims(n),
-        verdicts=run.verdicts,
+        verdicts=verdicts,
         exempt=tuple(sorted(run.exempt)),
-        pivots=tuple(run.basis.pivots()),
+        pivots=pivots,
+        left_out=left_out,
         iterations=run.iterations,
         wall_time=run.wall_time,
     )

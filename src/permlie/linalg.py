@@ -11,8 +11,8 @@ generator_closure is the one Lie-closure worklist; the sparse and the
 word-level engines differ only in the bracket they hand it.  When it pops
 an admitted row, it brackets the row the echelon stores under the same
 pivot at that moment, which back-substitution has mostly shortened, unless
-the admitted row has fewer coefficient bits.  A finished closure is the
-echelon it grew, and its readers take rows() as stored.
+the admitted row has fewer coefficient bits.  A finished worklist closure
+is the echelon it grew, and its readers take rows() as stored.
 
 Rows stay fully reduced: a pivot column is nonzero only in its own row.  To
 keep them so without scanning every row on each insert, the echelon also

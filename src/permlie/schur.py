@@ -144,8 +144,6 @@ def central_rank(residuals: Iterable[Mapping[int, int]]) -> int:
 
 def _kraw(a: int, b: int, k: int) -> int:
     """K(a, b, k) = [y^k] (1+y)^a (1-y)^b."""
-    if k < 2:  # most ledger entries: K(a, b, 0) = 1, K(a, b, 1) = a - b
-        return a - b if k else 1
     out = 0
     for i in range(max(0, k - b), min(a, k) + 1):
         term = comb(a, i) * comb(b, k - i)
@@ -203,28 +201,30 @@ def triple_block(n: int, mu: int, t: PauliTriple) -> Block:
     docstring divided by 2^mu C(q,w), an integer.  kx + ky = a + b and
     w' - w = a - b confine it to the band |w' - w| <= kx + ky, with
     w' + w + kx + ky even, and fix r = (kx + ky - w - w') / 2, so a Z-type
-    triple is diagonal and costs m entries.  No cap applies."""
+    triple is diagonal and costs m entries.  In the band a and b are never
+    negative; e >= 0 and c >= 0 bound w' from below and from above, so no
+    entry is tried and dropped.  K(a, b, 0) = 1 and K(a, b, 1) = a - b, the
+    factors of most entries, are taken inline.  No cap applies."""
     q = n - 2 * mu
     m = q + 1
     kx, ky, kz = t
     s = kx + ky
     out: Block = {}
     for w in range(m):
-        lo = max(0, w - s)
-        for wp in range(lo + ((lo + w + s) & 1), min(q, w + s) + 1, 2):
+        lo = max(0, w - s, s - w - 2 * mu)  # e = mu - r >= 0
+        for wp in range(lo + ((lo + w + s) & 1), min(q, w + s, 2 * (q + mu) - s - w) + 1, 2):
             r = (s - w - wp) // 2
             a, b, e = wp + r, w + r, mu - r
             c = q - w - wp + e
-            if min(a, b, c, e) < 0:
-                continue
             # W(r) / (2^mu C(q,w)) = sum_j C(mu, r+j) (-1)^(r+j) C(w,j) C(q-w,w'-j)
             weight = 0
-            for j in range(max(0, -r), min(w, wp, mu - r) + 1):
+            for j in range(max(0, -r), min(w, wp, e) + 1):
                 term = comb(mu, r + j) * comb(w, j) * comb(q - w, wp - j)
                 weight += -term if (r + j) & 1 else term
-            v = weight * _kraw(a, b, ky) * _kraw(c, e, kz)
-            if v:
-                out[wp * m + w] = v
+            weight *= (1 if not ky else a - b if ky == 1 else _kraw(a, b, ky)) * (
+                1 if not kz else c - e if kz == 1 else _kraw(c, e, kz))
+            if weight:
+                out[wp * m + w] = weight
     return out
 
 
@@ -335,6 +335,8 @@ def _member_block(n: int, mu: int, g: Mapping[PauliTriple, int]) -> dict[int, in
     for t, c in g.items():
         part = t.ky & 1  # i^ky: real for even ky, imaginary for odd
         c = -c if t.ky & 2 else c
+        if len(g) == 1:  # one triple: nothing to add up or cancel
+            return {2 * k + part: c * v for k, v in triple_block(n, mu, t).items()}
         for k, v in triple_block(n, mu, t).items():
             key = 2 * k + part
             blk[key] = blk.get(key, 0) + c * v
@@ -350,7 +352,11 @@ def _units_connect(m: int, blocks: Sequence[Mapping[int, int]], d: Sequence[int]
         split: dict[int, dict[int, int]] = {}
         for key, v in blk.items():
             wp, w = divmod(key >> 1, m)
-            split.setdefault(d[wp] - d[w], {})[key] = v
+            gap = d[wp] - d[w]
+            if gap in split:
+                split[gap][key] = v
+            else:
+                split[gap] = {key: v}
         for gap, comp in split.items():
             parts.setdefault(gap, []).append(comp)
     parent = list(range(m))  # union-find forest of the states

@@ -267,7 +267,8 @@ class StructureTable:
     def bracket_coeffs(self, u: Mapping[int, object], v: Mapping[int, object]) -> dict:
         """Bilinear extension of the basis bracket to coordinate dicts keyed
         by triple rank, one seed column per key of v; zero coefficients are
-        dropped."""
+        dropped.  Equal arguments, and arguments whose keys are all Z-type
+        (diagonal words, which commute), give {} with no column built."""
         n, size = self.n, self._size
         for keys in (u, v):
             if keys and (min(keys) < 0 or max(keys) >= size):
@@ -276,6 +277,9 @@ class StructureTable:
         if u == v:  # [w, w] = 0; a one-member closure brackets its seed with itself
             return {}
         rows = [(rank_triple(t), c) for t, c in u.items()]
+        if all(not t.kx and not t.ky for t in map(rank_triple, v)) and all(
+                not t.kx and not t.ky for t, _ in rows):
+            return {}
         out: dict[int, object] = {}
         for s, cs in v.items():
             _add_column(out, s, _seed_column(s), rows, n, cs)

@@ -12,10 +12,13 @@ The six ladder suites (thm1, thm3, thm4, thm5, thm6, cor1) share one walk,
 _closures, which yields the closure run of G2 at each n, or of Gk at every
 2 <= k <= n, one at a time; each suite is a case function that reads one
 run, which carries the generators it closed.  Each case is one
-lie_closure, which the sector ledger proves with no bracket.  thm3 and
-thm6 share theirs: G2 is Gk at k = 2.  thm3, thm4 and thm6 check on the
-rows what a `close` report reads off the generators: no row has a central
-residual at a level the generators leave untouched (_conservation).
+lie_closure, which the sector ledger proves with no bracket and no rows:
+thm1, thm5 and cor1 read dim and verdicts, which the run reads off its
+generators.  thm3 and thm6 share theirs: G2 is Gk at k = 2.  thm3, thm4
+and thm6 read the rows, which the run writes in closed form on the first
+read, and check on them what a `close` report reads off the generators:
+no row has a central residual at a level the generators leave untouched
+(_conservation).
 
 Every case is a CaseResult and every report a SuiteReport; the `center`
 and `schur` verbs build theirs with the same case builders as the prop1

@@ -123,6 +123,24 @@ class TestClose:
             "verdicts": {"semi_universal": False, "universal": False},
         }
 
+    def test_commuting_z_type_members_build_no_column(self, capsys):
+        """Two Z-type members commute, so their closure brackets to zero
+        with no call to _seed_column; the payload is the one the built
+        columns gave."""
+        calls = structure._seed_column.cache_info()
+        rc, payload, _ = run_json(capsys, "close", "--n", "60", "--gens", "0,0,60;0,0,59")
+        after = structure._seed_column.cache_info()
+        assert (after.hits, after.misses) == (calls.hits, calls.misses)
+        assert rc == 0 and payload.pop("wall_time") >= 0
+        assert payload == {
+            "ambient": {"dim_center": 31, "dim_su": 39710, "dim_su_cless": 39680,
+                        "dim_u": 39711},
+            "command": "close", "dim": 2, "exempt": [30],
+            "generators": ["1*(0,0,60)", "1*(0,0,59)"], "iterations": 4, "k": None,
+            "label": "custom", "matched": None, "n": 60, "pivots": ["0,0,59", "0,0,60"],
+            "predicted": None, "verdicts": {"semi_universal": False, "universal": False},
+        }
+
     def test_bad_generator_specs(self, capsys):
         for gens in ("Gk:9", "potato", "1,2", "Gk:x"):
             rc, _, err = run(capsys, "close", "--n", "4", "--gens", gens)
@@ -647,14 +665,35 @@ class TestSchemaResources:
 
     def test_closure_schema_lists_exactly_the_emitted_keys(self, capsys):
         """additionalProperties: false catches a payload key the schema
-        lacks; this catches a schema entry no payload emits any more."""
+        lacks; this catches a schema entry no payload emits any more.  A
+        semi-universal payload lists left_out, any other pivots, so the
+        two payloads together emit every key."""
         schema = load_schema("closure_report")
         rc, payload, _ = run_json(capsys, "close", "--n", "3", "--gens", "G2", "--method", "dense")
         assert rc == 0
         report = permlie.build_report(permlie.lie_closure(permlie.preset_generators("G2", 3)))
         assert payload.keys() == report.to_jsonable().keys() | {"command", "dense_dim", "engines_agree"}
-        assert schema["properties"].keys() == payload.keys()
-        assert set(schema["required"]) <= payload.keys()
+        rc, g1, _ = run_json(capsys, "close", "--n", "3", "--gens", "G1")
+        assert rc == 0
+        assert payload.keys() - g1.keys() == {"left_out", "dense_dim", "engines_agree"}
+        assert g1.keys() - payload.keys() == {"pivots"}
+        assert schema["properties"].keys() == payload.keys() | g1.keys()
+        assert set(schema["required"]) <= payload.keys() & g1.keys()
+
+    @pytest.mark.parametrize("gens, n", [("G2", 3), ("G1", 3), ("1,0,0;0,1,0;1,1,1", 4)])
+    def test_schema_wants_left_out_exactly_when_semi_universal(self, capsys, gens, n):
+        """The schema keys left_out xor pivots on verdicts.semi_universal: a
+        payload with the other list, or with both, fails it."""
+        schema = load_schema("closure_report")
+        rc, payload, _ = run_json(capsys, "close", "--n", str(n), "--gens", gens)
+        jsonschema.validate(payload, schema)
+        key, other = ("left_out", "pivots") if payload["verdicts"]["semi_universal"] else (
+            "pivots", "left_out")
+        swapped = {**payload, other: payload.pop(key)}
+        both = {**payload, key: swapped[other], other: swapped[other]}
+        for bad in (swapped, both):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(bad, schema)
 
 
 STARTUP_PROBE = """

@@ -2,10 +2,12 @@
 
 import json
 import random
+import sys
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +32,7 @@ from permlie import (
 )
 from permlie import closure
 from permlie.center import make_C
+from permlie.cli import main
 from permlie.closure import (
     Verdicts,
     _verdicts,
@@ -545,6 +548,109 @@ class TestClosedForm:
             assert ech.rank == predicted_dim(label, n, k), (label, n, k)
 
 
+def complement(n, pivots):
+    """The triples of n that are not among pivots, ascending by rank."""
+    held = set(pivots)
+    return tuple(r for r in range(comb(n + 3, 3)) if r not in held)
+
+
+@pytest.fixture
+def closed_forms(monkeypatch):
+    """The n of every semi_universal_basis call that closure makes."""
+    calls = []
+    write = closure.semi_universal_basis
+
+    def recording(n, residuals):
+        calls.append(n)
+        return write(n, residuals)
+
+    monkeypatch.setattr(closure, "semi_universal_basis", recording)
+    return calls
+
+
+class TestNoEchelon:
+    """A run that the ledger or the staged route proves semi-universal
+    holds no echelon: dim and the report's left_out are read off the
+    generators, and ClosureRun.basis writes the closed form on its first
+    read only."""
+
+    def assert_read_off_generators(self, gens):
+        run = lie_closure(gens)
+        report = build_report(run)
+        want = closed_form(gens)
+        assert report.verdicts.semi_universal and report.pivots is None
+        assert report.left_out == complement(gens.n, want.pivots())
+        assert run.dim == report.dim == want.rank == ambient_dims(gens.n).dim_u - len(report.left_out)
+
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_g2_left_out_is_the_closed_form_complement(self, n):
+        self.assert_read_off_generators(preset_generators("G2", n))
+
+    @pytest.mark.parametrize("label,n,k", GK_TO_12, ids=case_ids(GK_TO_12))
+    def test_gk_left_out_is_the_closed_form_complement(self, label, n, k):
+        self.assert_read_off_generators(preset_generators(label, n, k=k))
+
+    @settings(max_examples=60, deadline=ENGINE_DEADLINE)
+    @given(st.one_of(custom_generator_sets(), g2_plus_custom_sets()))
+    def test_custom_sets_list_left_out_xor_pivots(self, gens):
+        """A semi-universal set lists the complement of the closed form's
+        pivots; any other lists its worklist echelon's pivots."""
+        run = lie_closure(gens)
+        report = build_report(run)
+        if run.verdicts.semi_universal:
+            self.assert_read_off_generators(gens)
+        else:
+            assert report.left_out is None
+            assert report.pivots == tuple(one_stage_closure(gens)[0].pivots())
+
+    def test_rows_read_twice_are_written_once(self, closed_forms):
+        """thm4 reads each run's rows twice (_conservation, then contains):
+        one closed form per case."""
+        cases = verify.run_selector("thm4", 2, 7).cases
+        assert all(c.ok for c in cases)
+        assert closed_forms == [c.params["n"] for c in cases]
+        run = lie_closure(preset_generators("G2", 6))
+        assert run.basis is run.basis and closed_forms[-1:] == [6]
+
+    def test_dim_and_verdict_readers_write_no_rows(self, closed_forms):
+        for selector in ("thm1", "thm5", "cor1"):
+            assert verify.run_selector(selector, 2, 8).ok
+        assert closed_forms == []
+
+    def test_close_writes_no_echelon(self, capsys, closed_forms):
+        assert main(["close", "--n", "64", "--gens", "G2", "--json", "-"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert closed_forms == []
+        assert payload["dim"] == predicted_dim("G2", 64)
+        assert payload["left_out"] == ["0,0,0"] + [f"{2 * mu},0,0" for mu in range(2, 33)]
+        assert "pivots" not in payload
+
+
+class TestTracerContract:
+    """permbench/tracing.py's end_job reads iterations, dim and
+    basis.rows() of every closure run; a proven run writes its rows there,
+    and they are the rows of the one-stage worklist."""
+
+    @pytest.mark.parametrize("spec, n", [("G2", 8), ("Gk:5", 7), ("G1prime", 5),
+                                         ("1,0,0;0,1,0;1,1,1", 4), ("1,0,0;0,1,0;0,0,2;0,0,3", 5)])
+    def test_end_job_reads_every_run(self, spec, n):
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "permbench"))
+        try:
+            from tracing import Tracer
+        finally:
+            sys.path.pop(0)
+        gens = parse_generator_spec(spec, n)
+        want = one_stage_closure(gens)[0]
+        run = lie_closure(gens)
+        tracer = Tracer()
+        tracer._runs.append(run)  # a proven run has written no row yet
+        tracer.end_job("{}")
+        counts = tracer.job_counts[0]
+        assert (counts["closure.dim"], counts["closure.iterations"]) == (want.rank, run.iterations)
+        assert counts["linalg.basis_nnz"] == sum(map(len, want.rows()))
+        assert run.basis.rows() == want.rows()
+
+
 class TestOneRowReader:
     """Verdicts and a report's exempt levels are read off the generators'
     central residuals, which lie_closure reads once and the run carries:
@@ -813,7 +919,8 @@ class TestReports:
         assert report.matched is True and report.ok
         assert report.exempt == (1,)
         assert report.verdicts.semi_universal and not report.verdicts.universal
-        assert len(report.pivots) == 33
+        assert report.pivots is None
+        assert [rank_triple(r) for r in report.left_out] == [(0, 0, 0), (4, 0, 0)]
 
     def test_custom_report_has_no_prediction(self):
         gens = GeneratorSet(3, (SymOpVector.unit((1, 0, 0), 3),), "custom")

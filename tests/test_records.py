@@ -154,9 +154,7 @@ class TestRecords:
             "label": "G2",
             "matched": True,
             "n": 3,
-            "pivots": ["0,0,1", "0,1,0", "1,0,0", "0,0,2", "0,1,1", "0,2,0", "1,0,1",
-                       "1,1,0", "2,0,0", "0,0,3", "0,1,2", "0,2,1", "0,3,0", "1,0,2",
-                       "1,1,1", "1,2,0", "2,0,1", "2,1,0", "3,0,0"],
+            "left_out": ["0,0,0"],
             "predicted": 19,
             "verdicts": {"semi_universal": True, "universal": True},
         }

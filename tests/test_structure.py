@@ -21,6 +21,7 @@ from permlie import (
     compare_tables,
     orbit_bracket,
 )
+from permlie import structure
 from permlie.center import make_C
 from permlie.oracle import dense_bracket, densify, symmetrize
 from permlie.structure import ORBIT_CAP, _orbit_average
@@ -295,6 +296,26 @@ class TestSeedColumns:
         assert table.bracket_coeffs(w, dict(w)) == {}
         with pytest.raises(ConstraintError, match="leave the"):
             table.bracket_coeffs({comb(10, 3): 1}, {comb(10, 3): 1})
+
+    def test_z_type_brackets_build_no_column(self):
+        """Z-type words are diagonal and commute: bracket_coeffs returns {}
+        for rows whose keys are all Z-type, after the rank check, with no
+        call to _seed_column; the orbit expansion agrees pair by pair."""
+        n = 7
+        z = [triple_rank(PauliTriple(0, 0, k)) for k in range(n + 1)]
+        table = StructureTable(n)
+        calls = structure._seed_column.cache_info()
+        assert table.bracket_coeffs({z[3]: 2, z[1]: -1, z[0]: 4}, {z[5]: 1, z[2]: 3}) == {}
+        assert table.bracket_coeffs({z[7]: 1}, {z[6]: -2}) == {}
+        after = structure._seed_column.cache_info()
+        assert (after.hits, after.misses) == (calls.hits, calls.misses)
+        for a, b in [(3, 5), (1, 2), (7, 6), (0, 4)]:
+            assert orbit_bracket((0, 0, a), (0, 0, b), n).is_zero
+        with pytest.raises(ConstraintError, match="leave the"):
+            table.bracket_coeffs({z[3]: 1}, {comb(10, 3): 1})
+        mixed = {z[2]: 1, triple_rank(PauliTriple(1, 0, 0)): 1}
+        assert table.bracket_coeffs(mixed, {z[2]: 1}) == table.bracket_coeffs(
+            {triple_rank(PauliTriple(1, 0, 0)): 1}, {z[2]: 1}) != {}
 
 
 class TestTableBasics:
