@@ -1,18 +1,22 @@
 """Lie closures of equivariant generator sets, with exact dimension proofs.
 
-lie_closure first reads schur.sector_ledger of the generators.  When it
-shows every sector full, the closure contains the derived algebra
-D = [A, A] of the whole equivariant algebra A, and semi_universal_basis
-can write its reduced echelon in closed form, with no bracket.  Otherwise it
-runs the one worklist, linalg.generator_closure, with the seed columns of
-StructureTable.bracket_coeffs: each newly independent row is bracketed
+lie_closure first reads schur.sector_ledger of S0, the generators of
+level <= 2, when they are a nonempty proper subset, and then, unless that
+ledger is full, of the whole set.  A full ledger shows that the closure
+of the set it was read from contains the derived algebra D = [A, A] of
+the whole equivariant algebra A; since L(gens) contains L(S0), which
+contains D, semi_universal_basis can write the reduced echelon in closed
+form, with no bracket.  Every Gk has G2's two-body part {X, Y, ZZ}, so
+at one n they all read the one ledger a process proves for G2.  Otherwise
+it runs the one worklist, linalg.generator_closure, with the seed columns
+of StructureTable.bracket_coeffs: each newly independent row is bracketed
 with the generators only, as the echelon stores it when the worklist pops
 it (by then mostly shortened by back-substitution) unless the row as
 admitted has fewer coefficient bits.  Results go through a reduced echelon
 basis until nothing new appears.  There is no other pairing strategy.
-When the generators of level <= 2 are a nonempty proper subset,
-lie_closure closes them first; if their closure is semi-universal it
-contains D, so the whole closure does too and gets the closed form.
+When S0 is a nonempty proper subset, lie_closure closes it first; if its
+closure is semi-universal it contains D, so the whole closure does too
+and gets the closed form.
 Everything is exact: the resulting dimension is a theorem about the
 generated algebra, not a numerical estimate.  The module also carries the
 closed-form dimension predictions for the preset generator families and
@@ -128,27 +132,34 @@ def _worklist(gens: GeneratorSet) -> tuple[SparseEchelon, int]:
 def lie_closure(gens: GeneratorSet) -> ClosureRun:
     """Smallest Lie algebra containing the generators, as an exact basis.
 
-    When schur.sector_ledger shows every sector full, the closure is
-    semi-universal: the run holds no echelon, its rows are the closed form
-    (semi_universal_basis) written when first read, and iterations is 0.
-    Otherwise, when the members of level <= 2 are a nonempty proper subset
-    S0, the worklist closes S0 first; if that closure is semi-universal
-    (read off S0's residuals) so is the whole one, whose rows are again the
-    closed form, and iterations counts S0's brackets.  If not, or for any
-    other set, the one-stage worklist closes every member and iterations
-    adds its brackets.  Every path ends on the same reduced echelon, the one
-    its span determines; FIFO order and the canonical triple order make
-    each run deterministic.  The generators' central residuals are read
-    once, first, and the run carries them.
+    The routes, in order, when the members of level <= 2 are a nonempty
+    proper subset S0: schur.sector_ledger of S0, then of the whole set;
+    when either shows every sector full, the closure is semi-universal,
+    since L(gens) contains L(S0), which contains D = [A, A].  The run then
+    holds no echelon, its rows are the closed form (semi_universal_basis)
+    written when first read, and iterations is 0.  A Gk reads the ledger
+    of {X, Y, ZZ}, G2's, which sector_ledger proves once per n.
+    Otherwise the worklist closes S0 first; if that closure is
+    semi-universal (read off S0's residuals) so is the whole one, whose
+    rows are again the closed form, and iterations counts S0's brackets.
+    If not, the one-stage worklist closes every member and iterations adds
+    its brackets.  A set that is all of level <= 2, or none of it, reads
+    its own ledger and, unless it is full, runs the one-stage worklist.
+    Every path ends on the same reduced echelon, the one its span
+    determines; FIFO order and the canonical triple order make each run
+    deterministic.  The generators' central residuals are read once,
+    first, and the run carries them.
     """
     t0 = time.perf_counter()
     residuals = generator_residuals(gens)
-    if sector_ledger(gens).full:
-        return ClosureRun(gens, residuals, None, 0, time.perf_counter() - t0)
     two_body = [i for i, g in enumerate(gens.members) if max(t.level for t in g.coeffs) <= 2]
+    s0 = (GeneratorSet(gens.n, [gens.members[i] for i in two_body])
+          if 0 < len(two_body) < len(gens.members) else None)
+    if (s0 is not None and sector_ledger(s0).full) or sector_ledger(gens).full:
+        return ClosureRun(gens, residuals, None, 0, time.perf_counter() - t0)
     steps = 0
-    if 0 < len(two_body) < len(gens.members):
-        ech, steps = _worklist(GeneratorSet(gens.n, [gens.members[i] for i in two_body]))
+    if s0 is not None:
+        ech, steps = _worklist(s0)
         if _verdicts(gens.n, ech.rank, [residuals[i] for i in two_body]).semi_universal:
             return ClosureRun(gens, residuals, None, steps, time.perf_counter() - t0)
     ech, more = _worklist(gens)

@@ -36,7 +36,8 @@ Ledger.  sector_ledger reads the generators' blocks, one triple at a time,
 and certifies per sector that their closure L maps onto a Lie algebra that
 contains su(m); if every sector is full, L contains [A, A] and its
 dimension and echelon follow in closed form (closure.lie_closure).  No
-closure row is read.
+closure row is read, and a process proves each n and generator content
+once.
 
 One pass.  certify_subspace_control walks the sectors of a finished
 closure once, building, checking and ranking one sector's table
@@ -275,11 +276,24 @@ def sector_ledger(gens: GeneratorSet) -> SectorLedger:
     per-sector certificate; it is a sufficient condition only, so a set
     that is not semi-universal stops at its first open sector, most often
     a small one.
+
+    The ledger is proven once per n and generator content in a process
+    (_ledger): the span of the blocks does not depend on the members'
+    order, and every Z-type H is tried in turn, so the key is the set of
+    the members' integer rows.  Every Gk at one n has the two-body part
+    {X, Y, ZZ} of G2, whose ledger closure.lie_closure reads first.
     """
-    n = gens.n
+    return _ledger(gens.n, frozenset(tuple(sorted(integer_row(g.coeffs).items()))
+                                     for g in gens.members))
+
+
+@cache  # unbounded, like _krawtchouk: an entry is n//2 + 1 small tuples
+def _ledger(n: int, members: frozenset[tuple[tuple[PauliTriple, int], ...]]) -> SectorLedger:
+    """sector_ledger of the members, given as sorted (triple, integer)
+    items, at n qubits."""
     z_type, others = [], []  # members whose triples are all Z-type, and the rest
-    for g in gens.members:
-        row = integer_row(g.coeffs)
+    for items in sorted(members):
+        row = dict(items)
         (z_type if all(not t.kx and not t.ky for t in row) else others).append(row)
     sectors = []
     for b in reversed(isotypic_table(n)):

@@ -14,11 +14,13 @@ _closures, which yields the closure run of G2 at each n, or of Gk at every
 run, which carries the generators it closed.  Each case is one
 lie_closure, which the sector ledger proves with no bracket and no rows:
 thm1, thm5 and cor1 read dim and verdicts, which the run reads off its
-generators.  thm3 and thm6 share theirs: G2 is Gk at k = 2.  thm3, thm4
-and thm6 read the rows, which the run writes in closed form on the first
-read, and check on them what a `close` report reads off the generators:
-no row has a central residual at a level the generators leave untouched
-(_conservation).
+generators.  The ladder cases at one n share one ledger: every Gk is read
+through its two-body part {X, Y, ZZ}, whose ledger the process proves
+once (schur.sector_ledger).  thm3 and thm6 share theirs: G2 is Gk at
+k = 2.  thm3, thm4 and thm6 read the rows, which the run writes in closed
+form on the first read, and check on them what a `close` report reads off
+the generators: no row has a central residual at a level the generators
+leave untouched (_conservation).
 
 Every case is a CaseResult and every report a SuiteReport; the `center`
 and `schur` verbs build theirs with the same case builders as the prop1

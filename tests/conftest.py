@@ -1,9 +1,10 @@
 """Shared fixtures: ctx.closure(label, n, k), which builds each preset
 closure once per test session (the package keeps no closure between
 calls), one_stage(label, n, k), its oracle by the one-stage worklist,
-and one structure table per qubit count; and the generator sets
-the closure and sector tests share: every preset to a given n and the
-hypothesis strategies of custom sets."""
+and one structure table per qubit count; the generator sets the closure
+and sector tests share: every preset to a given n and the hypothesis
+strategies of custom sets; and an empty sector-ledger cache at the start
+of every test."""
 
 from datetime import timedelta
 from functools import lru_cache
@@ -110,6 +111,14 @@ def tables():
     """tables(n): one StructureTable per n for the session.  A table stores
     no bracket; the seed columns behind it are memoized per process."""
     return lru_cache(maxsize=None)(StructureTable)
+
+
+@pytest.fixture(autouse=True)
+def fresh_ledgers():
+    """Empty the per-process sector-ledger cache before each test, so that
+    no test is served a ledger an earlier test proved, and cache_info()
+    counts this test's lookups alone."""
+    schur._ledger.cache_clear()
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ from permlie import (
     semi_universal_basis,
     verify,
 )
-from permlie import closure
+from permlie import closure, schur
 from permlie.center import make_C
 from permlie.cli import main
 from permlie.closure import (
@@ -356,19 +356,30 @@ class TestStagedClosure:
         assert cases == [(n, k) for _, n, k in GK_TO_12]
 
     def test_every_derived_run_checks_semi_universality(self, monkeypatch):
-        """Each run of the walk reads the sector ledger once, which shows
-        every sector full, and makes no bracket."""
-        checked = []
+        """Each run of the walk reads the sector ledger once, that of its
+        two-body part {X, Y, ZZ}, which shows every sector full, and makes
+        no bracket.  Every Gk at one n has G2's two-body content, so the
+        certificate runs once per n and per sector: 7 ledgers, not 28."""
+        checked, certified = [], []
 
         def recording(gens):
             ledger = sector_ledger(gens)
-            checked.append((gens.n, gens.k, ledger.full))
+            checked.append((gens.n, gens.members, ledger.full))
             return ledger
 
+        def counting(n, b, others, z_type):
+            certified.append((n, b.mu))
+            return full_sector(n, b, others, z_type)
+
+        full_sector = schur._sector_full
         monkeypatch.setattr(closure, "sector_ledger", recording)
-        walked = [(run.n, run.gens.k, True) for run in verify._closures("Gk", 2, 8)
-                  if run.iterations == 0]
-        assert checked == walked == [(n, k, True) for n in range(2, 9) for k in range(2, n + 1)]
+        monkeypatch.setattr(schur, "_sector_full", counting)
+        cases = [(n, k) for n in range(2, 9) for k in range(2, n + 1)]
+        walked = [(run.n, run.gens.k, run.iterations) for run in verify._closures("Gk", 2, 8)]
+        assert walked == [(n, k, 0) for n, k in cases]
+        assert checked == [(n, preset_generators("G2", n).members, True) for n, _ in cases]
+        assert schur._ledger.cache_info().misses == 7
+        assert certified == [(n, mu) for n in range(2, 9) for mu in range(n // 2, -1, -1)]
 
     def test_declined_derivations_fall_back(self, monkeypatch):
         """With the ledger and the verdicts both declining, G2 is staged,

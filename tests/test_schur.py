@@ -24,6 +24,7 @@ from coupled_basis import (
 from permlie import (
     ConstraintError,
     DimensionMismatch,
+    GeneratorSet,
     ResourceLimitError,
     SparseEchelon,
     SymOpVector,
@@ -626,3 +627,104 @@ class TestSectorLedger:
         ledger = sector_ledger(preset_generators("G1prime", 9))
         assert [(s.mu, s.m, s.full) for s in ledger.sectors] == [(4, 2, True), (3, 4, False)]
         assert not ledger.full and phase_rank(preset_generators("G1prime", 9)) == 0
+
+
+def preset_sweep(n):
+    """The presets at n, in the order of preset_cases: G1, G1prime, G2
+    and every Gk:k to n = 12."""
+    return [preset_generators(label, n, k=k) for label, m, k in LEDGER_PRESETS if m == n]
+
+
+def served_and_fresh(gens):
+    """(the ledger of gens served from the cache, the one proven after
+    cache_clear()); the first must be a hit."""
+    sector_ledger(gens)
+    hits = schur._ledger.cache_info().hits
+    served = sector_ledger(gens)
+    assert schur._ledger.cache_info().hits == hits + 1
+    schur._ledger.cache_clear()
+    return served, sector_ledger(gens)
+
+
+def misses():
+    return schur._ledger.cache_info().misses
+
+
+class TestLedgerCache:
+    """sector_ledger proves one ledger per n and generator content in a
+    process, keyed by the set of the members' integer rows."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_served_ledgers_equal_fresh_ones(self, n):
+        """Every preset at n, swept in one cache as verify walks them, and
+        each proven again after cache_clear(): the same ledger."""
+        sweep = preset_sweep(n)
+        served = [sector_ledger(gens) for gens in sweep]
+        for gens, ledger in zip(sweep, served):
+            schur._ledger.cache_clear()
+            assert sector_ledger(gens) == ledger, gens.label
+
+    @settings(max_examples=40, deadline=ENGINE_DEADLINE)
+    @given(custom_generator_sets(max_n=7))
+    def test_custom_sets_are_served_as_proven(self, gens):
+        served, fresh = served_and_fresh(gens)
+        assert served == fresh
+
+    @settings(max_examples=40, deadline=WIDE_DEADLINE)
+    @given(g2_plus_custom_sets(max_n=7))
+    def test_g2_supersets_are_served_as_proven(self, gens):
+        served, fresh = served_and_fresh(gens)
+        assert served == fresh and served.full
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_every_gk_at_one_n_shares_g2s_entry(self, n):
+        """G2, Gk:2 and lie_closure of every Gk:k at n read one ledger."""
+        assert sector_ledger(preset_generators("G2", n)).full
+        assert sector_ledger(preset_generators("Gk", n, k=2)).full
+        for k in range(3, n + 1):
+            assert lie_closure(preset_generators("Gk", n, k=k)).iterations == 0
+        assert misses() == 1
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_permuted_and_fraction_scaled_members_share_an_entry(self, n):
+        """Members in any order, and members divided by integers, which
+        integer_row scales back, key the same entry."""
+        members = preset_generators("Gk", n, k=n).members
+        ledger = sector_ledger(GeneratorSet(n, members))
+        for order in itertools.islice(itertools.permutations(members), 24):
+            assert sector_ledger(GeneratorSet(n, order)) == ledger
+        thirds = [g.scaled(Fraction(1, 3 + i)) for i, g in enumerate(members)]
+        assert sector_ledger(GeneratorSet(n, thirds[::-1])) == ledger
+        assert misses() == 1
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_another_n_or_member_misses(self, n):
+        """G2 at n and n + 1 are two entries, and G1prime plus ZZZ, G2 with
+        ZZ changed, is a third, whose ledger leaves a sector open."""
+        g2 = sector_ledger(preset_generators("G2", n))
+        assert sector_ledger(preset_generators("G2", n + 1)).n == n + 1
+        zzz = SymOpVector.unit((0, 0, 3), n)
+        other = sector_ledger(GeneratorSet(n, preset_generators("G1prime", n).members + (zzz,)))
+        assert misses() == 3
+        assert g2.full and not other.full
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_flat_zz_leaves_g2_to_the_worklist(self, monkeypatch, one_stage, n):
+        """With ZZ's block patched to a constant diagonal, every gap against
+        it is 0, X and Y alone must hold a unit, and no sector of m >= 3
+        is certified: G2's ledger is not full, and lie_closure falls back
+        to the worklist, which gives the one-stage rows."""
+        block = schur.triple_block
+
+        def flat_zz(n, mu, t):
+            if t != (0, 0, 2):
+                return block(n, mu, t)
+            m = n - 2 * mu + 1
+            return {w * (m + 1): 1 for w in range(m)}
+
+        monkeypatch.setattr(schur, "triple_block", flat_zz)
+        assert not sector_ledger(preset_generators("G2", n)).full
+        run = lie_closure(preset_generators("G2", n))
+        ech, steps = one_stage("G2", n)
+        assert (run.basis.pivots(), run.basis.rows()) == (ech.pivots(), ech.rows())
+        assert run.iterations == steps > 0
