@@ -32,7 +32,7 @@ import sys
 from functools import cache
 from math import comb
 
-from .center import make_C, make_L
+from .center import make_C, make_L, spanning_generators
 from .closure import build_report, lie_closure
 from .oracle import WORD_QUBIT_CAP, dense_closure, densify
 from .schur import SECTOR_CAP, isotypic_table, sector_check
@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("schur", help="list the spin sectors and check the exact sector blocks")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--gens", help="generators for --check-blocks (default G2)")
+    s.add_argument("--gens", help="generators for --check-blocks "
+                                  "(default G2, or G1prime at n = 1)")
     s.add_argument("--check-blocks", action="store_true",
                    help="check the exact sector blocks and certify the sector spans "
                         "of the closure of --gens")
@@ -234,7 +235,8 @@ def cmd_schur(args) -> int:
     blocks = [[b.mu, b.d, b.m] for b in isotypic_table(args.n)]
     cases = [CaseResult("sector-table", {"n": args.n}, True, {"blocks": blocks})]
     if args.check_blocks:
-        gens = parse_generator_spec(args.gens or "G2", args.n)
+        gens = (spanning_generators(args.n) if args.gens is None
+                else parse_generator_spec(args.gens, args.n))
         run = lie_closure(gens)
         found, rep = sector_check(args.n, run.basis)
         # The spans and the trace rank add up to the closure dimension only

@@ -16,21 +16,22 @@ and u = iy, A (x) A scales the singlet by det A, so
 
 The x^kx u^ky z^kz coefficient of this integer polynomial is G_mu(t)[w', w],
 and the Gram matrix of the psi_w is D^2 = diag(2^mu C(q,w)), so
-A_mu(P_t) = i^ky D^-1 G_mu(t) D^-1.  Every block is exact: no float or
-complex number is needed.
+A_mu(P_t) = i^ky D^-1 G_mu(t) D^-1.  Every block here is read conjugated
+by D: D A_mu(P_t) D^-1 = i^ky B_mu(t) with B_mu(t) = G_mu(t) D^-2, whose
+column w is G_mu(t)'s divided by 2^mu C(q,w), the factor that leads the
+polynomial.  B_mu(t) is an integer matrix: no float, complex number or
+fraction is needed.
 
 Closed form.  Expanding (2 det A)^mu = 2^mu sum_i C(mu,i) (-1)^i
 (a01 a10)^i (a00 a11)^(mu-i), every term is a01^b a10^a a00^c a11^e with
 a = w'+r, b = w+r, e = mu-r, c = q-w-w'+e and r = i-j.  Its x^kx u^ky z^kz
 coefficient is K(a,b,ky) K(c,e,kz) when kx+ky = a+b, with the Krawtchouk
 numbers K(a,b,k) = [y^k] (1+y)^a (1-y)^b.  So the triple fixes r, and each
-entry of G_mu(t) is one product W_mu(w',w,r) K(a,b,ky) K(c,e,kz).
-
-One triple.  triple_block reads G_mu(t) D^-2 for one triple off the same
-closed form, the D-conjugate of its block up to i^ky, whose entries are
-the products above divided by 2^mu C(q,w): integers.  kx + ky = a + b
-confines it to the band |w' - w| <= kx + ky, so a Z-type triple is
-diagonal and costs m entries.
+entry of B_mu(t) is one product W_mu(w',w,r) K(a,b,ky) K(c,e,kz), with
+W_mu(w',w,r) = sum_{i-j=r} C(mu,i) (-1)^i C(w,j) C(q-w,w'-j).
+kx + ky = a + b confines B_mu(t) to the band |w' - w| <= kx + ky, so a
+Z-type triple is diagonal.  sector_block reads every triple's block of one
+sector in one sweep of its entries, triple_block one triple's in its band.
 
 Ledger.  sector_ledger reads the generators' blocks, one triple at a time,
 and certifies per sector that their closure L maps onto a Lie algebra that
@@ -50,10 +51,9 @@ and exempt levels, the sector pass and verify's conservation check read.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cache
-from math import comb, lcm
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from functools import cache, partial
+from math import comb
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .linalg import SparseEchelon, integer_row, rank_of
 from .symops import (
@@ -66,14 +66,15 @@ from .symops import (
     orbit_size,
 )
 
-# The largest n for which `schur --n n --check-blocks --json -` finished as a
-# process in under 60 s on each of three runs on a 2-vCPU host (n = 30:
-# 29.7-35.1 s, 115 MB peak RSS; n = 31: 41.6-44.6 s, 129 MB; `schur --n 30`
-# alone: 0.2 s, 17 MB).  n = 32 took 47-57 s and 145 MB, too close to 60 s
-# for a host whose speed drifts; n = 33 took 69 s.  Ranking the closure
-# rows' blocks is most of the time, the largest sector's table (mu = 0) most
-# of the memory.
-SECTOR_CAP = 31
+# The largest n for which `schur --n n --check-blocks --json /dev/null`
+# finished as a process in under 60 s on each of three runs on a 2-vCPU
+# host, in one sitting: n = 30 took 15.2-16.7 s (96 MB peak RSS), n = 31
+# 20.3-20.6 s (109 MB) and n = 32 21.7-25.6 s (123 MB).  n = 33 took
+# 34.4 s (138 MB) in that sitting, one run, but 69 s in an earlier one
+# where n = 32 took 47-57 s: the host's speed drifts by about 2x.  Ranking
+# the closure rows' blocks is most of the time, the largest sector's table
+# (mu = 0) most of the memory.
+SECTOR_CAP = 32
 
 Block = dict[int, int]  # entry w' * (q + 1) + w -> nonzero integer
 
@@ -159,11 +160,12 @@ def _krawtchouk(a: int, b: int) -> tuple[tuple[int, int], ...]:
 
 
 def sector_block(n: int, mu: int) -> dict[PauliTriple, Block]:
-    """G_mu(t) of sector mu for every triple t.
+    """B_mu(t) = G_mu(t) D^-2 of sector mu for every triple t.
 
-    Block mu of P_t is i**ky * D^-1 G D^-1, with G read off the dict as
-    G[w', w] = sector_block(n, mu)[t].get(w' * (q + 1) + w, 0), q = n - 2 mu;
-    see the module docstring for the closed form.
+    Block mu of P_t is i**ky * D^-1 B D, with B read off the dict as
+    B[w', w] = sector_block(n, mu)[t].get(w' * (q + 1) + w, 0), q = n - 2 mu;
+    see the module docstring for the closed form.  Each table equals
+    triple_block's, triple for triple, built in one sweep of the entries.
     """
     check_qubits(n, SECTOR_CAP, "sector analysis")
     if not 0 <= mu <= n // 2:
@@ -173,10 +175,10 @@ def sector_block(n: int, mu: int) -> dict[PauliTriple, Block]:
     table: dict[PauliTriple, Block] = {t: {} for t in all_triples(n)}
     for wp in range(m):
         for w in range(m):
-            # W(r) = 2^mu C(q,w) sum_{i-j=r} C(mu,i) (-1)^i C(w,j) C(q-w,w'-j)
+            # W(r) = sum_{i-j=r} C(mu,i) (-1)^i C(w,j) C(q-w,w'-j)
             weight: dict[int, int] = {}
             for j in range(min(w, wp) + 1):
-                cj = comb(w, j) * comb(q - w, wp - j) * comb(q, w) << mu
+                cj = comb(w, j) * comb(q - w, wp - j)
                 for i in range(mu + 1):
                     weight[i - j] = weight.get(i - j, 0) + (-1) ** i * comb(mu, i) * cj
             key = wp * m + w
@@ -195,11 +197,10 @@ def sector_block(n: int, mu: int) -> dict[PauliTriple, Block]:
 
 
 def triple_block(n: int, mu: int, t: PauliTriple) -> Block:
-    """G_mu(t) D^-2 of one triple: the block of P_t conjugated by D,
+    """B_mu(t) of one triple: the block of P_t conjugated by D,
     D A_mu(P_t) D^-1, up to the factor i^ky, keyed as sector_block's tables
-    are; G_mu(t) is it times D^2[w] = 2^mu C(q,w) on column w.  Each entry
-    is one product W_mu(w',w,r) K(a,b,ky) K(c,e,kz) of the module
-    docstring divided by 2^mu C(q,w), an integer.  kx + ky = a + b and
+    are.  Each entry is one product W_mu(w',w,r) K(a,b,ky) K(c,e,kz) of the
+    module docstring.  kx + ky = a + b and
     w' - w = a - b confine it to the band |w' - w| <= kx + ky, with
     w' + w + kx + ky even, and fix r = (kx + ky - w - w') / 2, so a Z-type
     triple is diagonal and costs m entries.  In the band a and b are never
@@ -217,7 +218,7 @@ def triple_block(n: int, mu: int, t: PauliTriple) -> Block:
             r = (s - w - wp) // 2
             a, b, e = wp + r, w + r, mu - r
             c = q - w - wp + e
-            # W(r) / (2^mu C(q,w)) = sum_j C(mu, r+j) (-1)^(r+j) C(w,j) C(q-w,w'-j)
+            # W(r) = sum_j C(mu, r+j) (-1)^(r+j) C(w,j) C(q-w,w'-j)
             weight = 0
             for j in range(max(0, -r), min(w, wp, e) + 1):
                 term = comb(mu, r + j) * comb(w, j) * comb(q - w, wp - j)
@@ -227,13 +228,6 @@ def triple_block(n: int, mu: int, t: PauliTriple) -> Block:
             if weight:
                 out[wp * m + w] = weight
     return out
-
-
-def _scales(b: IsotypicBlock) -> tuple[int, list[int]]:
-    """(L, [L / C(q,w)]) with L the lcm of the C(q,w): integer D^-2 up to 2^mu L."""
-    binoms = [comb(b.m - 1, w) for w in range(b.m)]
-    big = lcm(*binoms)
-    return big, [big // c for c in binoms]
 
 
 class LedgerSector(NamedTuple):
@@ -311,7 +305,7 @@ def _sector_full(n: int, b: IsotypicBlock, others: Sequence[Mapping[PauliTriple,
     2051 (2002); Schirmer, Fu & Solomon, PRA 63, 063410 (2001)).
 
     Work in the complexification K of the block algebra, conjugated by D:
-    a member's block becomes sum_t c_t i^ky G_mu(t) D^-2 (_member_block),
+    a member's block becomes sum_t c_t i^ky B_mu(t) (_member_block),
     an integer matrix up to a phase per entry.  Conjugation keeps spans and
     brackets.  A Z-type member is diagonal, H = diag(d); each is tried in
     turn (H = 0 if there is none), since the certificate holds for any H in
@@ -328,30 +322,33 @@ def _sector_full(n: int, b: IsotypicBlock, others: Sequence[Mapping[PauliTriple,
     m = b.m
     if m == 1:
         return True
-    blocks = [_member_block(n, b.mu, g) for g in others]
+    block = partial(triple_block, n, b.mu)
+    blocks = [_member_block(g, block) for g in others]
     # A diagonal block lies in gap 0, where it can only cancel the diagonal
     # entries of the others: when they have none, a unit in a gap's span
     # lies in the span of theirs alone, and no diagonal block is built but H.
     if any((key >> 1) % (m + 1) == 0 for blk in blocks for key in blk):
-        blocks += [_member_block(n, b.mu, g) for g in z_type]
+        blocks += [_member_block(g, block) for g in z_type]
     for h in z_type or [{}]:  # H = 0 when no member is Z-type
-        d = _member_block(n, b.mu, h)
+        d = _member_block(h, block)
         if _units_connect(m, blocks, [d.get(2 * w * (m + 1), 0) for w in range(m)]):
             return True
     return False
 
 
-def _member_block(n: int, mu: int, g: Mapping[PauliTriple, int]) -> dict[int, int]:
-    """sum_t c_t i^ky G_mu(t) D^-2, the block of g in sector mu conjugated
-    by D, with the real part at key 2k and the imaginary part at 2k + 1 of
-    entry k = w' m + w."""
+def _member_block(g: Mapping[PauliTriple, int],
+                  block: Callable[[PauliTriple], Block]) -> dict[int, int]:
+    """sum_t c_t i^ky B_mu(t), the block of g in sector mu conjugated by D,
+    with the real part at key 2k and the imaginary part at 2k + 1 of entry
+    k = w' m + w.  block(t) gives B_mu(t): triple_block for the ledger, the
+    sector's table for the sector pass."""
     blk: dict[int, int] = {}
     for t, c in g.items():
         part = t.ky & 1  # i^ky: real for even ky, imaginary for odd
         c = -c if t.ky & 2 else c
         if len(g) == 1:  # one triple: nothing to add up or cancel
-            return {2 * k + part: c * v for k, v in triple_block(n, mu, t).items()}
-        for k, v in triple_block(n, mu, t).items():
+            return {2 * k + part: c * v for k, v in block(t).items()}
+        for k, v in block(t).items():
             key = 2 * k + part
             blk[key] = blk.get(key, 0) + c * v
     return {k: v for k, v in blk.items() if v}
@@ -468,19 +465,20 @@ def certify_subspace_control(n: int, basis: SparseEchelon) -> SubspaceControlRep
 
     Check.  Over the full space tr P_t = 2^n [t = 0] and
     tr P_t^2 = 2^n orbit_size(t), and the trace of an operator is
-    sum_mu d_mu tr A_mu.  With A_mu = i^ky D^-1 G D^-1, A_mu is Hermitian
-    when G[w, w'] = (-1)^ky G[w', w]; then tr A_mu = i^ky tr(D^-2 G) and
-    tr A_mu^2 = sum G[w', w]^2 / (D^2[w'] D^2[w]).  Any one wrong entry fails
-    one of the three.  The first triple in canonical order that fails raises
-    VerificationError, naming Hermiticity (at the lowest mu), then the trace
-    rule, then the norm rule.
+    sum_mu d_mu tr A_mu.  With A_mu = i^ky D^-1 B D, A_mu is Hermitian
+    when B[w, w'] C(q,w') = (-1)^ky B[w', w] C(q,w); tr A_mu =
+    i^ky sum_w B[w, w] and tr A_mu^2 = (-1)^ky sum B[w', w] B[w, w'], both
+    integers.  Any one wrong entry fails one of the three.  The first
+    triple in canonical order that fails raises VerificationError, naming
+    Hermiticity (at the lowest mu), then the trace rule, then the norm
+    rule.
 
-    Rank.  Per sector, the integer blocks G_mu(row) (real and imaginary
-    parts) are ranked exactly together with D^2, the image of the identity.
-    A -> D A D is an invertible real-linear map that sends I to D^2, so the
-    span of the traceless parts of the A_mu(row) has dimension that rank
-    less one.  The blocks are Hermitian, so the rank stops growing at m^2
-    and the pass over the rows stops there.
+    Rank.  Per sector, the integer blocks B_mu(row) (real and imaginary
+    parts, _member_block) are ranked exactly together with I.
+    A -> D A D^-1 is an invertible real-linear map that sends I to I, so
+    the span of the traceless parts of the A_mu(row) has dimension that
+    rank less one.  The A_mu are Hermitian, so the rank stops growing at
+    m^2 and the pass over the rows stops there.
 
     The span dimensions plus trace_rank, the central_rank of the rows, must
     add up to the closure dimension.  It is the rank of the per-sector
@@ -490,39 +488,29 @@ def certify_subspace_control(n: int, basis: SparseEchelon) -> SubspaceControlRep
     differ by an invertible matrix and have the same rank.
     """
     triples = all_triples(n)
-    rows = [[(triples[r], c) for r, c in row.items()] for row in basis.rows()]
+    rows = [{triples[r]: c for r, c in row.items()} for row in basis.rows()]
     not_hermitian: dict[PauliTriple, int] = {}  # triple -> lowest failing mu
-    tr1 = dict.fromkeys(triples, Fraction(0))  # sum_mu d_mu tr(D^-2 G)
-    tr2 = dict.fromkeys(triples, Fraction(0))  # sum_mu d_mu tr A_mu^2
+    tr1 = dict.fromkeys(triples, 0)  # sum_mu d_mu sum_w B[w, w]
+    tr2 = dict.fromkeys(triples, 0)  # sum_mu d_mu tr A_mu^2
     sectors = []
     for b in isotypic_table(n):
         m = b.m
-        big, inv = _scales(b)
+        binom = [comb(m - 1, w) for w in range(m)]
         transpose = [k % m * m + k // m for k in range(m * m)]
-        weight = [inv[k // m] * inv[k % m] for k in range(m * m)]
         table = sector_block(n, b.mu)
         for t, g in table.items():
             sign = -1 if t.ky & 1 else 1
-            if any(g.get(transpose[k]) != sign * v for k, v in g.items()):
+            if any(g.get(transpose[k], 0) * binom[k // m] != sign * v * binom[k % m]
+                   for k, v in g.items()):
                 not_hermitian.setdefault(t, b.mu)
-            s1 = sum(g.get(w * (m + 1), 0) * inv[w] for w in range(m))
-            if s1:
-                tr1[t] += Fraction(b.d * s1, big << b.mu)
-            tr2[t] += Fraction(b.d * sum(v * v * weight[k] for k, v in g.items()),
-                               big * big << 2 * b.mu)
+            tr1[t] += b.d * sum(g.get(w * (m + 1), 0) for w in range(m))
+            tr2[t] += sign * b.d * sum(v * g.get(transpose[k], 0) for k, v in g.items())
         ech = SparseEchelon()
-        ech.insert({2 * w * (m + 1): comb(m - 1, w) for w in range(m)})
+        ech.insert({2 * w * (m + 1): 1 for w in range(m)})
         for row in rows:
             if ech.rank == m * m:
                 break
-            acc: dict[int, int] = {}
-            for t, c in row:
-                part = t.ky & 1  # i^ky: real for even ky, imaginary for odd
-                c = -c if t.ky & 2 else c
-                for k, v in table[t].items():
-                    k = 2 * k + part
-                    acc[k] = acc.get(k, 0) + c * v
-            ech.insert(acc)  # zero entries are dropped there
+            ech.insert(_member_block(row, table.__getitem__))
         del table  # only one sector's table may be alive at a time
         sectors.append(SectorSpan(b.mu, m, ech.rank - 1, m * m - 1))
     for t in triples:

@@ -117,7 +117,11 @@ def _conservation(run) -> tuple[frozenset[int], bool]:
     """The levels the generators touch (ClosureRun.exempt), and whether
     every closure row has a zero central residual at every other level, in
     one streamed pass over the rows.  It holds in theory (tr([a, b] C) = 0
-    for central C), so this checks the bracket engine's arithmetic."""
+    for central C).  Every ladder run is proven by its sector ledger, so
+    its rows are the closed form's (closure.semi_universal_basis), built
+    with no bracket: this checks the closed form's rows.  The bracket
+    engine's cross-check is tests/reference.list_membership_check on the
+    worklist's rows."""
     touched = run.exempt
     return touched, all(res.keys() <= touched for res in central_residuals(run.basis.rows()))
 

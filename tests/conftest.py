@@ -124,8 +124,8 @@ def fresh_ledgers():
 @pytest.fixture
 def plant(monkeypatch):
     """plant(mu, t, *keys) adds 1 to those entries of the exact block
-    G_mu(t) in every table schur.sector_block builds for the rest of the
-    test."""
+    B_mu(t) = G_mu(t) D^-2 in every table schur.sector_block builds for the
+    rest of the test; a key named twice gets 2."""
     build = schur.sector_block
 
     def apply(mu, t, *keys):

@@ -26,7 +26,6 @@ from math import comb, factorial
 from permlie import StructureTable, ambient_dims, isotypic_table, make_C, sector_block
 from permlie.closure import ClosureRun, Verdicts, generator_residuals
 from permlie.linalg import SparseEchelon, generator_closure, integer_row, rank_of
-from permlie.schur import _scales
 from permlie.structure import _orbit_average
 from permlie.symops import (
     ConstraintError,
@@ -178,25 +177,23 @@ def trace_pairing_verdicts(n: int, basis: SparseEchelon) -> Verdicts:
 
 @lru_cache(maxsize=None)
 def _sector_traces(n: int) -> tuple[tuple[int, dict[int, int]], ...]:
-    """(mu, {triple rank: 2^mu L tr A_mu(P_t)}) for every sector at n, the
-    nonzero traces only; see schur._scales for L."""
+    """(mu, {triple rank: tr A_mu(P_t)}) for every sector at n, the nonzero
+    traces only: integers."""
     out = []
     for b in isotypic_table(n):
         m = b.m
-        _, inv = _scales(b)
         tr = {}
         for t, g in sector_block(n, b.mu).items():
-            s1 = sum(g.get(w * (m + 1), 0) * inv[w] for w in range(m))
-            if s1 and not t.ky & 1:  # tr A_mu = i^ky tr(D^-2 G): zero for odd ky
+            s1 = sum(g.get(w * (m + 1), 0) for w in range(m))
+            if s1 and not t.ky & 1:  # tr A_mu = i^ky tr B: zero for odd ky
                 tr[triple_rank(t)] = -s1 if t.ky & 2 else s1
         out.append((b.mu, tr))
     return tuple(out)
 
 
 def sector_trace_rank(n: int, basis: SparseEchelon) -> int:
-    """Rank of the rows' per-sector trace vectors (tr A_mu(row))_mu, each
-    ranked as the integers 2^mu L tr A_mu(row): scaling column mu by 2^mu L
-    leaves the rank as it is.  It reaches certify_subspace_control's
+    """Rank of the rows' per-sector trace vectors (tr A_mu(row))_mu, whose
+    entries are integers.  It reaches certify_subspace_control's
     trace_rank, which reads closure.central_rank, through the sector tables."""
     rows = basis.rows()
     traces = [{} for _ in rows]

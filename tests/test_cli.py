@@ -436,6 +436,23 @@ class TestSchur:
         assert control["controllable"] and control["consistent"]
         jsonschema.validate(payload, load_schema("verify_report"))
 
+    @pytest.mark.parametrize("n,label", [(1, "G1prime"), (2, "G2"), (5, "G2")])
+    def test_default_gens_are_the_spanning_generators(self, capsys, n, label):
+        """Without --gens the closure is center's: G2, or G1prime at n = 1,
+        where G2 does not exist; the report equals the one --gens names."""
+        first = rc, payload, _ = run_json(capsys, "schur", "--n", str(n), "--check-blocks")
+        assert rc == 0 and payload["ok"] is True
+        assert payload["cases"][1]["params"] == {"n": n, "gens": label}
+        control = payload["cases"][1]["details"]["subspace_control"]
+        assert control["controllable"] and control["consistent"]
+        assert run_json(capsys, "schur", "--n", str(n), "--check-blocks", "--gens", label) == first
+        jsonschema.validate(payload, load_schema("verify_report"))
+
+    def test_g2_at_one_qubit_is_still_refused(self, capsys):
+        rc, out, err = run(capsys, "schur", "--n", "1", "--check-blocks", "--gens", "G2")
+        assert rc == 1 and out == ""
+        assert "G2 needs at least 2 qubits" in err
+
     @pytest.mark.parametrize("gens", ["G1", "G1prime"])
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_uncontrollable_closure_with_clean_blocks_passes(self, capsys, n, gens):

@@ -395,18 +395,13 @@ PHASE = (1, 1j, -1, -1j)
 
 
 def exact_block(table, t, b):
-    """Orthonormal block i**ky D^-1 G D^-1 of P_t in sector b, as floats,
-    from that sector's table."""
+    """Orthonormal block i**ky D^-1 B D of P_t in sector b, as floats,
+    from that sector's table of B = G D^-2."""
     g = np.zeros((b.m, b.m), dtype=complex)
     for k, v in table[t].items():
         g[divmod(k, b.m)] = PHASE[t.ky % 4] * v
     d = np.sqrt([2**b.mu * comb(b.m - 1, w) for w in range(b.m)])
-    return g / d[:, None] / d[None, :]
-
-
-def gram_weight(b):
-    """D^-2 of sector b as exact fractions."""
-    return [Fraction(1, 2**b.mu * comb(b.m - 1, w)) for w in range(b.m)]
+    return g / d[:, None] * d[None, :]
 
 
 def violation(n):
@@ -423,7 +418,7 @@ def presets(n):
 class TestExactBlocks:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_match_the_coupled_basis(self, n):
-        """D^-1 G_mu(t) D^-1 is block_project's block, phase and sign included."""
+        """i^ky D^-1 B_mu(t) D is block_project's block, phase and sign included."""
         st = build_schur_transform(n)
         tables = [sector_block(n, b.mu) for b in st.blocks]
         for t in all_triples(n):
@@ -435,16 +430,15 @@ class TestExactBlocks:
         """sum_mu d_mu tr(A_mu(P_a) A_mu(P_b)) = 2^n orbit_size(a) [a = b], exactly."""
         sectors = isotypic_table(n)
         tables = [sector_block(n, b.mu) for b in sectors]
-        weights = [gram_weight(b) for b in sectors]
         triples = all_triples(n)
         for a, c in itertools.combinations_with_replacement(triples, 2):
-            total = Fraction(0)
-            for b, table, inv in zip(sectors, tables, weights):
+            total = 0
+            for b, table in zip(sectors, tables):
                 block_a, block_c = table[a], table[c]
                 for k, v in block_a.items():
                     wp, w = divmod(k, b.m)
-                    total += b.d * v * block_c.get(w * b.m + wp, 0) * inv[w] * inv[wp]
-            # tr(A_a A_c) = i^(ky_a + ky_c) * total
+                    total += b.d * v * block_c.get(w * b.m + wp, 0)
+            # tr(A_a A_c) = i^(ky_a + ky_c) sum B_a[w', w] B_c[w, w'] per sector
             want = 2**n * orbit_size(a, n) * (-1) ** a.ky if a == c else 0
             assert total == want, (a, c)
 
@@ -462,12 +456,14 @@ class TestExactBlocks:
 
     def test_blocks_are_integers_with_the_ky_parity(self):
         for b in isotypic_table(6):
+            q = b.m - 1
             for t, g in sector_block(6, b.mu).items():
                 for k, v in g.items():
                     wp, w = divmod(k, b.m)
                     assert isinstance(v, int) and v
-                    # G is Hermitian up to the phase i^ky
-                    assert g.get(w * b.m + wp) == v * (-1) ** t.ky, (t, b.mu, wp, w)
+                    # G = B D^2 is Hermitian up to the phase i^ky
+                    assert g.get(w * b.m + wp, 0) * comb(q, wp) == v * comb(q, w) * (-1) ** t.ky, (
+                        t, b.mu, wp, w)
                     assert (wp + w) % 2 == (t.kx + t.ky) % 2
 
     @pytest.mark.parametrize(
@@ -477,8 +473,10 @@ class TestExactBlocks:
             (2, (0, 2, 0), [0], "trace sum rule fails at P_(0,2,0)"),
             (0, (1, 0, 0), [1], "block of P_(1,0,0) in sector mu=0 is not Hermitian"),
             (0, (0, 0, 0), [3], "block of P_(0,0,0) in sector mu=0 is not Hermitian"),
-            # both of a symmetric pair: Hermitian, same trace, larger norm
-            (0, (1, 0, 0), [1, 5], "norm sum rule fails at P_(1,0,0)"),
+            # B[0,1] + 1 and B[1,0] + C(4,1): Hermitian, same trace, larger norm
+            (0, (1, 0, 0), [1, 5, 5, 5, 5], "norm sum rule fails at P_(1,0,0)"),
+            # the same entries of an odd-ky block break its antisymmetry
+            (0, (0, 1, 0), [1, 5, 5, 5, 5], "block of P_(0,1,0) in sector mu=0 is not Hermitian"),
         ],
     )
     def test_a_perturbed_entry_is_named(self, plant, mu, t, keys, named):
@@ -584,13 +582,11 @@ class TestSectorLedger:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_triple_block_matches_the_sector_table(self, n):
-        """triple_block is G_mu(t) D^-2: times D^2[w] = 2^mu C(q,w) on
-        column w it is sector_block's G_mu(t), for every triple."""
+        """triple_block(n, mu, t) is sector_block(n, mu)[t], B_mu(t), for
+        every triple."""
         for b in isotypic_table(n):
-            q = b.m - 1
             for t, g in sector_block(n, b.mu).items():
-                block = triple_block(n, b.mu, t)
-                assert {k: v * comb(q, k % b.m) << b.mu for k, v in block.items()} == g, (n, b.mu, t)
+                assert triple_block(n, b.mu, t) == g, (n, b.mu, t)
 
     @pytest.mark.parametrize("label,n,k", LEDGER_PRESETS, ids=case_ids(LEDGER_PRESETS))
     def test_presets_match_the_one_stage_closure(self, one_stage, label, n, k):
