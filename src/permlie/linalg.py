@@ -224,9 +224,8 @@ def generator_closure(
     algebra D = [A, A] of the whole equivariant algebra A (it is
     semi-universal): any W that contains D has [W, W] inside [A, A] = D,
     inside W, so W = D + span(seeds) is the generated algebra.
-    closure.lie_closure learns that from the sector ledger or from the
-    closure of the two-body seeds, and closure.semi_universal_basis writes
-    W's echelon in closed form.
+    closure.lie_closure learns that from the sector ledger, and
+    closure.semi_universal_basis writes W's echelon in closed form.
     """
     gens = [row for row in map(ech.insert, seeds) if row is not None]
     rows = ech._rows

@@ -500,11 +500,14 @@ def certify_subspace_control(n: int, basis: SparseEchelon) -> SubspaceControlRep
         table = sector_block(n, b.mu)
         for t, g in table.items():
             sign = -1 if t.ky & 1 else 1
-            if any(g.get(transpose[k], 0) * binom[k // m] != sign * v * binom[k % m]
-                   for k, v in g.items()):
-                not_hermitian.setdefault(t, b.mu)
+            norm = 0  # sum B[w', w] B[w, w'], each transpose read once
+            for k, v in g.items():
+                vt = g.get(transpose[k], 0)
+                norm += v * vt
+                if vt * binom[k // m] != sign * v * binom[k % m]:
+                    not_hermitian.setdefault(t, b.mu)
             tr1[t] += b.d * sum(g.get(w * (m + 1), 0) for w in range(m))
-            tr2[t] += sign * b.d * sum(v * g.get(transpose[k], 0) for k, v in g.items())
+            tr2[t] += sign * b.d * norm
         ech = SparseEchelon()
         ech.insert({2 * w * (m + 1): 1 for w in range(m)})
         for row in rows:

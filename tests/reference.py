@@ -6,8 +6,8 @@ central-membership functional, the bracket of coordinate vectors, the word
 text of the dense oracle, the paths of the bundled report schemas, the
 universality verdicts read off an explicit nullspace of the trace pairings,
 the view of an echelon's rank-keyed rows as SymOpVectors that lets these
-triple-keyed oracles check the engine, the one-stage closure that staged
-and closed-form runs are checked against, that closure joined by the C_mu
+triple-keyed oracles check the engine, the one-stage closure that proven
+and worklist runs are checked against, that closure joined by the C_mu
 (the centralizer's old span certificate), the closure of a superset of a
 semi-universal closure's generators by insertion, the closure worklist that brackets
 each row as it was admitted, the pair overlap count, a bracket engine of
@@ -207,9 +207,8 @@ def sector_trace_rank(n: int, basis: SparseEchelon) -> int:
 
 def one_stage_closure(gens) -> tuple[SparseEchelon, int]:
     """The closure of gens by the one-stage worklist alone: every member is
-    a seed from the start, with no two-body stage and no insertion.  The
-    oracle of staged and derived runs.  Returns the echelon and the bracket
-    count."""
+    a seed from the start, with no ledger and no insertion.  The oracle of
+    proven and derived runs.  Returns the echelon and the bracket count."""
     ech = SparseEchelon()
     steps = generator_closure(
         (integer_row(by_rank(g.coeffs)) for g in gens.members),

@@ -296,12 +296,12 @@ class TestSuiteRanges:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("prop1", "--n", str(CENTER_CAP + 1)),
-            ("schur", "--n", str(SECTOR_CAP + 1)),
-            ("oracle", "--n", str(WORD_QUBIT_CAP + 1)),
-            ("oracle", "--n-range", f"2..{WORD_QUBIT_CAP + 1}"),
+            pytest.param(("prop1", "--n", str(CENTER_CAP + 1)), id="prop1 --n CENTER_CAP+1"),
+            pytest.param(("schur", "--n", str(SECTOR_CAP + 1)), id="schur --n SECTOR_CAP+1"),
+            pytest.param(("oracle", "--n", str(WORD_QUBIT_CAP + 1)), id="oracle --n WORD_QUBIT_CAP+1"),
+            pytest.param(("oracle", "--n-range", f"2..{WORD_QUBIT_CAP + 1}"),
+                         id="oracle --n-range 2..WORD_QUBIT_CAP+1"),
         ],
-        ids=" ".join,
     )
     def test_capped_suites_refuse(self, capsys, argv):
         start = time.perf_counter()
@@ -407,7 +407,7 @@ class TestCenter:
         assert rc == 1 and out == ""
         assert f"got mu={mu}, n=40" in err
 
-    @pytest.mark.parametrize("n", [CENTER_CAP + 1, 400])
+    @pytest.mark.parametrize("n", [CENTER_CAP + 1, 400], ids=["CENTER_CAP+1", "400"])
     def test_resource_cap_exit_code(self, capsys, n):
         rc, out, err = run(capsys, "center", "--n", str(n), "--json", "-")
         assert rc == 3 and out == ""
@@ -529,7 +529,8 @@ class TestTable:
         rc, _, err = run(capsys, "table", "--n", "3", "--method", "both")
         assert rc == 1 and "unrecognized arguments: --method" in err
 
-    @pytest.mark.parametrize("argv", [("--n", str(ORBIT_CAP + 1), "--compare")], ids=" ".join)
+    @pytest.mark.parametrize("argv", [("--n", str(ORBIT_CAP + 1), "--compare")],
+                             ids=["--n ORBIT_CAP+1 --compare"])
     def test_whole_table_caps_exit_code(self, capsys, argv):
         start = time.perf_counter()
         rc, out, err = run(capsys, "table", *argv, "--json", "-")

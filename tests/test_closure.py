@@ -202,25 +202,15 @@ def seed_rows(gens):
 
 def expected_brackets(gens):
     """The brackets lie_closure makes: none when the sector ledger shows
-    every sector full.  Else, with S0 the members of level <= 2, a
-    nonempty proper subset: dim L(S0) x rank(S0) when L(S0) is
-    semi-universal (staged), and those plus dim L(S) x rank(S) when it is
-    not (fallback).  Otherwise dim L(S) x rank(S).  Dimensions and verdicts
-    come from the one-stage worklist and the trace-pairing reference."""
-    def one_stage_count(s):
-        ech = one_stage_closure(s)[0]
-        return ech, ech.rank * rank_of(seed_rows(s))
-
+    every sector full, that of S0 (the members of level <= 2, when they
+    are a nonempty proper subset) or that of the whole set S.  Otherwise
+    dim L(S) x rank(S), with the dimension from the one-stage worklist."""
+    two_body = [g for g in gens.members if max(t.level for t in g.coeffs) <= 2]
+    if 0 < len(two_body) < len(gens.members) and sector_ledger(GeneratorSet(gens.n, two_body)).full:
+        return 0
     if sector_ledger(gens).full:
         return 0
-    two_body = [g for g in gens.members if max(t.level for t in g.coeffs) <= 2]
-    if not 0 < len(two_body) < len(gens.members):
-        return one_stage_count(gens)[1]
-    base = GeneratorSet(gens.n, two_body)
-    ech, steps = one_stage_count(base)
-    if trace_pairing_verdicts(gens.n, ech).semi_universal:
-        return steps
-    return steps + one_stage_count(gens)[1]
+    return one_stage_closure(gens)[0].rank * rank_of(seed_rows(gens))
 
 
 def assert_worklists_agree(seeds, bracket):
@@ -339,8 +329,8 @@ def no_ledger(gens):
 
 
 class TestStagedClosure:
-    """lie_closure writes the closed form when the sector ledger or the
-    closure of the members of level <= 2 shows the set semi-universal, and
+    """lie_closure writes the closed form when the sector ledger of the
+    members of level <= 2 or of the whole set shows every sector full, and
     runs the one-stage worklist otherwise; verify's walk makes one
     lie_closure per case.  The one-stage worklist of tests/reference.py is
     the oracle, and its extend_closure (insertion into a semi-universal
@@ -382,16 +372,13 @@ class TestStagedClosure:
         assert certified == [(n, mu) for n in range(2, 9) for mu in range(n // 2, -1, -1)]
 
     def test_declined_derivations_fall_back(self, monkeypatch):
-        """With the ledger and the verdicts both declining, G2 is staged,
-        declined, and every member closed by the one-stage worklist."""
+        """With the ledger declining, every member of each Gk is closed by
+        the one-stage worklist: (k + 1) x dim brackets, and no more."""
         monkeypatch.setattr(closure, "sector_ledger", no_ledger)
-        monkeypatch.setattr(closure, "_verdicts", lambda n, dim, residuals: Verdicts(False, False))
         for run in verify._closures("Gk", 2, 6):
             n, k = run.n, run.gens.k
             assert echelon(run) == one_stage_rows("Gk", n, k)
-            if k > 2:  # lie_closure staged G2, was declined, and closed Gk
-                g2 = one_stage_rows("G2", n)
-                assert run.iterations == 3 * len(g2[0]) + (k + 1) * run.dim
+            assert run.iterations == (k + 1) * run.dim
 
     @settings(max_examples=30, deadline=ENGINE_DEADLINE)
     @given(nested_custom_sets("G2"))
@@ -432,9 +419,9 @@ class TestStagedClosure:
         assert extend_closure(preset_generators("Gk", 4, k=3), run) is not None
 
     def test_two_body_part_that_is_not_semi_universal_falls_back(self, monkeypatch):
-        """{X, Y} closes on su(2), which is not semi-universal: the verdict
-        is read off its 2 generators' residuals alone, and the one-stage
-        worklist runs after it."""
+        """{X, Y} closes on su(2), which is not semi-universal, and neither
+        ledger is full: lie_closure reads no verdict, and the one-stage
+        worklist closes every member with its dim x r brackets alone."""
         read = []
 
         def recording(n, dim, residuals):
@@ -446,16 +433,34 @@ class TestStagedClosure:
         gens = parse_generator_spec("1,0,0;0,1,0;1,1,1", 4)
         run = lie_closure(gens)
         want, steps = one_stage_closure(gens)
-        assert read == [(2, False)]
+        assert read == []
         assert echelon(run) == (want.pivots(), want.rows())
-        assert run.iterations == 3 * 2 + steps
+        assert run.iterations == steps
+
+    def test_set_no_ledger_proves_is_closed_once(self, capsys):
+        """Neither ledger proves Z, Y, ZZ and ZZZ at n = 3, though {Z, Y, ZZ}
+        closes semi-universally: the one-stage worklist closes every member,
+        19 x 4 brackets and no more, and the report lists left_out."""
+        spec, n = "0,0,1;0,1,0;0,0,2;0,0,3", 3
+        gens = parse_generator_spec(spec, n)
+        two_body = GeneratorSet(n, gens.members[:3])
+        assert not sector_ledger(two_body).full and not sector_ledger(gens).full
+        assert trace_pairing_verdicts(n, one_stage_closure(two_body)[0]).semi_universal
+        want, steps = one_stage_closure(gens)
+        run = lie_closure(gens)
+        assert echelon(run) == (want.pivots(), want.rows())
+        assert run.iterations == steps == 19 * 4
+        assert main(["close", "--n", str(n), "--gens", spec, "--json", "-"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["dim"], payload["iterations"]) == (19, 76)
+        assert "left_out" in payload and "pivots" not in payload
 
     def test_fraction_members_stage_as_their_integer_multiple(self, monkeypatch):
         """X/2, 3Y/4, 2ZZ/3 + I/5 and 5ZZZ/7 at n = 5, proven by the ledger
-        or, with the ledger declining, by their staged two-body closure, give
-        the rows, verdicts and exempt levels of the same set times 420, the
-        lcm of the denominators; the worklist makes 54 x 3 brackets on the
-        two-body part of both, and the staged run makes just those."""
+        or, with the ledger declining, closed by the one-stage worklist,
+        give the rows, verdicts and exempt levels of the same set times 420,
+        the lcm of the denominators; the worklist makes 54 x 4 brackets on
+        both."""
         n = 5
         members = [{(1, 0, 0): Fraction(1, 2)}, {(0, 1, 0): Fraction(3, 4)},
                    {(0, 0, 2): Fraction(2, 3), (0, 0, 0): Fraction(1, 5)},
@@ -467,16 +472,16 @@ class TestStagedClosure:
             run = lie_closure(gens)
             want = one_stage_closure(gens)[0]
             assert echelon(run) == (want.pivots(), want.rows())
-            two_body = one_stage_closure(GeneratorSet(n, vectors[:3]))[1]
-            return echelon(run), run.iterations, two_body, run.verdicts, build_report(run).exempt
+            steps = one_stage_closure(gens)[1]
+            return echelon(run), run.iterations, steps, run.verdicts, build_report(run).exempt
 
         for ledger in (sector_ledger, no_ledger):
             monkeypatch.setattr(closure, "sector_ledger", ledger)
             rational = closed(1)
             assert rational == closed(420)
-            (pivots, _), iterations, two_body, verdicts, _ = rational
-            assert (len(pivots), two_body) == (54, 54 * 3)
-            assert iterations == (0 if ledger is sector_ledger else two_body)
+            (pivots, _), iterations, steps, verdicts, _ = rational
+            assert (len(pivots), steps) == (54, 54 * 4)
+            assert iterations == (0 if ledger is sector_ledger else steps)
             assert verdicts.semi_universal
 
 
@@ -580,10 +585,9 @@ def closed_forms(monkeypatch):
 
 
 class TestNoEchelon:
-    """A run that the ledger or the staged route proves semi-universal
-    holds no echelon: dim and the report's left_out are read off the
-    generators, and ClosureRun.basis writes the closed form on its first
-    read only."""
+    """A run that the sector ledger proves semi-universal holds no echelon:
+    dim and the report's left_out are read off the generators, and
+    ClosureRun.basis writes the closed form on its first read only."""
 
     def assert_read_off_generators(self, gens):
         run = lie_closure(gens)
@@ -685,9 +689,9 @@ class TestOneRowReader:
 
     @pytest.mark.parametrize("label, n", [("G2", 8), ("G1prime", 5), ("1,0,0;0,1,0;1,1,1", 4)])
     def test_close_report_reads_generators_only(self, seen, label, n):
-        """The closure, on the closed form, the worklist or a staged run,
-        reads its generators' residuals once and no closure row; the report
-        reads none."""
+        """The closure, on the closed form or the worklist, reads its
+        generators' residuals once and no closure row; the report reads
+        none."""
         gens = parse_generator_spec(label, n)
         run = lie_closure(gens)
         assert seen == [len(gens.members)]
@@ -1024,8 +1028,8 @@ class TestStreamedResidualPass:
     @settings(max_examples=40, deadline=ENGINE_DEADLINE)
     @given(st.one_of(custom_generator_sets(), g2_plus_custom_sets()))
     def test_no_row_leaves_the_touched_levels(self, gens):
-        """The worklist, staged and closed-form routes all conserve every
-        central projection the generators leave untouched."""
+        """The worklist and closed-form routes both conserve every central
+        projection the generators leave untouched."""
         run = lie_closure(gens)
         assert list_membership_check(run.basis.rows(), gens.n, run.exempt) == []
 
